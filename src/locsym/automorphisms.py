@@ -27,8 +27,15 @@ def _slim(f: Fraction):
     return f.numerator if f.denominator == 1 else f
 
 
-def is_automorphism(algebra: Algebra, phi: Matrix) -> bool:
-    """Exact test: phi invertible and phi(e_i e_j) = phi(e_i) phi(e_j)."""
+def multiplicativity_failure(
+    algebra: Algebra, phi: Matrix
+) -> tuple[int, int] | None:
+    """First basis pair (i, j), 0-based, where phi is not multiplicative.
+
+    The failure is phi(e_i e_j) != phi(e_i) phi(e_j); pairs are scanned
+    with i outer and j inner.  None means phi is multiplicative
+    (invertibility is not checked here).
+    """
     n = algebra.dim
     if phi.shape != (n, n):
         raise InputError("operator shape does not match the algebra")
@@ -59,8 +66,13 @@ def is_automorphism(algebra: Algebra, phi: Matrix) -> bool:
                             if colk[r]:
                                 rhs[r] += ck * colk[r]
             if lhs != rhs:
-                return False
-    return is_invertible(phi)
+                return i, j
+    return None
+
+
+def is_automorphism(algebra: Algebra, phi: Matrix) -> bool:
+    """Exact test: phi invertible and phi(e_i e_j) = phi(e_i) phi(e_j)."""
+    return multiplicativity_failure(algebra, phi) is None and is_invertible(phi)
 
 
 @dataclass(frozen=True)

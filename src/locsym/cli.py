@@ -29,9 +29,10 @@ from .automorphisms import (
     automorphism_family,
     group_closure_report,
     is_automorphism,
+    multiplicativity_failure,
     verify_family,
 )
-from .derivations import derivation_algebra, is_derivation
+from .derivations import derivation_algebra, leibniz_failure
 from .errors import (
     InputError,
     InternalCheckError,
@@ -118,38 +119,26 @@ def _require_rational(m) -> Matrix:
 
 
 def _leibniz_counterexample(algebra: Algebra, op: Matrix) -> dict | None:
-    n = algebra.dim
-    basis = [tuple(1 if t == s else 0 for t in range(n)) for s in range(n)]
-    images = [op.apply(e) for e in basis]
-    for i in range(n):
-        for j in range(n):
-            lhs = op.apply(algebra.product_of_basis(i, j))
-            rhs_1 = algebra.multiply(images[i], basis[j])
-            rhs_2 = algebra.multiply(basis[i], images[j])
-            if lhs != tuple(a + b for a, b in zip(rhs_1, rhs_2)):
-                return {
-                    "kind": "leibniz_pair",
-                    "algebra": algebra.name,
-                    "matrix": operator_to_payload(op),
-                    "pair": [i + 1, j + 1],
-                }
-    return None
+    pair = leibniz_failure(algebra, op)
+    if pair is None:
+        return None
+    return {
+        "kind": "leibniz_pair",
+        "algebra": algebra.name,
+        "matrix": operator_to_payload(op),
+        "pair": [pair[0] + 1, pair[1] + 1],
+    }
 
 
 def _multiplicativity_counterexample(algebra: Algebra, phi: Matrix) -> dict | None:
-    n = algebra.dim
-    basis = [tuple(1 if t == s else 0 for t in range(n)) for s in range(n)]
-    images = [phi.apply(e) for e in basis]
-    for i in range(n):
-        for j in range(n):
-            lhs = phi.apply(algebra.product_of_basis(i, j))
-            if lhs != algebra.multiply(images[i], images[j]):
-                return {
-                    "kind": "multiplicativity_pair",
-                    "algebra": algebra.name,
-                    "matrix": operator_to_payload(phi),
-                    "pair": [i + 1, j + 1],
-                }
+    pair = multiplicativity_failure(algebra, phi)
+    if pair is not None:
+        return {
+            "kind": "multiplicativity_pair",
+            "algebra": algebra.name,
+            "matrix": operator_to_payload(phi),
+            "pair": [pair[0] + 1, pair[1] + 1],
+        }
     if not is_invertible(phi):
         return {"kind": "not_invertible", "matrix": operator_to_payload(phi)}
     return None
@@ -351,11 +340,11 @@ def _cmd_der_basis(args) -> tuple[int, dict, list[str]]:
 def _cmd_der_check(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
     op = _require_rational(load_operator(args.matrix))
-    ok = is_derivation(algebra, op)
+    counterexample = _leibniz_counterexample(algebra, op)
+    ok = counterexample is None
     payload = {"algebra": algebra.name, "is_derivation": ok}
     lines = [f"is_derivation: {ok}"]
     if not ok:
-        counterexample = _leibniz_counterexample(algebra, op)
         payload["counterexample"] = counterexample
         lines.append(
             f"Leibniz fails at basis pair {tuple(counterexample['pair'])}"
@@ -435,11 +424,11 @@ def _cmd_aut_check(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
     phi = load_operator(args.matrix)
     if isinstance(phi, Matrix):
-        ok = is_automorphism(algebra, phi)
+        counterexample = _multiplicativity_counterexample(algebra, phi)
+        ok = counterexample is None
         payload = {"algebra": algebra.name, "is_automorphism": ok}
         lines = [f"is_automorphism: {ok}"]
         if not ok:
-            counterexample = _multiplicativity_counterexample(algebra, phi)
             payload["counterexample"] = counterexample
             lines.append("counterexample: " + json.dumps(counterexample))
             return 1, payload, lines

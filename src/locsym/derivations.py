@@ -3,22 +3,25 @@
 D is a derivation when D(xy) = D(x)y + xD(y) for all x, y; on a
 structure-constant algebra this is a linear system over the n^2 matrix
 entries of D with n^3 equations (one per basis pair and coordinate).
-The engine solves it exactly and also checks Lie-bracket closure of any
-space of operators by random sampling.
+The engine solves it exactly and also decides Lie-bracket closure of any
+space of operators exactly, on basis pairs.
 """
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
 
 from .algebra import Algebra
 from .errors import InputError, InternalCheckError
 from .linalg import Matrix, Subspace, nullspace, vector
-from .rationals import random_rational
 
 
-def is_derivation(algebra: Algebra, op: Matrix) -> bool:
-    """Exact Leibniz check on all basis pairs."""
+def leibniz_failure(algebra: Algebra, op: Matrix) -> tuple[int, int] | None:
+    """First basis pair (i, j), 0-based, where the Leibniz identity fails.
+
+    Pairs are scanned with i outer and j inner; None means op is a
+    derivation.
+    """
     n = algebra.dim
     if op.shape != (n, n):
         raise InputError("operator shape does not match algebra dimension")
@@ -30,8 +33,13 @@ def is_derivation(algebra: Algebra, op: Matrix) -> bool:
             rhs_1 = algebra.multiply(images[i], basis[j])
             rhs_2 = algebra.multiply(basis[i], images[j])
             if lhs != tuple(a + b for a, b in zip(rhs_1, rhs_2)):
-                return False
-    return True
+                return i, j
+    return None
+
+
+def is_derivation(algebra: Algebra, op: Matrix) -> bool:
+    """Exact Leibniz check on all basis pairs."""
+    return leibniz_failure(algebra, op) is None
 
 
 @dataclass(frozen=True)
@@ -97,30 +105,20 @@ def bracket(x: Matrix, y: Matrix) -> Matrix:
     return x * y - y * x
 
 
-def bracket_closed(
-    ops, trials: int = 1000, seed: int = 0
-) -> tuple[bool, tuple[Matrix, Matrix] | None]:
-    """Random test that [X, Y] stays in the span of the given operators.
+def bracket_closed(ops) -> tuple[bool, tuple[Matrix, Matrix] | None]:
+    """Exact test that [X, Y] stays in the span of the given operators.
 
-    Returns (True, None) or (False, (X, Y)) with an exact counterexample
-    pair; membership is decided exactly, randomness only picks the pair.
+    The bracket is bilinear and antisymmetric, so the span is closed
+    exactly when the bracket of every pair of the given operators lies
+    in it.  Returns (True, None) or (False, (X, Y)) with the first
+    offending pair of operators.
     """
     ops = list(ops)
     if not ops:
         return True, None
     n = ops[0].shape[0]
     span = Subspace(n * n, [m.vec() for m in ops])
-    rng = random.Random(seed)
-    for _ in range(trials):
-        x = _random_combination(ops, rng)
-        y = _random_combination(ops, rng)
+    for x, y in itertools.combinations(ops, 2):
         if not span.contains(bracket(x, y).vec()):
             return False, (x, y)
     return True, None
-
-
-def _random_combination(ops, rng) -> Matrix:
-    total = Matrix.zeros(*ops[0].shape)
-    for op in ops:
-        total = total + op * random_rational(rng)
-    return total

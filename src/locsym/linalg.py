@@ -27,19 +27,6 @@ def vector(values: Iterable) -> Vector:
     return tuple(Fraction(v) for v in values)
 
 
-def unit_vector(dim: int, index: int) -> Vector:
-    return tuple(Fraction(1 if i == index else 0) for i in range(dim))
-
-
-def add_vectors(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def scale_vector(c, x: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in x)
-
-
 class Matrix:
     """Immutable exact matrix."""
 
@@ -333,29 +320,6 @@ class Subspace:
                 vec = [a - factor * b for a, b in zip(vec, row)]
         return all(v == 0 for v in vec)
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(v) for v in self.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked basis matrix."""
-        if self.ambient != other.ambient:
-            raise InputError("ambient dimensions differ")
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient)
-        stacked_cols = [list(v) for v in self.basis] + [
-            [-x for x in v] for v in other.basis
-        ]
-        kernel = nullspace(Matrix(stacked_cols).transpose())
-        k = len(self.basis)
-        vectors = []
-        for combo in kernel:
-            vec = [Fraction(0)] * self.ambient
-            for coeff, base in zip(combo[:k], self.basis):
-                for i, v in enumerate(base):
-                    vec[i] += coeff * v
-            vectors.append(tuple(vec))
-        return Subspace(self.ambient, vectors)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -368,14 +332,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def span_of_matrices(mats: Iterable[Matrix]) -> Subspace:
-    mats = list(mats)
-    if not mats:
-        raise InputError("empty matrix collection has no ambient dimension")
-    n, m = mats[0].shape
-    return Subspace(n * m, [mat.vec() for mat in mats])
 
 
 # -- operator serialization -------------------------------------------------

@@ -7,12 +7,14 @@ the feasibility question "does some family member agree with B at x"
 is decided by a triangular case schedule over the support of x, with
 every decision an exact rational zero test.  Square or cube roots enter
 only when building an explicit witness parameter assignment, never in
-the feasibility decision itself.
+the feasibility decision itself, and each such witness is checked
+through the automorphism template.
 
 The closed local-automorphism patterns (shape, entry relations and
-nonvanishing conditions) live here as LocAutPattern objects, with exact
-membership checks, two-way randomized verification against the
-pointwise solver, and group-closure checks.
+nonvanishing conditions) are the templates of templates.py, wrapped as
+LocAutPattern objects.  Membership checks read them directly; on top
+sit two-way randomized verification against the pointwise solver and
+group-closure checks.
 """
 from __future__ import annotations
 
@@ -25,7 +27,11 @@ from fractions import Fraction
 from .algebra import Algebra
 from .errors import InputError, InternalCheckError, UnsupportedError
 from .linalg import Matrix, inverse, vector
+from .poly import Poly
+from .rationals import random_nonzero_int
 from .templates import (
+    AUTOMORPHISM_FORM_PI2,
+    AUTOMORPHISM_FORM_PI3,
     LOCAL_AUTOMORPHISM_FORM_PI2,
     LOCAL_AUTOMORPHISM_FORM_PI3_MINUS,
     LOCAL_AUTOMORPHISM_FORM_PI3_PLUS,
@@ -69,42 +75,6 @@ def _infeasible(detail: str) -> FeasibilityReport:
 
 # -- the pointwise solvers ----------------------------------------------------
 
-# Image coordinates of a family member at x = (n1..n5); these mirror the
-# builtin automorphism templates and are cross-checked against them in
-# the test suite.
-
-
-def _phi_image_pi2(p, n):
-    a11, a21, a31, a34, a41, a51, a54 = (
-        p["a11"], p["a21"], p["a31"], p["a34"], p["a41"], p["a51"], p["a54"]
-    )
-    s = a11 + a41
-    return (
-        a11 * n[0],
-        a21 * n[0] + a11 * a11 * n[1],
-        a31 * n[0] + 2 * a11 * a21 * n[1] + a11 ** 3 * n[2] + a34 * n[3],
-        a41 * n[0] + s * n[3],
-        a51 * n[0] + (s * s - a11 * a11) * n[1] + a54 * n[3] + s * s * n[4],
-    )
-
-
-def _phi_image_pi3(p, n):
-    a11, a21, a31, a34, a51, a54 = (
-        p["a11"], p["a21"], p["a31"], p["a34"], p["a51"], p["a54"]
-    )
-    return (
-        a11 * n[0],
-        a21 * n[0] + a11 * a11 * n[1],
-        a31 * n[0] + 2 * a11 * a21 * n[1] + a11 ** 3 * n[2] + a34 * n[3],
-        a11 * n[3],
-        a51 * n[0] + a54 * n[3] + a11 * a11 * n[4],
-    )
-
-
-_PI2_PARAMS = ("a11", "a21", "a31", "a34", "a41", "a51", "a54")
-_PI3_PARAMS = ("a11", "a21", "a31", "a34", "a51", "a54")
-
-
 def _zero_params(names) -> dict:
     return {name: Fraction(0) for name in names}
 
@@ -126,11 +96,21 @@ def _cbrts(value: complex):
     return tuple(roots)
 
 
-def _try_numeric(image, params, n, y, detail) -> FeasibilityReport | None:
-    """Wrap a root-based witness if its float residual is acceptable."""
+def _try_numeric(family, params, n, y, detail) -> FeasibilityReport | None:
+    """Wrap a root-based witness if its float residual is acceptable.
+
+    The image of n is taken through the automorphism template itself.
+    """
     numeric = {k: complex(v) for k, v in params.items()}
-    image_vec = image(numeric, [complex(v) for v in n])
-    residual = max(abs(iv - complex(t)) for iv, t in zip(image_vec, y))
+    image = [
+        sum(
+            entry.evaluate_numeric(numeric) * complex(v)
+            for entry, v in zip(row, n)
+            if v
+        )
+        for row in family.entries
+    ]
+    residual = max(abs(iv - complex(t)) for iv, t in zip(image, y))
     if residual > FLOAT_TOL:
         return None
     return FeasibilityReport(
@@ -159,7 +139,7 @@ def _numeric_or_fail(candidates) -> FeasibilityReport:
 def _feasible_pi2(n, y) -> FeasibilityReport:
     n1, n2, n3, n4, n5 = n
     y1, y2, y3, y4, y5 = y
-    p = _zero_params(_PI2_PARAMS)
+    p = _zero_params(AUTOMORPHISM_FORM_PI2.params)
     if n1 != 0:
         if y1 == 0:
             return _infeasible("coordinate 1 forces a11 = 0")
@@ -204,7 +184,7 @@ def _feasible_pi2(n, y) -> FeasibilityReport:
                         - complex(s) ** 2 * complex(n5)
                     ) / complex(n4)
                     yield _try_numeric(
-                        _phi_image_pi2, q, n, y,
+                        AUTOMORPHISM_FORM_PI2, q, n, y,
                         "square root on the n4 branch",
                     )
 
@@ -240,7 +220,7 @@ def _feasible_pi2(n, y) -> FeasibilityReport:
                         complex(y3) - a11 ** 3 * complex(n3)
                     ) / (2 * a11 * complex(n2))
                     yield _try_numeric(
-                        _phi_image_pi2, q, n, y,
+                        AUTOMORPHISM_FORM_PI2, q, n, y,
                         "square roots on the n2 branch",
                     )
 
@@ -263,7 +243,7 @@ def _feasible_pi2(n, y) -> FeasibilityReport:
                     q["a11"] = a11
                     q["a41"] = u - a11
                     yield _try_numeric(
-                        _phi_image_pi2, q, n, y,
+                        AUTOMORPHISM_FORM_PI2, q, n, y,
                         "cube root on the n3 branch",
                     )
 
@@ -279,7 +259,7 @@ def _feasible_pi2(n, y) -> FeasibilityReport:
                 q = {k: complex(v) for k, v in p.items()}
                 q["a11"] = u
                 yield _try_numeric(
-                    _phi_image_pi2, q, n, y,
+                    AUTOMORPHISM_FORM_PI2, q, n, y,
                     "square root on the n5 branch",
                 )
 
@@ -291,7 +271,7 @@ def _feasible_pi2(n, y) -> FeasibilityReport:
 def _feasible_pi3(n, y) -> FeasibilityReport:
     n1, n2, n3, n4, n5 = n
     y1, y2, y3, y4, y5 = y
-    p = _zero_params(_PI3_PARAMS)
+    p = _zero_params(AUTOMORPHISM_FORM_PI3.params)
     if n1 != 0:
         if y1 == 0:
             return _infeasible("coordinate 1 forces a11 = 0")
@@ -334,7 +314,7 @@ def _feasible_pi3(n, y) -> FeasibilityReport:
                     complex(y3) - a11 ** 3 * complex(n3)
                 ) / (2 * a11 * complex(n2))
                 yield _try_numeric(
-                    _phi_image_pi3, q, n, y,
+                    AUTOMORPHISM_FORM_PI3, q, n, y,
                     "square root on the n2 branch",
                 )
 
@@ -364,7 +344,7 @@ def _feasible_pi3(n, y) -> FeasibilityReport:
                 q = {k: complex(v) for k, v in p.items()}
                 q["a11"] = a11
                 yield _try_numeric(
-                    _phi_image_pi3, q, n, y,
+                    AUTOMORPHISM_FORM_PI3, q, n, y,
                     "cube root on the n3 branch",
                 )
 
@@ -380,7 +360,7 @@ def _feasible_pi3(n, y) -> FeasibilityReport:
                 q = {k: complex(v) for k, v in p.items()}
                 q["a11"] = a11
                 yield _try_numeric(
-                    _phi_image_pi3, q, n, y,
+                    AUTOMORPHISM_FORM_PI3, q, n, y,
                     "square root on the n5 branch",
                 )
 
@@ -439,24 +419,11 @@ class LocAutPattern:
     def dimension(self) -> int:
         """Free-coordinate count of one branch.
 
-        Every parameter occupies some entry as a bare degree-one
-        monomial, so the projection onto those entries has full rank
-        and the parameter count is the dimension.
+        Every parameter occupies some entry as a bare monomial, so the
+        projection onto those entries has full rank and the parameter
+        count is the dimension.
         """
-        template = self.templates[0]
-        free = set()
-        for row in template.entries:
-            for entry in row:
-                vs = entry.variables()
-                if len(vs) == 1 and entry.degree_in(vs[0]) == 1:
-                    coeffs = entry.coeff_split(vs[0])
-                    if coeffs[1].is_zero():
-                        free.add(vs[0])
-        if free != set(template.params):
-            raise InternalCheckError(
-                "pattern has parameters without a free coordinate"
-            )
-        return len(template.params)
+        return len(_free_coordinates(self.templates[0]))
 
 
 def locaut_pattern(algebra: Algebra) -> LocAutPattern:
@@ -478,65 +445,93 @@ def locaut_pattern(algebra: Algebra) -> LocAutPattern:
     )
 
 
+def _free_coordinates(template: MatrixTemplate) -> dict[str, tuple[int, int]]:
+    """Position of each parameter's first bare occurrence, row-major.
+
+    This is the triangular order template_match reads a grid in: the
+    first entry that is the parameter itself fixes its value, and any
+    later bare occurrence (b44 = b11 for pi3) is a relation.
+    """
+    free: dict[str, tuple[int, int]] = {}
+    for i, row in enumerate(template.entries):
+        for j, entry in enumerate(row):
+            names = entry.variables()
+            if (
+                len(names) == 1
+                and names[0] not in free
+                and entry == Poly.var(names[0])
+            ):
+                free[names[0]] = (i, j)
+    if free.keys() != set(template.params):
+        raise InternalCheckError(
+            "pattern has parameters without a free coordinate"
+        )
+    return free
+
+
+def _read(template: MatrixTemplate, rows, evaluate):
+    """Parameters read off a grid, and its deviation at every other entry.
+
+    The free coordinates give the parameter values; every other entry is
+    a constraint (zero entries must vanish, the rest are relations), and
+    its deviation is the grid value minus the template polynomial at
+    those values.  `evaluate` is Poly.evaluate or Poly.evaluate_numeric.
+    """
+    free = _free_coordinates(template)
+    params = {name: rows[i][j] for name, (i, j) in free.items()}
+    fixed = set(free.values())
+    deviations = {
+        (i, j): rows[i][j] - evaluate(entry, params)
+        for i, row in enumerate(template.entries)
+        for j, entry in enumerate(row)
+        if (i, j) not in fixed
+    }
+    return params, deviations
+
+
 def pattern_check(pattern: LocAutPattern, b: Matrix) -> PatternCheck:
     """Exact membership: zero shape, entry relations, open conditions.
 
     Matrices satisfying shape and relations but violating only the
     nonvanishing conditions are flagged as boundary cases: they are
     excluded by the pattern's open hypotheses rather than its relations.
+    With several branches, the reported branch is the one template with
+    the fewest shape and relation failures (None on a tie).
     """
     if b.shape != (pattern.algebra.dim,) * 2:
         raise InputError("matrix shape does not match the pattern")
-    failures: list[str] = []
-    e = b.rows
-    if pattern.algebra.name == "pi2":
-        branch = None
-        zeros = LOCAL_AUTOMORPHISM_FORM_PI2.zero_positions()
-        for (i, j) in zeros:
-            if e[i][j] != 0:
-                failures.append(f"entry ({i + 1},{j + 1}) must vanish")
-        if e[3][3] != e[3][0] + e[0][0]:
-            failures.append("relation b44 = b41 + b11 fails")
-        if e[4][4] != e[1][1] + e[4][1]:
-            failures.append("relation b55 = b22 + b52 fails")
-        open_factors = {
-            "b11": e[0][0],
-            "b22": e[1][1],
-            "b33": e[2][2],
-            "b41 + b11": e[3][0] + e[0][0],
-            "b22 + b52": e[1][1] + e[4][1],
-        }
-    else:
-        b11 = e[0][0]
-        zeros = LOCAL_AUTOMORPHISM_FORM_PI3_PLUS.zero_positions()
-        for (i, j) in zeros:
-            if e[i][j] != 0:
-                failures.append(f"entry ({i + 1},{j + 1}) must vanish")
-        if e[1][1] != b11 * b11:
-            failures.append("relation b22 = b11^2 fails")
-        if e[3][3] != b11:
-            failures.append("relation b44 = b11 fails")
-        if e[4][4] != b11 * b11:
-            failures.append("relation b55 = b11^2 fails")
-        cube = b11 ** 3
-        if e[2][2] == cube and b11 != 0:
-            branch = "+"
-        elif e[2][2] == -cube and b11 != 0:
-            branch = "-"
-        else:
-            branch = None
-            if e[2][2] != cube and e[2][2] != -cube:
-                failures.append("relation b33 = +-b11^3 fails")
-        open_factors = {"b11": b11}
-    shape_ok = not failures
-    for name, value in open_factors.items():
-        if value == 0:
-            failures.append(f"open condition {name} != 0 fails")
+    readings = []
+    for template in pattern.templates:
+        params, deviations = _read(template, b.rows, Poly.evaluate)
+        shape = [
+            f"entry ({i + 1},{j + 1}) must vanish"
+            if template.entries[i][j].is_zero()
+            else f"relation b{i + 1}{j + 1} = {template.entries[i][j]} fails"
+            for (i, j), gap in deviations.items()
+            if gap != 0
+        ]
+        open_failures = [
+            f"open condition {c} != 0 fails"
+            for c in template.nonzero
+            if c.evaluate(params) == 0
+        ]
+        readings.append((shape, open_failures))
+    ok = any(not shape and not opens for shape, opens in readings)
+    fewest = min(len(shape) for shape, _ in readings)
+    closest = [
+        k for k, (shape, _) in enumerate(readings) if len(shape) == fewest
+    ]
+    failures = () if ok else tuple(
+        dict.fromkeys(
+            f for k in closest for f in readings[k][0] + readings[k][1]
+        )
+    )
+    unique = len(pattern.templates) > 1 and len(closest) == 1
     return PatternCheck(
-        ok=not failures,
-        branch=branch,
-        boundary=shape_ok and bool(failures),
-        failures=tuple(failures),
+        ok=ok,
+        branch=pattern.branches[closest[0]] if unique else None,
+        boundary=fewest == 0 and not ok,
+        failures=failures,
     )
 
 
@@ -621,7 +616,7 @@ def _random_point(supports, strata, dim: int, rng: random.Random, k: int):
     if phase < len(supports):
         support = set(supports[phase])
         return tuple(
-            Fraction(rng.randint(-9, 9)) if i in support else Fraction(0)
+            Fraction(random_nonzero_int(rng, 9) if i in support else 0)
             for i in range(dim)
         )
     scale = Fraction(rng.randint(1, 9))
@@ -641,10 +636,10 @@ def verify_pattern(
 ) -> PatternReport:
     """Two-way check of "local automorphism iff pattern member".
 
-    Forward: random members are feasible at `trials` points spanning
-    every support pattern and the singled-out strata.  Reverse: random
-    single-relation violations must be refuted by an explicit witness
-    point.
+    Forward: each of `trials` random members is feasible at `trials`
+    points spanning every support pattern and the singled-out strata.
+    Reverse: `trials` random single-constraint violations must each be
+    refuted by an explicit witness point.
     """
     rng = random.Random(seed)
     algebra = pattern.algebra
@@ -683,53 +678,39 @@ def verify_pattern(
 
 def _random_violation(pattern: LocAutPattern, rng: random.Random) -> Matrix:
     """A matrix violating exactly one pattern constraint."""
-    member = random_pattern_member(pattern, rng)
+    branch = rng.choice(pattern.branches)
+    template = pattern.template(branch)
+    member = random_pattern_member(pattern, rng, branch=branch)
+    params, deviations = _read(template, member.rows, Poly.evaluate)
     rows = [list(row) for row in member.rows]
-    name = pattern.algebra.name
     delta = Fraction(rng.randint(1, 9))
-    kinds = ["zero", "relation", "open"]
-    kind = rng.choice(kinds)
+    kind = rng.choice(("zero", "relation", "open"))
     if kind == "zero":
-        zeros = pattern.templates[0].zero_positions()
+        zeros = template.zero_positions()
         i, j = zeros[rng.randrange(len(zeros))]
         rows[i][j] += delta
         return Matrix(rows)
     if kind == "relation":
-        if name == "pi2":
-            i, j = rng.choice(((3, 3), (4, 4)))
-            rows[i][j] += delta
-        else:
-            i, j = rng.choice(((1, 1), (2, 2), (3, 3), (4, 4)))
-            if (i, j) == (2, 2):
-                # keep clear of the opposite sign branch
-                cube = rows[0][0] ** 3
-                while rows[2][2] + delta in (cube, -cube):
-                    delta += 1
-            rows[i][j] += delta
+        relations = [
+            (i, j) for i, j in deviations if not template.entries[i][j].is_zero()
+        ]
+        i, j = rng.choice(relations)
+        # keep clear of every branch, or the bump lands in another one
+        values = {t.entries[i][j].evaluate(params) for t in pattern.templates}
+        while rows[i][j] + delta in values:
+            delta += 1
+        rows[i][j] += delta
         return Matrix(rows)
-    # open condition violated while every relation still holds
-    if name == "pi2":
-        which = rng.choice(("b11", "b22", "b33", "b41+b11", "b22+b52"))
-        if which == "b11":
-            rows[0][0] = Fraction(0)
-            rows[3][3] = rows[3][0]
-        elif which == "b22":
-            rows[1][1] = Fraction(0)
-            rows[4][4] = rows[4][1]
-        elif which == "b33":
-            rows[2][2] = Fraction(0)
-        elif which == "b41+b11":
-            rows[3][0] = -rows[0][0]
-            rows[3][3] = Fraction(0)
-        else:
-            rows[4][1] = -rows[1][1]
-            rows[4][4] = Fraction(0)
-        return Matrix(rows)
-    # pi3 open condition: the only factor is b11, so evaluate the grid
-    # at b11 = 0 directly (instantiate would reject the assignment).
-    template = pattern.template(rng.choice(pattern.branches))
-    params = {p: Fraction(rng.randint(-9, 9)) for p in template.params}
-    params["b11"] = Fraction(0)
+    # an open condition vanishes while every relation still holds: solve
+    # it for a degree-1 parameter and evaluate the grid directly
+    # (instantiate would reject the assignment)
+    condition = rng.choice(template.nonzero)
+    name = next(
+        v for v in reversed(condition.variables())
+        if condition.degree_in(v) == 1
+    )
+    coeff, rest = condition.coeff_split(name)
+    params[name] = -rest.evaluate(params) / coeff.evaluate(params)
     return Matrix(
         [[entry.evaluate(params) for entry in row] for row in template.entries]
     )
@@ -763,32 +744,35 @@ class NumericPatternCheck:
 def pattern_residual(algebra: Algebra, rows) -> NumericPatternCheck:
     """Max violation of the pattern over complex entries, plus branch.
 
-    For pi3 the branch is the sign making |b33 -+ b11^3| smallest.
+    With several branches, the branch is the template with the smallest
+    residual on the entries where the branch templates differ (the first
+    on a tie); for pi3 that is the sign making |b33 -+ b11^3| smallest.
     min_open reports how far the open conditions are from vanishing.
     """
+    pattern = locaut_pattern(algebra)
     e = [[complex(v) for v in row] for row in rows]
-    if algebra.name == "pi2":
-        zeros = LOCAL_AUTOMORPHISM_FORM_PI2.zero_positions()
-        residual = max(abs(e[i][j]) for i, j in zeros)
-        residual = max(residual, abs(e[3][3] - e[3][0] - e[0][0]))
-        residual = max(residual, abs(e[4][4] - e[1][1] - e[4][1]))
-        min_open = min(
-            abs(e[0][0]), abs(e[1][1]), abs(e[2][2]),
-            abs(e[3][0] + e[0][0]), abs(e[1][1] + e[4][1]),
-        )
-        return NumericPatternCheck(residual, None, min_open)
-    if algebra.name == "pi3":
-        zeros = LOCAL_AUTOMORPHISM_FORM_PI3_PLUS.zero_positions()
-        b11 = e[0][0]
-        residual = max(abs(e[i][j]) for i, j in zeros)
-        residual = max(residual, abs(e[1][1] - b11 * b11))
-        residual = max(residual, abs(e[3][3] - b11))
-        residual = max(residual, abs(e[4][4] - b11 * b11))
-        plus = abs(e[2][2] - b11 ** 3)
-        minus = abs(e[2][2] + b11 ** 3)
-        branch = "+" if plus <= minus else "-"
-        residual = max(residual, min(plus, minus))
-        return NumericPatternCheck(residual, branch, abs(b11))
-    raise UnsupportedError(
-        "numeric pattern residuals exist for the builtin algebras only"
+    first = pattern.templates[0]
+    differ = [
+        (i, j)
+        for i, row in enumerate(first.entries)
+        for j, entry in enumerate(row)
+        if any(t.entries[i][j] != entry for t in pattern.templates)
+    ]
+    readings = [
+        _read(t, e, Poly.evaluate_numeric) for t in pattern.templates
+    ]
+    k = min(
+        range(len(readings)),
+        key=lambda k: max(
+            (abs(readings[k][1][pos]) for pos in differ), default=0.0
+        ),
+    )
+    params, deviations = readings[k]
+    return NumericPatternCheck(
+        residual=max(abs(d) for d in deviations.values()),
+        branch=pattern.branches[k] if len(readings) > 1 else None,
+        min_open=min(
+            abs(c.evaluate_numeric(params))
+            for c in pattern.templates[k].nonzero
+        ),
     )

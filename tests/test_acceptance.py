@@ -8,6 +8,7 @@ CLI subcommand.
 
 import pytest
 
+from locsym import acceptance
 from locsym.acceptance import CRITERIA, run_suite
 
 TITLES = [
@@ -55,3 +56,17 @@ def test_cheap_criteria_are_seed_deterministic():
         first = criterion(seed=42)
         second = criterion(seed=42)
         assert first.to_dict() == second.to_dict()
+
+
+def test_a_crashed_criterion_keeps_its_title(monkeypatch):
+    def crash(seed=0):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (crash,) * len(CRITERIA))
+    crashed = run_suite(seed=0).results
+    assert [r.title for r in crashed] == list(acceptance.TITLES)
+    assert not any(r.passed for r in crashed)
+    assert crashed[0].detail == "raised RuntimeError: boom"
+    # the crashed titles are the ones the criteria report when they run
+    for index in (1, 8, 9):
+        assert crashed[index].title == CRITERIA[index](seed=0).title

@@ -13,6 +13,7 @@ from locsym import (
     random_member,
     verify_family,
 )
+from locsym.automorphisms import multiplicativity_failure
 from locsym.linalg import inverse
 
 
@@ -47,6 +48,18 @@ def test_non_automorphisms_are_rejected(pi2, pi3):
     assert not is_automorphism(pi3, swap)
     assert not is_automorphism(pi2, Matrix.zeros(5, 5))   # not invertible
     assert not is_automorphism(pi2, 2 * Matrix.identity(5))
+
+
+def test_multiplicativity_failure_names_the_first_basis_pair(pi2, fam2):
+    # doubling e4 first breaks e1 e4 = e5: phi(e5) = e5 but e1 (2 e4) = 2 e5
+    doubled = Matrix.identity(5) + Matrix([
+        [1 if (i, j) == (3, 3) else 0 for j in range(5)] for i in range(5)
+    ])
+    assert multiplicativity_failure(pi2, doubled) == (0, 3)
+    assert multiplicativity_failure(pi2, 2 * Matrix.identity(5)) == (0, 0)
+    # the zero map is multiplicative; only invertibility rejects it
+    assert multiplicativity_failure(pi2, Matrix.zeros(5, 5)) is None
+    assert multiplicativity_failure(pi2, member(fam2)) is None
 
 
 def test_template_match_recovers_parameters(fam2):

@@ -15,7 +15,7 @@ from locsym import (
     is_derivation,
     zero_algebra,
 )
-from locsym.derivations import derivation_algebra
+from locsym.derivations import derivation_algebra, leibniz_failure
 
 coeffs = st.lists(st.integers(-6, 6), min_size=7, max_size=7)
 
@@ -44,6 +44,14 @@ def test_explicit_non_derivations_are_rejected(pi2, pi3):
     assert not is_derivation(pi2, e_matrix(0, 1))
     assert not is_derivation(pi3, e_matrix(0, 1))
     assert not is_derivation(pi2, Matrix.identity(5))
+
+
+def test_leibniz_failure_names_the_first_basis_pair(pi2, der2):
+    # E44 fixes e4 and kills e1..e3, so e1 e4 = e5 is the first product
+    # it breaks: D(e5) = 0 but e1 D(e4) = e5
+    assert leibniz_failure(pi2, e_matrix(3, 3)) == (0, 3)
+    assert leibniz_failure(pi2, e_matrix(0, 1)) == (0, 0)
+    assert all(leibniz_failure(pi2, op) is None for op in der2.basis)
 
 
 def test_zero_algebra_has_full_derivation_space():
@@ -89,21 +97,17 @@ def test_bracket_is_a_commutator():
 
 
 def test_bracket_closed_on_both_derivation_algebras(der2, der3):
-    ok2, pair2 = bracket_closed(der2.basis, trials=60, seed=1)
-    ok3, pair3 = bracket_closed(der3.basis, trials=60, seed=1)
+    ok2, pair2 = bracket_closed(der2.basis)
+    ok3, pair3 = bracket_closed(der3.basis)
     assert ok2 and pair2 is None
     assert ok3 and pair3 is None
 
 
 def test_bracket_closure_fails_off_a_subalgebra():
     # span{E12} brackets with itself fine, but {E12, E21} generates E11 - E22
-    ok, pair = bracket_closed([e_matrix(0, 1), e_matrix(1, 0)], trials=40, seed=0)
+    ok, pair = bracket_closed([e_matrix(0, 1), e_matrix(1, 0)])
     assert not ok
-    assert pair is not None
-    x, y = pair
-    span_checker = [e_matrix(0, 1), e_matrix(1, 0)]
-    commutator = bracket(x, y)
-    assert not any(commutator == m for m in span_checker)
+    assert pair == (e_matrix(0, 1), e_matrix(1, 0))
 
 
 def test_weighted_diagonal_bracket_raises_e21():

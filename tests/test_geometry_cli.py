@@ -111,6 +111,23 @@ def test_cli_der_check_accepts_and_rejects(tmp_path, capsys):
     assert "counterexample" in out
 
 
+def test_cli_aut_check_counterexamples_replay(tmp_path, capsys):
+    cases = (
+        (2 * Matrix.identity(5), {"kind": "multiplicativity_pair", "pair": [1, 1]}),
+        (Matrix.zeros(5, 5), {"kind": "not_invertible"}),
+    )
+    for k, (phi, expected) in enumerate(cases):
+        operator, report = str(tmp_path / f"op{k}.json"), str(tmp_path / f"r{k}.json")
+        save_operator(operator, phi)
+        assert run_cli("aut", "check", "--algebra", "pi2", "--matrix", operator,
+                       "--format", "structured", "--out", report) == 1
+        with open(report, encoding="utf-8") as fh:
+            counterexample = json.load(fh)["counterexample"]
+        assert {key: counterexample[key] for key in expected} == expected
+        assert run_cli("verify-counterexample", report) == 0
+    capsys.readouterr()
+
+
 def test_cli_locaut_witness_finds_refutation(tmp_path, capsys):
     path = str(tmp_path / "bump.json")
     save_operator(path, Matrix(DIAG_BUMP))

@@ -23,7 +23,6 @@ from locsym.linalg import (
     rank,
     rref,
     solve,
-    span_of_matrices,
 )
 
 entries = st.integers(-9, 9)
@@ -145,24 +144,6 @@ def test_subspace_membership_and_dim():
     # equality is on the canonical RREF basis, so spans compare directly
     assert s == Subspace(3, [(0, 1, 0), (1, 0, 0)])
     assert s != Subspace(3, [(1, 0, 0)])
-
-
-def test_subspace_intersection_and_inclusion():
-    a = Subspace(3, [(1, 0, 0), (0, 1, 0)])
-    b = Subspace(3, [(0, 1, 0), (0, 0, 1)])
-    meet = a.intersect(b)
-    assert meet.dim == 1
-    assert meet.contains((0, 3, 0))
-    assert meet.is_subspace_of(a) and meet.is_subspace_of(b)
-    assert not a.is_subspace_of(b)
-
-
-def test_span_of_matrices():
-    mats = [Matrix([[1, 0], [0, 0]]), Matrix([[0, 0], [0, 1]])]
-    s = span_of_matrices(mats)
-    assert s.dim == 2
-    assert s.contains(Matrix([[2, 0], [0, -7]]).vec())
-    assert not s.contains(Matrix([[0, 1], [0, 0]]).vec())
 
 
 # -- operator payloads --------------------------------------------------------

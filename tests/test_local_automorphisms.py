@@ -1,7 +1,6 @@
 """Local automorphisms: closed patterns, pointwise feasibility, witnesses."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -17,7 +16,11 @@ from locsym import (
     random_pattern_member,
     verify_pattern,
 )
-from locsym.local_automorphisms import _phi_image_pi2, _phi_image_pi3
+from locsym.local_automorphisms import (
+    _point_cycle,
+    _random_point,
+    _random_violation,
+)
 
 
 def diag(*values):
@@ -58,6 +61,9 @@ def test_shape_violations_are_reported(pat2, pat3):
     chk = pattern_check(pat3, diag(1, 2, 1, 1, 1))
     assert not chk.ok and not chk.boundary
     assert any("b22" in f for f in chk.failures)
+    # b11 is read at (1,1), its first bare occurrence; (4,4) is a relation
+    chk = pattern_check(pat3, diag(1, 4, 8, 2, 4))
+    assert not chk.ok and not chk.boundary
     chk2 = pattern_check(pat2, diag(1, 1, 1, 3, 1))
     assert not chk2.ok
     assert any("b44" in f for f in chk2.failures)
@@ -72,19 +78,14 @@ def test_random_members_satisfy_their_branch(pat3):
         assert pattern_check(pat3, member).ok
 
 
+def test_random_violations_leave_the_pattern(pat2, pat3):
+    rng = random.Random(4)
+    for pat in (pat2, pat3):
+        for _ in range(60):
+            assert not pattern_check(pat, _random_violation(pat, rng)).ok
+
+
 # -- pointwise feasibility ----------------------------------------------------------
-
-def test_phi_images_match_the_automorphism_templates(fam2, fam3):
-    rng = random.Random(9)
-    for fam, image in ((fam2, _phi_image_pi2), (fam3, _phi_image_pi3)):
-        for _ in range(10):
-            params = {
-                p: Fraction(rng.randint(-5, 5)) for p in fam.template.params
-            }
-            phi = fam.template.instantiate(params)
-            x = tuple(Fraction(rng.randint(-5, 5)) for _ in range(5))
-            assert image(params, x) == phi.apply(x)
-
 
 def test_members_are_pointwise_feasible(pi3, pat3):
     rng = random.Random(1)
@@ -94,14 +95,13 @@ def test_members_are_pointwise_feasible(pi3, pat3):
         assert report.feasible
 
 
-def test_feasibility_report_carries_matching_parameters(pi2, pat2):
+def test_feasibility_report_carries_matching_parameters(pi2, pat2, fam2):
     member = random_pattern_member(pat2, random.Random(2))
     x = (2, -1, 3, 1, 4)
     report = locaut_feasible_at(pi2, member, x)
-    assert report.feasible
-    if report.exact:
-        params = report.witness_params
-        assert _phi_image_pi2(params, tuple(map(Fraction, x))) == member.apply(x)
+    assert report.feasible and report.exact
+    phi = fam2.instantiate(report.witness_params)
+    assert phi.apply(x) == member.apply(x)
 
 
 # -- refutation witnesses --------------------------------------------------------------
@@ -131,6 +131,16 @@ def test_verify_pattern_small_battery(pat2, pat3):
         report = verify_pattern(pat, trials=40, seed=6)
         assert report.ok, report.detail
         assert report.counterexample is None
+
+
+def test_support_points_have_exactly_their_support():
+    supports, strata = _point_cycle(5)
+    rng = random.Random(10)
+    for k in range(20 * (len(supports) + len(strata))):
+        x = _random_point(supports, strata, 5, rng, k)
+        phase = k % (len(supports) + len(strata))
+        if phase < len(supports):
+            assert {i for i, v in enumerate(x) if v != 0} == set(supports[phase])
 
 
 def test_group_closure(pat2, pat3):
