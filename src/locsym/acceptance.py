@@ -7,10 +7,10 @@ reproduces byte-identical output.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     builtin,
@@ -242,11 +242,12 @@ def criterion_5(seed: int = 0) -> CriterionResult:
         ok, _ = bracket_closed(space.basis)
         if not ok:
             problems.append(f"bracket left LocDer({name})")
+    # Both the bracket and the displayed forms are bilinear in the
+    # parameters, so agreement on every pair of parameter basis vectors
+    # is agreement everywhere.
     template = builtin_form("local_derivation", "pi3")
-    rng = random.Random(_subseed(seed, 8))
-    for _ in range(100):
-        x = {p: Fraction(rng.randint(-9, 9)) for p in template.params}
-        y = {p: Fraction(rng.randint(-9, 9)) for p in template.params}
+    units = [{q: int(q == p) for q in template.params} for p in template.params]
+    for x, y in itertools.product(units, repeat=2):
         commutator = bracket(template.instantiate(x), template.instantiate(y))
         for i in range(5):
             for j in range(5):
@@ -261,7 +262,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
         5,
         problems,
         "both spaces bracket-closed on every basis pair (exact); displayed "
-        "commutator entries reproduced at 100 parameter pairs",
+        "commutator entries reproduced on every parameter basis pair (exact)",
     )
 
 

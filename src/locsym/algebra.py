@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError
@@ -53,22 +52,21 @@ class Algebra:
     table: Mapping[tuple[int, int], Vector]
 
     def product_of_basis(self, i: int, j: int) -> Vector:
-        zero = tuple(Fraction(0) for _ in range(self.dim))
-        return self.table.get((i, j), zero)
+        return self.table.get((i, j), (0,) * self.dim)
 
     def multiply(self, x, y) -> Vector:
         """Bilinear extension of the basis products."""
         x, y = vector(x), vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError("vector length does not match algebra dimension")
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for (i, j), coeffs in self.table.items():
             scale = x[i] * y[j]
             if scale:
                 for k, c in enumerate(coeffs):
                     if c:
                         out[k] += scale * c
-        return tuple(out)
+        return vector(out)
 
 
 def _freeze_table(dim, raw) -> Mapping[tuple[int, int], Vector]:
@@ -77,10 +75,10 @@ def _freeze_table(dim, raw) -> Mapping[tuple[int, int], Vector]:
         if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
             raise InputError(f"structure constant index out of range: {(i, j, k)}")
         key = (i - 1, j - 1)
-        row = list(table.get(key, [Fraction(0)] * dim))
-        row[k - 1] += Fraction(c)
+        row = list(table.get(key, [0] * dim))
+        row[k - 1] += c
         table[key] = row
-    return {k: tuple(v) for k, v in table.items() if any(v)}
+    return {k: vector(v) for k, v in table.items() if any(v)}
 
 
 def builtin(name: str) -> Algebra:
@@ -133,10 +131,14 @@ def get_algebra(spec: str) -> Algebra:
     return load_algebra(spec)
 
 
-def is_associative(algebra: Algebra) -> bool:
-    """Brute-force (e_i e_j) e_k == e_i (e_j e_k) over all basis triples."""
+def associativity_failure(algebra: Algebra) -> tuple[int, int, int] | None:
+    """First basis triple (i, j, k), 0-based, with (e_i e_j) e_k != e_i (e_j e_k).
+
+    Triples are scanned with i outermost and k innermost; None means the
+    algebra is associative.
+    """
     n = algebra.dim
-    base = [tuple(Fraction(1 if t == s else 0) for t in range(n)) for s in range(n)]
+    base = [tuple(1 if t == s else 0 for t in range(n)) for s in range(n)]
     for i in range(n):
         for j in range(n):
             left = algebra.product_of_basis(i, j)
@@ -144,8 +146,13 @@ def is_associative(algebra: Algebra) -> bool:
                 lhs = algebra.multiply(left, base[k])
                 rhs = algebra.multiply(base[i], algebra.product_of_basis(j, k))
                 if lhs != rhs:
-                    return False
-    return True
+                    return i, j, k
+    return None
+
+
+def is_associative(algebra: Algebra) -> bool:
+    """Exact (e_i e_j) e_k == e_i (e_j e_k) over all basis triples."""
+    return associativity_failure(algebra) is None
 
 
 @dataclass(frozen=True)
@@ -160,8 +167,7 @@ class PowerFiltration:
 
 def power_filtration(algebra: Algebra) -> PowerFiltration:
     n = algebra.dim
-    chain = [Subspace(n, [tuple(Fraction(1 if t == s else 0) for t in range(n))
-                          for s in range(n)])]
+    chain = [Subspace(n, Matrix.identity(n).rows)]
     while True:
         i = len(chain)  # building A^{i+1}, 1-based exponents
         products = []
@@ -198,7 +204,7 @@ def left_mult_operator(algebra: Algebra, x) -> Matrix:
     n = algebra.dim
     cols = []
     for j in range(n):
-        e_j = tuple(Fraction(1 if t == j else 0) for t in range(n))
+        e_j = tuple(1 if t == j else 0 for t in range(n))
         cols.append(algebra.multiply(x, e_j))
     return Matrix(cols).transpose()
 
@@ -242,7 +248,7 @@ def characteristic_sequence(
     n = algebra.dim
     candidates = []
     for i in range(n):
-        e_i = tuple(Fraction(1 if t == i else 0) for t in range(n))
+        e_i = tuple(1 if t == i else 0 for t in range(n))
         if not square.contains(e_i):
             candidates.append(e_i)
     rng = random.Random(seed)
@@ -270,6 +276,8 @@ def multiplicativity_residual(algebra: Algebra, phi) -> float:
     """
     n = algebra.dim
     rows = [[complex(v) for v in row] for row in phi]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise InputError("operator shape does not match the algebra")
     cols = list(zip(*rows))
     worst = 0.0
     for i in range(n):

@@ -21,12 +21,6 @@ from .rationals import random_nonzero_int
 from .templates import MatrixTemplate, builtin_form, template_match
 
 
-def _slim(f: Fraction):
-    # Integral scalars demote to int so the hot scans below run on
-    # machine integers; true fractions stay exact Fractions.
-    return f.numerator if f.denominator == 1 else f
-
-
 def multiplicativity_failure(
     algebra: Algebra, phi: Matrix
 ) -> tuple[int, int] | None:
@@ -39,33 +33,11 @@ def multiplicativity_failure(
     n = algebra.dim
     if phi.shape != (n, n):
         raise InputError("operator shape does not match the algebra")
-    cols = [[_slim(phi.rows[i][j]) for i in range(n)] for j in range(n)]
-    table = [
-        (i, j, [_slim(c) for c in vec])
-        for (i, j), vec in algebra.table.items()
-    ]
+    images = phi.transpose().rows
     for i in range(n):
-        ci = cols[i]
         for j in range(n):
-            cj = cols[j]
-            lhs = [0] * n
-            for ti, tj, cvec in table:
-                s = ci[ti] * cj[tj]
-                if s:
-                    for k, ck in enumerate(cvec):
-                        if ck:
-                            lhs[k] += s * ck
-            rhs = [0] * n
-            product = algebra.table.get((i, j))
-            if product is not None:
-                for k, coeff in enumerate(product):
-                    if coeff:
-                        ck = _slim(coeff)
-                        colk = cols[k]
-                        for r in range(n):
-                            if colk[r]:
-                                rhs[r] += ck * colk[r]
-            if lhs != rhs:
+            lhs = phi.apply(algebra.product_of_basis(i, j))
+            if lhs != algebra.multiply(images[i], images[j]):
                 return i, j
     return None
 

@@ -19,9 +19,9 @@ from fractions import Fraction
 from .acceptance import CRITERIA, run_suite
 from .algebra import (
     Algebra,
+    associativity_failure,
     characteristic_sequence,
     get_algebra,
-    is_associative,
     multiplicativity_residual,
     power_filtration,
 )
@@ -177,12 +177,11 @@ def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
     kind = obj.get("kind")
     if kind == "associativity_triple":
         algebra = get_algebra(obj["algebra"])
-        i, j, k = (t - 1 for t in obj["triple"])
-        n = algebra.dim
-        e = [tuple(1 if t == s else 0 for t in range(n)) for s in range(n)]
-        lhs = algebra.multiply(algebra.multiply(e[i], e[j]), e[k])
-        rhs = algebra.multiply(e[i], algebra.multiply(e[j], e[k]))
-        return lhs != rhs, "associativity fails at the recorded triple"
+        recorded = tuple(t - 1 for t in obj["triple"])
+        return (
+            associativity_failure(algebra) == recorded,
+            "associativity fails first at the recorded triple",
+        )
     if kind == "leibniz_pair":
         algebra = get_algebra(obj["algebra"])
         op = operator_from_payload(obj["matrix"])
@@ -275,20 +274,13 @@ def _cmd_algebra_check(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.target or args.algebra)
     problems = []
     counterexample = None
-    n = algebra.dim
-    e = [tuple(1 if t == s else 0 for t in range(n)) for s in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = algebra.multiply(algebra.multiply(e[i], e[j]), e[k])
-                rhs = algebra.multiply(e[i], algebra.multiply(e[j], e[k]))
-                if lhs != rhs and counterexample is None:
-                    counterexample = {
-                        "kind": "associativity_triple",
-                        "algebra": algebra.name,
-                        "triple": [i + 1, j + 1, k + 1],
-                    }
-    if counterexample:
+    triple = associativity_failure(algebra)
+    if triple is not None:
+        counterexample = {
+            "kind": "associativity_triple",
+            "algebra": algebra.name,
+            "triple": [t + 1 for t in triple],
+        }
         problems.append("not associative")
     filtration = power_filtration(algebra)
     payload = {

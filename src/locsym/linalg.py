@@ -1,7 +1,9 @@
 """Exact rational linear algebra on small dense matrices.
 
-Everything here is exact: entries are fractions.Fraction, rank comes
-from fraction-free (Bareiss) elimination on integer-scaled rows so that
+Everything here is exact.  Matrix and vector entries are canonical
+exact scalars (rationals.exact: int when integral, else Fraction), so
+products of integral data run on Python ints.  Rank comes from
+fraction-free (Bareiss) elimination on integer-scaled rows so that
 intermediate values stay integral, and subspaces are stored by their
 reduced row echelon basis, which is a canonical representative and makes
 equality testing trivial.
@@ -15,16 +17,17 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .rationals import format_rational, parse_rational
+from .rationals import exact, format_rational, parse_rational
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int | Fraction, ...]
 
 
 def vector(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    return tuple(map(exact, values))
 
 
 class Matrix:
@@ -33,7 +36,7 @@ class Matrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        data = tuple(tuple(map(exact, row)) for row in rows)
         if data and any(len(row) != len(data[0]) for row in data):
             raise InputError("ragged matrix rows")
         object.__setattr__(self, "rows", data)
@@ -122,10 +125,7 @@ class Matrix:
     def apply(self, vec: Sequence) -> Vector:
         if len(vec) != self.shape[1]:
             raise InputError("vector length does not match column count")
-        return tuple(
-            sum((a * Fraction(b) for a, b in zip(row, vec)), Fraction(0))
-            for row in self.rows
-        )
+        return vector(sum(map(mul, row, vec)) for row in self.rows)
 
     def power(self, k: int) -> "Matrix":
         n, m = self.shape
@@ -160,20 +160,17 @@ class Matrix:
 # -- elimination kernels ---------------------------------------------------
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+def _integer_rows(rows: Sequence[Vector]) -> list[list[int]]:
     scaled = []
     for row in rows:
-        lcm = math.lcm(*(v.denominator for v in row)) if row else 1
-        scaled.append([int(v * lcm) for v in row])
+        lcm = math.lcm(*(v.denominator for v in row))
+        scaled.append([v.numerator * (lcm // v.denominator) for v in row])
     return scaled
 
 
-def rank(m: Matrix | Sequence[Sequence]) -> int:
+def rank(m: Matrix | Sequence[Vector]) -> int:
     """Rank via Bareiss fraction-free elimination on integer-scaled rows."""
-    rows = _integer_rows(
-        m.rows if isinstance(m, Matrix) else [list(map(Fraction, r)) for r in m]
-    )
-    return integer_rank(rows)
+    return integer_rank(_integer_rows(m.rows if isinstance(m, Matrix) else m))
 
 
 def integer_rank(rows: list[list[int]]) -> int:

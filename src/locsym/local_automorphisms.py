@@ -387,8 +387,9 @@ def locaut_feasible_at(algebra: Algebra, b: Matrix, x) -> FeasibilityReport:
     x = vector(x)
     if len(x) != algebra.dim:
         raise InputError("point dimension does not match the algebra")
-    y = b.apply(x)
-    return solver(x, y)
+    # The schedules divide coordinates, so they get Fraction operands:
+    # on canonical int entries y1 / n1 would be float division.
+    return solver(tuple(map(Fraction, x)), tuple(map(Fraction, b.apply(x))))
 
 
 # -- the closed patterns ------------------------------------------------------
@@ -751,6 +752,8 @@ def pattern_residual(algebra: Algebra, rows) -> NumericPatternCheck:
     """
     pattern = locaut_pattern(algebra)
     e = [[complex(v) for v in row] for row in rows]
+    if len(e) != algebra.dim or any(len(row) != algebra.dim for row in e):
+        raise InputError("matrix shape does not match the pattern")
     first = pattern.templates[0]
     differ = [
         (i, j)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .algebra import Algebra, left_mult_operator
 from .derivations import DerivationSpace, derivation_algebra, is_derivation
 from .errors import InputError, InternalCheckError, StratificationError
-from .linalg import Matrix, Subspace, integer_rank, nullspace, solve, vector
+from .linalg import Matrix, Subspace, nullspace, rank, solve, vector
 from .poly import Poly
 from .rationals import random_vector
 from .stratify import (
@@ -213,43 +213,24 @@ def local_derivation_space(
     return result
 
 
-def _integer_matrix(m: Matrix) -> list[list[int]]:
-    """Integer rescaling of a whole operator (one global denominator lcm).
-
-    Spans and pointwise membership are invariant under scaling an
-    operator, so the rescaled copy is interchangeable in rank tests.
-    """
-    scale = math.lcm(*(f.denominator for row in m.rows for f in row))
-    return [[int(f * scale) for f in row] for row in m.rows]
-
-
-def _integer_point(x) -> list[int]:
-    coords = [Fraction(v) for v in x]
-    scale = math.lcm(*(v.denominator for v in coords))
-    return [int(v * scale) for v in coords]
-
-
 def _membership_checker(ders: DerivationSpace, op: Matrix):
-    """Fast integer-point membership test for a fixed operator.
+    """Pointwise membership test op(x) in span{D_i(x)} for a fixed op.
 
-    Membership nabla(x) in span{D_i(x)} is a rank condition, so it runs
-    on integer-rescaled data through fraction-free elimination instead
-    of a rational solve.
+    Membership is a rank condition and does not change when an operator
+    or the point is scaled, so every operator is scaled to integer
+    entries once and each point is cleared of denominators; the images
+    are then integral and rank runs fraction-free elimination on them.
     """
-    n = ders.algebra.dim
-    basis_int = [_integer_matrix(d) for d in ders.basis]
-    op_int = _integer_matrix(op)
+    scaled = [
+        m * math.lcm(*(v.denominator for v in m.vec()))
+        for m in (*ders.basis, op)
+    ]
 
-    def image(rows: list[list[int]], x: list[int]) -> list[int]:
-        return [
-            sum(rows[i][j] * x[j] for j in range(n) if x[j]) for i in range(n)
-        ]
-
-    def check(x: list[int]) -> bool:
-        images = [image(b, x) for b in basis_int]
-        target = image(op_int, x)
-        stacked = [list(r) for r in images] + [target]
-        return integer_rank(images) == integer_rank(stacked)
+    def check(x) -> bool:
+        scale = math.lcm(*(v.denominator for v in x))
+        x = vector(v * scale for v in x)
+        images = [m.apply(x) for m in scaled]
+        return rank(images[:-1]) == rank(images)
 
     return check
 
@@ -320,5 +301,5 @@ def verify_pointwise_everywhere(
     while len(points) < checks:
         points.append([rng.randint(-999, 999) for _ in range(algebra.dim)])
     for x in points[:checks]:
-        if not member(_integer_point(x)):
+        if not member(x):
             raise InternalCheckError(f"pointwise membership fails at {x}")

@@ -1,6 +1,11 @@
-"""Exact rational scalars: parsing, formatting and seeded sampling.
+"""Exact rational scalars: canonical form, parsing, formatting, sampling.
 
-All exact arithmetic in the package runs over fractions.Fraction.
+Exact scalars have one canonical form, produced by `exact`: a Python int
+when the value is integral and a fractions.Fraction otherwise.  Matrices
+and vectors hold their entries in this form, so integral data runs on
+machine integers and only true fractions pay for Fraction arithmetic.
+Divide with a Fraction operand: int / int is a float.
+
 Serialized rationals are "p" or "p/q" strings so that round trips are
 lossless.  Random rationals follow one convention everywhere: numerator
 and denominator drawn uniformly from [-10**6, 10**6] with zero excluded
@@ -12,6 +17,16 @@ import random
 from fractions import Fraction
 
 SAMPLE_BOUND = 10**6
+
+
+def exact(value) -> int | Fraction:
+    """Canonical exact scalar: int when integral, else Fraction."""
+    kind = type(value)
+    if kind is int:
+        return value
+    if kind is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def parse_rational(text: str | int) -> Fraction:

@@ -128,6 +128,25 @@ def test_cli_aut_check_counterexamples_replay(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_algebra_check_counterexample_replays(tmp_path, monkeypatch, capsys):
+    from locsym import save_algebra
+    from locsym.algebra import Algebra
+    # e1 e1 = e2, e1 e2 = e3, e2 e1 = 0: (e1 e1) e1 = 0 but e1 (e1 e1) = e3
+    broken = Algebra(name="broken", dim=3,
+                     table={(0, 0): (0, 1, 0), (0, 1): (0, 0, 1)})
+    # the counterexample names the algebra, so the file carries that name
+    monkeypatch.chdir(tmp_path)
+    save_algebra("broken", broken)
+    assert run_cli("algebra", "check", "--algebra", "broken",
+                   "--format", "structured", "--out", "r.json") == 1
+    with open("r.json", encoding="utf-8") as fh:
+        counterexample = json.load(fh)["counterexample"]
+    assert counterexample == {"kind": "associativity_triple",
+                              "algebra": "broken", "triple": [1, 1, 1]}
+    assert run_cli("verify-counterexample", "r.json") == 0
+    capsys.readouterr()
+
+
 def test_cli_locaut_witness_finds_refutation(tmp_path, capsys):
     path = str(tmp_path / "bump.json")
     save_operator(path, Matrix(DIAG_BUMP))
@@ -248,6 +267,18 @@ def test_script_algebra_check():
 def test_script_usage_error_is_exit_2():
     proc = run_script("der", "nonsense")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command, name", [("locaut", "pi3"), ("aut", "pi2")])
+def test_script_wrong_size_complex_operator_is_exit_2(tmp_path, command, name):
+    # a 4x4 complex operator against a five-dimensional algebra is bad
+    # input on the float path too, as it is on the rational path
+    path = str(tmp_path / "small.json")
+    save_operator(path, [[complex(i == j) for j in range(4)] for i in range(4)],
+                  "complex")
+    proc = run_script(command, "check", "--algebra", name, "--matrix", path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_script_env_seed_matches_flag():

@@ -23,7 +23,9 @@ from locsym.linalg import (
     rank,
     rref,
     solve,
+    vector,
 )
+from locsym.rationals import exact
 
 entries = st.integers(-9, 9)
 
@@ -69,6 +71,20 @@ def test_matrix_arithmetic():
     assert a.power(2) == a * a
     assert a.apply((1, 0)) == (1, 3)
     assert a.transpose().transpose() == a
+
+
+def test_entries_are_canonical_exact_scalars():
+    half = Fraction(1, 2)
+    m = Matrix([[Fraction(4, 2), half], [3, Fraction(-3, 6)]])
+    assert m.rows == ((2, half), (3, -half))
+    assert [[type(v) for v in row] for row in m.rows] == [[int, Fraction]] * 2
+    v = vector([Fraction(6, 3), half, 0])
+    assert [type(t) for t in v] == [int, Fraction, int]
+    image = m.apply((half, 1))   # (1 + 1/2, 3/2 - 1/2)
+    assert image == (Fraction(3, 2), 1)
+    assert [type(t) for t in image] == [Fraction, int]
+    assert type(exact(Fraction(-8, 4))) is int
+    assert type(exact(True)) is int
 
 
 # -- rank / rref / nullspace / inverse vs sympy ----------------------------

@@ -1,6 +1,7 @@
 """Local automorphisms: closed patterns, pointwise feasibility, witnesses."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -102,6 +103,34 @@ def test_feasibility_report_carries_matching_parameters(pi2, pat2, fam2):
     assert report.feasible and report.exact
     phi = fam2.instantiate(report.witness_params)
     assert phi.apply(x) == member.apply(x)
+
+
+def test_exact_witnesses_stay_exact_on_int_points(
+    pi2, pi3, pat2, pat3, fam2, fam3
+):
+    # Canonical int coordinates must not turn the schedules' divisions
+    # (y1 / n1) into float division.
+    rng = random.Random(11)
+    supports, strata = _point_cycle(5)
+    points = [
+        tuple(rng.choice((-3, -2, -1, 1, 2, 3)) if i in s else 0 for i in range(5))
+        for s in supports
+    ] + [tuple(rng.randint(1, 9) * v for v in raw) for raw in strata]
+    exact_reports = 0
+    for algebra, pattern, family in ((pi2, pat2, fam2), (pi3, pat3, fam3)):
+        for _ in range(10):
+            b = random_pattern_member(pattern, rng)
+            for x in points:
+                report = locaut_feasible_at(algebra, b, x)
+                assert report.feasible
+                if not report.exact:
+                    continue
+                exact_reports += 1
+                values = report.witness_params.values()
+                assert all(type(v) in (int, Fraction) for v in values)
+                phi = family.instantiate(report.witness_params)
+                assert phi.apply(x) == b.apply(x)
+    assert exact_reports > 0
 
 
 # -- refutation witnesses --------------------------------------------------------------

@@ -1,0 +1,34 @@
+"""The benchmark tracer's contract with the package.
+
+perfbench/tracer.py wraps named callables of the locsym modules from
+outside the program.  A renamed or deleted callable would silently drop
+its layer metric, so every (module, attribute path) the tracer lists
+must resolve on the imported package.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer(monkeypatch):
+    # read-only: no bytecode cache is written next to the tracer
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("locsym_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_layer_resolves(monkeypatch):
+    missing = []
+    for module, path in load_tracer(monkeypatch).LAYERS:
+        target = importlib.import_module(f"locsym.{module}")
+        for name in path.split("."):
+            target = getattr(target, name, None)
+        if not callable(target):
+            missing.append(f"{module}.{path}")
+    assert missing == []
