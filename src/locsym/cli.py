@@ -71,7 +71,7 @@ from .local_derivations import (
     structured_probe_points,
 )
 from .rationals import format_rational
-from .templates import builtin_form, template_match, template_space_equals
+from .templates import builtin_form
 
 SCHEMA = "locsym-report/1"
 
@@ -118,58 +118,42 @@ def _require_rational(m) -> Matrix:
 # -- counterexample construction and re-verification --------------------------
 
 
-def _leibniz_counterexample(algebra: Algebra, op: Matrix) -> dict | None:
-    pair = leibniz_failure(algebra, op)
-    if pair is None:
-        return None
-    return {
-        "kind": "leibniz_pair",
-        "algebra": algebra.name,
-        "matrix": operator_to_payload(op),
-        "pair": [pair[0] + 1, pair[1] + 1],
-    }
+def _algebra_spec(args) -> str:
+    """The algebra as the user named it: a builtin name or a file path."""
+    return getattr(args, "target", None) or args.algebra
 
 
-def _multiplicativity_counterexample(algebra: Algebra, phi: Matrix) -> dict | None:
-    pair = multiplicativity_failure(algebra, phi)
-    if pair is not None:
-        return {
-            "kind": "multiplicativity_pair",
-            "algebra": algebra.name,
-            "matrix": operator_to_payload(phi),
-            "pair": [pair[0] + 1, pair[1] + 1],
-        }
-    if not is_invertible(phi):
-        return {"kind": "not_invertible", "matrix": operator_to_payload(phi)}
-    return None
+def _counterexample(args, kind: str, **fields) -> dict:
+    """A counterexample naming the algebra as given, so that it replays."""
+    return {"kind": kind, "algebra": _algebra_spec(args), **fields}
 
 
-def _locder_counterexample(
-    algebra: Algebra, op: Matrix, trials: int, seed: int
-) -> dict:
+def _pair_counterexample(args, kind: str, op: Matrix, pair) -> dict:
+    return _counterexample(
+        args, kind, matrix=operator_to_payload(op),
+        pair=[pair[0] + 1, pair[1] + 1],
+    )
+
+
+def _locder_counterexample(args, algebra: Algebra, op: Matrix) -> dict:
     """A concrete point refuting membership, or the span-level fact."""
     import random
 
     ders = derivation_algebra(algebra)
-    space = local_derivation_space(algebra, seed=seed)
-    points = structured_probe_points(algebra, space.case_tree, seed=seed)
-    rng = random.Random(seed + 1)
-    for _ in range(max(trials, 100)):
+    space = local_derivation_space(algebra, seed=args.seed)
+    points = structured_probe_points(algebra, space.case_tree, seed=args.seed)
+    rng = random.Random(args.seed + 1)
+    for _ in range(max(args.trials or 1000, 100)):
         points.append([rng.randint(-99, 99) for _ in range(algebra.dim)])
     for x in points:
         if pointwise_membership(ders, op, x) is None:
-            return {
-                "kind": "pointwise",
-                "algebra": algebra.name,
-                "matrix": operator_to_payload(op),
-                "point": _vector_payload(x),
-            }
-    return {
-        "kind": "span_membership",
-        "algebra": algebra.name,
-        "space": "locder",
-        "matrix": operator_to_payload(op),
-    }
+            return _counterexample(
+                args, "pointwise", matrix=operator_to_payload(op),
+                point=_vector_payload(x),
+            )
+    return _counterexample(
+        args, "span_membership", space="locder", matrix=operator_to_payload(op)
+    )
 
 
 def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
@@ -184,16 +168,16 @@ def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
         )
     if kind == "leibniz_pair":
         algebra = get_algebra(obj["algebra"])
-        op = operator_from_payload(obj["matrix"])
-        again = _leibniz_counterexample(algebra, _require_rational(op))
-        return again is not None, "the Leibniz identity fails"
+        op = _require_rational(operator_from_payload(obj["matrix"]))
+        failed = leibniz_failure(algebra, op) is not None
+        return failed, "the Leibniz identity fails"
     if kind == "multiplicativity_pair" or kind == "not_invertible":
-        algebra = get_algebra(obj["algebra"]) if "algebra" in obj else None
         phi = _require_rational(operator_from_payload(obj["matrix"]))
         if kind == "not_invertible":
             return not is_invertible(phi), "the matrix is singular"
-        again = _multiplicativity_counterexample(algebra, phi)
-        return again is not None, "multiplicativity fails"
+        algebra = get_algebra(obj["algebra"])
+        failed = multiplicativity_failure(algebra, phi) is not None
+        return failed or not is_invertible(phi), "multiplicativity fails"
     if kind == "pointwise":
         algebra = get_algebra(obj["algebra"])
         op = _require_rational(operator_from_payload(obj["matrix"]))
@@ -271,16 +255,14 @@ def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
 
 
 def _cmd_algebra_check(args) -> tuple[int, dict, list[str]]:
-    algebra = get_algebra(args.target or args.algebra)
+    algebra = get_algebra(_algebra_spec(args))
     problems = []
     counterexample = None
     triple = associativity_failure(algebra)
     if triple is not None:
-        counterexample = {
-            "kind": "associativity_triple",
-            "algebra": algebra.name,
-            "triple": [t + 1 for t in triple],
-        }
+        counterexample = _counterexample(
+            args, "associativity_triple", triple=[t + 1 for t in triple]
+        )
         problems.append("not associative")
     filtration = power_filtration(algebra)
     payload = {
@@ -332,11 +314,12 @@ def _cmd_der_basis(args) -> tuple[int, dict, list[str]]:
 def _cmd_der_check(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
     op = _require_rational(load_operator(args.matrix))
-    counterexample = _leibniz_counterexample(algebra, op)
-    ok = counterexample is None
+    pair = leibniz_failure(algebra, op)
+    ok = pair is None
     payload = {"algebra": algebra.name, "is_derivation": ok}
     lines = [f"is_derivation: {ok}"]
     if not ok:
+        counterexample = _pair_counterexample(args, "leibniz_pair", op, pair)
         payload["counterexample"] = counterexample
         lines.append(
             f"Leibniz fails at basis pair {tuple(counterexample['pair'])}"
@@ -375,9 +358,7 @@ def _cmd_locder_check(args) -> tuple[int, dict, list[str]]:
     payload = {"algebra": algebra.name, "is_local_derivation": ok}
     lines = [f"is_local_derivation: {ok}"]
     if not ok:
-        counterexample = _locder_counterexample(
-            algebra, op, trials=args.trials or 1000, seed=args.seed
-        )
+        counterexample = _locder_counterexample(args, algebra, op)
         payload["counterexample"] = counterexample
         if counterexample["kind"] == "pointwise":
             lines.append(
@@ -416,7 +397,16 @@ def _cmd_aut_check(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
     phi = load_operator(args.matrix)
     if isinstance(phi, Matrix):
-        counterexample = _multiplicativity_counterexample(algebra, phi)
+        pair = multiplicativity_failure(algebra, phi)
+        counterexample = None
+        if pair is not None:
+            counterexample = _pair_counterexample(
+                args, "multiplicativity_pair", phi, pair
+            )
+        elif not is_invertible(phi):
+            counterexample = {
+                "kind": "not_invertible", "matrix": operator_to_payload(phi)
+            }
         ok = counterexample is None
         payload = {"algebra": algebra.name, "is_automorphism": ok}
         lines = [f"is_automorphism: {ok}"]
@@ -460,11 +450,10 @@ def _cmd_aut_family_verify(args) -> tuple[int, dict, list[str]]:
     if not ok:
         bad = report if not report.ok else closure
         if bad.counterexample is not None:
-            counterexample = {
-                "kind": "family_escape",
-                "algebra": algebra.name,
-                "matrix": operator_to_payload(bad.counterexample),
-            }
+            counterexample = _counterexample(
+                args, "family_escape",
+                matrix=operator_to_payload(bad.counterexample),
+            )
             payload["counterexample"] = counterexample
             lines.append("counterexample: " + json.dumps(counterexample))
         lines.append(f"detail: {bad.detail}")
@@ -491,11 +480,9 @@ def _cmd_locaut_check(args) -> tuple[int, dict, list[str]]:
             f"(branch {check.branch}, tol {args.tol:g})"
         ]
         if not ok:
-            counterexample = {
-                "kind": "pattern_residual",
-                "algebra": algebra.name,
-                "matrix": operator_to_payload(b, "complex"),
-            }
+            counterexample = _counterexample(
+                args, "pattern_residual", matrix=operator_to_payload(b, "complex")
+            )
             payload["counterexample"] = counterexample
             lines.append("counterexample: " + json.dumps(counterexample))
             return 1, payload, lines
@@ -518,19 +505,15 @@ def _cmd_locaut_check(args) -> tuple[int, dict, list[str]]:
     if not check.ok:
         for failure in check.failures:
             lines.append(f"violated: {failure}")
-        counterexample = {
-            "kind": "pattern_member",
-            "algebra": algebra.name,
-            "matrix": operator_to_payload(b),
-        }
+        counterexample = _counterexample(
+            args, "pattern_member", matrix=operator_to_payload(b)
+        )
         point = find_witness(algebra, b, seed=args.seed)
         if point is not None:
-            counterexample = {
-                "kind": "locaut_witness",
-                "algebra": algebra.name,
-                "matrix": operator_to_payload(b),
-                "point": _vector_payload(point),
-            }
+            counterexample = _counterexample(
+                args, "locaut_witness", matrix=operator_to_payload(b),
+                point=_vector_payload(point),
+            )
             lines.append(
                 f"infeasible at point ({', '.join(_vector_payload(point))})"
             )
@@ -556,18 +539,14 @@ def _cmd_locaut_verify(args) -> tuple[int, dict, list[str]]:
         if report.counterexample is not None:
             matrix, point = report.counterexample
             if point is not None:
-                counterexample = {
-                    "kind": "locaut_witness",
-                    "algebra": algebra.name,
-                    "matrix": operator_to_payload(matrix),
-                    "point": _vector_payload(point),
-                }
+                counterexample = _counterexample(
+                    args, "locaut_witness", matrix=operator_to_payload(matrix),
+                    point=_vector_payload(point),
+                )
             else:
-                counterexample = {
-                    "kind": "pattern_member",
-                    "algebra": algebra.name,
-                    "matrix": operator_to_payload(matrix),
-                }
+                counterexample = _counterexample(
+                    args, "pattern_member", matrix=operator_to_payload(matrix)
+                )
             payload["counterexample"] = counterexample
             lines.append("counterexample: " + json.dumps(counterexample))
         lines.append(f"detail: {report.detail}")
@@ -586,12 +565,10 @@ def _cmd_locaut_witness(args) -> tuple[int, dict, list[str]]:
         return 0, payload, [
             "feasible at every probe point: no witness against the matrix"
         ]
-    counterexample = {
-        "kind": "locaut_witness",
-        "algebra": algebra.name,
-        "matrix": operator_to_payload(b),
-        "point": _vector_payload(point),
-    }
+    counterexample = _counterexample(
+        args, "locaut_witness", matrix=operator_to_payload(b),
+        point=_vector_payload(point),
+    )
     payload = {
         "algebra": algebra.name,
         "witness": _vector_payload(point),
@@ -674,12 +651,10 @@ def _cmd_bridge(args) -> tuple[int, dict, list[str]]:
     ]
     if not report.ok:
         if report.sample is not None:
-            counterexample = {
-                "kind": "bridge_sample",
-                "algebra": algebra.name,
-                "direction": args.direction,
-                "matrix": operator_to_payload(report.sample, "complex"),
-            }
+            counterexample = _counterexample(
+                args, "bridge_sample", direction=args.direction,
+                matrix=operator_to_payload(report.sample, "complex"),
+            )
             payload["counterexample"] = counterexample
             lines.append("counterexample: " + json.dumps(counterexample))
         lines.append(f"detail: {report.detail}")
@@ -711,11 +686,9 @@ def _cmd_infer(args) -> tuple[int, dict, list[str]]:
         f"validated against the computed space: {report.ok}",
     ]
     if not report.ok:
-        counterexample = {
-            "kind": "inference_violation",
-            "algebra": algebra.name,
-            "violations": list(report.violations),
-        }
+        counterexample = _counterexample(
+            args, "inference_violation", violations=list(report.violations)
+        )
         payload["counterexample"] = counterexample
         for violation in report.violations:
             lines.append(f"violation: {violation}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra
 from .errors import InputError, InternalCheckError
-from .linalg import Matrix, Subspace, nullspace, vector
+from .linalg import Matrix, Subspace, nullspace
 
 
 def leibniz_failure(algebra: Algebra, op: Matrix) -> tuple[int, int] | None:

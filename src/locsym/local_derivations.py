@@ -2,21 +2,13 @@
 
 nabla is a local derivation when for every x there is a derivation D_x
 (depending on x) with nabla(x) = D_x(x).  Pointwise membership is a
-plain exact linear solve.  The space of all local derivations is
-computed two ways:
-
-* exact mode builds the parametric system  sum_p T_p(params) nu = B nu
-  over the derivation parameters, runs the stratified case-split solver
-  and reads the space off the aggregated b-constraints; this is complete
-  because the leaf strata cover the probe space;
-
-* probabilistic mode intersects the per-point constraints coming from a
-  structured point set (every support pattern plus stratum samples) and
-  then validates the result with many random pointwise checks.
-
-Exact mode is the default; if stratification is unsupported for an
-input algebra, the engine falls back to probabilistic mode and says so
-in the result's provenance.
+plain exact linear solve.  The space of all local derivations is exact:
+it builds the parametric system  sum_p T_p(params) nu = B nu  over the
+derivation parameters, runs the stratified case-split solver and reads
+the space off the aggregated b-constraints; this is complete because
+the leaf strata cover the probe space.  A pivot the solver cannot split
+into degree-1 factors is refused with a StratificationError (an
+UnsupportedError) that names it; there is no approximate answer.
 """
 from __future__ import annotations
 
@@ -26,10 +18,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, left_mult_operator
+from .algebra import Algebra
 from .derivations import DerivationSpace, derivation_algebra, is_derivation
-from .errors import InputError, InternalCheckError, StratificationError
-from .linalg import Matrix, Subspace, nullspace, rank, solve, vector
+from .errors import InternalCheckError, StratificationError
+from .linalg import Matrix, Subspace, rank, solve, vector
 from .poly import Poly
 from .rationals import random_vector
 from .stratify import (
@@ -99,9 +91,8 @@ def localization_system(ders: DerivationSpace) -> ParametricSystem:
 class LocalDerivationSpace:
     algebra: Algebra
     basis: tuple[Matrix, ...]
-    provenance: str  # "exact" or "probabilistic"
-    case_tree: CaseTree | None
-    warning: str | None = None
+    case_tree: CaseTree
+    provenance = "exact"  # the only way a space is computed
 
     @property
     def dim(self) -> int:
@@ -127,7 +118,7 @@ def support_patterns(dim: int):
 
 
 def structured_probe_points(
-    algebra: Algebra, tree: CaseTree | None, seed: int = 0
+    algebra: Algebra, tree: CaseTree, seed: int = 0
 ) -> list[tuple[Fraction, ...]]:
     """Support-pattern points plus one sample per discovered stratum."""
     rng = random.Random(seed)
@@ -135,81 +126,37 @@ def structured_probe_points(
         random_vector(rng, algebra.dim, support=s)
         for s in support_patterns(algebra.dim)
     ]
-    if tree is not None:
-        for k, leaf in enumerate(tree.leaves):
-            point = sample_stratum(leaf, seed=seed + k + 1)
-            points.append(
-                tuple(point[f"n{j + 1}"] for j in range(algebra.dim))
-            )
+    for k, leaf in enumerate(tree.leaves):
+        point = sample_stratum(leaf, seed=seed + k + 1)
+        points.append(tuple(point[f"n{j + 1}"] for j in range(algebra.dim)))
     return points
-
-
-def _pointwise_constraint_rows(ders: DerivationSpace, x) -> list[list[Fraction]]:
-    """Rows in the n^2 operator coordinates forcing nabla(x) in span{D(x)}."""
-    n = ders.algebra.dim
-    x = vector(x)
-    images = Matrix([d.apply(x) for d in ders.basis])  # rows are D_i(x)
-    annihilators = nullspace(images)  # functionals killing span{D_i(x)}
-    rows = []
-    for p in annihilators:
-        row = [Fraction(0)] * (n * n)
-        for i in range(n):
-            if p[i]:
-                for j in range(n):
-                    if x[j]:
-                        row[n * i + j] = p[i] * x[j]
-        rows.append(row)
-    return rows
 
 
 def local_derivation_space(
     algebra: Algebra,
-    mode: str = "exact",
     seed: int = 0,
     validation_checks: int = 10000,
 ) -> LocalDerivationSpace:
-    if mode not in ("exact", "probabilistic"):
-        raise InputError(f"unknown mode {mode!r}")
+    """The exact space of local derivations, self-checked on 256 points.
+
+    `validation_checks` is ignored: the exact result needs no sampled
+    validation, and the self check always runs 256 pointwise checks.
+    Raises StratificationError when the case split meets a pivot that
+    does not split into degree-1 factors, or grows too deep.
+    """
     ders = derivation_algebra(algebra)
-    warning = None
-    tree = None
-    if mode == "exact":
-        try:
-            tree = solve_parametric(localization_system(ders))
-            space = tree.solution_space()
-            result = LocalDerivationSpace(
-                algebra=algebra,
-                basis=_basis_from_subspace(space, algebra.dim),
-                provenance="exact",
-                case_tree=tree,
-            )
-            _self_check(result, ders, checks=256, seed=seed)
-            return result
-        except StratificationError as exc:
-            warning = f"exact stratification unavailable ({exc}); " \
-                      "falling back to probabilistic mode"
-            mode = "probabilistic"
     try:
         tree = solve_parametric(localization_system(ders))
-    except StratificationError:
-        tree = None
-    n = algebra.dim
-    rows: list[list[Fraction]] = []
-    for x in structured_probe_points(algebra, tree, seed=seed):
-        rows.extend(_pointwise_constraint_rows(ders, x))
-    space = (
-        Subspace(n * n, nullspace(Matrix(rows)))
-        if rows
-        else Subspace(n * n, Matrix.identity(n * n).rows)
-    )
+    except StratificationError as exc:
+        # Drop the traceback: it would pin every frame of the solver's
+        # recursion for as long as the caller keeps the error.
+        raise exc.with_traceback(None)
     result = LocalDerivationSpace(
         algebra=algebra,
-        basis=_basis_from_subspace(space, n),
-        provenance="probabilistic",
+        basis=_basis_from_subspace(tree.solution_space(), algebra.dim),
         case_tree=tree,
-        warning=warning,
     )
-    _self_check(result, ders, checks=validation_checks, seed=seed)
+    _self_check(result, ders, checks=256, seed=seed)
     return result
 
 
@@ -290,7 +237,7 @@ def verify_pointwise_everywhere(
     algebra: Algebra,
     op: Matrix,
     ders: DerivationSpace,
-    tree: CaseTree | None,
+    tree: CaseTree,
     checks: int = 10000,
     seed: int = 0,
 ) -> None:

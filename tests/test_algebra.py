@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from locsym import (
     InputError,
-    Matrix,
     builtin,
     characteristic_sequence,
     get_algebra,

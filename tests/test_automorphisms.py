@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from locsym import (
     Matrix,
-    builtin,
     group_closure_report,
     is_automorphism,
     multiplicativity_residual,

@@ -19,7 +19,6 @@ from locsym import (
     Matrix,
     UnsupportedError,
     branch_disjointness,
-    builtin,
     geometry_report,
     locaut_pattern,
     save_operator,
@@ -128,22 +127,21 @@ def test_cli_aut_check_counterexamples_replay(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_algebra_check_counterexample_replays(tmp_path, monkeypatch, capsys):
+def test_cli_algebra_check_counterexample_replays(tmp_path, capsys):
     from locsym import save_algebra
     from locsym.algebra import Algebra
     # e1 e1 = e2, e1 e2 = e3, e2 e1 = 0: (e1 e1) e1 = 0 but e1 (e1 e1) = e3
     broken = Algebra(name="broken", dim=3,
                      table={(0, 0): (0, 1, 0), (0, 1): (0, 0, 1)})
-    # the counterexample names the algebra, so the file carries that name
-    monkeypatch.chdir(tmp_path)
-    save_algebra("broken", broken)
-    assert run_cli("algebra", "check", "--algebra", "broken",
-                   "--format", "structured", "--out", "r.json") == 1
-    with open("r.json", encoding="utf-8") as fh:
+    path, report = str(tmp_path / "b.json"), str(tmp_path / "r.json")
+    save_algebra(path, broken)
+    assert run_cli("algebra", "check", "--algebra", path,
+                   "--format", "structured", "--out", report) == 1
+    with open(report, encoding="utf-8") as fh:
         counterexample = json.load(fh)["counterexample"]
     assert counterexample == {"kind": "associativity_triple",
-                              "algebra": "broken", "triple": [1, 1, 1]}
-    assert run_cli("verify-counterexample", "r.json") == 0
+                              "algebra": path, "triple": [1, 1, 1]}
+    assert run_cli("verify-counterexample", report) == 0
     capsys.readouterr()
 
 
@@ -278,6 +276,16 @@ def test_script_wrong_size_complex_operator_is_exit_2(tmp_path, command, name):
                   "complex")
     proc = run_script(command, "check", "--algebra", name, "--matrix", path)
     assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_script_locder_refuses_a_pivot_that_does_not_split(tmp_path, dense_pi3):
+    from locsym import save_algebra
+    path = str(tmp_path / "dense.json")
+    save_algebra(path, dense_pi3)
+    proc = run_script("locder", "basis", "--algebra", path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("unsupported: pivot does not split")
     assert "Traceback" not in proc.stderr
 
 

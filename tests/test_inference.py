@@ -1,7 +1,5 @@
 """Shape inference from template occurrence patterns, with validation."""
 
-import pytest
-
 from locsym import (
     builtin_form,
     infer_shape,

@@ -8,7 +8,6 @@ import pytest
 from locsym import (
     InputError,
     Matrix,
-    builtin_form,
     find_witness,
     group_closure_check,
     locaut_feasible_at,

@@ -1,20 +1,25 @@
 """Local derivations: exact spaces, entry relations, strict inclusion."""
 
 import random
+import traceback
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from locsym import (
     InternalCheckError,
     Matrix,
+    StratificationError,
     builtin_form,
     is_derivation,
+    local_derivation_space,
     pointwise_membership,
     strict_inclusion_witness,
     template_space_equals,
     verify_pointwise_everywhere,
 )
+from locsym.poly import linear_factors
 
 
 def e_matrix(i, j, value=1):
@@ -124,3 +129,30 @@ def test_random_local_members_pass_pointwise_probes(der3, loc3):
         for _ in range(20):
             x = tuple(Fraction(rng.randint(-9, 9)) for _ in range(5))
             assert pointwise_membership(der3, nabla, x) is not None
+
+
+# -- refusal instead of an approximate space ------------------------------------
+
+# The pivot of the dense copy's case split that linear_factors cannot
+# split.  Over Q it is (2 n1 + 37 n5)^3, but _peel_linear only peels a
+# factor off a variable of degree 1 or 2, and here both have degree 3.
+DENSE_PI3_PIVOT = "8*n1^3 + 444*n1^2*n5 + 8214*n1*n5^2 + 50653*n5^3"
+
+
+def test_a_pivot_that_does_not_split_is_refused(dense_pi3):
+    with pytest.raises(StratificationError) as info:
+        local_derivation_space(dense_pi3)
+    pivot = info.value.offending
+    assert str(pivot) == DENSE_PI3_PIVOT
+    assert pivot.total_degree() == 3
+    with pytest.raises(StratificationError):
+        linear_factors(pivot)
+    assert DENSE_PI3_PIVOT in str(info.value)
+
+
+def test_a_refusal_holds_no_solver_frames(dense_pi3):
+    # a caller that keeps the error must not keep the solver's recursion
+    with pytest.raises(StratificationError) as info:
+        local_derivation_space(dense_pi3)
+    frames = traceback.extract_tb(info.value.__traceback__)
+    assert "stratify.py" not in {Path(f.filename).name for f in frames}
