@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 
 from .acceptance import CRITERIA, run_suite
 from .algebra import (
-    Algebra,
     associativity_failure,
     characteristic_sequence,
     get_algebra,
@@ -40,7 +40,9 @@ from .errors import (
     UnsupportedError,
 )
 from .expbridge import (
+    LOG_ROUND_TRIP_TOL,
     bridge_check,
+    log_round_trip_residual,
     matrix_exp,
     matrix_log,
     structured_log_pi3,
@@ -65,6 +67,7 @@ from .local_automorphisms import (
     verify_pattern,
 )
 from .local_derivations import (
+    LocalDerivationSpace,
     local_derivation_space,
     pointwise_membership,
     strict_inclusion_witness,
@@ -135,16 +138,15 @@ def _pair_counterexample(args, kind: str, op: Matrix, pair) -> dict:
     )
 
 
-def _locder_counterexample(args, algebra: Algebra, op: Matrix) -> dict:
+def _locder_counterexample(
+    args, op: Matrix, space: LocalDerivationSpace
+) -> dict:
     """A concrete point refuting membership, or the span-level fact."""
-    import random
-
-    ders = derivation_algebra(algebra)
-    space = local_derivation_space(algebra, seed=args.seed)
-    points = structured_probe_points(algebra, space.case_tree, seed=args.seed)
+    ders = derivation_algebra(space.algebra)
+    points = structured_probe_points(space.algebra, space.case_tree, seed=args.seed)
     rng = random.Random(args.seed + 1)
     for _ in range(max(args.trials or 1000, 100)):
-        points.append([rng.randint(-99, 99) for _ in range(algebra.dim)])
+        points.append([rng.randint(-99, 99) for _ in range(space.algebra.dim)])
     for x in points:
         if pointwise_membership(ders, op, x) is None:
             return _counterexample(
@@ -226,15 +228,8 @@ def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
             image = matrix_exp(rows)
             check = pattern_residual(algebra, image)
             return check.residual > 1e-9, "the exponential leaves the pattern"
-        recovered = structured_log_pi3(rows)
-        back = matrix_exp(recovered)
-        scale = max(1.0, max(abs(v) for row in rows for v in row))
-        residual = max(
-            abs(back[i][j] - rows[i][j])
-            for i in range(len(rows))
-            for j in range(len(rows))
-        ) / scale
-        return residual > 1e-8, "the log/exp round trip misses"
+        residual = log_round_trip_residual(rows)
+        return residual > LOG_ROUND_TRIP_TOL, "the log/exp round trip misses"
     if kind == "inference_violation":
         algebra = get_algebra(obj["algebra"])
         prediction = infer_shape(builtin_form("derivation", algebra.name))
@@ -281,7 +276,7 @@ def _cmd_algebra_check(args) -> tuple[int, dict, list[str]]:
     ]
     if filtration.nilpotent:
         sequence = characteristic_sequence(
-            algebra, trials=max(args.trials or 25, 1), seed=args.seed
+            algebra, trials=args.trials or 25, seed=args.seed
         )
         payload["characteristic_sequence"] = list(sequence)
         lines.append(f"characteristic sequence: {sequence}")
@@ -358,7 +353,7 @@ def _cmd_locder_check(args) -> tuple[int, dict, list[str]]:
     payload = {"algebra": algebra.name, "is_local_derivation": ok}
     lines = [f"is_local_derivation: {ok}"]
     if not ok:
-        counterexample = _locder_counterexample(args, algebra, op)
+        counterexample = _locder_counterexample(args, op, space)
         payload["counterexample"] = counterexample
         if counterexample["kind"] == "pointwise":
             lines.append(
@@ -750,6 +745,16 @@ def _cmd_verify_counterexample(args) -> tuple[int, dict, list[str]]:
 # -- argument parsing ---------------------------------------------------------
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {raw!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -757,7 +762,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
     shared.add_argument(
-        "--trials", type=int, default=None, help="randomized trial count"
+        "--trials", type=_positive_int, default=None,
+        help="randomized trial count (a positive integer)",
     )
     shared.add_argument(
         "--tol", type=float, default=1e-9, help="numeric tolerance"

@@ -12,7 +12,7 @@ through the automorphism template.
 
 The closed local-automorphism patterns (shape, entry relations and
 nonvanishing conditions) are the templates of templates.py, wrapped as
-LocAutPattern objects.  Membership checks read them directly; on top
+LocAutPattern objects.  Membership checks use MatrixTemplate.read; on top
 sit two-way randomized verification against the pointwise solver and
 group-closure checks.
 """
@@ -36,6 +36,7 @@ from .templates import (
     LOCAL_AUTOMORPHISM_FORM_PI3_MINUS,
     LOCAL_AUTOMORPHISM_FORM_PI3_PLUS,
     MatrixTemplate,
+    random_parameters,
 )
 
 FLOAT_TOL = 1e-9
@@ -418,13 +419,8 @@ class LocAutPattern:
         return self.templates[0 if branch == "+" else 1]
 
     def dimension(self) -> int:
-        """Free-coordinate count of one branch.
-
-        Every parameter occupies some entry as a bare monomial, so the
-        projection onto those entries has full rank and the parameter
-        count is the dimension.
-        """
-        return len(_free_coordinates(self.templates[0]))
+        """Free-coordinate count of one branch: a full-rank projection."""
+        return len(self.templates[0].free_coordinates)
 
 
 def locaut_pattern(algebra: Algebra) -> LocAutPattern:
@@ -446,50 +442,6 @@ def locaut_pattern(algebra: Algebra) -> LocAutPattern:
     )
 
 
-def _free_coordinates(template: MatrixTemplate) -> dict[str, tuple[int, int]]:
-    """Position of each parameter's first bare occurrence, row-major.
-
-    This is the triangular order template_match reads a grid in: the
-    first entry that is the parameter itself fixes its value, and any
-    later bare occurrence (b44 = b11 for pi3) is a relation.
-    """
-    free: dict[str, tuple[int, int]] = {}
-    for i, row in enumerate(template.entries):
-        for j, entry in enumerate(row):
-            names = entry.variables()
-            if (
-                len(names) == 1
-                and names[0] not in free
-                and entry == Poly.var(names[0])
-            ):
-                free[names[0]] = (i, j)
-    if free.keys() != set(template.params):
-        raise InternalCheckError(
-            "pattern has parameters without a free coordinate"
-        )
-    return free
-
-
-def _read(template: MatrixTemplate, rows, evaluate):
-    """Parameters read off a grid, and its deviation at every other entry.
-
-    The free coordinates give the parameter values; every other entry is
-    a constraint (zero entries must vanish, the rest are relations), and
-    its deviation is the grid value minus the template polynomial at
-    those values.  `evaluate` is Poly.evaluate or Poly.evaluate_numeric.
-    """
-    free = _free_coordinates(template)
-    params = {name: rows[i][j] for name, (i, j) in free.items()}
-    fixed = set(free.values())
-    deviations = {
-        (i, j): rows[i][j] - evaluate(entry, params)
-        for i, row in enumerate(template.entries)
-        for j, entry in enumerate(row)
-        if (i, j) not in fixed
-    }
-    return params, deviations
-
-
 def pattern_check(pattern: LocAutPattern, b: Matrix) -> PatternCheck:
     """Exact membership: zero shape, entry relations, open conditions.
 
@@ -503,7 +455,7 @@ def pattern_check(pattern: LocAutPattern, b: Matrix) -> PatternCheck:
         raise InputError("matrix shape does not match the pattern")
     readings = []
     for template in pattern.templates:
-        params, deviations = _read(template, b.rows, Poly.evaluate)
+        params, deviations = template.read(b.rows)
         shape = [
             f"entry ({i + 1},{j + 1}) must vanish"
             if template.entries[i][j].is_zero()
@@ -546,12 +498,7 @@ def random_pattern_member(
     if branch is None:
         branch = rng.choice(pattern.branches)
     template = pattern.template(branch)
-    while True:
-        params = {
-            p: Fraction(rng.randint(-bound, bound)) for p in template.params
-        }
-        if all(c.evaluate(params) != 0 for c in template.nonzero):
-            return template.instantiate(params)
+    return template.instantiate(random_parameters(template, rng, bound))
 
 
 # -- randomized two-way verification ------------------------------------------
@@ -682,7 +629,7 @@ def _random_violation(pattern: LocAutPattern, rng: random.Random) -> Matrix:
     branch = rng.choice(pattern.branches)
     template = pattern.template(branch)
     member = random_pattern_member(pattern, rng, branch=branch)
-    params, deviations = _read(template, member.rows, Poly.evaluate)
+    params, deviations = template.read(member.rows)
     rows = [list(row) for row in member.rows]
     delta = Fraction(rng.randint(1, 9))
     kind = rng.choice(("zero", "relation", "open"))
@@ -762,7 +709,7 @@ def pattern_residual(algebra: Algebra, rows) -> NumericPatternCheck:
         if any(t.entries[i][j] != entry for t in pattern.templates)
     ]
     readings = [
-        _read(t, e, Poly.evaluate_numeric) for t in pattern.templates
+        t.read(e, Poly.evaluate_numeric) for t in pattern.templates
     ]
     k = min(
         range(len(readings)),

@@ -5,17 +5,20 @@ list of polynomials that an admissible assignment must keep nonzero.
 The closed forms of the derivation algebras, local derivation spaces and
 automorphism groups of pi2 and pi3 all live here as built-ins.
 
-template_match solves for the parameters of a given exact matrix by
-scanning entries in row-major order: each entry either determines a new
-parameter (it must appear linearly once earlier entries pinned the
-rest), or is a pure consistency check, evaluated exactly.  Power
-constraints like a11^3 are therefore checked as equalities of powers,
-never by extracting roots.
+Every grid is read one way (MatrixTemplate.read): each parameter's first
+bare entry in row-major order gives its value, and every other entry
+(later bare ones too, like b44 = b11 for pi3) is a zero or a relation,
+checked as grid value minus template polynomial.  Power constraints
+like a11^3 are therefore equalities of powers, never root extractions.
+template_match and the local-automorphism pattern checks are built on
+this reading.
 """
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import InputError, UnsupportedError
@@ -110,44 +113,64 @@ class MatrixTemplate:
             if entry.is_zero()
         )
 
+    @cached_property
+    def free_coordinates(self) -> dict[str, tuple[int, int]]:
+        """Position of each parameter's first bare entry, row-major."""
+        bare = {Poly.var(p): p for p in self.params}
+        free: dict[str, tuple[int, int]] = {}
+        for i, row in enumerate(self.entries):
+            for j, entry in enumerate(row):
+                if entry in bare:
+                    free.setdefault(bare[entry], (i, j))
+        missing = [p for p in self.params if p not in free]
+        if missing:
+            raise UnsupportedError(f"no bare entry to read {missing} from")
+        return free
+
+    def read(self, rows, evaluate=Poly.evaluate):
+        """Parameters read off a grid, and its deviation at every other entry.
+
+        `evaluate` is Poly.evaluate or Poly.evaluate_numeric.
+        """
+        free = self.free_coordinates
+        params = {name: rows[i][j] for name, (i, j) in free.items()}
+        fixed = set(free.values())
+        deviations = {
+            (i, j): rows[i][j] - evaluate(entry, params)
+            for i, row in enumerate(self.entries)
+            for j, entry in enumerate(row)
+            if (i, j) not in fixed
+        }
+        return params, deviations
+
 
 def _grid(rows: list[list[str | int]]) -> tuple[tuple[Poly, ...], ...]:
     return tuple(tuple(poly(e) for e in row) for row in rows)
 
 
-def template_match(template: MatrixTemplate, m: Matrix) -> dict[str, Fraction] | None:
+def template_match(template: MatrixTemplate, m: Matrix) -> dict | None:
     """Parameter assignment with instantiate(assignment) == m, or None.
 
-    Entries are processed in row-major order.  After substituting the
-    parameters already determined, an entry must be constant (checked
-    exactly) or linear in exactly one new parameter (solved exactly);
-    any other shape is outside the supported triangular fragment.
+    m matches when its reading has no deviation and no open condition
+    vanishes at the parameters read.
     """
     if m.shape != (template.dim, template.dim):
         raise InputError("matrix shape does not match template")
-    assignment: dict[str, Fraction] = {}
-    for i in range(template.dim):
-        for j in range(template.dim):
-            entry = template.entries[i][j].subs(assignment)
-            target = m.rows[i][j]
-            if entry.is_constant():
-                if entry.constant_value() != target:
-                    return None
-                continue
-            new_params = entry.variables()
-            if len(new_params) > 1 or entry.degree_in(new_params[0]) != 1:
-                raise UnsupportedError(
-                    f"entry ({i + 1},{j + 1}) is not triangular: {entry}"
-                )
-            param = new_params[0]
-            a, b = entry.coeff_split(param)
-            assignment[param] = (target - b.constant_value()) / a.constant_value()
-    for param in template.params:
-        assignment.setdefault(param, Fraction(0))
-    for condition in template.nonzero:
-        if condition.evaluate(assignment) == 0:
-            return None
-    return assignment
+    params, deviations = template.read(m.rows)
+    ok = not any(deviations.values()) and all(
+        c.evaluate(params) != 0 for c in template.nonzero
+    )
+    return params if ok else None
+
+
+def random_parameters(
+    template: MatrixTemplate, rng: random.Random, bound: int = 9
+) -> dict[str, int]:
+    """Small random parameters kept clear of the open conditions."""
+    while True:
+        params = {p: rng.randint(-bound, bound) for p in template.params}
+        if all(c.evaluate(params) != 0 for c in template.nonzero):
+            return params
 
 
 def template_space_equals(template: MatrixTemplate, basis) -> bool:

@@ -25,6 +25,8 @@ from locsym import (
     zero_algebra,
 )
 from locsym.cli import main
+from locsym.linalg import operator_to_payload
+from locsym.templates import LOCAL_AUTOMORPHISM_FORM_PI3_PLUS
 
 DIAG_BUMP = [[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 1, 0, 0],
              [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
@@ -41,6 +43,10 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def run_script(*argv, env=None):
+    return run_python("-m", "locsym", *argv, env=env)
+
+
+def run_python(*argv, env=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -49,7 +55,7 @@ def run_script(*argv, env=None):
         SRC_DIR + os.pathsep + path if path else SRC_DIR
     )
     return subprocess.run(
-        [sys.executable, "-m", "locsym", *argv],
+        [sys.executable, *argv],
         capture_output=True, text=True, env=full_env,
     )
 
@@ -237,6 +243,58 @@ def test_cli_bridge(capsys):
                    "--trials", "10") == 0
 
 
+@pytest.mark.parametrize("trials", ["-3", "0"])
+@pytest.mark.parametrize(
+    "command", [("locaut", "verify"), ("aut", "family-verify"), ("bridge",)],
+    ids=" ".join,
+)
+def test_cli_trials_must_be_positive(command, trials, capsys):
+    assert run_cli(*command, "--algebra", "pi3", "--trials", trials) == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
+def test_cli_locder_check_computes_locder_once(tmp_path, capsys, monkeypatch):
+    import locsym.cli
+    import locsym.local_derivations
+
+    calls = {"local_derivation_space": 0, "derivation_algebra": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(locsym.cli, "local_derivation_space")
+    count(locsym.cli, "derivation_algebra")
+    count(locsym.local_derivations, "derivation_algebra")
+    e12 = str(tmp_path / "e12.json")
+    save_operator(e12, Matrix([[0, 1, 0, 0, 0]] + [[0] * 5] * 4))
+    assert run_cli("locder", "check", "--algebra", "pi2", "--matrix", e12) == 1
+    assert "counterexample" in capsys.readouterr().out
+    assert calls["local_derivation_space"] == 1
+    assert calls["derivation_algebra"] <= 2
+
+
+def test_cli_log_bridge_sample_replays_through_the_round_trip(tmp_path, capsys):
+    # a plus-branch member recovers its logarithm, so the recorded
+    # bridge failure does not reproduce
+    member = LOCAL_AUTOMORPHISM_FORM_PI3_PLUS.instantiate_numeric(
+        {"b11": 1.5, "b21": 0.25, "b31": -0.5, "b32": 0.75, "b34": 0.5,
+         "b51": 1.0, "b54": -0.25}
+    )
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({
+        "kind": "bridge_sample", "algebra": "pi3", "direction": "log",
+        "matrix": operator_to_payload(member, "complex"),
+    }))
+    assert run_cli("verify-counterexample", str(path)) == 1
+    assert "did NOT reproduce" in capsys.readouterr().out
+
+
 def test_cli_structured_reports_are_deterministic(capsys):
     argv = ("locder", "witness", "--algebra", "pi2", "--seed", "9",
             "--format", "structured")
@@ -287,6 +345,15 @@ def test_script_locder_refuses_a_pivot_that_does_not_split(tmp_path, dense_pi3):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("unsupported: pivot does not split")
     assert "Traceback" not in proc.stderr
+
+
+def test_import_leaves_numpy_unloaded():
+    # only the float kernels of expbridge need numpy; they import it late
+    proc = run_python(
+        "-c", "import sys, locsym, locsym.cli; print('numpy' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_script_env_seed_matches_flag():

@@ -1,5 +1,6 @@
 """Parametric matrix templates: instantiation, matching, span equality."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,25 @@ from locsym import (
     template_space_equals,
 )
 from locsym.poly import poly
-from locsym.templates import MatrixTemplate
+from locsym.templates import (
+    LOCAL_AUTOMORPHISM_FORM_PI3_MINUS,
+    MatrixTemplate,
+    random_parameters,
+)
+
+# Every builtin grid: the eight registered forms and the minus branch of
+# the pi3 local-automorphism pattern.
+BUILTIN_FORMS = {
+    **{
+        (kind, name): builtin_form(kind, name)
+        for kind in (
+            "derivation", "local_derivation", "automorphism",
+            "local_automorphism",
+        )
+        for name in ("pi2", "pi3")
+    },
+    ("local_automorphism", "pi3-minus"): LOCAL_AUTOMORPHISM_FORM_PI3_MINUS,
+}
 
 
 def small_template():
@@ -69,15 +88,57 @@ def test_match_rejects_off_template_matrix():
     assert template_match(t, Matrix([[1, 0], [0, 3]])) is None   # a+b broken
 
 
-@pytest.mark.parametrize(
-    "kind,name",
-    [("derivation", "pi2"), ("derivation", "pi3"),
-     ("local_derivation", "pi2"), ("local_derivation", "pi3")],
-)
+@pytest.mark.parametrize("kind,name", list(BUILTIN_FORMS))
 def test_linear_form_match_round_trip(kind, name):
-    t = builtin_form(kind, name)
+    t = BUILTIN_FORMS[kind, name]
     params = {p: Fraction(i - 3) for i, p in enumerate(t.params)}
     assert template_match(t, t.instantiate(params)) == params
+
+
+@pytest.mark.parametrize("kind,name", list(BUILTIN_FORMS))
+def test_match_is_sound_on_single_entry_bumps(kind, name):
+    t = BUILTIN_FORMS[kind, name]
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(4):
+        member = t.instantiate(random_parameters(t, rng))
+        assert template_match(t, member) is not None
+        for i in range(t.dim):
+            for j in range(t.dim):
+                rows = [list(row) for row in member.rows]
+                rows[i][j] += rng.choice((-2, -1, 1, 2))
+                bumped = Matrix(rows)
+                params = template_match(t, bumped)
+                assert params is None or t.instantiate(params) == bumped
+                outcomes.add(params is None)
+    assert outcomes == {True, False}   # bumps both leave and stay
+
+
+@pytest.mark.parametrize(
+    "kind,name", [key for key, t in BUILTIN_FORMS.items() if t.nonzero]
+)
+def test_match_rejects_open_condition_zeros(kind, name):
+    t = BUILTIN_FORMS[kind, name]
+    rng = random.Random(12)
+    for condition in t.nonzero:
+        params = random_parameters(t, rng)
+        var = next(
+            v for v in condition.variables() if condition.degree_in(v) == 1
+        )
+        coeff, rest = condition.coeff_split(var)
+        params[var] = -rest.evaluate(params) / coeff.evaluate(params)
+        grid = Matrix([[e.evaluate(params) for e in row] for row in t.entries])
+        assert template_match(t, grid) is None
+
+
+def test_a_parameter_without_a_bare_entry_is_unreadable():
+    t = MatrixTemplate(
+        dim=2,
+        params=("a",),
+        entries=((poly("2*a"), poly("0")), (poly("0"), poly("a^2"))),
+    )
+    with pytest.raises(UnsupportedError):
+        template_match(t, t.instantiate({"a": 3}))
 
 
 # -- parameter spans -------------------------------------------------------------
