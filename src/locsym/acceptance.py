@@ -24,6 +24,7 @@ from .geometry import branch_disjointness, geometry_report
 from .inference import infer_shape, validate_prediction
 from .linalg import Matrix
 from .local_automorphisms import (
+    STRATUM_POINTS,
     find_witness,
     group_closure_check,
     locaut_pattern,
@@ -35,7 +36,7 @@ from .local_derivations import (
     strict_inclusion_witness,
 )
 from .automorphisms import automorphism_family, group_closure_report, verify_family
-from .templates import builtin_form, template_space_equals
+from .templates import closed_forms, template_space_equals
 
 BOTH = ("pi2", "pi3")
 
@@ -120,7 +121,7 @@ def criterion_2(seed: int = 0) -> CriterionResult:
         dims[name] = ders.dim
         if ders.dim != expected:
             problems.append(f"dim Der({name}) = {ders.dim}, expected {expected}")
-        if not template_space_equals(builtin_form("derivation", name), ders.basis):
+        if not template_space_equals(closed_forms(algebra).derivation, ders.basis):
             problems.append(f"Der({name}) differs from its closed-form template")
     return _result(
         2,
@@ -159,7 +160,7 @@ def criterion_3(seed: int = 0) -> CriterionResult:
             problems.append(
                 f"dim LocDer({name}) = {len(space.basis)}, expected {expected}"
             )
-        template = builtin_form("local_derivation", name)
+        template = closed_forms(algebra).local_derivation
         if not template_space_equals(template, space.basis):
             problems.append(f"LocDer({name}) differs from its closed-form template")
         for (i, j), addends in _RELATIONS[name]:
@@ -185,17 +186,14 @@ def criterion_3(seed: int = 0) -> CriterionResult:
     )
 
 
-_STRATA = ((1, 0, 0, -1, 0), (0, 1, 0, 0, -1))  # nu1+nu4 = 0, nu2+nu5 = 0
-
-
 def criterion_4(seed: int = 0) -> CriterionResult:
     """Strict inclusions Der in LocDer with verified witnesses."""
     problems = []
     details = []
     for name in BOTH:
         algebra = builtin(name)
-        ders = derivation_algebra(algebra)
         locders = local_derivation_space(algebra, seed=_subseed(seed, 4))
+        ders = locders.derivations
         witness = strict_inclusion_witness(
             algebra, ders, locders, checks=10000, seed=_subseed(seed, 5)
         )
@@ -204,7 +202,7 @@ def criterion_4(seed: int = 0) -> CriterionResult:
             continue
         if is_derivation(algebra, witness):
             problems.append(f"witness for {name} satisfies the Leibniz identity")
-        for x in _STRATA:
+        for x in STRATUM_POINTS:
             if pointwise_membership(ders, witness, x) is None:
                 problems.append(f"witness for {name} fails membership at {x}")
         entries = ", ".join(
@@ -245,7 +243,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     # Both the bracket and the displayed forms are bilinear in the
     # parameters, so agreement on every pair of parameter basis vectors
     # is agreement everywhere.
-    template = builtin_form("local_derivation", "pi3")
+    template = closed_forms(builtin("pi3")).local_derivation
     units = [{q: int(q == p) for q in template.params} for p in template.params]
     for x, y in itertools.product(units, repeat=2):
         commutator = bracket(template.instantiate(x), template.instantiate(y))
@@ -407,14 +405,15 @@ def criterion_11(seed: int = 0) -> CriterionResult:
     problems = []
     for name in BOTH:
         algebra = builtin(name)
-        prediction = infer_shape(builtin_form("derivation", name))
+        forms = closed_forms(algebra)
+        prediction = infer_shape(forms.derivation)
         space = local_derivation_space(algebra, seed=_subseed(seed, 17))
         report = validate_prediction(prediction, space)
         if not report.ok:
             problems.append(f"{name}: " + "; ".join(report.violations))
         template_zeros = {
             (i + 1, j + 1)
-            for i, j in builtin_form("local_derivation", name).zero_positions()
+            for i, j in forms.local_derivation.zero_positions()
         }
         if set(prediction.zero_set) != template_zeros:
             problems.append(f"{name}: rule-0 zero set differs from the template")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import InputError
@@ -50,6 +51,11 @@ class Algebra:
     name: str
     dim: int
     table: Mapping[tuple[int, int], Vector]
+
+    @cached_property
+    def structure(self) -> tuple:
+        """Dimension and products: the algebra up to its name (hashable)."""
+        return self.dim, frozenset(self.table.items())
 
     def product_of_basis(self, i: int, j: int) -> Vector:
         return self.table.get((i, j), (0,) * self.dim)

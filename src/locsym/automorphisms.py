@@ -20,7 +20,7 @@ from .linalg import Matrix, Subspace, inverse, is_invertible
 from .rationals import random_nonzero_int
 from .templates import (
     MatrixTemplate,
-    builtin_form,
+    closed_forms,
     random_parameters,
     template_match,
 )
@@ -69,7 +69,7 @@ class AutomorphismFamily:
 def automorphism_family(algebra: Algebra) -> AutomorphismFamily:
     return AutomorphismFamily(
         algebra=algebra,
-        template=builtin_form("automorphism", algebra.name),
+        template=closed_forms(algebra).automorphism,
     )
 
 

@@ -40,6 +40,7 @@ from .errors import (
     UnsupportedError,
 )
 from .expbridge import (
+    EXP_PATTERN_TOL,
     LOG_ROUND_TRIP_TOL,
     bridge_check,
     log_round_trip_residual,
@@ -74,7 +75,7 @@ from .local_derivations import (
     structured_probe_points,
 )
 from .rationals import format_rational
-from .templates import builtin_form
+from .templates import closed_forms
 
 SCHEMA = "locsym-report/1"
 
@@ -142,13 +143,12 @@ def _locder_counterexample(
     args, op: Matrix, space: LocalDerivationSpace
 ) -> dict:
     """A concrete point refuting membership, or the span-level fact."""
-    ders = derivation_algebra(space.algebra)
     points = structured_probe_points(space.algebra, space.case_tree, seed=args.seed)
     rng = random.Random(args.seed + 1)
     for _ in range(max(args.trials or 1000, 100)):
         points.append([rng.randint(-99, 99) for _ in range(space.algebra.dim)])
     for x in points:
-        if pointwise_membership(ders, op, x) is None:
+        if pointwise_membership(space.derivations, op, x) is None:
             return _counterexample(
                 args, "pointwise", matrix=operator_to_payload(op),
                 point=_vector_payload(x),
@@ -225,14 +225,13 @@ def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
         algebra = get_algebra(obj["algebra"])
         rows = operator_from_payload(obj["matrix"])
         if obj["direction"] == "exp":
-            image = matrix_exp(rows)
-            check = pattern_residual(algebra, image)
-            return check.residual > 1e-9, "the exponential leaves the pattern"
+            residual = pattern_residual(algebra, matrix_exp(rows)).residual
+            return residual > EXP_PATTERN_TOL, "the exponential leaves the pattern"
         residual = log_round_trip_residual(rows)
         return residual > LOG_ROUND_TRIP_TOL, "the log/exp round trip misses"
     if kind == "inference_violation":
         algebra = get_algebra(obj["algebra"])
-        prediction = infer_shape(builtin_form("derivation", algebra.name))
+        prediction = infer_shape(closed_forms(algebra).derivation)
         space = local_derivation_space(algebra)
         report = validate_prediction(prediction, space)
         return not report.ok, "the shape prediction fails validation"
@@ -659,7 +658,7 @@ def _cmd_bridge(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_infer(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
-    prediction = infer_shape(builtin_form("derivation", algebra.name))
+    prediction = infer_shape(closed_forms(algebra).derivation)
     space = local_derivation_space(algebra, seed=args.seed)
     report = validate_prediction(prediction, space)
     payload = {
@@ -726,8 +725,8 @@ def _cmd_verify_counterexample(args) -> tuple[int, dict, list[str]]:
     with open(args.file, encoding="utf-8") as fh:
         raw = json.load(fh)
     obj = raw.get("counterexample", raw) if isinstance(raw, dict) else raw
-    if not isinstance(obj, dict):
-        raise InputError("no counterexample object found in the file")
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise InputError("the file holds no counterexample to replay")
     reproduced, description = _verify_counterexample(obj, tol=args.tol)
     payload = {
         "kind": obj.get("kind"),

@@ -35,11 +35,7 @@ from .algebra import Algebra, builtin
 from .errors import InputError, NumericsError, UnsupportedError
 from .linalg import Matrix
 from .local_automorphisms import pattern_residual
-from .templates import (
-    LOCAL_AUTOMORPHISM_FORM_PI3_PLUS,
-    LOCAL_DERIVATION_FORM_PI2,
-    LOCAL_DERIVATION_FORM_PI3,
-)
+from .templates import LOCAL_DERIVATION_FORM_PI3, MatrixTemplate, closed_forms
 
 SERIES_NAMES = ("lambda21", "lambda31", "mu31", "lambda32", "lambda34")
 
@@ -257,13 +253,10 @@ def structured_log_pi3(m, tol: float = 1e-9) -> list[list[complex]]:
     x2 = rows[2][3] / values["lambda34"]
     x7 = rows[4][0] / values["lambda21"]
     x3 = rows[4][3] / values["lambda21"]
-    return [
-        [x1, 0j, 0j, 0j, 0j],
-        [x4, 2 * x1, 0j, 0j, 0j],
-        [x6, x5, 3 * x1, x2, 0j],
-        [0j, 0j, 0j, x1, 0j],
-        [x7, 0j, 0j, x3, 2 * x1],
-    ]
+    return LOCAL_DERIVATION_FORM_PI3.instantiate_numeric(
+        {"b11": x1, "b21": x4, "b31": x6, "b32": x5, "b34": x2,
+         "b51": x7, "b54": x3}
+    )
 
 
 def _require_plus_branch(rows, tol: float) -> None:
@@ -297,6 +290,8 @@ def minus_branch_log_attempt(m) -> tuple[bool, str]:
 
 # -- randomized bridge verification -------------------------------------------
 
+# Largest pattern residual of an exponential that counts as in the pattern.
+EXP_PATTERN_TOL = 1e-9
 # Largest relative log/exp round-trip gap that counts as recovered.
 LOG_ROUND_TRIP_TOL = 1e-8
 
@@ -320,13 +315,8 @@ class BridgeReport:
     sample: tuple[tuple[complex, ...], ...] | None = None
 
 
-def _random_locder_numeric(algebra: Algebra, rng: random.Random):
+def _random_locder_numeric(template: MatrixTemplate, rng: random.Random):
     """Random local-derivation sample with entries bounded by 1."""
-    template = (
-        LOCAL_DERIVATION_FORM_PI2
-        if algebra.name == "pi2"
-        else LOCAL_DERIVATION_FORM_PI3
-    )
     params = {p: rng.uniform(-1.0, 1.0) for p in template.params}
     rows = template.instantiate_numeric(params)
     peak = max(abs(v) for row in rows for v in row)
@@ -340,27 +330,23 @@ def bridge_check(
     direction: str,
     trials: int = 100,
     seed: int = 0,
-    tol_exp: float = 1e-9,
-    tol_log: float = LOG_ROUND_TRIP_TOL,
 ) -> BridgeReport:
     """exp: LocDer samples land in the pattern; log: members recover.
 
     The log direction exists for pi3 only and draws plus-branch members
     with b11 in (0.5, 2); recovery must round-trip through matrix_exp.
+    On a two-branch pattern the exponential must land on the plus branch.
     """
-    if algebra.name not in ("pi2", "pi3"):
-        raise UnsupportedError("bridge checks exist for the builtins only")
+    forms = closed_forms(algebra)
     rng = random.Random(seed)
     worst = 0.0
     if direction == "exp":
         for t in range(trials):
-            nabla = _random_locder_numeric(algebra, rng)
+            nabla = _random_locder_numeric(forms.local_derivation, rng)
             image = matrix_exp(nabla)
             check = pattern_residual(algebra, image)
             worst = max(worst, check.residual)
-            if check.residual > tol_exp or (
-                algebra.name == "pi3" and check.branch != "+"
-            ):
+            if check.residual > EXP_PATTERN_TOL or check.branch == "-":
                 return BridgeReport(
                     ok=False,
                     algebra=algebra.name,
@@ -380,18 +366,18 @@ def bridge_check(
             detail="all exponentials landed in the pattern",
         )
     if direction == "log":
-        if algebra.name != "pi3":
+        if forms.local_derivation is not LOCAL_DERIVATION_FORM_PI3:
             raise UnsupportedError(
                 "structured logarithm recovery is defined for pi3"
             )
-        template = LOCAL_AUTOMORPHISM_FORM_PI3_PLUS
+        template = forms.local_automorphism[0]  # the plus branch
         for t in range(trials):
             params = {p: rng.uniform(-1.0, 1.0) for p in template.params}
             params["b11"] = rng.uniform(0.5, 2.0)
             member = template.instantiate_numeric(params)
             residual = log_round_trip_residual(member)
             worst = max(worst, residual)
-            if residual > tol_log:
+            if residual > LOG_ROUND_TRIP_TOL:
                 return BridgeReport(
                     ok=False,
                     algebra=algebra.name,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .errors import InternalCheckError, UnsupportedError
+from .errors import InternalCheckError
 from .local_automorphisms import LocAutPattern, locaut_pattern
 
 
@@ -68,11 +68,7 @@ def branch_disjointness(pattern: LocAutPattern) -> bool:
 
 
 def geometry_report(algebra: Algebra) -> GeometryReport:
-    """Dimension, component count and Lie-group verdict for a builtin."""
-    if algebra.name not in ("pi2", "pi3"):
-        raise UnsupportedError(
-            "geometry reports exist for the builtin algebras only"
-        )
+    """Dimension, component count and Lie-group verdict of LocAut."""
     pattern = locaut_pattern(algebra)
     dim = pattern.dimension()
     components = len(pattern.branches)

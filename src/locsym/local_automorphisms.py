@@ -2,40 +2,38 @@
 
 B is a local automorphism when for every x some automorphism phi_x has
 B(x) = phi_x(x).  Unlike the derivation side this is a nonlinear
-matching problem, so the engine carries a dedicated per-algebra solver:
-the feasibility question "does some family member agree with B at x"
-is decided by a triangular case schedule over the support of x, with
-every decision an exact rational zero test.  Square or cube roots enter
-only when building an explicit witness parameter assignment, never in
-the feasibility decision itself, and each such witness is checked
-through the automorphism template.
+matching problem, so the engine carries a dedicated solver per
+automorphism template: the feasibility question "does some family
+member agree with B at x" is decided by a triangular case schedule over
+the support of x, with every decision an exact rational zero test.
+Square or cube roots enter only when building an explicit witness
+parameter assignment, never in the feasibility decision itself, and
+each such witness is checked through the automorphism template.
 
 The closed local-automorphism patterns (shape, entry relations and
-nonvanishing conditions) are the templates of templates.py, wrapped as
-LocAutPattern objects.  Membership checks use MatrixTemplate.read; on top
-sit two-way randomized verification against the pointwise solver and
-group-closure checks.
+nonvanishing conditions) are the templates that templates.closed_forms
+finds for the algebra, wrapped as LocAutPattern objects.  Membership
+checks use MatrixTemplate.read; on top sit two-way randomized
+verification against the pointwise solver and group-closure checks.
 """
 from __future__ import annotations
 
 import cmath
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra
-from .errors import InputError, InternalCheckError, UnsupportedError
+from .errors import InputError, InternalCheckError
 from .linalg import Matrix, inverse, vector
+from .local_derivations import support_patterns
 from .poly import Poly
 from .rationals import random_nonzero_int
 from .templates import (
     AUTOMORPHISM_FORM_PI2,
     AUTOMORPHISM_FORM_PI3,
-    LOCAL_AUTOMORPHISM_FORM_PI2,
-    LOCAL_AUTOMORPHISM_FORM_PI3_MINUS,
-    LOCAL_AUTOMORPHISM_FORM_PI3_PLUS,
     MatrixTemplate,
+    closed_forms,
     random_parameters,
 )
 
@@ -370,7 +368,11 @@ def _feasible_pi3(n, y) -> FeasibilityReport:
     return _exact_report(p, "x = 0 is matched by the identity")
 
 
-_SOLVERS = {"pi2": _feasible_pi2, "pi3": _feasible_pi3}
+# Each schedule decides feasibility for the automorphism template it solves.
+_SOLVERS = {
+    AUTOMORPHISM_FORM_PI2: _feasible_pi2,
+    AUTOMORPHISM_FORM_PI3: _feasible_pi3,
+}
 
 
 def locaut_feasible_at(algebra: Algebra, b: Matrix, x) -> FeasibilityReport:
@@ -379,12 +381,7 @@ def locaut_feasible_at(algebra: Algebra, b: Matrix, x) -> FeasibilityReport:
     The decision is a chain of rational zero tests ordered by the
     support of x; complex roots appear only inside witness parameters.
     """
-    solver = _SOLVERS.get(algebra.name)
-    if solver is None:
-        raise UnsupportedError(
-            "pointwise feasibility schedules exist for the builtin "
-            "algebras only"
-        )
+    solver = _SOLVERS[closed_forms(algebra).automorphism]
     x = vector(x)
     if len(x) != algebra.dim:
         raise InputError("point dimension does not match the algebra")
@@ -424,21 +421,8 @@ class LocAutPattern:
 
 
 def locaut_pattern(algebra: Algebra) -> LocAutPattern:
-    if algebra.name == "pi2":
-        return LocAutPattern(
-            algebra=algebra, templates=(LOCAL_AUTOMORPHISM_FORM_PI2,)
-        )
-    if algebra.name == "pi3":
-        return LocAutPattern(
-            algebra=algebra,
-            templates=(
-                LOCAL_AUTOMORPHISM_FORM_PI3_PLUS,
-                LOCAL_AUTOMORPHISM_FORM_PI3_MINUS,
-            ),
-        )
-    raise UnsupportedError(
-        "closed local-automorphism patterns exist for the builtin "
-        "algebras only"
+    return LocAutPattern(
+        algebra=algebra, templates=closed_forms(algebra).local_automorphism
     )
 
 
@@ -503,7 +487,7 @@ def random_pattern_member(
 
 # -- randomized two-way verification ------------------------------------------
 
-_STRATUM_POINTS = (
+STRATUM_POINTS = (
     (1, 0, 0, -1, 0),   # n1 + n4 = 0
     (0, 1, 0, 0, -1),   # n2 + n5 = 0
 )
@@ -511,19 +495,12 @@ _STRATUM_POINTS = (
 
 def probe_points(dim: int) -> list[tuple[Fraction, ...]]:
     """Structured refutation probes: e_i, e_i + e_j, stratum points."""
-    points = []
-    for i in range(dim):
-        points.append(
-            tuple(Fraction(1 if t == i else 0) for t in range(dim))
-        )
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            points.append(
-                tuple(
-                    Fraction(1 if t in (i, j) else 0) for t in range(dim)
-                )
-            )
-    for raw in _STRATUM_POINTS:
+    points = [
+        tuple(Fraction(int(t in support)) for t in range(dim))
+        for support in support_patterns(dim)
+        if len(support) <= 2
+    ]
+    for raw in STRATUM_POINTS:
         if len(raw) == dim:
             points.append(tuple(Fraction(v) for v in raw))
     return points
@@ -549,12 +526,8 @@ def find_witness(
 
 def _point_cycle(dim: int):
     """Support patterns plus the singled-out strata, as sampler specs."""
-    supports = [
-        s
-        for size in range(1, dim + 1)
-        for s in itertools.combinations(range(dim), size)
-    ]
-    strata = [raw for raw in _STRATUM_POINTS if len(raw) == dim]
+    supports = list(support_patterns(dim))
+    strata = [raw for raw in STRATUM_POINTS if len(raw) == dim]
     return supports, strata
 
 

@@ -92,6 +92,7 @@ class LocalDerivationSpace:
     algebra: Algebra
     basis: tuple[Matrix, ...]
     case_tree: CaseTree
+    derivations: DerivationSpace  # the Der the space was solved from
     provenance = "exact"  # the only way a space is computed
 
     @property
@@ -155,6 +156,7 @@ def local_derivation_space(
         algebra=algebra,
         basis=_basis_from_subspace(tree.solution_space(), algebra.dim),
         case_tree=tree,
+        derivations=ders,
     )
     _self_check(result, ders, checks=256, seed=seed)
     return result
@@ -216,10 +218,10 @@ def strict_inclusion_witness(
     and passes `checks` pointwise membership tests, including points on
     every stratum discovered by the case tree.
     """
-    if ders is None:
-        ders = derivation_algebra(algebra)
     if locders is None:
         locders = local_derivation_space(algebra)
+    if ders is None:
+        ders = locders.derivations
     der_span = ders.span()
     witness = next(
         (op for op in locders.basis if not der_span.contains(op.vec())), None

@@ -3,7 +3,8 @@
 A template is a dim x dim grid of polynomials in named parameters plus a
 list of polynomials that an admissible assignment must keep nonzero.
 The closed forms of the derivation algebras, local derivation spaces and
-automorphism groups of pi2 and pi3 all live here as built-ins.
+automorphism groups of pi2 and pi3 all live here as built-ins, and
+closed_forms finds them for an algebra by its structure constants.
 
 Every grid is read one way (MatrixTemplate.read): each parameter's first
 bare entry in row-major order gives its value, and every other entry
@@ -21,12 +22,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
+from .algebra import Algebra, builtin
 from .errors import InputError, UnsupportedError
 from .linalg import Matrix, Subspace
 from .poly import Poly, poly
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: each closed form is one object, and the
+# pointwise schedules are looked up by template on every call.
+@dataclass(frozen=True, eq=False)
 class MatrixTemplate:
     dim: int
     params: tuple[str, ...]
@@ -366,22 +370,42 @@ LOCAL_AUTOMORPHISM_FORM_PI3_MINUS = MatrixTemplate(
     nonzero=(poly("b11"),),
 )
 
-_BUILTIN_FORMS = {
-    ("derivation", "pi2"): DERIVATION_FORM_PI2,
-    ("derivation", "pi3"): DERIVATION_FORM_PI3,
-    ("local_derivation", "pi2"): LOCAL_DERIVATION_FORM_PI2,
-    ("local_derivation", "pi3"): LOCAL_DERIVATION_FORM_PI3,
-    ("automorphism", "pi2"): AUTOMORPHISM_FORM_PI2,
-    ("automorphism", "pi3"): AUTOMORPHISM_FORM_PI3,
-    ("local_automorphism", "pi2"): LOCAL_AUTOMORPHISM_FORM_PI2,
-    ("local_automorphism", "pi3"): LOCAL_AUTOMORPHISM_FORM_PI3_PLUS,
+
+@dataclass(frozen=True)
+class ClosedForms:
+    """The closed forms of one algebra, as templates."""
+
+    derivation: MatrixTemplate
+    local_derivation: MatrixTemplate
+    automorphism: MatrixTemplate
+    local_automorphism: tuple[MatrixTemplate, ...]   # one per branch
+
+
+_CLOSED_FORMS = {
+    builtin("pi2").structure: ClosedForms(
+        derivation=DERIVATION_FORM_PI2,
+        local_derivation=LOCAL_DERIVATION_FORM_PI2,
+        automorphism=AUTOMORPHISM_FORM_PI2,
+        local_automorphism=(LOCAL_AUTOMORPHISM_FORM_PI2,),
+    ),
+    builtin("pi3").structure: ClosedForms(
+        derivation=DERIVATION_FORM_PI3,
+        local_derivation=LOCAL_DERIVATION_FORM_PI3,
+        automorphism=AUTOMORPHISM_FORM_PI3,
+        local_automorphism=(
+            LOCAL_AUTOMORPHISM_FORM_PI3_PLUS,
+            LOCAL_AUTOMORPHISM_FORM_PI3_MINUS,
+        ),
+    ),
 }
 
 
-def builtin_form(kind: str, algebra_name: str) -> MatrixTemplate:
+def closed_forms(algebra: Algebra) -> ClosedForms:
+    """The closed forms of an algebra, found by its structure constants only."""
     try:
-        return _BUILTIN_FORMS[(kind, algebra_name)]
+        return _CLOSED_FORMS[algebra.structure]
     except KeyError:
         raise UnsupportedError(
-            f"no builtin {kind} form for algebra {algebra_name!r}"
+            f"no closed forms for algebra {algebra.name!r}: its structure "
+            f"constants are neither pi2's nor pi3's"
         ) from None

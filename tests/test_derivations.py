@@ -11,11 +11,11 @@ from locsym import (
     bracket,
     bracket_closed,
     builtin,
-    builtin_form,
     is_derivation,
     zero_algebra,
 )
 from locsym.derivations import derivation_algebra, leibniz_failure
+from locsym.templates import DERIVATION_FORM_PI2, LOCAL_DERIVATION_FORM_PI3
 
 coeffs = st.lists(st.integers(-6, 6), min_size=7, max_size=7)
 
@@ -60,7 +60,7 @@ def test_zero_algebra_has_full_derivation_space():
 
 
 def test_span_contains_template_instances(der2):
-    template = builtin_form("derivation", "pi2")
+    template = DERIVATION_FORM_PI2
     params = {p: Fraction(i + 1) for i, p in enumerate(template.params)}
     assert der2.contains(template.instantiate(params))
     assert not der2.contains(e_matrix(0, 1))
@@ -71,7 +71,7 @@ def test_span_contains_template_instances(der2):
        st.lists(st.integers(-9, 9), min_size=5, max_size=5))
 def test_leibniz_identity_on_random_members(c1, c2, x, y):
     algebra = builtin("pi2")
-    template = builtin_form("derivation", "pi2")
+    template = DERIVATION_FORM_PI2
     d = template.instantiate(dict(zip(template.params, map(Fraction, c1))))
     xs = tuple(map(Fraction, x))
     ys = tuple(map(Fraction, y))
@@ -134,7 +134,7 @@ def test_displayed_commutator_forms_match_bracket():
         (4, 0): lambda x, y: x["b11"] * y["b51"] - x["b51"] * y["b11"],
         (4, 3): lambda x, y: x["b11"] * y["b54"] - x["b54"] * y["b11"],
     }
-    template = builtin_form("local_derivation", "pi3")
+    template = LOCAL_DERIVATION_FORM_PI3
     rng = random.Random(3)
     for _ in range(20):
         x = {p: Fraction(rng.randint(-9, 9)) for p in template.params}

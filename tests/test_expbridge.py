@@ -17,7 +17,6 @@ from locsym import (
     NumericsError,
     bridge_check,
     builtin,
-    builtin_form,
     closed_form,
     eval_series,
     matrix_exp,
@@ -27,6 +26,7 @@ from locsym import (
     series_tail_bound,
     structured_log_pi3,
 )
+from locsym.templates import LOCAL_DERIVATION_FORM_PI3
 
 SERIES = ("lambda21", "lambda31", "mu31", "lambda32", "lambda34")
 
@@ -169,7 +169,7 @@ def test_log_rejects_bad_spectra():
 # -- structured log on the plus branch -------------------------------------------------
 
 def locder_instance_pi3(params):
-    template = builtin_form("local_derivation", "pi3")
+    template = LOCAL_DERIVATION_FORM_PI3
     return template.instantiate_numeric(params)
 
 

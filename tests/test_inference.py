@@ -1,7 +1,8 @@
 """Shape inference from template occurrence patterns, with validation."""
 
 from locsym import (
-    builtin_form,
+    builtin,
+    closed_forms,
     infer_shape,
     validate_prediction,
 )
@@ -11,7 +12,7 @@ from locsym.templates import MatrixTemplate
 
 
 def derivation_prediction(name):
-    return infer_shape(builtin_form("derivation", name))
+    return infer_shape(closed_forms(builtin(name)).derivation)
 
 
 # -- predicted relations -------------------------------------------------------
@@ -40,7 +41,7 @@ def test_zero_sets_match_the_computed_forms():
         pred = derivation_prediction(name)
         expected = {
             (i + 1, j + 1)
-            for i, j in builtin_form("local_derivation", name).zero_positions()
+            for i, j in closed_forms(builtin(name)).local_derivation.zero_positions()
         }
         assert set(pred.zero_set) == expected
     assert len(derivation_prediction("pi2").zero_set) == 12

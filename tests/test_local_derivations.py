@@ -11,7 +11,6 @@ from locsym import (
     InternalCheckError,
     Matrix,
     StratificationError,
-    builtin_form,
     is_derivation,
     local_derivation_space,
     pointwise_membership,
@@ -20,6 +19,7 @@ from locsym import (
     verify_pointwise_everywhere,
 )
 from locsym.poly import linear_factors
+from locsym.templates import LOCAL_DERIVATION_FORM_PI2, LOCAL_DERIVATION_FORM_PI3
 
 
 def e_matrix(i, j, value=1):
@@ -42,10 +42,10 @@ def test_dimensions(loc2, loc3):
 
 def test_spans_match_closed_forms(loc2, loc3):
     assert template_space_equals(
-        builtin_form("local_derivation", "pi2"), loc2.basis
+        LOCAL_DERIVATION_FORM_PI2, loc2.basis
     )
     assert template_space_equals(
-        builtin_form("local_derivation", "pi3"), loc3.basis
+        LOCAL_DERIVATION_FORM_PI3, loc3.basis
     )
 
 
@@ -121,7 +121,7 @@ def test_verify_pointwise_everywhere_rejects_non_member(pi2, der2, loc2):
 
 
 def test_random_local_members_pass_pointwise_probes(der3, loc3):
-    template = builtin_form("local_derivation", "pi3")
+    template = LOCAL_DERIVATION_FORM_PI3
     rng = random.Random(7)
     for _ in range(10):
         params = {p: Fraction(rng.randint(-9, 9)) for p in template.params}

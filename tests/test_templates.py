@@ -6,33 +6,44 @@ from fractions import Fraction
 import pytest
 
 from locsym import (
+    Algebra,
     InputError,
     Matrix,
     UnsupportedError,
-    builtin_form,
+    builtin,
+    closed_forms,
     load_template,
     save_template,
     template_match,
     template_space_equals,
+    zero_algebra,
 )
 from locsym.poly import poly
 from locsym.templates import (
+    AUTOMORPHISM_FORM_PI2,
+    AUTOMORPHISM_FORM_PI3,
+    DERIVATION_FORM_PI2,
+    DERIVATION_FORM_PI3,
+    LOCAL_AUTOMORPHISM_FORM_PI2,
     LOCAL_AUTOMORPHISM_FORM_PI3_MINUS,
+    LOCAL_AUTOMORPHISM_FORM_PI3_PLUS,
+    LOCAL_DERIVATION_FORM_PI2,
+    LOCAL_DERIVATION_FORM_PI3,
     MatrixTemplate,
     random_parameters,
 )
 
-# Every builtin grid: the eight registered forms and the minus branch of
-# the pi3 local-automorphism pattern.
+# Every builtin grid, both branches of the pi3 local-automorphism pattern
+# included.
 BUILTIN_FORMS = {
-    **{
-        (kind, name): builtin_form(kind, name)
-        for kind in (
-            "derivation", "local_derivation", "automorphism",
-            "local_automorphism",
-        )
-        for name in ("pi2", "pi3")
-    },
+    ("derivation", "pi2"): DERIVATION_FORM_PI2,
+    ("derivation", "pi3"): DERIVATION_FORM_PI3,
+    ("local_derivation", "pi2"): LOCAL_DERIVATION_FORM_PI2,
+    ("local_derivation", "pi3"): LOCAL_DERIVATION_FORM_PI3,
+    ("automorphism", "pi2"): AUTOMORPHISM_FORM_PI2,
+    ("automorphism", "pi3"): AUTOMORPHISM_FORM_PI3,
+    ("local_automorphism", "pi2"): LOCAL_AUTOMORPHISM_FORM_PI2,
+    ("local_automorphism", "pi3"): LOCAL_AUTOMORPHISM_FORM_PI3_PLUS,
     ("local_automorphism", "pi3-minus"): LOCAL_AUTOMORPHISM_FORM_PI3_MINUS,
 }
 
@@ -71,7 +82,7 @@ def test_zero_positions():
 
 def test_is_linear_detects_nonlinear_entries():
     assert small_template().is_linear()
-    assert not builtin_form("automorphism", "pi2").is_linear()
+    assert not AUTOMORPHISM_FORM_PI2.is_linear()
 
 
 # -- matching ------------------------------------------------------------------
@@ -144,37 +155,38 @@ def test_a_parameter_without_a_bare_entry_is_unreadable():
 # -- parameter spans -------------------------------------------------------------
 
 def test_parameter_span_dim_counts_free_parameters():
-    t = builtin_form("derivation", "pi2")
+    t = DERIVATION_FORM_PI2
     assert t.parameter_span().dim == len(t.params) == 7
-    t3 = builtin_form("local_derivation", "pi3")
+    t3 = LOCAL_DERIVATION_FORM_PI3
     assert t3.parameter_span().dim == len(t3.params) == 7
 
 
 def test_template_space_equals(der2, der3):
-    assert template_space_equals(builtin_form("derivation", "pi2"), der2.basis)
-    assert template_space_equals(builtin_form("derivation", "pi3"), der3.basis)
+    assert template_space_equals(DERIVATION_FORM_PI2, der2.basis)
+    assert template_space_equals(DERIVATION_FORM_PI3, der3.basis)
     # spans of different dimension never compare equal
     assert not template_space_equals(
-        builtin_form("derivation", "pi2"), der3.basis
+        DERIVATION_FORM_PI2, der3.basis
     )
 
 
 def test_parameter_span_requires_linearity():
     with pytest.raises(UnsupportedError):
-        builtin_form("automorphism", "pi3").parameter_span()
+        AUTOMORPHISM_FORM_PI3.parameter_span()
 
 
 # -- registry and files ------------------------------------------------------------
 
-def test_builtin_form_rejects_unknown():
+def test_closed_forms_reject_a_foreign_structure():
     with pytest.raises(UnsupportedError):
-        builtin_form("derivation", "pi9")
-    with pytest.raises(UnsupportedError):
-        builtin_form("cohomology", "pi2")
+        closed_forms(zero_algebra(5))
+    # the structure constants pick the forms, not the name
+    renamed = Algebra(name="mine", dim=5, table=builtin("pi2").table)
+    assert closed_forms(renamed) is closed_forms(builtin("pi2"))
 
 
 def test_save_load_round_trip(tmp_path):
-    t = builtin_form("local_automorphism", "pi3")
+    t = LOCAL_AUTOMORPHISM_FORM_PI3_PLUS
     path = str(tmp_path / "form.json")
     save_template(path, t)
     back = load_template(path)
