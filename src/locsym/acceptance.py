@@ -1,7 +1,8 @@
 """Acceptance battery: the eleven checks behind the `suite` command.
 
-Each criterion returns a CriterionResult; run_suite evaluates all
-eleven with sub-seeds derived deterministically from one suite seed.
+run_suite solves LocDer of each builtin once (builtin_spaces); every
+criterion takes those spaces, which carry the algebra and its Der, and
+a suite seed from which it derives its sub-seeds deterministically.
 Records carry no wall times or other ambient state, so a fixed seed
 reproduces byte-identical output.
 """
@@ -18,9 +19,9 @@ from .algebra import (
     is_associative,
     power_filtration,
 )
-from .derivations import bracket, bracket_closed, derivation_algebra, is_derivation
+from .derivations import bracket, bracket_closed, is_derivation
 from .expbridge import bridge_check, eval_series, closed_form, series_coefficients
-from .geometry import branch_disjointness, geometry_report
+from .geometry import geometry_report
 from .inference import infer_shape, validate_prediction
 from .linalg import Matrix
 from .local_automorphisms import (
@@ -31,6 +32,7 @@ from .local_automorphisms import (
     verify_pattern,
 )
 from .local_derivations import (
+    LocalDerivationSpace,
     local_derivation_space,
     pointwise_membership,
     strict_inclusion_witness,
@@ -84,15 +86,35 @@ def _result(number: int, problems: list[str], detail: str) -> CriterionResult:
     return CriterionResult(number, title, True, detail)
 
 
+def _crashed(number: int, exc: Exception) -> CriterionResult:
+    detail = f"raised {type(exc).__name__}: {exc}"
+    return CriterionResult(number, TITLES[number - 1], False, detail)
+
+
 def _subseed(seed: int, k: int) -> int:
     return seed * 1009 + k
 
 
-def criterion_1(seed: int = 0) -> CriterionResult:
+Spaces = dict[str, LocalDerivationSpace]
+
+
+def builtin_spaces(seed: int) -> Spaces:
+    """LocDer of each builtin, solved once per battery.
+
+    Each space also carries its algebra and the Der it was solved from.
+    The space is exact; the seed only drives its pointwise self-check.
+    """
+    return {
+        name: local_derivation_space(builtin(name), seed=_subseed(seed, 3))
+        for name in BOTH
+    }
+
+
+def criterion_1(spaces: Spaces, seed: int) -> CriterionResult:
     """Associativity, power filtration, characteristic sequence."""
     problems = []
     for name in BOTH:
-        algebra = builtin(name)
+        algebra = spaces[name].algebra
         if not is_associative(algebra):
             problems.append(f"{name} is not associative")
         filtration = power_filtration(algebra)
@@ -111,17 +133,16 @@ def criterion_1(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_2(seed: int = 0) -> CriterionResult:
+def criterion_2(spaces: Spaces, seed: int) -> CriterionResult:
     """Derivation dimensions and template equality."""
     problems = []
     dims = {}
     for name, expected in (("pi2", 7), ("pi3", 6)):
-        algebra = builtin(name)
-        ders = derivation_algebra(algebra)
+        ders = spaces[name].derivations
         dims[name] = ders.dim
         if ders.dim != expected:
             problems.append(f"dim Der({name}) = {ders.dim}, expected {expected}")
-        if not template_space_equals(closed_forms(algebra).derivation, ders.basis):
+        if not template_space_equals(closed_forms(ders.algebra).derivation, ders.basis):
             problems.append(f"Der({name}) differs from its closed-form template")
     return _result(
         2,
@@ -131,53 +152,25 @@ def criterion_2(seed: int = 0) -> CriterionResult:
     )
 
 
-_RELATIONS = {
-    # entry positions are 0-based (row, col): value must equal the sum
-    "pi2": (
-        ((3, 3), ((3, 0), (0, 0))),  # b44 = b41 + b11
-        ((4, 4), ((1, 1), (4, 1))),  # b55 = b22 + b52
-    ),
-    "pi3": (),
-}
+def criterion_3(spaces: Spaces, seed: int) -> CriterionResult:
+    """Local-derivation dimensions and template equality.
 
-_PROPORTIONS_PI3 = (
-    ((1, 1), 2),  # b22 = 2 b11
-    ((2, 2), 3),  # b33 = 3 b11
-    ((3, 3), 1),  # b44 = b11
-    ((4, 4), 2),  # b55 = 2 b11
-)
-
-
-def criterion_3(seed: int = 0) -> CriterionResult:
-    """Local-derivation dimensions, template equality, relations."""
+    The entry relations (b44 = b41 + b11 and b55 = b22 + b52 on pi2,
+    b22 = 2 b11, b33 = 3 b11, b44 = b11, b55 = 2 b11 on pi3) are entries
+    of LOCAL_DERIVATION_FORM_PI2/PI3, so the span equality proves them.
+    """
     problems = []
     dims = {}
     for name, expected in (("pi2", 11), ("pi3", 7)):
-        algebra = builtin(name)
-        space = local_derivation_space(algebra, seed=_subseed(seed, 3))
-        dims[name] = len(space.basis)
-        if len(space.basis) != expected:
+        space = spaces[name]
+        dims[name] = space.dim
+        if space.dim != expected:
             problems.append(
-                f"dim LocDer({name}) = {len(space.basis)}, expected {expected}"
+                f"dim LocDer({name}) = {space.dim}, expected {expected}"
             )
-        template = closed_forms(algebra).local_derivation
+        template = closed_forms(space.algebra).local_derivation
         if not template_space_equals(template, space.basis):
             problems.append(f"LocDer({name}) differs from its closed-form template")
-        for (i, j), addends in _RELATIONS[name]:
-            for op in space.basis:
-                if op.rows[i][j] != sum(op.rows[a][b] for a, b in addends):
-                    problems.append(
-                        f"relation at entry ({i + 1},{j + 1}) fails on LocDer({name})"
-                    )
-                    break
-        if name == "pi3":
-            for (i, j), factor in _PROPORTIONS_PI3:
-                for op in space.basis:
-                    if op.rows[i][j] != factor * op.rows[0][0]:
-                        problems.append(
-                            f"relation b{i + 1}{j + 1} = {factor} b11 fails"
-                        )
-                        break
     return _result(
         3,
         problems,
@@ -186,14 +179,13 @@ def criterion_3(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_4(seed: int = 0) -> CriterionResult:
+def criterion_4(spaces: Spaces, seed: int) -> CriterionResult:
     """Strict inclusions Der in LocDer with verified witnesses."""
     problems = []
     details = []
     for name in BOTH:
-        algebra = builtin(name)
-        locders = local_derivation_space(algebra, seed=_subseed(seed, 4))
-        ders = locders.derivations
+        locders = spaces[name]
+        algebra, ders = locders.algebra, locders.derivations
         witness = strict_inclusion_witness(
             algebra, ders, locders, checks=10000, seed=_subseed(seed, 5)
         )
@@ -232,18 +224,17 @@ _COMMUTATOR_PI3 = {
 }
 
 
-def criterion_5(seed: int = 0) -> CriterionResult:
+def criterion_5(spaces: Spaces, seed: int) -> CriterionResult:
     """Bracket closure of both spaces plus the displayed commutator."""
     problems = []
     for name in BOTH:
-        space = local_derivation_space(builtin(name), seed=_subseed(seed, 6))
-        ok, _ = bracket_closed(space.basis)
+        ok, _ = bracket_closed(spaces[name].basis)
         if not ok:
             problems.append(f"bracket left LocDer({name})")
     # Both the bracket and the displayed forms are bilinear in the
     # parameters, so agreement on every pair of parameter basis vectors
     # is agreement everywhere.
-    template = closed_forms(builtin("pi3")).local_derivation
+    template = closed_forms(spaces["pi3"].algebra).local_derivation
     units = [{q: int(q == p) for q in template.params} for p in template.params]
     for x, y in itertools.product(units, repeat=2):
         commutator = bracket(template.instantiate(x), template.instantiate(y))
@@ -264,11 +255,11 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_6(seed: int = 0) -> CriterionResult:
+def criterion_6(spaces: Spaces, seed: int) -> CriterionResult:
     """Automorphism families: verification plus group closure."""
     problems = []
     for name in BOTH:
-        family = automorphism_family(builtin(name))
+        family = automorphism_family(spaces[name].algebra)
         report = verify_family(family, trials=500, seed=_subseed(seed, 9))
         if not report.ok:
             problems.append(f"verify_family({name}): {report.detail}")
@@ -283,12 +274,11 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_7(seed: int = 0) -> CriterionResult:
+def criterion_7(spaces: Spaces, seed: int) -> CriterionResult:
     """Local-automorphism patterns plus refuted single violations."""
     problems = []
     for name in BOTH:
-        algebra = builtin(name)
-        pattern = locaut_pattern(algebra)
+        pattern = locaut_pattern(spaces[name].algebra)
         report = verify_pattern(pattern, trials=200, seed=_subseed(seed, 11))
         if not report.ok:
             problems.append(f"verify_pattern({name}): {report.detail}")
@@ -304,7 +294,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
             [0, 0, 0, 0, 1],
         ]
     )
-    witness = find_witness(builtin("pi3"), b22_bump, seed=_subseed(seed, 13))
+    witness = find_witness(spaces["pi3"].algebra, b22_bump, seed=_subseed(seed, 13))
     if witness != (0, 1, 0, 1, 0):
         problems.append(f"pi3 b22 violation witness {witness}, expected e2+e4")
     b44_bump = Matrix(
@@ -316,7 +306,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
             [0, 0, 0, 0, 1],
         ]
     )
-    witness = find_witness(builtin("pi2"), b44_bump, seed=_subseed(seed, 13))
+    witness = find_witness(spaces["pi2"].algebra, b44_bump, seed=_subseed(seed, 13))
     if witness is None:
         problems.append("pi2 b44 violation not refuted")
     return _result(
@@ -328,18 +318,20 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_8(seed: int = 0) -> CriterionResult:
+def criterion_8(spaces: Spaces, seed: int) -> CriterionResult:
     """Exponential bridge in both directions."""
     problems = []
     residuals = []
     for name in BOTH:
         report = bridge_check(
-            builtin(name), "exp", trials=100, seed=_subseed(seed, 14)
+            spaces[name].algebra, "exp", trials=100, seed=_subseed(seed, 14)
         )
         residuals.append(f"exp {name}: {report.max_residual:.2e}")
         if not report.ok:
             problems.append(f"exp bridge({name}): {report.detail}")
-    report = bridge_check(builtin("pi3"), "log", trials=100, seed=_subseed(seed, 15))
+    report = bridge_check(
+        spaces["pi3"].algebra, "log", trials=100, seed=_subseed(seed, 15)
+    )
     residuals.append(f"log pi3: {report.max_residual:.2e}")
     if not report.ok:
         problems.append(f"log bridge(pi3): {report.detail}")
@@ -351,7 +343,7 @@ def criterion_8(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_9(seed: int = 0) -> CriterionResult:
+def criterion_9(spaces: Spaces, seed: int) -> CriterionResult:
     """Series identities: closed forms and termwise equality."""
     problems = []
     rng = random.Random(_subseed(seed, 16))
@@ -375,23 +367,25 @@ def criterion_9(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_10(seed: int = 0) -> CriterionResult:
-    """Geometry reports and exact branch disjointness."""
+def criterion_10(spaces: Spaces, seed: int) -> CriterionResult:
+    """Geometry reports and exact branch disjointness.
+
+    geometry_report runs the disjointness probe on each pattern and
+    raises InternalCheckError if it fails, which fails this criterion.
+    """
     problems = []
-    report2 = geometry_report(builtin("pi2"))
+    report2 = geometry_report(spaces["pi2"].algebra)
     if (report2.dim, report2.components, report2.lie_group) != (11, 1, True):
         problems.append(
             f"pi2 geometry ({report2.dim}, {report2.components}, "
             f"{report2.lie_group})"
         )
-    report3 = geometry_report(builtin("pi3"))
+    report3 = geometry_report(spaces["pi3"].algebra)
     if (report3.dim, report3.components, report3.lie_group) != (7, 2, False):
         problems.append(
             f"pi3 geometry ({report3.dim}, {report3.components}, "
             f"{report3.lie_group})"
         )
-    if not branch_disjointness(locaut_pattern(builtin("pi3"))):
-        problems.append("pi3 branch disjointness probe failed")
     return _result(
         10,
         problems,
@@ -400,14 +394,13 @@ def criterion_10(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_11(seed: int = 0) -> CriterionResult:
+def criterion_11(spaces: Spaces, seed: int) -> CriterionResult:
     """Shape inference validates against the computed spaces."""
     problems = []
     for name in BOTH:
-        algebra = builtin(name)
-        forms = closed_forms(algebra)
+        space = spaces[name]
+        forms = closed_forms(space.algebra)
         prediction = infer_shape(forms.derivation)
-        space = local_derivation_space(algebra, seed=_subseed(seed, 17))
         report = validate_prediction(prediction, space)
         if not report.ok:
             problems.append(f"{name}: " + "; ".join(report.violations))
@@ -464,18 +457,16 @@ class SuiteResult:
 
 
 def run_suite(seed: int = 0) -> SuiteResult:
+    # A crashed build or criterion is a failed criterion, never an escape.
+    try:
+        spaces = builtin_spaces(seed)
+    except Exception as exc:
+        crashed = (_crashed(k, exc) for k in range(1, len(CRITERIA) + 1))
+        return SuiteResult(seed=seed, results=tuple(crashed))
     results = []
-    for criterion in CRITERIA:
+    for number, criterion in enumerate(CRITERIA, start=1):
         try:
-            results.append(criterion(seed))
-        except Exception as exc:  # a crashed criterion is a failed criterion
-            number = len(results) + 1
-            results.append(
-                CriterionResult(
-                    number=number,
-                    title=TITLES[number - 1],
-                    passed=False,
-                    detail=f"raised {type(exc).__name__}: {exc}",
-                )
-            )
+            results.append(criterion(spaces, seed))
+        except Exception as exc:
+            results.append(_crashed(number, exc))
     return SuiteResult(seed=seed, results=tuple(results))

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, power_filtration
+from .algebra import Algebra
 from .errors import InputError
-from .linalg import Matrix, Subspace, inverse, is_invertible
+from .linalg import Matrix, inverse, is_invertible
 from .rationals import random_nonzero_int
 from .templates import (
     MatrixTemplate,
@@ -180,12 +180,3 @@ def group_closure_report(
         detail="products and inverses of members stay in the family",
     )
 
-
-def preserves_filtration(algebra: Algebra, phi: Matrix) -> bool:
-    """phi(A^k) = A^k for every term of the power filtration (exact)."""
-    n = algebra.dim
-    for term in power_filtration(algebra).subspaces:
-        image = Subspace(n, [phi.apply(v) for v in term.basis])
-        if image != term:
-            return False
-    return True

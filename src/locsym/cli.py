@@ -17,7 +17,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .acceptance import CRITERIA, run_suite
+from .acceptance import CRITERIA, builtin_spaces, run_suite
 from .algebra import (
     associativity_failure,
     characteristic_sequence,
@@ -75,7 +75,7 @@ from .local_derivations import (
     structured_probe_points,
 )
 from .rationals import format_rational
-from .templates import closed_forms
+from .templates import LOCAL_DERIVATION_FORM_PI3, closed_forms
 
 SCHEMA = "locsym-report/1"
 
@@ -236,11 +236,12 @@ def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
         report = validate_prediction(prediction, space)
         return not report.ok, "the shape prediction fails validation"
     if kind == "criterion":
-        failed = []
-        for number in obj["numbers"]:
-            result = CRITERIA[number - 1](obj.get("seed", 0))
-            if not result.passed:
-                failed.append(number)
+        seed = obj.get("seed", 0)
+        spaces = builtin_spaces(seed)
+        failed = [
+            number for number in obj["numbers"]
+            if not CRITERIA[number - 1](spaces, seed).passed
+        ]
         return bool(failed), f"criteria still failing: {failed}"
     raise InputError(f"unknown counterexample kind {obj.get('kind')!r}")
 
@@ -603,10 +604,17 @@ def _cmd_log(args) -> tuple[int, dict, list[str]]:
             if method == "principal":
                 raise
     if result is None:
+        algebra = get_algebra(args.algebra)
         try:
+            # the same test bridge_check makes for its log direction
+            if closed_forms(algebra).local_derivation is not LOCAL_DERIVATION_FORM_PI3:
+                raise UnsupportedError(
+                    f"it inverts pi3's pattern, not {algebra.name}'s; "
+                    "pass --algebra pi3"
+                )
             result = structured_log_pi3(m, tol=args.tol)
             used = "structured"
-        except (InputError, NumericsError) as exc:
+        except (InputError, NumericsError, UnsupportedError) as exc:
             detail = f"structured recovery unavailable: {exc}"
             if obstruction:
                 detail = f"{obstruction}; {detail}"
@@ -837,6 +845,8 @@ def _build_parser() -> argparse.ArgumentParser:
     log_cmd.add_argument(
         "--method", choices=("auto", "principal", "structured"),
         default="auto",
+        help="structured recovery (also the fallback of auto) inverts "
+        "pi3's pattern and needs --algebra pi3",
     )
     log_cmd.set_defaults(handler=_cmd_log)
 

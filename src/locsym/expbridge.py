@@ -89,11 +89,6 @@ def eval_series(name: str, x1: complex, order: int = DEFAULT_ORDER) -> complex:
     return total
 
 
-def series_tail_bound(x1: complex, order: int = DEFAULT_ORDER) -> float:
-    """Crude tail bound |x|^order / order! for the truncated series."""
-    return abs(x1) ** order / factorial(order)
-
-
 def closed_form(name: str, x1: complex) -> complex:
     """Exponential closed forms; removable singularities via the series.
 
@@ -271,21 +266,6 @@ def _require_plus_branch(rows, tol: float) -> None:
         raise InputError(
             "structured recovery is defined on the plus branch only"
         )
-
-
-def minus_branch_log_attempt(m) -> tuple[bool, str]:
-    """Experiment: principal log of a minus-branch member.
-
-    Not part of the verified bridge.  For real b11 > 0 the minus branch
-    has b33 < 0 on the diagonal of a triangular matrix, so the spectrum
-    check is expected to reject it; the outcome is reported, not
-    asserted.
-    """
-    try:
-        matrix_log(m)
-    except NumericsError as exc:
-        return False, str(exc)
-    return True, "principal logarithm exists for this member"
 
 
 # -- randomized bridge verification -------------------------------------------

@@ -149,12 +149,6 @@ class CaseTree:
             return Subspace(ambient, Matrix.identity(ambient).rows)
         return Subspace(ambient, nullspace(Matrix(rows)))
 
-    def leaf_for(self, point: Mapping[str, Fraction]) -> StratumCase | None:
-        hits = [leaf for leaf in self.leaves if leaf.contains(point)]
-        if len(hits) > 1:
-            raise InternalCheckError("strata overlap at a probe point")
-        return hits[0] if hits else None
-
     def to_dict(self) -> dict:
         return {
             "unknowns": list(self.system.unknowns),

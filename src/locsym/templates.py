@@ -16,7 +16,6 @@ this reading.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -184,35 +183,6 @@ def template_space_equals(template: MatrixTemplate, basis) -> bool:
         template.dim * template.dim, [mat.vec() for mat in basis]
     )
     return span == other
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def save_template(path: str, template: MatrixTemplate) -> None:
-    payload = {
-        "dim": template.dim,
-        "params": list(template.params),
-        "entries": [[str(e) for e in row] for row in template.entries],
-        "nonzero": [str(c) for c in template.nonzero],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def load_template(path: str) -> MatrixTemplate:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        return MatrixTemplate(
-            dim=int(payload["dim"]),
-            params=tuple(payload["params"]),
-            entries=_grid(payload["entries"]),
-            nonzero=tuple(poly(c) for c in payload.get("nonzero", [])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed template file {path}: {exc}") from exc
 
 
 # -- built-in closed forms --------------------------------------------------

@@ -6,10 +6,13 @@ names the violated claim directly.  The same battery backs the `suite`
 CLI subcommand.
 """
 
+import json
+
 import pytest
 
-from locsym import acceptance
-from locsym.acceptance import CRITERIA, run_suite
+from locsym import StratificationError, acceptance
+from locsym.acceptance import CRITERIA, builtin_spaces, run_suite
+from locsym.cli import main
 
 TITLES = [
     "01-structure-diagnostics",
@@ -27,10 +30,26 @@ TITLES = [
 
 ACCEPTANCE_SEED = 0
 
+# the arguments of every LocDer solve the battery fixture makes
+SOLVES = []
+
 
 @pytest.fixture(scope="module")
 def suite():
-    return run_suite(seed=ACCEPTANCE_SEED)
+    solve = acceptance.local_derivation_space
+
+    def counted(*args, **kwargs):
+        SOLVES.append(args)
+        return solve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acceptance, "local_derivation_space", counted)
+        return run_suite(seed=ACCEPTANCE_SEED)
+
+
+@pytest.fixture(scope="module")
+def spaces():
+    return builtin_spaces(ACCEPTANCE_SEED)
 
 
 @pytest.mark.parametrize("index", range(len(TITLES)), ids=TITLES)
@@ -49,17 +68,21 @@ def test_all_criteria_counted(suite):
     assert summary.startswith("11/11")
 
 
-def test_cheap_criteria_are_seed_deterministic():
+def test_locder_is_solved_once_per_builtin(suite):
+    assert [args[0].name for args in SOLVES] == ["pi2", "pi3"]
+
+
+def test_cheap_criteria_are_seed_deterministic(spaces):
     # determinism spot check on the fast criteria; the full battery is
     # exercised once above, and the CLI seeds route through the same path
     for criterion in (CRITERIA[1], CRITERIA[8], CRITERIA[9]):
-        first = criterion(seed=42)
-        second = criterion(seed=42)
+        first = criterion(spaces, 42)
+        second = criterion(spaces, 42)
         assert first.to_dict() == second.to_dict()
 
 
-def test_a_crashed_criterion_keeps_its_title(monkeypatch):
-    def crash(seed=0):
+def test_a_crashed_criterion_keeps_its_title(monkeypatch, spaces):
+    def crash(spaces, seed):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(acceptance, "CRITERIA", (crash,) * len(CRITERIA))
@@ -69,4 +92,24 @@ def test_a_crashed_criterion_keeps_its_title(monkeypatch):
     assert crashed[0].detail == "raised RuntimeError: boom"
     # the crashed titles are the ones the criteria report when they run
     for index in (1, 8, 9):
-        assert crashed[index].title == CRITERIA[index](seed=0).title
+        assert crashed[index].title == CRITERIA[index](spaces, 0).title
+
+
+def test_a_failed_solve_fails_every_criterion(monkeypatch):
+    def refuse(algebra, seed):
+        raise StratificationError("pivot does not split")
+
+    monkeypatch.setattr(acceptance, "local_derivation_space", refuse)
+    crashed = run_suite(seed=0).results
+    assert [r.title for r in crashed] == list(acceptance.TITLES)
+    assert not any(r.passed for r in crashed)
+    assert {r.detail for r in crashed} == {
+        "raised StratificationError: pivot does not split"
+    }
+
+
+def test_a_passing_criterion_file_does_not_reproduce(tmp_path, capsys):
+    path = tmp_path / "criterion.json"
+    path.write_text(json.dumps({"kind": "criterion", "numbers": [2, 9], "seed": 0}))
+    assert main(["verify-counterexample", str(path)]) == 1
+    assert "did NOT reproduce" in capsys.readouterr().out

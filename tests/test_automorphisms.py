@@ -8,7 +8,6 @@ from locsym import (
     group_closure_report,
     is_automorphism,
     multiplicativity_residual,
-    preserves_filtration,
     random_member,
     verify_family,
 )
@@ -91,22 +90,3 @@ def test_products_and_inverses_explicitly(pi3, fam3):
     assert fam3.match(a * b) is not None
     assert fam3.match(inverse(a)) is not None
 
-
-# -- filtration preservation -------------------------------------------------------
-
-def test_members_preserve_the_power_filtration(pi2, fam2, pi3, fam3):
-    for algebra, fam in ((pi2, fam2), (pi3, fam3)):
-        for seed in range(3):
-            assert preserves_filtration(algebra, member(fam, seed))
-
-
-def test_filtration_violator_is_flagged(pi2):
-    # column 2 sends e2 to e1 + e2, which leaves the square of the algebra
-    bad = Matrix([
-        [1, 1, 0, 0, 0],
-        [0, 1, 0, 0, 0],
-        [0, 0, 1, 0, 0],
-        [0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 1],
-    ])
-    assert not preserves_filtration(pi2, bad)

@@ -21,9 +21,7 @@ from locsym import (
     eval_series,
     matrix_exp,
     matrix_log,
-    minus_branch_log_attempt,
     series_coefficients,
-    series_tail_bound,
     structured_log_pi3,
 )
 from locsym.templates import LOCAL_DERIVATION_FORM_PI3
@@ -90,12 +88,11 @@ def test_lambda21_at_log2():
 
 
 def test_tail_bound_controls_truncation_error():
-    for order in (10, 20, 30):
-        assert series_tail_bound(1.0, order) >= series_tail_bound(1.0, order + 5)
     x = 0.8
     full = eval_series("lambda31", x, order=40)
     short = eval_series("lambda31", x, order=12)
-    assert abs(full - short) <= 10 * series_tail_bound(3 * x, 12)
+    # the crude tail bound |3x|^12 / 12! of the truncated series
+    assert abs(full - short) <= 10 * abs(3 * x) ** 12 / math.factorial(12)
 
 
 # -- matrix exponential ----------------------------------------------------------
@@ -222,9 +219,9 @@ def test_structured_log_rejects_off_pattern_and_minus_branch():
     ]
     with pytest.raises(InputError):
         structured_log_pi3(minus)
-    ok, detail = minus_branch_log_attempt(minus)
-    assert not ok
-    assert detail
+    # b33 = -1 lies on the negative real axis: no principal logarithm
+    with pytest.raises(NumericsError):
+        matrix_log(minus)
 
 
 # -- randomized bridge batteries ---------------------------------------------------------

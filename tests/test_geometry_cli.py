@@ -291,6 +291,21 @@ def test_cli_exp_log_round_trip(tmp_path, capsys):
     assert "generator" in out.lower() or "log" in out.lower()
 
 
+def test_cli_structured_log_needs_pi3(tmp_path, capsys):
+    # structured recovery inverts pi3's pattern, so a pi3 member given
+    # with another algebra is refused rather than answered
+    member = str(tmp_path / "member.json")
+    save_operator(member, LOCAL_AUTOMORPHISM_FORM_PI3_PLUS.instantiate_numeric(
+        {"b11": 1.5, "b21": 0.25, "b31": -0.5, "b32": 0.75, "b34": 0.5,
+         "b51": 1.0, "b54": -0.25}
+    ), "complex")
+    assert run_cli("log", "--algebra", "pi2", "--matrix", member,
+                   "--method", "structured") == 3
+    assert "--algebra pi3" in capsys.readouterr().err
+    assert run_cli("log", "--algebra", "pi3", "--matrix", member,
+                   "--method", "structured") == 0
+
+
 def test_cli_bridge(capsys):
     assert run_cli("bridge", "--algebra", "pi3", "--direction", "log",
                    "--trials", "10", "--seed", "4") == 0

@@ -7,13 +7,10 @@ import pytest
 
 from locsym import (
     Algebra,
-    InputError,
     Matrix,
     UnsupportedError,
     builtin,
     closed_forms,
-    load_template,
-    save_template,
     template_match,
     template_space_equals,
     zero_algebra,
@@ -184,20 +181,3 @@ def test_closed_forms_reject_a_foreign_structure():
     renamed = Algebra(name="mine", dim=5, table=builtin("pi2").table)
     assert closed_forms(renamed) is closed_forms(builtin("pi2"))
 
-
-def test_save_load_round_trip(tmp_path):
-    t = LOCAL_AUTOMORPHISM_FORM_PI3_PLUS
-    path = str(tmp_path / "form.json")
-    save_template(path, t)
-    back = load_template(path)
-    assert back.dim == t.dim
-    assert back.params == t.params
-    assert back.entries == t.entries
-    assert back.nonzero == t.nonzero
-
-
-def test_load_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"dim": 2, "params": ["a"], "entries": [["a +", "0"], ["0", "0"]]}')
-    with pytest.raises(InputError):
-        load_template(str(path))
