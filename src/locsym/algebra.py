@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
@@ -57,6 +58,20 @@ class Algebra:
         """Dimension and products: the algebra up to its name (hashable)."""
         return self.dim, frozenset(self.table.items())
 
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int, int, int | Fraction], ...]:
+        """The nonzero structure constants as (i, j, k, c), 0-based.
+
+        Each term says that e_i e_j has coefficient c on e_k; products
+        are sums over these terms.
+        """
+        return tuple(
+            (i, j, k, c)
+            for (i, j), coeffs in self.table.items()
+            for k, c in enumerate(coeffs)
+            if c
+        )
+
     def product_of_basis(self, i: int, j: int) -> Vector:
         return self.table.get((i, j), (0,) * self.dim)
 
@@ -66,12 +81,12 @@ class Algebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError("vector length does not match algebra dimension")
         out = [0] * self.dim
-        for (i, j), coeffs in self.table.items():
-            scale = x[i] * y[j]
-            if scale:
-                for k, c in enumerate(coeffs):
-                    if c:
-                        out[k] += scale * c
+        for i, j, k, c in self.terms:
+            left = x[i]
+            if left:
+                right = y[j]
+                if right:
+                    out[k] += left * right * c
         return vector(out)
 
 

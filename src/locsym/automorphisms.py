@@ -38,11 +38,26 @@ def multiplicativity_failure(
     n = algebra.dim
     if phi.shape != (n, n):
         raise InputError("operator shape does not match the algebra")
-    images = phi.transpose().rows
+    terms = algebra.terms
+    images = list(zip(*phi.rows))  # images[i] = phi(e_i), read once
+    zero = [0] * n
+    image_of_product = {}  # (i, j) -> phi(e_i e_j), for nonzero products
+    for i, j, k, c in terms:
+        image = image_of_product.setdefault((i, j), [0] * n)
+        for r, v in enumerate(images[k]):
+            image[r] += c * v
     for i in range(n):
+        u = images[i]
         for j in range(n):
-            lhs = phi.apply(algebra.product_of_basis(i, j))
-            if lhs != algebra.multiply(images[i], images[j]):
+            v = images[j]
+            product = [0] * n  # phi(e_i) phi(e_j), summed over the terms
+            for p, q, k, c in terms:
+                left = u[p]
+                if left:
+                    right = v[q]
+                    if right:
+                        product[k] += left * right * c
+            if product != image_of_product.get((i, j), zero):
                 return i, j
     return None
 
@@ -113,7 +128,7 @@ def verify_family(
             )
         for i in range(n):
             for j in range(n):
-                delta = Fraction(random_nonzero_int(rng, 9))
+                delta = random_nonzero_int(rng, 9)
                 rows = [list(row) for row in phi.rows]
                 rows[i][j] += delta
                 candidate = Matrix(rows)

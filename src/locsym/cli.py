@@ -70,6 +70,7 @@ from .local_automorphisms import (
 from .local_derivations import (
     LocalDerivationSpace,
     local_derivation_space,
+    membership_checker,
     pointwise_membership,
     strict_inclusion_witness,
     structured_probe_points,
@@ -147,8 +148,9 @@ def _locder_counterexample(
     rng = random.Random(args.seed + 1)
     for _ in range(max(args.trials or 1000, 100)):
         points.append([rng.randint(-99, 99) for _ in range(space.algebra.dim)])
+    member = membership_checker(space.derivations, op)
     for x in points:
-        if pointwise_membership(space.derivations, op, x) is None:
+        if not member(x):
             return _counterexample(
                 args, "pointwise", matrix=operator_to_payload(op),
                 point=_vector_payload(x),
@@ -237,9 +239,18 @@ def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
         return not report.ok, "the shape prediction fails validation"
     if kind == "criterion":
         seed = obj.get("seed", 0)
+        numbers = obj.get("numbers")
+        count = len(CRITERIA)
+        if not isinstance(numbers, list) or not all(
+            type(number) is int and 1 <= number <= count for number in numbers
+        ):
+            raise InputError(
+                f"criterion numbers must be a list of ints in 1..{count}, "
+                f"got {numbers!r}"
+            )
         spaces = builtin_spaces(seed)
         failed = [
-            number for number in obj["numbers"]
+            number for number in numbers
             if not CRITERIA[number - 1](spaces, seed).passed
         ]
         return bool(failed), f"criteria still failing: {failed}"

@@ -21,14 +21,13 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import Algebra
 from .errors import InputError, InternalCheckError
 from .linalg import Matrix, inverse, vector
 from .local_derivations import support_patterns
 from .poly import Poly
-from .rationals import random_nonzero_int
+from .rationals import quotient, random_nonzero_int
 from .templates import (
     AUTOMORPHISM_FORM_PI2,
     AUTOMORPHISM_FORM_PI3,
@@ -75,7 +74,7 @@ def _infeasible(detail: str) -> FeasibilityReport:
 # -- the pointwise solvers ----------------------------------------------------
 
 def _zero_params(names) -> dict:
-    return {name: Fraction(0) for name in names}
+    return {name: 0 for name in names}
 
 
 def _sqrts(value: complex):
@@ -142,35 +141,35 @@ def _feasible_pi2(n, y) -> FeasibilityReport:
     if n1 != 0:
         if y1 == 0:
             return _infeasible("coordinate 1 forces a11 = 0")
-        a11 = y1 / n1
+        a11 = quotient(y1, n1)
         if n1 + n4 != 0:
             if y1 + y4 == 0:
                 return _infeasible("coordinate 4 forces a11 + a41 = 0")
-            a41 = (y4 - a11 * n4) / (n1 + n4)
+            a41 = quotient(y4 - a11 * n4, n1 + n4)
         else:
             if y1 + y4 != 0:
                 return _infeasible(
                     "coordinate 4 is inconsistent on the stratum n1 + n4 = 0"
                 )
-            a41 = Fraction(0)
-        a21 = (y2 - a11 * a11 * n2) / n1
+            a41 = 0
+        a21 = quotient(y2 - a11 * a11 * n2, n1)
         s = a11 + a41
         p.update(a11=a11, a21=a21, a41=a41)
-        p["a31"] = (y3 - 2 * a11 * a21 * n2 - a11 ** 3 * n3) / n1
-        p["a51"] = (y5 - (s * s - a11 * a11) * n2 - s * s * n5) / n1
+        p["a31"] = quotient(y3 - 2 * a11 * a21 * n2 - a11 ** 3 * n3, n1)
+        p["a51"] = quotient(y5 - (s * s - a11 * a11) * n2 - s * s * n5, n1)
         return _exact_report(p, "solved on the n1 != 0 branch")
     if n4 != 0:
         if y1 != 0:
             return _infeasible("coordinate 1 must vanish when n1 = 0")
         if y4 == 0:
             return _infeasible("coordinate 4 forces a11 + a41 = 0")
-        s = y4 / n4
+        s = quotient(y4, n4)
         if n2 != 0:
             if y2 == 0:
                 return _infeasible("coordinate 2 forces a11 = 0")
 
             def n4_witnesses():
-                for a11 in _sqrts(complex(y2 / n2)):
+                for a11 in _sqrts(complex(quotient(y2, n2))):
                     q = {k: complex(v) for k, v in p.items()}
                     q["a11"] = a11
                     q["a41"] = complex(s) - a11
@@ -191,8 +190,8 @@ def _feasible_pi2(n, y) -> FeasibilityReport:
         if y2 != 0:
             return _infeasible("coordinate 2 is inconsistent when n2 = 0")
         p.update(a11=s)
-        p["a34"] = (y3 - s ** 3 * n3) / n4
-        p["a54"] = (y5 - s * s * n5) / n4
+        p["a34"] = quotient(y3 - s ** 3 * n3, n4)
+        p["a54"] = quotient(y5 - s * s * n5, n4)
         return _exact_report(p, "solved on the n4 != 0 branch")
     if n2 != 0:
         if y1 != 0 or y4 != 0:
@@ -202,15 +201,15 @@ def _feasible_pi2(n, y) -> FeasibilityReport:
         if n2 + n5 != 0:
             if y2 + y5 == 0:
                 return _infeasible("coordinate 5 forces a11 + a41 = 0")
-            u2 = (y2 + y5) / (n2 + n5)
+            u2 = quotient(y2 + y5, n2 + n5)
         else:
             if y2 + y5 != 0:
                 return _infeasible(
                     "coordinate 5 is inconsistent on the stratum n2 + n5 = 0"
                 )
-            u2 = y2 / n2
+            u2 = quotient(y2, n2)
         def n2_witnesses():
-            for a11 in _sqrts(complex(y2 / n2)):
+            for a11 in _sqrts(complex(quotient(y2, n2))):
                 for u in _sqrts(complex(u2)):
                     q = {k: complex(v) for k, v in p.items()}
                     q["a11"] = a11
@@ -235,8 +234,10 @@ def _feasible_pi2(n, y) -> FeasibilityReport:
             return _infeasible("coordinate 5 is inconsistent when n5 = 0")
 
         def n3_witnesses():
-            for a11 in _cbrts(complex(y3 / n3)):
-                roots = _sqrts(complex(y5 / n5)) if n5 != 0 else (a11,)
+            for a11 in _cbrts(complex(quotient(y3, n3))):
+                roots = (
+                    _sqrts(complex(quotient(y5, n5))) if n5 != 0 else (a11,)
+                )
                 for u in roots:
                     q = {k: complex(v) for k, v in p.items()}
                     q["a11"] = a11
@@ -254,7 +255,7 @@ def _feasible_pi2(n, y) -> FeasibilityReport:
             return _infeasible("coordinate 5 forces a11 + a41 = 0")
 
         def n5_witnesses():
-            for u in _sqrts(complex(y5 / n5)):
+            for u in _sqrts(complex(quotient(y5, n5))):
                 q = {k: complex(v) for k, v in p.items()}
                 q["a11"] = u
                 yield _try_numeric(
@@ -263,7 +264,7 @@ def _feasible_pi2(n, y) -> FeasibilityReport:
                 )
 
         return _numeric_or_fail(n5_witnesses())
-    p["a11"] = Fraction(1)
+    p["a11"] = 1
     return _exact_report(p, "x = 0 is matched by the identity")
 
 
@@ -276,26 +277,26 @@ def _feasible_pi3(n, y) -> FeasibilityReport:
             return _infeasible("coordinate 1 forces a11 = 0")
         if y1 * n4 != y4 * n1:
             return _infeasible("coordinates 1 and 4 disagree about a11")
-        a11 = y1 / n1
-        a21 = (y2 - a11 * a11 * n2) / n1
+        a11 = quotient(y1, n1)
+        a21 = quotient(y2 - a11 * a11 * n2, n1)
         p.update(a11=a11, a21=a21)
-        p["a31"] = (y3 - 2 * a11 * a21 * n2 - a11 ** 3 * n3) / n1
-        p["a51"] = (y5 - a11 * a11 * n5) / n1
+        p["a31"] = quotient(y3 - 2 * a11 * a21 * n2 - a11 ** 3 * n3, n1)
+        p["a51"] = quotient(y5 - a11 * a11 * n5, n1)
         return _exact_report(p, "solved on the n1 != 0 branch")
     if n4 != 0:
         if y1 != 0:
             return _infeasible("coordinate 1 must vanish when n1 = 0")
         if y4 == 0:
             return _infeasible("coordinate 4 forces a11 = 0")
-        a11 = y4 / n4
+        a11 = quotient(y4, n4)
         if n2 != 0:
             if y4 * y4 * n2 != y2 * n4 * n4:
                 return _infeasible("coordinate 2 disagrees with a11 squared")
         elif y2 != 0:
             return _infeasible("coordinate 2 is inconsistent when n2 = 0")
         p.update(a11=a11)
-        p["a34"] = (y3 - a11 ** 3 * n3) / n4
-        p["a54"] = (y5 - a11 * a11 * n5) / n4
+        p["a34"] = quotient(y3 - a11 ** 3 * n3, n4)
+        p["a54"] = quotient(y5 - a11 * a11 * n5, n4)
         return _exact_report(p, "solved on the n4 != 0 branch")
     if n2 != 0:
         if y1 != 0 or y4 != 0:
@@ -306,7 +307,7 @@ def _feasible_pi3(n, y) -> FeasibilityReport:
             return _infeasible("coordinate 5 disagrees with a11 squared")
 
         def n2_witnesses():
-            for a11 in _sqrts(complex(y2 / n2)):
+            for a11 in _sqrts(complex(quotient(y2, n2))):
                 q = {k: complex(v) for k, v in p.items()}
                 q["a11"] = a11
                 q["a21"] = (
@@ -323,17 +324,17 @@ def _feasible_pi3(n, y) -> FeasibilityReport:
             return _infeasible("coordinates 1, 2 and 4 must vanish")
         if y3 == 0:
             return _infeasible("coordinate 3 forces a11 = 0")
-        w = y3 / n3
+        w = quotient(y3, n3)
         if n5 != 0:
             if y5 == 0:
                 return _infeasible("coordinate 5 forces a11 = 0")
-            u = y5 / n5
+            u = quotient(y5, n5)
             if w * w != u ** 3:
                 return _infeasible(
                     "coordinates 3 and 5 need a11^3 and a11^2 with "
                     "incompatible values"
                 )
-            p["a11"] = w / u
+            p["a11"] = quotient(w, u)
             return _exact_report(p, "solved exactly on the n3, n5 branch")
         if y5 != 0:
             return _infeasible("coordinate 5 is inconsistent when n5 = 0")
@@ -355,7 +356,7 @@ def _feasible_pi3(n, y) -> FeasibilityReport:
             return _infeasible("coordinate 5 forces a11 = 0")
 
         def n5_witnesses():
-            for a11 in _sqrts(complex(y5 / n5)):
+            for a11 in _sqrts(complex(quotient(y5, n5))):
                 q = {k: complex(v) for k, v in p.items()}
                 q["a11"] = a11
                 yield _try_numeric(
@@ -364,7 +365,7 @@ def _feasible_pi3(n, y) -> FeasibilityReport:
                 )
 
         return _numeric_or_fail(n5_witnesses())
-    p["a11"] = Fraction(1)
+    p["a11"] = 1
     return _exact_report(p, "x = 0 is matched by the identity")
 
 
@@ -385,9 +386,9 @@ def locaut_feasible_at(algebra: Algebra, b: Matrix, x) -> FeasibilityReport:
     x = vector(x)
     if len(x) != algebra.dim:
         raise InputError("point dimension does not match the algebra")
-    # The schedules divide coordinates, so they get Fraction operands:
-    # on canonical int entries y1 / n1 would be float division.
-    return solver(tuple(map(Fraction, x)), tuple(map(Fraction, b.apply(x))))
+    # The schedules divide with rationals.quotient, so they run on the
+    # canonical entries and integral coordinates stay ints.
+    return solver(x, b.apply(x))
 
 
 # -- the closed patterns ------------------------------------------------------
@@ -493,16 +494,14 @@ STRATUM_POINTS = (
 )
 
 
-def probe_points(dim: int) -> list[tuple[Fraction, ...]]:
+def probe_points(dim: int) -> list[tuple[int, ...]]:
     """Structured refutation probes: e_i, e_i + e_j, stratum points."""
     points = [
-        tuple(Fraction(int(t in support)) for t in range(dim))
+        tuple(int(t in support) for t in range(dim))
         for support in support_patterns(dim)
         if len(support) <= 2
     ]
-    for raw in STRATUM_POINTS:
-        if len(raw) == dim:
-            points.append(tuple(Fraction(v) for v in raw))
+    points.extend(raw for raw in STRATUM_POINTS if len(raw) == dim)
     return points
 
 
@@ -511,14 +510,14 @@ def find_witness(
     b: Matrix,
     seed: int = 0,
     random_trials: int = 1000,
-) -> tuple[Fraction, ...] | None:
+) -> tuple[int, ...] | None:
     """A point where b has no automorphic match, or None if none found."""
     for x in probe_points(algebra.dim):
         if not locaut_feasible_at(algebra, b, x).feasible:
             return x
     rng = random.Random(seed)
     for _ in range(random_trials):
-        x = tuple(Fraction(rng.randint(-9, 9)) for _ in range(algebra.dim))
+        x = tuple(rng.randint(-9, 9) for _ in range(algebra.dim))
         if not locaut_feasible_at(algebra, b, x).feasible:
             return x
     return None
@@ -537,11 +536,11 @@ def _random_point(supports, strata, dim: int, rng: random.Random, k: int):
     if phase < len(supports):
         support = set(supports[phase])
         return tuple(
-            Fraction(random_nonzero_int(rng, 9) if i in support else 0)
+            random_nonzero_int(rng, 9) if i in support else 0
             for i in range(dim)
         )
-    scale = Fraction(rng.randint(1, 9))
-    return tuple(scale * Fraction(v) for v in strata[phase - len(supports)])
+    scale = rng.randint(1, 9)
+    return tuple(scale * v for v in strata[phase - len(supports)])
 
 
 @dataclass(frozen=True)
@@ -604,7 +603,7 @@ def _random_violation(pattern: LocAutPattern, rng: random.Random) -> Matrix:
     member = random_pattern_member(pattern, rng, branch=branch)
     params, deviations = template.read(member.rows)
     rows = [list(row) for row in member.rows]
-    delta = Fraction(rng.randint(1, 9))
+    delta = rng.randint(1, 9)
     kind = rng.choice(("zero", "relation", "open"))
     if kind == "zero":
         zeros = template.zero_positions()
@@ -631,7 +630,7 @@ def _random_violation(pattern: LocAutPattern, rng: random.Random) -> Matrix:
         if condition.degree_in(v) == 1
     )
     coeff, rest = condition.coeff_split(name)
-    params[name] = -rest.evaluate(params) / coeff.evaluate(params)
+    params[name] = quotient(-rest.evaluate(params), coeff.evaluate(params))
     return Matrix(
         [[entry.evaluate(params) for entry in row] for row in template.entries]
     )

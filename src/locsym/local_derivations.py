@@ -17,11 +17,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .algebra import Algebra
 from .derivations import DerivationSpace, derivation_algebra, is_derivation
-from .errors import InternalCheckError, StratificationError
-from .linalg import Matrix, Subspace, rank, solve, vector
+from .errors import InputError, InternalCheckError, StratificationError
+from .linalg import Matrix, Subspace, in_row_span, solve, vector
 from .poly import Poly
 from .rationals import random_vector
 from .stratify import (
@@ -162,24 +163,28 @@ def local_derivation_space(
     return result
 
 
-def _membership_checker(ders: DerivationSpace, op: Matrix):
+def membership_checker(ders: DerivationSpace, op: Matrix):
     """Pointwise membership test op(x) in span{D_i(x)} for a fixed op.
 
-    Membership is a rank condition and does not change when an operator
-    or the point is scaled, so every operator is scaled to integer
-    entries once and each point is cleared of denominators; the images
-    are then integral and rank runs fraction-free elimination on them.
+    The returned check(x) is True exactly when pointwise_membership(ders,
+    op, x) is not None.  Membership does not change when an operator or
+    the point is scaled, so every operator is scaled to integer entries
+    once and each point is cleared of denominators; the images are then
+    integral and one fraction-free elimination (in_row_span) decides.
     """
     scaled = [
-        m * math.lcm(*(v.denominator for v in m.vec()))
+        (m * math.lcm(*(v.denominator for v in m.vec()))).rows
         for m in (*ders.basis, op)
     ]
+    n = op.shape[1]
 
     def check(x) -> bool:
+        if len(x) != n:
+            raise InputError("point dimension does not match the operator")
         scale = math.lcm(*(v.denominator for v in x))
-        x = vector(v * scale for v in x)
-        images = [m.apply(x) for m in scaled]
-        return rank(images[:-1]) == rank(images)
+        x = [v.numerator * (scale // v.denominator) for v in x]
+        images = [[sum(map(mul, row, x)) for row in rows] for rows in scaled]
+        return in_row_span(images[:-1], images[-1])
 
     return check
 
@@ -196,7 +201,7 @@ def _self_check(
     n = space.algebra.dim
     per_op = max(1, checks // max(1, len(space.basis)))
     for op in space.basis:
-        member = _membership_checker(ders, op)
+        member = membership_checker(ders, op)
         for _ in range(per_op):
             x = [rng.randint(-999, 999) for _ in range(n)]
             if not member(x):
@@ -244,7 +249,7 @@ def verify_pointwise_everywhere(
     seed: int = 0,
 ) -> None:
     """Assert pointwise membership on structured plus random points."""
-    member = _membership_checker(ders, op)
+    member = membership_checker(ders, op)
     points = structured_probe_points(algebra, tree, seed=seed)
     rng = random.Random(seed + 1)
     while len(points) < checks:

@@ -4,7 +4,8 @@ Exact scalars have one canonical form, produced by `exact`: a Python int
 when the value is integral and a fractions.Fraction otherwise.  Matrices
 and vectors hold their entries in this form, so integral data runs on
 machine integers and only true fractions pay for Fraction arithmetic.
-Divide with a Fraction operand: int / int is a float.
+Divide exact scalars with `quotient`: int / int is a float, and
+`quotient` keeps an exact int quotient an int.
 
 Serialized rationals are "p" or "p/q" strings so that round trips are
 lossless.  Random rationals follow one convention everywhere: numerator
@@ -27,6 +28,18 @@ def exact(value) -> int | Fraction:
     if kind is not Fraction:
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def quotient(a, b) -> int | Fraction:
+    """Exact a / b in canonical form: the one way to divide exact scalars.
+
+    Ints that divide exactly give the int a // b and other int pairs give
+    Fraction(a, b), so integral data never pays for a Fraction.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return exact(Fraction(a) / b)
 
 
 def parse_rational(text: str | int) -> Fraction:

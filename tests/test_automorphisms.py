@@ -1,5 +1,6 @@
 """Automorphism groups: closed families, verification, group laws."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from locsym import (
     Matrix,
     group_closure_report,
     is_automorphism,
+    load_algebra,
     multiplicativity_residual,
     random_member,
     verify_family,
@@ -58,6 +60,58 @@ def test_multiplicativity_failure_names_the_first_basis_pair(pi2, fam2):
     # the zero map is multiplicative; only invertibility rejects it
     assert multiplicativity_failure(pi2, Matrix.zeros(5, 5)) is None
     assert multiplicativity_failure(pi2, member(fam2)) is None
+
+
+def first_failure_by_brute_force(algebra, phi):
+    """phi(e_i e_j) != phi(e_i) phi(e_j), scanned i outer, j inner."""
+    n = algebra.dim
+    images = phi.transpose().rows
+
+    def product(x, y):
+        out = [0] * n
+        for i in range(n):
+            for j in range(n):
+                for k, c in enumerate(algebra.product_of_basis(i, j)):
+                    out[k] += x[i] * y[j] * c
+        return tuple(out)
+
+    for i in range(n):
+        for j in range(n):
+            lhs = phi.apply(algebra.product_of_basis(i, j))
+            if lhs != product(images[i], images[j]):
+                return i, j
+    return None
+
+
+def test_multiplicativity_kernel_matches_brute_force(tmp_path, pi2, pi3, fam2, fam3):
+    # pi2's products with two rational structure constants, from a file
+    path = tmp_path / "halves.json"
+    products = [(1, 1, 2, "1"), (1, 2, 3, "1"), (2, 1, 3, "1"),
+                (1, 4, 5, "1/2"), (4, 1, 5, "1"), (4, 4, 5, "-3/4")]
+    path.write_text(json.dumps({"name": "halves", "dim": 5, "products": [
+        {"i": i, "j": j, "k": k, "c": c} for i, j, k, c in products
+    ]}))
+    halves = load_algebra(str(path))
+    assert (0, 3, 4, Fraction(1, 2)) in halves.terms
+    assert (3, 3, 4, Fraction(-3, 4)) in halves.terms
+    rng = random.Random(8)
+    outcomes = set()
+    for fam in (fam2, fam3):
+        for _ in range(40):
+            phi = random_member(fam, rng)
+            candidates = [phi]
+            for _ in range(6):
+                rows = [list(row) for row in phi.rows]
+                delta = rng.choice((rng.randint(-9, 9) or 1,
+                                    Fraction(rng.randint(1, 9), rng.randint(2, 9))))
+                rows[rng.randrange(5)][rng.randrange(5)] += delta
+                candidates.append(Matrix(rows))
+            for candidate in candidates:
+                for algebra in (pi2, pi3, halves):
+                    expected = first_failure_by_brute_force(algebra, candidate)
+                    assert multiplicativity_failure(algebra, candidate) == expected
+                    outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_template_match_recovers_parameters(fam2):

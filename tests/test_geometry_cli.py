@@ -324,6 +324,21 @@ def test_cli_trials_must_be_positive(command, trials, capsys):
     assert "not a positive integer" in capsys.readouterr().err
 
 
+def test_cli_locder_check_pins_the_refuting_point(tmp_path, capsys):
+    # The counterexample is the first probe point, structured points then
+    # seeded random ones, where E12 fails membership; at seed 7 that is
+    # the second structured point.
+    e12 = str(tmp_path / "e12.json")
+    save_operator(e12, Matrix([[0, 1, 0, 0, 0]] + [[0] * 5] * 4))
+    assert run_cli("locder", "check", "--algebra", "pi2", "--matrix", e12,
+                   "--seed", "7", "--format", "structured") == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["counterexample"]["kind"] == "pointwise"
+    assert report["counterexample"]["point"] == [
+        "0", "683647/171996", "0", "0", "0"
+    ]
+
+
 def test_cli_locder_check_computes_locder_once(tmp_path, capsys, monkeypatch):
     import locsym.cli
     import locsym.local_derivations
@@ -415,6 +430,16 @@ def test_script_locder_refuses_a_pivot_that_does_not_split(tmp_path, dense_pi3):
     proc = run_script("locder", "basis", "--algebra", path)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("unsupported: pivot does not split")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("numbers", [[12], [0], ["2"]], ids=str)
+def test_script_criterion_replay_refuses_bad_numbers(tmp_path, numbers):
+    path = tmp_path / "criterion.json"
+    path.write_text(json.dumps({"kind": "criterion", "numbers": numbers}))
+    proc = run_script("verify-counterexample", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error: criterion numbers")
     assert "Traceback" not in proc.stderr
 
 

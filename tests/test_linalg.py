@@ -6,6 +6,7 @@ exercised directly.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from locsym import InputError, Matrix, Subspace
 from locsym.linalg import (
+    in_row_span,
     inverse,
     is_invertible,
     nullspace,
@@ -25,7 +27,7 @@ from locsym.linalg import (
     solve,
     vector,
 )
-from locsym.rationals import exact
+from locsym.rationals import exact, quotient
 
 entries = st.integers(-9, 9)
 
@@ -87,12 +89,67 @@ def test_entries_are_canonical_exact_scalars():
     assert type(exact(True)) is int
 
 
+def test_quotient_is_exact_and_canonical():
+    assert quotient(12, 4) == 3 and type(quotient(12, 4)) is int
+    assert quotient(-12, 4) == -3 and type(quotient(-12, 4)) is int
+    assert quotient(7, 2) == Fraction(7, 2)
+    assert quotient(-6, 4) == Fraction(-3, 2)
+    # a negative divisor: the sign folds into the numerator
+    assert quotient(7, -7) == -1 and type(quotient(7, -7)) is int
+    assert quotient(3, -6) == Fraction(-1, 2)
+    assert quotient(0, -5) == 0 and type(quotient(0, -5)) is int
+    # Fraction operands come back canonical
+    assert quotient(Fraction(3, 2), Fraction(3, 4)) == 2
+    assert type(quotient(Fraction(3, 2), Fraction(3, 4))) is int
+    assert quotient(Fraction(1, 2), 3) == Fraction(1, 6)
+    assert quotient(5, Fraction(-2, 3)) == Fraction(-15, 2)
+    assert type(quotient(Fraction(6, 1), 3)) is int
+    with pytest.raises(ZeroDivisionError):
+        quotient(1, 0)
+
+
 # -- rank / rref / nullspace / inverse vs sympy ----------------------------
 
 @settings(max_examples=50, deadline=None)
 @given(rect)
 def test_rank_matches_sympy(rows):
     assert rank(rows) == sympy.Matrix(rows).rank()
+
+
+def test_in_row_span_agrees_with_rank():
+    rng = random.Random(5)
+
+    def draw(ncols, bound):
+        return [rng.choice((0, 0, rng.randint(-bound, bound)))
+                for _ in range(ncols)]
+
+    outcomes = set()
+    for trial in range(3000):
+        ncols = rng.randint(1, 6)
+        bound = 10**6 if trial % 5 == 0 else 9
+        rows = [draw(ncols, bound) for _ in range(rng.randint(0, 7))]
+        if rows and trial % 3 == 0:
+            # rank-deficient: one row is a combination of the others
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([a * u + b * v for u, v in zip(rows[0], rows[-1])])
+        if trial % 7 == 0:
+            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+        kind = trial % 4
+        if kind == 0:
+            target = [0] * ncols
+        elif kind == 1 and rows:
+            # a combination of the rows, so inside the span
+            coeffs = [rng.randint(-4, 4) for _ in rows]
+            target = [sum(c * row[j] for c, row in zip(coeffs, rows))
+                      for j in range(ncols)]
+        else:
+            target = draw(ncols, bound)
+        before = ([list(row) for row in rows], list(target))
+        expected = rank(rows) == rank(rows + [target])
+        assert in_row_span(rows, target) == expected, (rows, target)
+        assert (rows, target) == before  # the inputs are left as they were
+        outcomes.add((kind, expected))
+    assert {(0, True), (1, True), (2, False), (3, True), (3, False)} <= outcomes
 
 
 @settings(max_examples=40, deadline=None)

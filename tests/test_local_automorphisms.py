@@ -104,6 +104,27 @@ def test_feasibility_report_carries_matching_parameters(pi2, pat2, fam2):
     assert phi.apply(x) == member.apply(x)
 
 
+def assert_exact_witnesses_match(rng, points, cases):
+    """Every exact witness is canonical (never a float) and matches b at x."""
+    exact_reports = 0
+    for algebra, pattern, family in cases:
+        for _ in range(10):
+            b = random_pattern_member(pattern, rng)
+            for x in points:
+                report = locaut_feasible_at(algebra, b, x)
+                assert report.feasible
+                if not report.exact:
+                    continue
+                exact_reports += 1
+                for v in report.witness_params.values():
+                    assert type(v) is int or (
+                        type(v) is Fraction and v.denominator != 1
+                    ), v
+                phi = family.instantiate(report.witness_params)
+                assert phi.apply(x) == b.apply(x)
+    assert exact_reports > 0
+
+
 def test_exact_witnesses_stay_exact_on_int_points(
     pi2, pi3, pat2, pat3, fam2, fam3
 ):
@@ -115,21 +136,27 @@ def test_exact_witnesses_stay_exact_on_int_points(
         tuple(rng.choice((-3, -2, -1, 1, 2, 3)) if i in s else 0 for i in range(5))
         for s in supports
     ] + [tuple(rng.randint(1, 9) * v for v in raw) for raw in strata]
-    exact_reports = 0
-    for algebra, pattern, family in ((pi2, pat2, fam2), (pi3, pat3, fam3)):
-        for _ in range(10):
-            b = random_pattern_member(pattern, rng)
-            for x in points:
-                report = locaut_feasible_at(algebra, b, x)
-                assert report.feasible
-                if not report.exact:
-                    continue
-                exact_reports += 1
-                values = report.witness_params.values()
-                assert all(type(v) in (int, Fraction) for v in values)
-                phi = family.instantiate(report.witness_params)
-                assert phi.apply(x) == b.apply(x)
-    assert exact_reports > 0
+    assert_exact_witnesses_match(
+        rng, points, ((pi2, pat2, fam2), (pi3, pat3, fam3))
+    )
+
+
+def test_exact_witnesses_stay_exact_on_rational_points(
+    pi2, pi3, pat2, pat3, fam2, fam3
+):
+    rng = random.Random(12)
+    supports, strata = _point_cycle(5)
+
+    def ratio():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
+
+    points = [
+        tuple(ratio() if i in s else 0 for i in range(5)) for s in supports
+    ] + [tuple(ratio() * v for v in raw) for raw in strata]
+    assert any(type(v) is Fraction for x in points for v in x)
+    assert_exact_witnesses_match(
+        rng, points, ((pi2, pat2, fam2), (pi3, pat3, fam3))
+    )
 
 
 # -- refutation witnesses --------------------------------------------------------------
