@@ -8,7 +8,6 @@ reproduces byte-identical output.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from .algebra import (
     is_associative,
     power_filtration,
 )
-from .derivations import bracket, bracket_closed, is_derivation
+from .derivations import bracket_closed, is_derivation
 from .expbridge import bridge_check, eval_series, closed_form, series_coefficients
 from .geometry import geometry_report
 from .inference import infer_shape, validate_prediction
@@ -212,46 +211,18 @@ def criterion_4(spaces: Spaces, seed: int) -> CriterionResult:
     )
 
 
-_COMMUTATOR_PI3 = {
-    # 0-based positions mapped to exact bilinear forms in (x, y) params
-    (1, 0): lambda x, y: x["b11"] * y["b21"] - x["b21"] * y["b11"],
-    (2, 0): lambda x, y: 2 * x["b11"] * y["b31"] + x["b32"] * y["b21"]
-    - x["b21"] * y["b32"] - 2 * x["b31"] * y["b11"],
-    (2, 1): lambda x, y: x["b11"] * y["b32"] - x["b32"] * y["b11"],
-    (2, 3): lambda x, y: 2 * x["b11"] * y["b34"] - 2 * x["b34"] * y["b11"],
-    (4, 0): lambda x, y: x["b11"] * y["b51"] - x["b51"] * y["b11"],
-    (4, 3): lambda x, y: x["b11"] * y["b54"] - x["b54"] * y["b11"],
-}
-
-
 def criterion_5(spaces: Spaces, seed: int) -> CriterionResult:
-    """Bracket closure of both spaces plus the displayed commutator."""
+    """Bracket closure of both spaces, hence (criterion 3) of both templates."""
     problems = []
     for name in BOTH:
         ok, _ = bracket_closed(spaces[name].basis)
         if not ok:
             problems.append(f"bracket left LocDer({name})")
-    # Both the bracket and the displayed forms are bilinear in the
-    # parameters, so agreement on every pair of parameter basis vectors
-    # is agreement everywhere.
-    template = closed_forms(spaces["pi3"].algebra).local_derivation
-    units = [{q: int(q == p) for q in template.params} for p in template.params]
-    for x, y in itertools.product(units, repeat=2):
-        commutator = bracket(template.instantiate(x), template.instantiate(y))
-        for i in range(5):
-            for j in range(5):
-                form = _COMMUTATOR_PI3.get((i, j))
-                expected = form(x, y) if form else 0
-                if commutator.rows[i][j] != expected:
-                    problems.append(
-                        f"commutator entry ({i + 1},{j + 1}) deviates from "
-                        f"the displayed form"
-                    )
     return _result(
         5,
         problems,
-        "both spaces bracket-closed on every basis pair (exact); displayed "
-        "commutator entries reproduced on every parameter basis pair (exact)",
+        "both spaces bracket-closed on every basis pair (exact, by "
+        "bilinearity), so by criterion 3 both templates are Lie algebras",
     )
 
 
@@ -263,7 +234,7 @@ def criterion_6(spaces: Spaces, seed: int) -> CriterionResult:
         report = verify_family(family, trials=500, seed=_subseed(seed, 9))
         if not report.ok:
             problems.append(f"verify_family({name}): {report.detail}")
-        closure = group_closure_report(family, trials=100, seed=_subseed(seed, 10))
+        closure = group_closure_report(family)
         if not closure.ok:
             problems.append(f"group closure({name}): {closure.detail}")
     return _result(
@@ -282,7 +253,7 @@ def criterion_7(spaces: Spaces, seed: int) -> CriterionResult:
         report = verify_pattern(pattern, trials=200, seed=_subseed(seed, 11))
         if not report.ok:
             problems.append(f"verify_pattern({name}): {report.detail}")
-        if not group_closure_check(pattern, trials=50, seed=_subseed(seed, 12)):
+        if not group_closure_check(pattern):
             problems.append(f"pattern closure({name}) failed")
     # single-relation violations with pinned witnesses
     b22_bump = Matrix(

@@ -52,7 +52,6 @@ from .geometry import geometry_report
 from .inference import infer_shape, validate_prediction
 from .linalg import (
     Matrix,
-    Subspace,
     is_invertible,
     load_operator,
     operator_from_payload,
@@ -75,7 +74,7 @@ from .local_derivations import (
     strict_inclusion_witness,
     structured_probe_points,
 )
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational
 from .templates import LOCAL_DERIVATION_FORM_PI3, closed_forms
 
 SCHEMA = "locsym-report/1"
@@ -106,10 +105,6 @@ def _format_complex_lines(rows) -> list[str]:
 
 def _vector_payload(x) -> list[str]:
     return [format_rational(Fraction(v)) for v in x]
-
-
-def _vector_from_payload(raw) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in raw)
 
 
 def _require_rational(m) -> Matrix:
@@ -160,101 +155,102 @@ def _locder_counterexample(
     )
 
 
+def _field(obj: dict, name: str, what: str, ok=lambda raw: True, parse=None):
+    """A field of a replayed counterexample, checked by `ok`, read by `parse`.
+
+    Neither calls an engine: a missing or malformed field is bad input.
+    """
+    raw = obj.get(name)
+    if name not in obj or not ok(raw):
+        raise InputError(f"{obj['kind']} {name} must be {what}, got {raw!r}")
+    try:
+        return parse(raw) if parse else raw
+    except (InputError, TypeError, ValueError) as exc:
+        raise InputError(f"{obj['kind']} {name} must be {what}: {exc}") from exc
+
+
+_KINDS = (
+    "associativity_triple", "leibniz_pair", "multiplicativity_pair",
+    "not_invertible", "pointwise", "span_membership", "locaut_witness",
+    "pattern_member", "pattern_residual", "family_escape", "bridge_sample",
+    "inference_violation", "criterion",
+)
+
+
 def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
     """Re-run an emitted counterexample; True when it still violates."""
     kind = obj.get("kind")
+    if kind not in _KINDS:
+        raise InputError(f"unknown counterexample kind {kind!r}")
+    if kind == "criterion":
+        count = len(CRITERIA)
+        numbers = _field(obj, "numbers", f"a list of ints in 1..{count}",
+                         lambda raw: isinstance(raw, list) and all(
+                             type(v) is int and 0 < v <= count for v in raw))
+        seed = _field({"seed": 0, **obj}, "seed", "an unsigned 64-bit int",
+                      lambda raw: type(raw) is int and 0 <= raw < 2 ** 64)
+        spaces = builtin_spaces(seed)
+        failed = [k for k in numbers if not CRITERIA[k - 1](spaces, seed).passed]
+        return bool(failed), f"criteria still failing: {failed}"
+    if kind in ("pattern_residual", "bridge_sample"):
+        op = _field(obj, "matrix", "an operator", parse=operator_from_payload)
+    elif kind not in ("associativity_triple", "inference_violation"):
+        op = _field(obj, "matrix", "a rational operator", parse=lambda raw:
+                    _require_rational(operator_from_payload(raw)))
+    if kind == "not_invertible":
+        return not is_invertible(op), "the matrix is singular"
+    algebra = get_algebra(_field(obj, "algebra", "a builtin name or file path",
+                                 lambda raw: isinstance(raw, str)))
+    n = algebra.dim
     if kind == "associativity_triple":
-        algebra = get_algebra(obj["algebra"])
-        recorded = tuple(t - 1 for t in obj["triple"])
+        triple = _field(obj, "triple", f"three ints in 1..{n}",
+                        lambda raw: isinstance(raw, list) and len(raw) == 3
+                        and all(type(v) is int and 0 < v <= n for v in raw))
         return (
-            associativity_failure(algebra) == recorded,
+            associativity_failure(algebra) == tuple(t - 1 for t in triple),
             "associativity fails first at the recorded triple",
         )
     if kind == "leibniz_pair":
-        algebra = get_algebra(obj["algebra"])
-        op = _require_rational(operator_from_payload(obj["matrix"]))
-        failed = leibniz_failure(algebra, op) is not None
-        return failed, "the Leibniz identity fails"
-    if kind == "multiplicativity_pair" or kind == "not_invertible":
-        phi = _require_rational(operator_from_payload(obj["matrix"]))
-        if kind == "not_invertible":
-            return not is_invertible(phi), "the matrix is singular"
-        algebra = get_algebra(obj["algebra"])
-        failed = multiplicativity_failure(algebra, phi) is not None
-        return failed or not is_invertible(phi), "multiplicativity fails"
-    if kind == "pointwise":
-        algebra = get_algebra(obj["algebra"])
-        op = _require_rational(operator_from_payload(obj["matrix"]))
-        ders = derivation_algebra(algebra)
-        x = _vector_from_payload(obj["point"])
+        return leibniz_failure(algebra, op) is not None, "the Leibniz identity fails"
+    if kind == "multiplicativity_pair":
+        failed = multiplicativity_failure(algebra, op) is not None
+        return failed or not is_invertible(op), "multiplicativity fails"
+    if kind in ("pointwise", "locaut_witness"):
+        x = _field(obj, "point", f"a list of {n} rationals",
+                   lambda raw: isinstance(raw, list) and len(raw) == n,
+                   lambda raw: tuple(parse_rational(v) for v in raw))
+        if kind == "locaut_witness":
+            report = locaut_feasible_at(algebra, op, x)
+            return not report.feasible, "no automorphism matches at the point"
         return (
-            pointwise_membership(ders, op, x) is None,
+            pointwise_membership(derivation_algebra(algebra), op, x) is None,
             "no derivation matches the operator at the recorded point",
         )
     if kind == "span_membership":
-        algebra = get_algebra(obj["algebra"])
-        op = _require_rational(operator_from_payload(obj["matrix"]))
-        if obj["space"] == "der":
-            basis = derivation_algebra(algebra).basis
-        else:
-            basis = local_derivation_space(algebra).basis
-        n = algebra.dim
-        span = Subspace(n * n, [b.vec() for b in basis])
-        return not span.contains(op.vec()), "the operator is outside the space"
-    if kind == "locaut_witness":
-        algebra = get_algebra(obj["algebra"])
-        b = _require_rational(operator_from_payload(obj["matrix"]))
-        x = _vector_from_payload(obj["point"])
-        report = locaut_feasible_at(algebra, b, x)
-        return not report.feasible, "no automorphism matches at the point"
+        space = _field(obj, "space", "der or locder",
+                       lambda raw: raw in ("der", "locder"))
+        solve = derivation_algebra if space == "der" else local_derivation_space
+        return not solve(algebra).contains(op), "the operator is outside the space"
     if kind == "pattern_member":
-        algebra = get_algebra(obj["algebra"])
-        b = _require_rational(operator_from_payload(obj["matrix"]))
-        check = pattern_check(locaut_pattern(algebra), b)
+        check = pattern_check(locaut_pattern(algebra), op)
         return not check.ok, "the matrix violates the pattern"
     if kind == "pattern_residual":
-        algebra = get_algebra(obj["algebra"])
-        rows = operator_from_payload(obj["matrix"])
-        check = pattern_residual(algebra, rows)
+        check = pattern_residual(algebra, op)
         return check.residual > tol, "the numeric pattern residual exceeds tol"
     if kind == "family_escape":
-        algebra = get_algebra(obj["algebra"])
-        phi = _require_rational(operator_from_payload(obj["matrix"]))
         family = automorphism_family(algebra)
-        escaped = is_automorphism(algebra, phi) and family.match(phi) is None
+        escaped = is_automorphism(algebra, op) and family.match(op) is None
         return escaped, "an automorphism escapes the family template"
     if kind == "bridge_sample":
-        algebra = get_algebra(obj["algebra"])
-        rows = operator_from_payload(obj["matrix"])
-        if obj["direction"] == "exp":
-            residual = pattern_residual(algebra, matrix_exp(rows)).residual
+        if _field(obj, "direction", "exp or log",
+                  lambda raw: raw in ("exp", "log")) == "exp":
+            residual = pattern_residual(algebra, matrix_exp(op)).residual
             return residual > EXP_PATTERN_TOL, "the exponential leaves the pattern"
-        residual = log_round_trip_residual(rows)
+        residual = log_round_trip_residual(op)
         return residual > LOG_ROUND_TRIP_TOL, "the log/exp round trip misses"
-    if kind == "inference_violation":
-        algebra = get_algebra(obj["algebra"])
-        prediction = infer_shape(closed_forms(algebra).derivation)
-        space = local_derivation_space(algebra)
-        report = validate_prediction(prediction, space)
-        return not report.ok, "the shape prediction fails validation"
-    if kind == "criterion":
-        seed = obj.get("seed", 0)
-        numbers = obj.get("numbers")
-        count = len(CRITERIA)
-        if not isinstance(numbers, list) or not all(
-            type(number) is int and 1 <= number <= count for number in numbers
-        ):
-            raise InputError(
-                f"criterion numbers must be a list of ints in 1..{count}, "
-                f"got {numbers!r}"
-            )
-        spaces = builtin_spaces(seed)
-        failed = [
-            number for number in numbers
-            if not CRITERIA[number - 1](spaces, seed).passed
-        ]
-        return bool(failed), f"criteria still failing: {failed}"
-    raise InputError(f"unknown counterexample kind {obj.get('kind')!r}")
+    prediction = infer_shape(closed_forms(algebra).derivation)
+    report = validate_prediction(prediction, local_derivation_space(algebra))
+    return not report.ok, "the shape prediction fails validation"
 
 
 # -- command handlers ---------------------------------------------------------
@@ -358,9 +354,7 @@ def _cmd_locder_check(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
     op = _require_rational(load_operator(args.matrix))
     space = local_derivation_space(algebra, seed=args.seed)
-    n = algebra.dim
-    span = Subspace(n * n, [b.vec() for b in space.basis])
-    ok = span.contains(op.vec())
+    ok = space.contains(op)
     payload = {"algebra": algebra.name, "is_local_derivation": ok}
     lines = [f"is_local_derivation: {ok}"]
     if not ok:
@@ -438,9 +432,7 @@ def _cmd_aut_family_verify(args) -> tuple[int, dict, list[str]]:
     family = automorphism_family(algebra)
     trials = args.trials or 500
     report = verify_family(family, trials=trials, seed=args.seed)
-    closure = group_closure_report(
-        family, trials=max(trials // 5, 20), seed=args.seed + 1
-    )
+    closure = group_closure_report(family)
     ok = report.ok and closure.ok
     payload = {
         "algebra": algebra.name,
@@ -742,7 +734,10 @@ def _cmd_suite(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_verify_counterexample(args) -> tuple[int, dict, list[str]]:
     with open(args.file, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{args.file} is not JSON: {exc}") from exc
     obj = raw.get("counterexample", raw) if isinstance(raw, dict) else raw
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("the file holds no counterexample to replay")

@@ -10,11 +10,13 @@ machine-checked" rather than claiming to verify them.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import Algebra
 from .errors import InternalCheckError
 from .local_automorphisms import LocAutPattern, locaut_pattern
+from .templates import unit_times_powers
 
 
 @dataclass(frozen=True)
@@ -38,33 +40,20 @@ class GeometryReport:
 def branch_disjointness(pattern: LocAutPattern) -> bool:
     """Exact: distinct branches cannot be satisfied simultaneously.
 
-    Every entry where two branch templates differ must differ by a
-    nonzero monomial whose variables are all forced nonzero by the
-    open conditions; such a monomial cannot vanish on the pattern
-    domain, so no matrix lies on both branches.
+    Every entry where two branch templates differ must differ by a unit
+    times powers of the open conditions; such a difference cannot vanish
+    on the pattern domain, so no matrix lies on both branches.
     """
-    branches = pattern.branches
-    if len(branches) == 1:
-        return True
-    if len(branches) != 2:
-        raise InternalCheckError("disjointness probe expects two branches")
-    first = pattern.template(branches[0])
-    second = pattern.template(branches[1])
-    open_vars = set()
-    for condition in first.nonzero:
-        open_vars.update(condition.variables())
-    differing = 0
-    for row_a, row_b in zip(first.entries, second.entries):
-        for a, b in zip(row_a, row_b):
-            diff = a - b
-            if diff.is_zero():
-                continue
-            differing += 1
-            if len(diff.terms) != 1:
-                return False
-            if not all(v in open_vars for v in diff.variables()):
-                return False
-    return differing > 0
+    for first, second in itertools.combinations(pattern.templates, 2):
+        gaps = [
+            a - b
+            for row_a, row_b in zip(first.entries, second.entries)
+            for a, b in zip(row_a, row_b)
+            if a != b
+        ]
+        if not gaps or not all(unit_times_powers(g, first.nonzero) for g in gaps):
+            return False
+    return True
 
 
 def geometry_report(algebra: Algebra) -> GeometryReport:

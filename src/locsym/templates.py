@@ -11,8 +11,8 @@ bare entry in row-major order gives its value, and every other entry
 (later bare ones too, like b44 = b11 for pi3) is a zero or a relation,
 checked as grid value minus template polynomial.  Power constraints
 like a11^3 are therefore equalities of powers, never root extractions.
-template_match and the local-automorphism pattern checks are built on
-this reading.
+template_match, the local-automorphism pattern checks and the group
+closure proof (closure_failure) are built on this reading.
 """
 from __future__ import annotations
 
@@ -67,6 +67,12 @@ class MatrixTemplate:
         return Matrix(
             [[e.evaluate(values) for e in row] for row in self.entries]
         )
+
+    def symbolic(self, suffix: str):
+        """The grid and open conditions with each parameter p renamed p + suffix."""
+        rename = {p: Poly.var(p + suffix) for p in self.params}
+        grid = tuple(tuple(e.subs(rename) for e in row) for row in self.entries)
+        return grid, tuple(c.subs(rename) for c in self.nonzero)
 
     def instantiate_numeric(self, assignment):
         """Complex instantiation; open conditions are not enforced here."""
@@ -133,7 +139,7 @@ class MatrixTemplate:
     def read(self, rows, evaluate=Poly.evaluate):
         """Parameters read off a grid, and its deviation at every other entry.
 
-        `evaluate` is Poly.evaluate or Poly.evaluate_numeric.
+        `evaluate` is Poly.evaluate, Poly.evaluate_numeric or Poly.subs.
         """
         free = self.free_coordinates
         params = {name: rows[i][j] for name, (i, j) in free.items()}
@@ -183,6 +189,75 @@ def template_space_equals(template: MatrixTemplate, basis) -> bool:
         template.dim * template.dim, [mat.vec() for mat in basis]
     )
     return span == other
+
+
+# -- group closure, proved on symbolic members --------------------------------
+
+
+def determinant(rows) -> Poly:
+    """Determinant of a square grid of polynomials (Laplace, first row)."""
+    if not rows:
+        return Poly.const(1)
+    total = Poly.zero()
+    for j, entry in enumerate(rows[0]):
+        if not entry.is_zero():
+            term = entry * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def unit_times_powers(p: Poly, factors) -> bool:
+    """Whether p is a nonzero constant times a product of powers of factors."""
+    for f in (f for f in factors if not f.is_constant()):
+        while not p.is_zero() and (q := p.div_exact(f)) is not None:
+            p = q
+    return p.is_constant() and not p.is_zero()
+
+
+def product_template(left, right, candidates) -> MatrixTemplate | None:
+    """The candidate holding the product of any left and any right member."""
+    x, x_open = left.symbolic("_l")
+    y, y_open = right.symbolic("_r")
+    product = [[sum((a * b for a, b in zip(row, col)), Poly.zero())
+                for col in zip(*y)] for row in x]
+    for template in candidates:
+        params, deviations = template.read(product, Poly.subs)
+        if all(d.is_zero() for d in deviations.values()) and all(
+            unit_times_powers(c.subs(params), x_open + y_open)
+            for c in template.nonzero
+        ):
+            return template
+    return None
+
+
+def closure_failure(templates) -> str | None:
+    """Why the union S of the templates' members is no group, or None.
+
+    1. det of each symbolic grid is a unit times powers of its open
+       conditions, each dividing it: its members are V ∩ GL_n, with V the
+       Zariski-closed set where its shape and relations hold.  So S is
+       closed in GL_n.
+    2. For each ordered pair of templates, some template reads the product
+       of two symbolic members with no deviation, and its open conditions
+       there are units times powers of the factors' (product_template).
+       So SS ⊆ S.
+
+    Then S is a group.  For x in S, S ⊇ xS ⊇ x²S ⊇ … are closed, since
+    left multiplication is a homeomorphism, and the chain stabilizes, the
+    topology being Noetherian.  So xS = S: xs = x gives e = s in S, and
+    xs' = e gives x⁻¹ = s' in S.
+    """
+    for k, template in enumerate(templates, 1):
+        det = determinant(template.entries)
+        if not unit_times_powers(det, template.nonzero) or any(
+            det.div_exact(c) is None for c in template.nonzero
+        ):
+            return f"det of template {k} is not a unit times its open conditions"
+    for i, left in enumerate(templates, 1):
+        for j, right in enumerate(templates, 1):
+            if product_template(left, right, templates) is None:
+                return f"a product of members of templates {i} and {j} is in none"
+    return None
 
 
 # -- built-in closed forms --------------------------------------------------

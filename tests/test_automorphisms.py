@@ -132,7 +132,7 @@ def test_verify_family_small_battery(fam2, fam3):
 
 def test_group_closure(fam2, fam3):
     for fam in (fam2, fam3):
-        report = group_closure_report(fam, trials=30, seed=4)
+        report = group_closure_report(fam)
         assert report.ok, report.detail
 
 

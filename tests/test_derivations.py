@@ -1,6 +1,5 @@
 """Derivation algebras: Leibniz solving, dimensions, Lie structure."""
 
-import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -15,6 +14,7 @@ from locsym import (
     zero_algebra,
 )
 from locsym.derivations import derivation_algebra, leibniz_failure
+from locsym.poly import Poly
 from locsym.templates import DERIVATION_FORM_PI2, LOCAL_DERIVATION_FORM_PI3
 
 coeffs = st.lists(st.integers(-6, 6), min_size=7, max_size=7)
@@ -123,8 +123,9 @@ def test_weighted_diagonal_bracket_raises_e21():
 
 
 def test_displayed_commutator_forms_match_bracket():
-    # six nonzero entries of [x, y] for the local-derivation template, as
-    # exact bilinear forms in the parameters
+    # The paper's six nonzero entries of [x, y] on the local-derivation
+    # template of pi3, checked as polynomial identities in the parameters
+    # of two symbolic members.
     forms = {
         (1, 0): lambda x, y: x["b11"] * y["b21"] - x["b21"] * y["b11"],
         (2, 0): lambda x, y: 2 * x["b11"] * y["b31"] + x["b32"] * y["b21"]
@@ -135,12 +136,18 @@ def test_displayed_commutator_forms_match_bracket():
         (4, 3): lambda x, y: x["b11"] * y["b54"] - x["b54"] * y["b11"],
     }
     template = LOCAL_DERIVATION_FORM_PI3
-    rng = random.Random(3)
-    for _ in range(20):
-        x = {p: Fraction(rng.randint(-9, 9)) for p in template.params}
-        y = {p: Fraction(rng.randint(-9, 9)) for p in template.params}
-        commutator = bracket(template.instantiate(x), template.instantiate(y))
-        for i in range(5):
-            for j in range(5):
-                form = forms.get((i, j))
-                assert commutator.rows[i][j] == (form(x, y) if form else 0)
+    gx, _ = template.symbolic("_x")
+    gy, _ = template.symbolic("_y")
+    x = {p: Poly.var(p + "_x") for p in template.params}
+    y = {p: Poly.var(p + "_y") for p in template.params}
+
+    def product(a, b):
+        return [[sum((a[i][k] * b[k][j] for k in range(5)), Poly.zero())
+                 for j in range(5)] for i in range(5)]
+
+    xy, yx = product(gx, gy), product(gy, gx)
+    for i in range(5):
+        for j in range(5):
+            form = forms.get((i, j))
+            expected = form(x, y) if form else Poly.zero()
+            assert xy[i][j] - yx[i][j] == expected, (i + 1, j + 1)

@@ -187,6 +187,45 @@ def test_cli_verify_counterexample_round_trip(tmp_path, capsys):
     assert "reproduce" in out.lower()
 
 
+BUMP = operator_to_payload(Matrix(DIAG_BUMP))
+MALFORMED_REPLAYS = [
+    ({"kind": "pointwise", "algebra": "pi2"}, "matrix"),
+    ({"kind": "criterion", "numbers": [1], "seed": "x"}, "seed"),
+    ({"kind": "locaut_witness", "algebra": "pi3", "matrix": BUMP,
+      "point": ["x", 0, 0, 0, 0]}, "point"),
+    ({"kind": "span_membership", "algebra": "pi2", "matrix": BUMP}, "space"),
+    ({"kind": "bridge_sample", "algebra": "pi3", "matrix": BUMP}, "direction"),
+    ({"kind": "associativity_triple", "algebra": "pi2", "triple": 5}, "triple"),
+    ({"kind": "leibniz_pair", "matrix": BUMP}, "algebra"),
+]
+
+
+@pytest.mark.parametrize("obj, field", MALFORMED_REPLAYS,
+                         ids=[obj["kind"] for obj, _ in MALFORMED_REPLAYS])
+def test_cli_replay_refuses_malformed_fields(tmp_path, capsys, obj, field):
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("verify-counterexample", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {obj['kind']} {field} must be "), err
+
+
+def test_cli_replay_refuses_a_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "counterexample.json"
+    path.write_text("{not json")
+    assert run_cli("verify-counterexample", str(path)) == 2
+    assert "is not JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["pi2", "pi3"])
+def test_cli_aut_family_verify_proves_closure(capsys, name):
+    assert run_cli("aut", "family-verify", "--algebra", name, "--trials", "5",
+                   "--format", "structured") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["family_ok"] is True
+    assert payload["closure_ok"] is True
+
+
 def test_cli_report_geometry(capsys):
     assert run_cli("report", "geometry", "--algebra", "pi2") == 0
     out = capsys.readouterr().out

@@ -199,8 +199,8 @@ def test_support_points_have_exactly_their_support():
 
 
 def test_group_closure(pat2, pat3):
-    assert group_closure_check(pat2, trials=20, seed=7)
-    assert group_closure_check(pat3, trials=20, seed=7)
+    assert group_closure_check(pat2)
+    assert group_closure_check(pat3)
 
 
 # -- float-side residuals ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from locsym import (
     Algebra,
@@ -27,6 +28,9 @@ from locsym.templates import (
     LOCAL_DERIVATION_FORM_PI2,
     LOCAL_DERIVATION_FORM_PI3,
     MatrixTemplate,
+    closure_failure,
+    determinant,
+    product_template,
     random_parameters,
 )
 
@@ -170,6 +174,75 @@ def test_template_space_equals(der2, der3):
 def test_parameter_span_requires_linearity():
     with pytest.raises(UnsupportedError):
         AUTOMORPHISM_FORM_PI3.parameter_span()
+
+
+# -- group closure, proved on symbolic members -------------------------------
+
+PLUS, MINUS = LOCAL_AUTOMORPHISM_FORM_PI3_PLUS, LOCAL_AUTOMORPHISM_FORM_PI3_MINUS
+GROUP_TEMPLATES = (
+    AUTOMORPHISM_FORM_PI2, AUTOMORPHISM_FORM_PI3, LOCAL_AUTOMORPHISM_FORM_PI2,
+    PLUS, MINUS,
+)
+
+
+def mutated(template, entries=None, nonzero=None):
+    rows = [list(row) for row in template.entries]
+    for (i, j), text in (entries or {}).items():
+        rows[i - 1][j - 1] = poly(text)
+    return MatrixTemplate(
+        dim=template.dim,
+        params=template.params,
+        entries=tuple(map(tuple, rows)),
+        nonzero=template.nonzero if nonzero is None else nonzero,
+    )
+
+
+def test_every_builtin_group_is_closed():
+    for forms in (closed_forms(builtin("pi2")), closed_forms(builtin("pi3"))):
+        assert closure_failure((forms.automorphism,)) is None
+        assert closure_failure(forms.local_automorphism) is None
+
+
+def test_closure_refutes_mutated_templates():
+    escaping = mutated(AUTOMORPHISM_FORM_PI2, {(5, 2): "a11*a41"})
+    assert "product" in closure_failure((escaping,))
+    unguarded = mutated(AUTOMORPHISM_FORM_PI2, nonzero=(poly("a11"),))
+    assert "det" in closure_failure((unguarded,))
+    # a21 does not divide det, so the members are not V ∩ GL_n
+    extra = mutated(AUTOMORPHISM_FORM_PI2, nonzero=(
+        poly("a11"), poly("a11 + a41"), poly("a21")))
+    assert "det" in closure_failure((extra,))
+    # minus times minus lands on the plus branch
+    assert "product" in closure_failure((MINUS,))
+    # the product of two members need not keep b21 nonzero
+    guarded = mutated(PLUS, nonzero=(poly("b11"), poly("b21")))
+    assert product_template(guarded, guarded, (guarded,)) is None
+    assert product_template(PLUS, PLUS, (PLUS,)) is PLUS
+
+
+def test_pi3_branch_product_table():
+    table = {(PLUS, PLUS): PLUS, (PLUS, MINUS): MINUS,
+             (MINUS, PLUS): MINUS, (MINUS, MINUS): PLUS}
+    for (left, right), expected in table.items():
+        assert product_template(left, right, (PLUS, MINUS)) is expected
+
+
+def test_symbolic_renames_every_parameter():
+    grid, conditions = AUTOMORPHISM_FORM_PI2.symbolic("_x")
+    assert grid[4][4] == poly("(a11_x + a41_x)^2")
+    assert conditions == (poly("a11_x"), poly("a11_x + a41_x"))
+
+
+def test_determinant_agrees_with_sympy():
+    # the group templates, plus a dense grid where every cofactor sign counts
+    dense = [[poly(f"x{i}{j}") for j in range(4)] for i in range(4)]
+    for rows in [t.entries for t in GROUP_TEMPLATES] + [dense]:
+        expected = sympy.Matrix([
+            [sympy.sympify(str(e).replace("^", "**")) for e in row]
+            for row in rows
+        ]).det()
+        got = sympy.sympify(str(determinant(rows)).replace("^", "**"))
+        assert sympy.expand(expected - got) == 0
 
 
 # -- registry and files ------------------------------------------------------------
