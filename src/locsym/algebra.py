@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import InputError
-from .linalg import Matrix, Subspace, Vector, rank, vector
+from .linalg import Matrix, Subspace, Vector, load_json, rank, vector
 from .rationals import format_rational, parse_rational, random_vector
 
 BUILTIN_TABLES = {
@@ -114,8 +114,7 @@ def zero_algebra(dim: int) -> Algebra:
 
 
 def load_algebra(path: str) -> Algebra:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = load_json(path)
     try:
         name = str(payload["name"])
         dim = int(payload["dim"])

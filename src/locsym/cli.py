@@ -53,6 +53,7 @@ from .inference import infer_shape, validate_prediction
 from .linalg import (
     Matrix,
     is_invertible,
+    load_json,
     load_operator,
     operator_from_payload,
     operator_to_payload,
@@ -189,7 +190,7 @@ def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
                              type(v) is int and 0 < v <= count for v in raw))
         seed = _field({"seed": 0, **obj}, "seed", "an unsigned 64-bit int",
                       lambda raw: type(raw) is int and 0 <= raw < 2 ** 64)
-        spaces = builtin_spaces(seed)
+        spaces = builtin_spaces()
         failed = [k for k in numbers if not CRITERIA[k - 1](spaces, seed).passed]
         return bool(failed), f"criteria still failing: {failed}"
     if kind in ("pattern_residual", "bridge_sample"):
@@ -333,7 +334,7 @@ def _cmd_der_check(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_locder_basis(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
-    space = local_derivation_space(algebra, seed=args.seed)
+    space = local_derivation_space(algebra)
     payload = {
         "algebra": algebra.name,
         "dim": len(space.basis),
@@ -353,7 +354,7 @@ def _cmd_locder_basis(args) -> tuple[int, dict, list[str]]:
 def _cmd_locder_check(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
     op = _require_rational(load_operator(args.matrix))
-    space = local_derivation_space(algebra, seed=args.seed)
+    space = local_derivation_space(algebra)
     ok = space.contains(op)
     payload = {"algebra": algebra.name, "is_local_derivation": ok}
     lines = [f"is_local_derivation: {ok}"]
@@ -372,9 +373,7 @@ def _cmd_locder_check(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_locder_witness(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
-    witness = strict_inclusion_witness(
-        algebra, checks=max(args.trials or 10000, 100), seed=args.seed
-    )
+    witness = strict_inclusion_witness(algebra)
     if witness is None:
         payload = {"algebra": algebra.name, "witness": None}
         return 0, payload, [
@@ -383,7 +382,6 @@ def _cmd_locder_witness(args) -> tuple[int, dict, list[str]]:
     payload = {
         "algebra": algebra.name,
         "witness": operator_to_payload(witness),
-        "checks": max(args.trials or 10000, 100),
     }
     lines = [
         f"strict inclusion witness for {algebra.name} "
@@ -670,7 +668,7 @@ def _cmd_bridge(args) -> tuple[int, dict, list[str]]:
 def _cmd_infer(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
     prediction = infer_shape(closed_forms(algebra).derivation)
-    space = local_derivation_space(algebra, seed=args.seed)
+    space = local_derivation_space(algebra)
     report = validate_prediction(prediction, space)
     payload = {
         "algebra": algebra.name,
@@ -733,11 +731,7 @@ def _cmd_suite(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_verify_counterexample(args) -> tuple[int, dict, list[str]]:
-    with open(args.file, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.file} is not JSON: {exc}") from exc
+    raw = load_json(args.file)
     obj = raw.get("counterexample", raw) if isinstance(raw, dict) else raw
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("the file holds no counterexample to replay")

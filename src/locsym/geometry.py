@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import Algebra
 from .errors import InternalCheckError
 from .local_automorphisms import LocAutPattern, locaut_pattern
-from .templates import unit_times_powers
+from .poly import unit_times_powers
 
 
 @dataclass(frozen=True)

@@ -386,7 +386,9 @@ def operator_from_payload(payload):
         entries = payload["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed operator payload: {exc}") from exc
-    if len(entries) != dim or any(len(row) != dim for row in entries):
+    if not isinstance(entries, list) or len(entries) != dim or any(
+        not isinstance(row, list) or len(row) != dim for row in entries
+    ):
         raise InputError(f"operator entries do not form a {dim}x{dim} grid")
     if backend == "rational":
         try:
@@ -411,10 +413,18 @@ def save_operator(path: str, m, backend: str = "rational") -> None:
         fh.write("\n")
 
 
+def load_json(path: str):
+    """The parsed contents of a JSON file; InputError when it is not JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InputError(f"{path} is not JSON: {exc}") from exc
+
+
 def load_operator(path: str):
     """Load an operator file; returns a Matrix or a complex nested list."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = load_json(path)
     try:
         return operator_from_payload(payload)
     except InputError as exc:

@@ -6,7 +6,9 @@ plain exact linear solve.  The space of all local derivations is exact:
 it builds the parametric system  sum_p T_p(params) nu = B nu  over the
 derivation parameters, runs the stratified case-split solver and reads
 the space off the aggregated b-constraints; this is complete because
-the leaf strata cover the probe space.  A pivot the solver cannot split
+the leaf strata cover the probe space, and each basis element is then
+proved local on every leaf by a polynomial-identity certificate
+(stratify.certificate_failure).  A pivot the solver cannot split
 into degree-1 factors is refused with a StratificationError (an
 UnsupportedError) that names it; there is no approximate answer.
 """
@@ -29,6 +31,7 @@ from .stratify import (
     CaseTree,
     Equation,
     ParametricSystem,
+    certificate_failure,
     sample_stratum,
     solve_parametric,
 )
@@ -139,10 +142,11 @@ def local_derivation_space(
     seed: int = 0,
     validation_checks: int = 10000,
 ) -> LocalDerivationSpace:
-    """The exact space of local derivations, self-checked on 256 points.
+    """The exact space of local derivations, proved on every leaf.
 
-    `validation_checks` is ignored: the exact result needs no sampled
-    validation, and the self check always runs 256 pointwise checks.
+    `seed` and `validation_checks` are accepted and ignored: nothing is
+    sampled, since every basis element is proved a local derivation by
+    the per-leaf certificate (stratify.certificate_failure).
     Raises StratificationError when the case split meets a pivot that
     does not split into degree-1 factors, or grows too deep.
     """
@@ -159,7 +163,7 @@ def local_derivation_space(
         case_tree=tree,
         derivations=ders,
     )
-    _self_check(result, ders, checks=256, seed=seed)
+    _prove(result)
     return result
 
 
@@ -189,25 +193,22 @@ def membership_checker(ders: DerivationSpace, op: Matrix):
     return check
 
 
-def _self_check(
-    space: LocalDerivationSpace, ders: DerivationSpace, checks: int, seed: int
-) -> None:
-    """Every derivation is local; every basis element passes point checks."""
+def _prove(space: LocalDerivationSpace) -> None:
+    """Der lies in the space, and every basis element is local on every leaf.
+
+    The case split makes the leaves partition the probe space, so the
+    certificates prove each basis element local at every point.
+    """
     span = space.span()
-    for d in ders.basis:
+    for d in space.derivations.basis:
         if not span.contains(d.vec()):
             raise InternalCheckError("a derivation escaped the computed space")
-    rng = random.Random(seed)
-    n = space.algebra.dim
-    per_op = max(1, checks // max(1, len(space.basis)))
-    for op in space.basis:
-        member = membership_checker(ders, op)
-        for _ in range(per_op):
-            x = [rng.randint(-999, 999) for _ in range(n)]
-            if not member(x):
-                raise InternalCheckError(
-                    "computed local derivation fails a pointwise check"
-                )
+    tree = space.case_tree
+    vectors = [m.vec() for m in space.basis]
+    for leaf in tree.leaves:
+        failure = certificate_failure(tree.system, leaf, vectors)
+        if failure is not None:
+            raise InternalCheckError(f"local derivation certificate: {failure}")
 
 
 def strict_inclusion_witness(
@@ -219,9 +220,9 @@ def strict_inclusion_witness(
 ) -> Matrix | None:
     """A local derivation that is not a derivation, or None if none exists.
 
-    The witness is validated both ways: it fails the Leibniz identity
-    and passes `checks` pointwise membership tests, including points on
-    every stratum discovered by the case tree.
+    The witness is a basis element of the proved LocDer that fails the
+    Leibniz identity.  `checks` and `seed` are accepted and ignored:
+    membership is proved on every leaf, not sampled.
     """
     if locders is None:
         locders = local_derivation_space(algebra)
@@ -235,25 +236,4 @@ def strict_inclusion_witness(
         return None
     if is_derivation(algebra, witness):
         raise InternalCheckError("witness unexpectedly satisfies Leibniz")
-    verify_pointwise_everywhere(algebra, witness, ders, locders.case_tree,
-                                checks=checks, seed=seed)
     return witness
-
-
-def verify_pointwise_everywhere(
-    algebra: Algebra,
-    op: Matrix,
-    ders: DerivationSpace,
-    tree: CaseTree,
-    checks: int = 10000,
-    seed: int = 0,
-) -> None:
-    """Assert pointwise membership on structured plus random points."""
-    member = membership_checker(ders, op)
-    points = structured_probe_points(algebra, tree, seed=seed)
-    rng = random.Random(seed + 1)
-    while len(points) < checks:
-        points.append([rng.randint(-999, 999) for _ in range(algebra.dim)])
-    for x in points[:checks]:
-        if not member(x):
-            raise InternalCheckError(f"pointwise membership fails at {x}")

@@ -503,6 +503,14 @@ def poly(text) -> Poly:
     return result
 
 
+def unit_times_powers(p: Poly, factors) -> bool:
+    """Whether p is a nonzero constant times a product of powers of factors."""
+    for f in (f for f in factors if not f.is_constant()):
+        while not p.is_zero() and (q := p.div_exact(f)) is not None:
+            p = q
+    return p.is_constant() and not p.is_zero()
+
+
 # -- linear factor extraction --------------------------------------------
 
 

@@ -22,24 +22,24 @@ of a polynomial on the stratum is equivalent to all its coefficients
 vanishing, which is what makes the leaf constraints exact.
 
 The leaves partition the nu-space, so the union of all leaf constraints
-is necessary and sufficient for universal solvability.
+is necessary and sufficient for universal solvability.  Sufficiency is
+proved per leaf by certificate_failure, which back-substitutes the
+leaf's recorded pivots and checks the original equations as polynomial
+identities, sharing nothing with the elimination but Poly.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, StratificationError, UnsupportedError
-from .linalg import Matrix, Subspace, nullspace, solve
-from .poly import Poly, linear_factors
+from .linalg import Matrix, Subspace, nullspace
+from .poly import Poly, linear_factors, unit_times_powers
 from .rationals import random_rational
 
 MAX_DEPTH = 12
-
-_SAMPLE_BASE = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-_SAMPLE_STEP = (31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,18 @@ class ParametricSystem:
 
 @dataclass(frozen=True)
 class StratumCase:
-    """One leaf stratum: conditions, solved substitution and b-constraints."""
+    """One leaf stratum: conditions, solved substitution and b-constraints.
+
+    pivots lists the generic-branch pivots on the path to the leaf, in
+    path order, as (unknown, equation it was solved from).
+    """
 
     equalities: tuple[Poly, ...]
     inequations: tuple[Poly, ...]
     substitution: Mapping[str, Poly]
     free_vars: tuple[str, ...]
     constraints: tuple[Poly, ...]
-    sample: Mapping[str, Fraction]
+    pivots: tuple[tuple[str, Equation], ...]
 
     def contains(self, point: Mapping[str, Fraction]) -> bool:
         """Exact stratum membership of a full nu assignment."""
@@ -118,57 +122,19 @@ class StratumCase:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseTree:
     system: ParametricSystem
     leaves: tuple[StratumCase, ...]
-    depth: int
-    _aggregated: tuple[Poly, ...] | None = field(default=None, repr=False)
-
-    @property
-    def aggregated_constraints(self) -> tuple[Poly, ...]:
-        if self._aggregated is None:
-            seen = {}
-            for leaf in self.leaves:
-                for c in leaf.constraints:
-                    seen.setdefault(str(c), c)
-            self._aggregated = tuple(seen[k] for k in sorted(seen))
-        return self._aggregated
-
-    def constraint_rows(self) -> list[tuple[Fraction, ...]]:
-        return [
-            _linear_form_row(c, self.system.rhs_symbols)
-            for c in self.aggregated_constraints
-        ]
 
     def solution_space(self) -> Subspace:
         """All b satisfying every leaf's constraints."""
-        ambient = len(self.system.rhs_symbols)
-        rows = self.constraint_rows()
+        symbols = self.system.rhs_symbols
+        seen = {str(c): c for leaf in self.leaves for c in leaf.constraints}
+        rows = [_linear_form_row(seen[k], symbols) for k in sorted(seen)]
         if not rows:
-            return Subspace(ambient, Matrix.identity(ambient).rows)
-        return Subspace(ambient, nullspace(Matrix(rows)))
-
-    def to_dict(self) -> dict:
-        return {
-            "unknowns": list(self.system.unknowns),
-            "probe_vars": list(self.system.nu_vars),
-            "depth": self.depth,
-            "leaves": [
-                {
-                    "equalities": [str(e) for e in leaf.equalities],
-                    "inequations": [str(q) for q in leaf.inequations],
-                    "constraints": [str(c) for c in leaf.constraints],
-                    "sample": {
-                        v: str(leaf.sample[v]) for v in sorted(leaf.sample)
-                    },
-                }
-                for leaf in self.leaves
-            ],
-            "aggregated_constraints": [
-                str(c) for c in self.aggregated_constraints
-            ],
-        }
+            return Subspace(len(symbols), Matrix.identity(len(symbols)).rows)
+        return Subspace(len(symbols), nullspace(Matrix(rows)))
 
 
 def _linear_form_row(form: Poly, symbols: Sequence[str]) -> tuple[Fraction, ...]:
@@ -208,13 +174,11 @@ def solve_parametric(system: ParametricSystem, max_depth: int = MAX_DEPTH) -> Ca
         ineq_shown=[],
         ineq_current=[],
         subst={},
+        pivots=[],
         depth=0,
     )
     leaves.sort(key=lambda leaf: leaf.signature())
-    tree = CaseTree(system=system, leaves=tuple(leaves), depth=state.max_seen)
-    for leaf in tree.leaves:
-        _verify_leaf(system, leaf)
-    return tree
+    return CaseTree(system=system, leaves=tuple(leaves))
 
 
 @dataclass
@@ -222,14 +186,13 @@ class _State:
     system: ParametricSystem
     max_depth: int
     leaves: list
-    max_seen: int = 0
 
-    def explore(self, eqs, equalities, ineq_shown, ineq_current, subst, depth):
-        self.max_seen = max(self.max_seen, depth)
+    def explore(self, eqs, equalities, ineq_shown, ineq_current, subst, pivots,
+                depth):
         pivot = self._select_pivot(eqs, ineq_current)
         if pivot is None:
             self.leaves.append(
-                _make_leaf(self.system, eqs, equalities, ineq_shown, subst)
+                _make_leaf(self.system, eqs, equalities, ineq_shown, subst, pivots)
             )
             return
         eq_index, unknown, factors = pivot
@@ -268,6 +231,7 @@ class _State:
                 ineq_shown=ineq_shown + novel[:idx],
                 ineq_current=[q for q in new_current if not q.is_constant()],
                 subst=new_subst,
+                pivots=pivots,
                 depth=next_depth,
             )
         # Generic branch: every factor of the pivot coefficient is nonzero.
@@ -296,6 +260,7 @@ class _State:
             ineq_shown=ineq_shown + novel,
             ineq_current=ineq_current + novel,
             subst=subst,
+            pivots=pivots + [(unknown, pivot_eq)],
             depth=next_depth,
         )
 
@@ -329,7 +294,7 @@ class _State:
         return best
 
 
-def _make_leaf(system, eqs, equalities, ineq_shown, subst) -> StratumCase:
+def _make_leaf(system, eqs, equalities, ineq_shown, subst, pivots) -> StratumCase:
     constraints: dict[str, Poly] = {}
     for eq in eqs:
         if any(not c.is_zero() for c in eq.coeffs.values()):
@@ -339,36 +304,14 @@ def _make_leaf(system, eqs, equalities, ineq_shown, subst) -> StratumCase:
                 continue
             _, prim = coeff.content_primitive()
             constraints.setdefault(str(prim), prim)
-    free_vars = tuple(v for v in system.nu_vars if v not in subst)
-    sample = _deterministic_sample(system.nu_vars, free_vars, subst, ineq_shown)
-    leaf = StratumCase(
+    return StratumCase(
         equalities=tuple(equalities),
         inequations=tuple(ineq_shown),
         substitution=dict(subst),
-        free_vars=free_vars,
+        free_vars=tuple(v for v in system.nu_vars if v not in subst),
         constraints=tuple(constraints[k] for k in sorted(constraints)),
-        sample=sample,
+        pivots=tuple(pivots),
     )
-    return leaf
-
-
-def _deterministic_sample(nu_vars, free_vars, subst, inequations):
-    """A stratum point with small deterministic coordinates."""
-    order = {v: i for i, v in enumerate(free_vars)}
-    rng = random.Random(0)
-    for attempt in range(1064):
-        point = {}
-        for v in free_vars:
-            i = order[v] % len(_SAMPLE_BASE)
-            if attempt < 64:
-                point[v] = Fraction(_SAMPLE_BASE[i] + attempt * _SAMPLE_STEP[i])
-            else:
-                point[v] = random_rational(rng, bound=997)
-        for v, expr in subst.items():
-            point[v] = expr.evaluate(point)
-        if all(q.evaluate(point) != 0 for q in inequations):
-            return {v: point[v] for v in nu_vars}
-    raise StratificationError("could not sample a stratum point")
 
 
 def sample_stratum(case: StratumCase, seed: int = 0) -> dict[str, Fraction]:
@@ -383,39 +326,66 @@ def sample_stratum(case: StratumCase, seed: int = 0) -> dict[str, Fraction]:
     raise UnsupportedError("stratum appears to have no admissible points")
 
 
-def instantiate_at(
-    system: ParametricSystem,
-    point: Mapping[str, Fraction],
-    b_values: Mapping[str, Fraction],
-) -> tuple[Matrix, tuple[Fraction, ...]]:
-    """Plain exact linear system obtained by pinning nu and b."""
-    assignment = dict(point)
-    assignment.update(b_values)
-    rows = []
-    rhs = []
-    for eq in system.equations:
-        rows.append(
-            [eq.coeffs[u].evaluate(point) for u in system.unknowns]
-        )
-        rhs.append(eq.rhs.evaluate(assignment))
-    return Matrix(rows), tuple(rhs)
+# -- the per-leaf certificate ---------------------------------------------------
 
 
-def _verify_leaf(system: ParametricSystem, leaf: StratumCase) -> None:
-    """Self check: a b obeying the leaf constraints is solvable at the sample."""
-    ambient = len(system.rhs_symbols)
-    rows = [_linear_form_row(c, system.rhs_symbols) for c in leaf.constraints]
-    if rows:
-        kernel = nullspace(Matrix(rows))
-    else:
-        kernel = Matrix.identity(ambient).rows
-    b_vec = [Fraction(0)] * ambient
-    for k, vec in enumerate(kernel):
-        for i, v in enumerate(vec):
-            b_vec[i] += Fraction(1, k + 1) * v
-    b_values = dict(zip(system.rhs_symbols, b_vec))
-    matrix, rhs = instantiate_at(system, leaf.sample, b_values)
-    if solve(matrix, rhs) is None:
-        raise InternalCheckError(
-            "leaf constraints do not guarantee solvability at the sample point"
-        )
+def certificate_failure(
+    system: ParametricSystem, leaf: StratumCase, vectors
+) -> str | None:
+    """Why some b in vectors is not solvable on all of the leaf, or None.
+
+    A proof that reads the leaf's equalities, substitution s,
+    inequations and pivots, and uses nothing of the elimination but
+    Poly.  Every equality must vanish under s, so s parametrizes the
+    stratum by its free variables.  The pivots (u_k, P_k) only build a
+    candidate solution: back-substitution from the last pivot over den,
+    the product of the pivot coefficients p_k = coeff of u_k in P_k,
+    gives alpha_u = N_u / den (unknowns never pivoted are 0).  For each
+    b in vectors (one entry per rhs symbol) every ORIGINAL equation
+    must then satisfy
+
+        sum_u  c_u(nu) * N_u  -  den * rhs(nu, b)  ==  0
+
+    as a polynomial identity in the free variables, and den must be a
+    unit times powers of the leaf's inequations, so it is nonzero on the
+    whole stratum and the identity gives a solution at every point of it.
+    """
+    sub = leaf.substitution
+    symbols = system.rhs_symbols
+
+    def read(eq):
+        # the coefficients and the rhs's linear form in b, under s, read once
+        coeffs = {u: c.subs(sub) for u, c in eq.coeffs.items()}
+        form, _ = eq.rhs.subs(sub).linear_decompose(symbols)
+        return coeffs, [(i, form[s]) for i, s in enumerate(symbols)
+                        if not form[s].is_zero()]
+
+    def at(form, b):
+        return sum((c * b[i] for i, c in form if b[i]), Poly.zero())
+
+    if any(not e.subs(sub).is_zero() for e in leaf.equalities):
+        return f"the substitution does not solve the equalities {leaf.signature()}"
+    pivots = [(u, *read(eq)) for u, eq in leaf.pivots]
+    equations = [read(eq) for eq in system.equations]
+    den = Poly.const(1)
+    for u, coeffs, _ in pivots:
+        den = den * coeffs[u]
+    opens = [q.subs(sub) for q in leaf.inequations]
+    if not unit_times_powers(den, opens):
+        return f"pivot product {den} is not a unit times powers of the inequations"
+    for b in vectors:
+        # after step k every numerator is over the product of p_k..p_K
+        numer: dict[str, Poly] = {}
+        scale = Poly.const(1)
+        for u, coeffs, form in reversed(pivots):
+            known = sum((coeffs[v] * n for v, n in numer.items() if v in coeffs),
+                        Poly.zero())
+            numer = {v: n * coeffs[u] for v, n in numer.items()}
+            numer[u] = at(form, b) * scale - known
+            scale = scale * coeffs[u]
+        for coeffs, form in equations:
+            lhs = sum((c * numer[u] for u, c in coeffs.items() if u in numer),
+                      Poly.zero())
+            if not (lhs - den * at(form, b)).is_zero():
+                return f"b = {tuple(b)} is not solved on the stratum {leaf.signature()}"
+    return None

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .algebra import Algebra, builtin
 from .errors import InputError, UnsupportedError
 from .linalg import Matrix, Subspace
-from .poly import Poly, poly
+from .poly import Poly, poly, unit_times_powers
 
 
 # Compared and hashed by identity: each closed form is one object, and the
@@ -204,14 +204,6 @@ def determinant(rows) -> Poly:
             term = entry * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
             total = total + term if j % 2 == 0 else total - term
     return total
-
-
-def unit_times_powers(p: Poly, factors) -> bool:
-    """Whether p is a nonzero constant times a product of powers of factors."""
-    for f in (f for f in factors if not f.is_constant()):
-        while not p.is_zero() and (q := p.div_exact(f)) is not None:
-            p = q
-    return p.is_constant() and not p.is_zero()
 
 
 def product_template(left, right, candidates) -> MatrixTemplate | None:

@@ -58,19 +58,46 @@ def loc3(pi3):
     return local_derivation_space(pi3)
 
 
-@pytest.fixture(scope="session")
-def dense_pi3(pi3):
-    """pi3 in the basis DENSE_PI3_BASIS: f_i f_j = P^-1 (P e_i)(P e_j)."""
-    p, n = DENSE_PI3_BASIS, pi3.dim
+# A unitriangular basis change adapted to the power filtration of pi2 and
+# pi3 (e1, e4 in degree 1; e2, e5 in degree 2; e3 in degree 3).
+ADAPTED_BASIS = Matrix([
+    [1, 0, 0, 0, 0],
+    [2, 1, 0, -1, 0],
+    [-3, 1, 1, 2, -2],
+    [0, 0, 0, 1, 0],
+    [1, 0, 0, 3, 1],
+])
+
+
+def rebased(algebra, p, name):
+    """The algebra in the basis f_j = column j of p.
+
+    f_i f_j = P^-1 (P e_i)(P e_j).
+    """
+    n = algebra.dim
     p_inv = inverse(p)
     columns = p.transpose().rows
     table = {}
     for i in range(n):
         for j in range(n):
-            coords = p_inv.apply(pi3.multiply(columns[i], columns[j]))
+            coords = p_inv.apply(algebra.multiply(columns[i], columns[j]))
             if any(coords):
                 table[(i, j)] = coords
-    return Algebra(name="pi3-dense", dim=n, table=table)
+    return Algebra(name=name, dim=n, table=table)
+
+
+@pytest.fixture(scope="session")
+def dense_pi3(pi3):
+    return rebased(pi3, DENSE_PI3_BASIS, "pi3-dense")
+
+
+@pytest.fixture(scope="session")
+def adapted_spaces(pi2, pi3):
+    """LocDer of pi2 and of pi3 in the basis ADAPTED_BASIS."""
+    return tuple(
+        local_derivation_space(rebased(a, ADAPTED_BASIS, f"{a.name}-adapted"))
+        for a in (pi2, pi3)
+    )
 
 
 @pytest.fixture(scope="session")

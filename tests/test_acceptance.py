@@ -49,7 +49,7 @@ def suite():
 
 @pytest.fixture(scope="module")
 def spaces():
-    return builtin_spaces(ACCEPTANCE_SEED)
+    return builtin_spaces()
 
 
 @pytest.mark.parametrize("index", range(len(TITLES)), ids=TITLES)
@@ -96,7 +96,7 @@ def test_a_crashed_criterion_keeps_its_title(monkeypatch, spaces):
 
 
 def test_a_failed_solve_fails_every_criterion(monkeypatch):
-    def refuse(algebra, seed):
+    def refuse(algebra):
         raise StratificationError("pivot does not split")
 
     monkeypatch.setattr(acceptance, "local_derivation_space", refuse)

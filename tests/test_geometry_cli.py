@@ -217,6 +217,21 @@ def test_cli_replay_refuses_a_file_that_is_not_json(tmp_path, capsys):
     assert "is not JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    (("algebra", "check", "--algebra"), "{not json"),
+    (("der", "check", "--algebra", "pi2", "--matrix"), "{not json"),
+    (("der", "check", "--algebra", "pi2", "--matrix"),
+     '{"dim": 5, "backend": "rational", "entries": 5}'),
+], ids=["algebra-not-json", "matrix-not-json", "matrix-int-entries"])
+def test_cli_refuses_a_malformed_input_file(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run_cli(*command, str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: "), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["pi2", "pi3"])
 def test_cli_aut_family_verify_proves_closure(capsys, name):
     assert run_cli("aut", "family-verify", "--algebra", name, "--trials", "5",
@@ -428,6 +443,8 @@ def test_cli_structured_reports_are_deterministic(capsys):
     run_cli(*argv)
     second = capsys.readouterr().out
     assert first == second
+    # the witness is proved, not sampled, so no check count is reported
+    assert "checks" not in json.loads(first)
 
 
 # -- console script wiring: python -m locsym in a subprocess -------------------------

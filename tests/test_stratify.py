@@ -2,8 +2,10 @@
 
 A hand-built one-equation system pins the expected two-leaf tree; the
 localization system of the derivation engine exercises the full path.
+The per-leaf certificate is checked on both, and on mutated leaves.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from locsym import (
 )
 from locsym.local_derivations import localization_system
 from locsym.poly import Poly, poly
-from locsym.stratify import Equation, instantiate_at, sample_stratum
+from locsym.stratify import Equation, certificate_failure, sample_stratum
 
 
 def scalar_system(coeff_text):
@@ -64,19 +66,8 @@ def test_solution_space_aggregates_constraints():
 def test_samples_lie_in_their_strata():
     tree = solve_parametric(scalar_system("n"))
     for leaf in tree.leaves:
-        assert leaf.contains(leaf.sample)
-        again = sample_stratum(leaf, seed=5)
-        assert leaf.contains(again)
-
-
-def test_instantiate_at_matches_leaf_constraints():
-    system = scalar_system("n")
-    tree = solve_parametric(system)
-    special = next(l for l in tree.leaves if l.equalities)
-    m, rhs = instantiate_at(system, special.sample, {"b": Fraction(3)})
-    # coefficient matrix vanished, rhs did not: inconsistent, as predicted
-    assert m.rows == ((0,),)
-    assert rhs == (3,)
+        for seed in (0, 5):
+            assert leaf.contains(sample_stratum(leaf, seed=seed))
 
 
 # -- cascaded elimination -------------------------------------------------------
@@ -123,3 +114,68 @@ def test_localization_tree_covers_probe_space(der2, loc2):
         }
         hits = [leaf for leaf in tree.leaves if leaf.contains(point)]
         assert len(hits) == 1
+
+
+# -- the per-leaf certificate -------------------------------------------------------
+
+def certified(tree, vectors):
+    return all(
+        certificate_failure(tree.system, leaf, vectors) is None
+        for leaf in tree.leaves
+    )
+
+
+def test_certificate_pins_the_special_leaf():
+    # on n = 0 the equation 0*u = b is solvable only for b = 0
+    tree = solve_parametric(scalar_system("n"))
+    special = next(l for l in tree.leaves if l.equalities)
+    generic = next(l for l in tree.leaves if not l.equalities)
+    assert certificate_failure(tree.system, special, [(3,)]) is not None
+    assert certificate_failure(tree.system, special, [(0,)]) is None
+    # off n = 0, u = b/n solves it for every b
+    assert certificate_failure(tree.system, generic, [(3,)]) is None
+
+
+def test_builtin_spaces_are_certified(loc2, loc3):
+    for space in (loc2, loc3):
+        assert certified(space.case_tree, [m.vec() for m in space.basis])
+
+
+def test_adapted_copies_are_certified(adapted_spaces):
+    assert [space.dim for space in adapted_spaces] == [11, 7]
+    for space in adapted_spaces:
+        assert certified(space.case_tree, [m.vec() for m in space.basis])
+
+
+def mutated_leaves(tree):
+    """Every leaf with one substitution term or entry, or one pivot, dropped."""
+    for leaf in tree.leaves:
+        for var, expr in leaf.substitution.items():
+            for mono in expr.terms:
+                terms = {m: c for m, c in expr.terms.items() if m != mono}
+                substitution = {**leaf.substitution, var: Poly(terms)}
+                yield "substitution term", dataclasses.replace(
+                    leaf, substitution=substitution)
+            substitution = {v: e for v, e in leaf.substitution.items() if v != var}
+            yield "substitution entry", dataclasses.replace(
+                leaf, substitution=substitution)
+        for k in range(len(leaf.pivots)):
+            pivots = leaf.pivots[:k] + leaf.pivots[k + 1:]
+            yield "pivot", dataclasses.replace(leaf, pivots=pivots)
+
+
+def test_every_mutated_leaf_fails_the_certificate(loc2, loc3, adapted_spaces):
+    dropped = set()
+    for space in (loc2, loc3, *adapted_spaces):
+        vectors = [m.vec() for m in space.basis]
+        for kind, mutant in mutated_leaves(space.case_tree):
+            dropped.add(kind)
+            failure = certificate_failure(space.case_tree.system, mutant, vectors)
+            assert failure is not None, (kind, mutant.signature())
+    assert dropped == {"substitution term", "substitution entry", "pivot"}
+
+
+def test_a_non_member_fails_the_certificate(loc2):
+    e12 = [0] * 25
+    e12[1] = 1  # E12 on pi2 is not a local derivation
+    assert not certified(loc2.case_tree, [e12])

@@ -3,13 +3,16 @@
 perfbench/tracer.py wraps named callables of the locsym modules from
 outside the program.  A renamed or deleted callable would silently drop
 its layer metric, so every (module, attribute path) the tracer lists
-must resolve on the imported package.
+must resolve on the imported package.  The keywords perfbench/run.py
+passes to the engine must stay accepted too.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import locsym
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -32,3 +35,13 @@ def test_every_traced_layer_resolves(monkeypatch):
         if not callable(target):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_the_solve_workload_keywords_are_accepted(pi3):
+    # perfbench/run.py passes these keywords; the engine accepts and ignores them
+    locders = locsym.local_derivation_space(pi3, seed=1, validation_checks=1000)
+    witness = locsym.strict_inclusion_witness(
+        pi3, locders.derivations, locders, checks=1000, seed=1
+    )
+    assert locders.dim == 7
+    assert witness is not None
