@@ -2,27 +2,26 @@
 
 For the builtin algebras the full automorphism group is a closed
 parameterized family: a matrix template whose instantiations at any
-parameters satisfying the open (nonvanishing) conditions are exactly
-the automorphisms.  verify_family machine-checks both directions of
-that claim: instantiations must pass the multiplicativity oracle, and
-single-entry perturbations of an instantiation that still pass the
-oracle must land back inside the family.  group_closure_report proves
-the group laws from symbolic products (templates.closure_failure).
+parameters satisfying the open (nonvanishing) conditions are exactly the
+automorphisms.  verify_family proves both directions by polynomial
+identities, group_closure_report the group laws by symbolic products.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
-from .algebra import Algebra
-from .errors import InputError
-from .linalg import Matrix, is_invertible
-from .rationals import random_nonzero_int
+from .algebra import Algebra, power_filtration
+from .errors import InputError, UnsupportedError
+from .linalg import Matrix, Subspace, is_invertible
+from .poly import Poly, linear_factors, solve_linear, unit_times_powers
 from .templates import (
     MatrixTemplate,
     closed_forms,
     closure_failure,
+    determinant,
     random_parameters,
     template_match,
 )
@@ -99,74 +98,117 @@ def random_member(
 @dataclass(frozen=True)
 class FamilyReport:
     ok: bool
-    trials: int
     counterexample: Matrix | None
     detail: str
 
 
-def verify_family(
-    family: AutomorphismFamily, trials: int = 500, seed: int = 0
-) -> FamilyReport:
-    """Two-way check of "automorphism iff member of the family".
+def _product(algebra: Algebra, x, y) -> list[Poly]:
+    """x y for vectors of polynomials."""
+    out = [Poly.zero()] * algebra.dim
+    for p, q, k, c in algebra.terms:
+        out[k] = out[k] + x[p] * y[q] * c
+    return out
 
-    Forward: random instantiations pass is_automorphism.  Reverse: for
-    each trial, every single entry of the instantiated matrix is
-    perturbed in turn; a perturbation that still passes is_automorphism
-    must be matched by the template, otherwise it is a counterexample
-    to the family being the whole group.
+
+def _defects(algebra: Algebra, grid) -> list[Poly]:
+    """Nonzero coordinates of T(e_i) T(e_j) - T(e_i e_j) on all basis pairs."""
+    cols, n = list(zip(*grid)), algebra.dim
+    return [d for i in range(n) for j in range(n) for d in map(
+        sub, _product(algebra, cols[i], cols[j]),
+        [sum((e * c for e, c in zip(row, algebra.product_of_basis(i, j))
+              if c), Poly.zero()) for row in grid]) if not d.is_zero()]
+
+
+def _generic_images(algebra: Algebra) -> tuple[list[str], list[list[Poly]]]:
+    """Generators, and the grid of a generic multiplicative map.
+
+    The basis vectors completing A^2 to a basis are the generators; e_g
+    gets a column of fresh variables p{r}{g}.  Every other e_k must be
+    c^-1 e_i e_j, a one-term product of vectors that have images, and a
+    multiplicative map sends it to c^-1 phi(e_i) phi(e_j).
     """
-    rng = random.Random(seed)
-    algebra = family.algebra
-    n = family.template.dim
-    for t in range(trials):
-        phi = random_member(family, rng)
-        if not is_automorphism(algebra, phi):
-            return FamilyReport(
-                ok=False,
-                trials=t + 1,
-                counterexample=phi,
-                detail="family instantiation fails the multiplicativity "
-                       "or invertibility oracle",
-            )
-        for i in range(n):
-            for j in range(n):
-                delta = random_nonzero_int(rng, 9)
-                rows = [list(row) for row in phi.rows]
-                rows[i][j] += delta
-                candidate = Matrix(rows)
-                if not is_automorphism(algebra, candidate):
-                    continue
-                if family.match(candidate) is None:
-                    return FamilyReport(
-                        ok=False,
-                        trials=t + 1,
-                        counterexample=candidate,
-                        detail=f"automorphism escapes the family after "
-                               f"perturbing entry ({i + 1},{j + 1})",
-                    )
-        if t == 0:
-            # One full reconstruction per run: the matcher must recover
-            # the exact parameters of a known instantiation.
-            recovered = family.match(phi)
-            if recovered is None or family.instantiate(recovered) != phi:
-                return FamilyReport(
-                    ok=False,
-                    trials=t + 1,
-                    counterexample=phi,
-                    detail="template matcher fails to reconstruct a "
-                           "known instantiation",
-                )
-    return FamilyReport(
-        ok=True,
-        trials=trials,
-        counterexample=None,
-        detail="all instantiations multiplicative; all perturbation "
-               "survivors matched by the family",
-    )
+    n = algebra.dim
+    span, images = power_filtration(algebra).subspaces[1], {}
+    for g, e in enumerate(Matrix.identity(n).rows):
+        if not span.contains(e):
+            span = Subspace(n, span.basis + (e,))
+            images[g] = [Poly.var(f"p{r + 1}{g + 1}") for r in range(n)]
+    generators = [f"e{g + 1}" for g in images]
+    while len(images) < n:
+        steps = [(i, j, k, c) for i, j, k, c in algebra.terms if k not in images
+                 and {i, j} <= images.keys() and algebra.table[i, j].count(0) == n - 1]
+        if not steps:
+            raise UnsupportedError(f"generators {generators} do not give "
+                                   "every basis vector as a one-term product")
+        i, j, k, c = steps[0]
+        images[k] = [v * (1 / Fraction(c)) for v in
+                     _product(algebra, images[i], images[j])]
+    return generators, [list(row) for row in zip(*(images[k] for k in range(n)))]
+
+
+def _leaves(grid, equations) -> list[tuple[list[list[Poly]], Poly]]:
+    """(grid, det) on every branch of a complete split of the equations.
+
+    A step branches on the distinct linear factors of one equation, each
+    solved for its last variable.  A branch with det identically 0 or a
+    nonzero constant equation has no invertible point and is pruned.
+    """
+    det, equations = determinant(grid), [e for e in equations if not e.is_zero()]
+    if det.is_zero() or any(e.is_constant() for e in equations):
+        return []
+    if not equations:
+        return [(grid, det)]
+    leaves = []
+    for factor in dict.fromkeys(linear_factors(equations[0])[1]):
+        s = solve_linear(factor)
+        leaves += _leaves([[x.subs(s) for x in row] for row in grid],
+                          [e.subs(s) for e in equations[1:]])
+    return leaves
+
+
+def _search(grid, shows) -> Matrix | None:
+    """The grid at the first of 100 seeded small integer points that shows."""
+    rng = random.Random(0)
+    names = sorted({v for row in grid for x in row for v in x.variables()})
+    for _ in range(100):
+        point = {v: rng.randint(-3, 3) for v in names}
+        if shows(m := Matrix([[x.evaluate(point) for x in row] for row in grid])):
+            return m
+    return None
+
+
+def verify_family(family: AutomorphismFamily) -> FamilyReport:
+    """Proof that the family's members are exactly the automorphisms.
+
+    Forward: T(e_i) T(e_j) = T(e_i e_j) identically in the template T's
+    parameters, and det T is a unit times powers of the open conditions.
+    Reverse: the template reads every leaf of _leaves, the split of the
+    generic map's multiplicativity equations, with no deviation, and each
+    open condition read there divides the leaf's determinant.
+    """
+    algebra, template = family.algebra, family.template
+    grid, opens = template.entries, template.nonzero
+    if _defects(algebra, grid) or not unit_times_powers(determinant(grid), opens):
+        phi = _search(grid, lambda m: family.match(m) is not None
+                      and not is_automorphism(algebra, m))
+        return FamilyReport(False, phi, "a member of the family is no automorphism")
+    generators, grid = _generic_images(algebra)
+    leaves = _leaves(grid, _defects(algebra, grid))
+    for leaf, det in leaves:
+        params, deviations = template.read(leaf, Poly.subs)
+        read = [c.subs(params) for c in opens]
+        if any(not d.is_zero() for d in deviations.values()) or any(
+            c.is_zero() or det.div_exact(c) is None for c in read
+        ):
+            phi = _search(leaf, lambda m: is_automorphism(algebra, m)
+                          and family.match(m) is None)
+            return FamilyReport(False, phi, "an automorphism escapes the family")
+    return FamilyReport(True, None, f"Aut equals the family, proved from generators "
+                        f"{', '.join(generators)} (case-split leaves: {len(leaves)})")
 
 
 def group_closure_report(family: AutomorphismFamily) -> FamilyReport:
     """The group laws of the family, proved by templates.closure_failure."""
     failure = closure_failure((family.template,))
     detail = failure or "products and inverses of members stay in the family"
-    return FamilyReport(failure is None, 0, None, detail)  # 0: nothing sampled
+    return FamilyReport(failure is None, None, detail)

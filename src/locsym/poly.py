@@ -53,11 +53,11 @@ class Poly:
 
     def __init__(self, terms: dict[Monomial, Fraction] | None = None):
         clean = {}
-        if terms:
-            for mono, coeff in terms.items():
+        for mono, coeff in (terms or {}).items():
+            if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
-                if coeff != 0:
-                    clean[mono] = coeff
+            if coeff:
+                clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
@@ -206,18 +206,6 @@ class Poly:
                 term = term * factor**exp
             result = result + term
         return result
-
-    def diff(self, var: str) -> "Poly":
-        terms: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            exp = exps.get(var, 0)
-            if exp == 0:
-                continue
-            exps[var] = exp - 1
-            new = tuple(sorted((v, e) for v, e in exps.items() if e > 0))
-            terms[new] = terms.get(new, Fraction(0)) + coeff * exp
-        return Poly(terms)
 
     # -- structure helpers ---------------------------------------------
 
@@ -512,6 +500,13 @@ def unit_times_powers(p: Poly, factors) -> bool:
 
 
 # -- linear factor extraction --------------------------------------------
+
+
+def solve_linear(factor: Poly) -> dict[str, Poly]:
+    """{v: e} with factor = 0 iff v = e, v the last variable of a degree-1 factor."""
+    var = max(factor.variables())
+    a, b = factor.coeff_split(var)
+    return {var: b * (-1 / a.constant_value())}
 
 
 def linear_factors(p: Poly) -> tuple[Fraction, list[Poly]]:

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, StratificationError, UnsupportedError
 from .linalg import Matrix, Subspace, nullspace
-from .poly import Poly, linear_factors, unit_times_powers
+from .poly import Poly, linear_factors, solve_linear, unit_times_powers
 from .rationals import random_rational
 
 MAX_DEPTH = 12
@@ -207,12 +207,8 @@ class _State:
         next_depth = depth + 1 if novel else depth
         # Vanishing branches: factor i is zero, factors 0..i-1 are not.
         for idx, factor in enumerate(novel):
-            var = max(factor.variables())
-            a, b = factor.coeff_split(var)
-            expr = b * (-1 / a.constant_value())
-            mapping = {var: expr}
-            new_subst = {v: e.subs(mapping) for v, e in subst.items()}
-            new_subst[var] = expr
+            mapping = solve_linear(factor)
+            new_subst = {v: e.subs(mapping) for v, e in subst.items()} | mapping
             new_current = []
             empty = False
             for q in ineq_current + novel[:idx]:

@@ -9,14 +9,18 @@ import pytest
 
 from locsym import (
     Algebra,
+    AutomorphismFamily,
     Matrix,
+    MatrixTemplate,
     automorphism_family,
     builtin,
+    closed_forms,
     derivation_algebra,
     local_derivation_space,
     locaut_pattern,
 )
 from locsym.linalg import inverse
+from locsym.poly import poly
 
 # A dense basis change of pi3: the new basis vector f_j is column j.
 DENSE_PI3_BASIS = Matrix([
@@ -108,6 +112,30 @@ def fam2(pi2):
 @pytest.fixture(scope="session")
 def fam3(pi3):
     return automorphism_family(pi3)
+
+
+def mutant_family(table, form, entries=(), drop=(), nonzero=None):
+    """pi2's or pi3's automorphism template, changed, on either table.
+
+    entries maps 1-based positions to new entries, drop removes
+    parameters and nonzero replaces the open conditions.
+    """
+    template = closed_forms(builtin(form)).automorphism
+    rows = [list(row) for row in template.entries]
+    for (i, j), text in dict(entries).items():
+        rows[i - 1][j - 1] = poly(text)
+    return AutomorphismFamily(builtin(table), MatrixTemplate(
+        dim=5,
+        params=tuple(p for p in template.params if p not in drop),
+        entries=tuple(map(tuple, rows)),
+        nonzero=template.nonzero if nonzero is None
+        else tuple(map(poly, nonzero)),
+    ))
+
+
+@pytest.fixture(scope="session")
+def mutant():
+    return mutant_family
 
 
 @pytest.fixture(scope="session")

@@ -4,17 +4,26 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from locsym import (
+    Algebra,
+    AutomorphismFamily,
     Matrix,
+    MatrixTemplate,
+    UnsupportedError,
     group_closure_report,
     is_automorphism,
     load_algebra,
     multiplicativity_residual,
     random_member,
+    template_match,
     verify_family,
 )
+from locsym import automorphisms, templates
 from locsym.automorphisms import multiplicativity_failure
-from locsym.linalg import inverse
+from locsym.linalg import inverse, is_invertible
+from locsym.poly import poly
 
 
 def member(fam, seed=0, bound=5):
@@ -121,13 +130,84 @@ def test_template_match_recovers_parameters(fam2):
     assert fam2.match(Matrix.identity(5)) is not None
 
 
-# -- two-way family verification ------------------------------------------------
+# -- the family proof -------------------------------------------------------------
 
-def test_verify_family_small_battery(fam2, fam3):
+def test_verify_family_proves_both_builtins(fam2, fam3):
     for fam in (fam2, fam3):
-        report = verify_family(fam, trials=60, seed=3)
+        report = verify_family(fam)
         assert report.ok, report.detail
         assert report.counterexample is None
+        assert report.detail.endswith("generators e1, e4 (case-split leaves: 1)")
+
+
+def test_a_passing_proof_samples_nothing(monkeypatch, fam2, fam3):
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(automorphisms, "is_automorphism")
+    counted(automorphisms, "random_parameters")
+    counted(templates, "random_parameters")
+    counted(random, "Random")
+    assert all(verify_family(fam).ok for fam in (fam2, fam3))
+    assert calls == []
+
+
+MUTANTS = [
+    # (table, template, changed entries, dropped parameters, open conditions,
+    #  the direction that fails first)
+    ("pi2", "pi2", {(5, 2): "a11*a41"}, (), None, "forward"),
+    ("pi2", "pi2", {}, (), ("a11", "a11+a41", "a21"), "reverse"),
+    ("pi2", "pi2", {}, (), ("a11",), "forward"),
+    ("pi3", "pi3", {(5, 4): 0}, ("a54",), None, "reverse"),
+    ("pi3", "pi3", {(4, 4): "-a11"}, (), None, "forward"),
+    ("pi2", "pi3", {}, (), None, "reverse"),
+    ("pi3", "pi2", {}, (), None, "forward"),
+]
+
+
+@pytest.mark.parametrize(
+    "table, form, entries, drop, nonzero, direction", MUTANTS,
+    ids=["pi2-52", "pi2-open-a21", "pi2-no-open-a11+a41", "pi3-a54-zero",
+         "pi3-44-minus", "pi3-form-on-pi2", "pi2-form-on-pi3"],
+)
+def test_every_mutant_fails_with_a_counterexample(
+    mutant, table, form, entries, drop, nonzero, direction
+):
+    family = mutant(table, form, entries, drop, nonzero)
+    report = verify_family(family)
+    assert not report.ok
+    phi = report.counterexample
+    assert phi is not None
+    if direction == "forward":
+        assert report.detail == "a member of the family is no automorphism"
+        assert template_match(family.template, phi) is not None
+        assert (multiplicativity_failure(family.algebra, phi) is not None
+                or not is_invertible(phi))
+    else:
+        assert report.detail == "an automorphism escapes the family"
+        assert is_automorphism(family.algebra, phi)
+        assert template_match(family.template, phi) is None
+
+
+def test_images_not_fixed_by_generators_are_unsupported():
+    # e1 e1 = e2 + e3: the generators are e1 and e2, and e3 is no product
+    algebra = Algebra(name="split", dim=3, table={(0, 0): (0, 1, 1)})
+    template = MatrixTemplate(
+        dim=3, params=("a",),
+        entries=tuple(tuple(poly(e) for e in row) for row in
+                      (("a", 0, 0), (0, "a^2", 0), (0, 0, "a^2"))),
+        nonzero=(poly("a"),),
+    )
+    with pytest.raises(UnsupportedError, match="one-term product"):
+        verify_family(AutomorphismFamily(algebra, template))
 
 
 def test_group_closure(fam2, fam3):

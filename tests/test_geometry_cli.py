@@ -133,6 +133,29 @@ def test_cli_aut_check_counterexamples_replay(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_family_verify_counterexamples_replay(
+    tmp_path, capsys, monkeypatch, mutant
+):
+    import locsym.cli as cli
+    cases = {
+        "multiplicativity_pair": mutant("pi2", "pi2", {(5, 2): "a11*a41"}),
+        "not_invertible": mutant("pi2", "pi2", nonzero=("a11",)),
+        "family_escape": mutant("pi2", "pi2", nonzero=("a11", "a11+a41", "a21")),
+    }
+    for kind, family in cases.items():
+        monkeypatch.setattr(cli, "automorphism_family", lambda _, f=family: f)
+        report = str(tmp_path / f"{kind}.json")
+        assert run_cli("aut", "family-verify", "--algebra", "pi2",
+                       "--format", "structured", "--out", report) == 1
+        with open(report, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert payload["family_ok"] is False
+        assert payload["counterexample"]["kind"] == kind
+        assert cli._verify_counterexample(payload["counterexample"], 1e-9)[0]
+        assert run_cli("verify-counterexample", report) == 0
+    capsys.readouterr()
+
+
 def test_cli_algebra_check_counterexample_replays(tmp_path, capsys):
     from locsym import save_algebra
     from locsym.algebra import Algebra
@@ -234,9 +257,10 @@ def test_cli_refuses_a_malformed_input_file(tmp_path, capsys, command, text):
 
 @pytest.mark.parametrize("name", ["pi2", "pi3"])
 def test_cli_aut_family_verify_proves_closure(capsys, name):
-    assert run_cli("aut", "family-verify", "--algebra", name, "--trials", "5",
+    assert run_cli("aut", "family-verify", "--algebra", name,
                    "--format", "structured") == 0
     payload = json.loads(capsys.readouterr().out)
+    assert "trials" not in payload
     assert payload["family_ok"] is True
     assert payload["closure_ok"] is True
 

@@ -111,10 +111,12 @@ def test_subs_is_substitution():
     assert q == poly("y^2 - 2*y + 1 + y")
 
 
-def test_diff_matches_sympy():
-    p = poly("x^3*y - 2*x*y^2 + 7")
-    assert to_sympy(p.diff("x")) == sympy.diff(to_sympy(p), X)
-    assert to_sympy(p.diff("y")) == sympy.diff(to_sympy(p), Y)
+def test_coefficients_are_fractions_and_zeros_are_dropped():
+    x, y = (("x", 1),), (("y", 1),)
+    p = Poly({x: 3, y: Fraction(1, 2), (): 0, (("z", 1),): Fraction(0)})
+    assert p.terms == {x: Fraction(3), y: Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert Poly({x: Fraction(0), y: 0}).is_zero()
 
 
 def test_degree_and_variables():
