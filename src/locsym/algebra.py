@@ -16,15 +16,16 @@ square of the algebra.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Mapping
 
 from .errors import InputError
-from .linalg import Matrix, Subspace, Vector, load_json, rank, vector
-from .rationals import format_rational, parse_rational, random_vector
+from .linalg import Matrix, Subspace, Vector, integer_rank, load_json, vector
+from .poly import Poly
+from .rationals import format_rational, parse_rational
 
 BUILTIN_TABLES = {
     "pi2": [
@@ -186,36 +187,45 @@ class PowerFiltration:
 
 
 def power_filtration(algebra: Algebra) -> PowerFiltration:
+    """The powers of A: down to 0 when A is nilpotent, else to a repeated dim.
+
+    Nilpotency is decided by V_0 = A, V_{j+1} = A V_j + V_j A.  Each step
+    depends only on V_j, so the first repeat is final, and the chain
+    reaches 0 iff A is nilpotent, since V_j <= A^{j+1} and
+    A^{2^m+1} <= V_m.  A repeat of dim A^i alone decides nothing unless
+    A^{i+1} = A A^i, which associativity guarantees.
+    """
     n = algebra.dim
-    chain = [Subspace(n, Matrix.identity(n).rows)]
-    while True:
+    whole = Subspace(n, Matrix.identity(n).rows)
+    span = whole
+    while span.dim:
+        nxt = Subspace(n, [
+            p for x in whole.basis for y in span.basis
+            for p in (algebra.multiply(x, y), algebra.multiply(y, x))
+        ])
+        if nxt.dim == span.dim:
+            break
+        span = nxt
+    nilpotent = span.dim == 0
+    chain = [whole]
+    while chain[-1].dim:
         i = len(chain)  # building A^{i+1}, 1-based exponents
-        products = []
-        for k in range(1, i + 1):
-            left = chain[k - 1]
-            right = chain[i - k]
-            for x in left.basis:
-                for y in right.basis:
-                    products.append(algebra.multiply(x, y))
-        nxt = Subspace(n, products)
-        chain.append(nxt)
-        if nxt.dim == 0:
-            # chain[k] is A^{k+1}; the nilpotency index is the first
-            # 1-based power that vanishes.
-            return PowerFiltration(
-                subspaces=tuple(chain),
-                dims=tuple(s.dim for s in chain),
-                nilpotent=True,
-                nilindex=len(chain),
-            )
-        if nxt.dim == chain[-2].dim or len(chain) > 2 * n + 1:
-            # The chain stabilized at a nonzero term: not nilpotent.
-            return PowerFiltration(
-                subspaces=tuple(chain),
-                dims=tuple(s.dim for s in chain),
-                nilpotent=False,
-                nilindex=None,
-            )
+        chain.append(Subspace(n, [
+            algebra.multiply(x, y)
+            for k in range(1, i + 1)
+            for x in chain[k - 1].basis
+            for y in chain[i - k].basis
+        ]))
+        if not nilpotent and chain[-1].dim == chain[-2].dim:
+            break
+    # chain[k] is A^{k+1}; the nilpotency index is the first 1-based
+    # power that vanishes.
+    return PowerFiltration(
+        subspaces=tuple(chain),
+        dims=tuple(s.dim for s in chain),
+        nilpotent=nilpotent,
+        nilindex=len(chain) if nilpotent else None,
+    )
 
 
 def left_mult_operator(algebra: Algebra, x) -> Matrix:
@@ -229,18 +239,28 @@ def left_mult_operator(algebra: Algebra, x) -> Matrix:
     return Matrix(cols).transpose()
 
 
-def _jordan_sizes(op: Matrix) -> tuple[int, ...] | None:
-    """Jordan block sizes of a nilpotent operator from ranks of its powers."""
-    n = op.shape[0]
-    ranks = [n]
-    power = Matrix.identity(n)
-    for _ in range(n):
-        power = power * op
-        ranks.append(rank(power))
-        if ranks[-1] == 0:
-            break
-    if ranks[-1] != 0:
-        return None
+def characteristic_sequence(algebra: Algebra) -> tuple[int, ...]:
+    """Lexicographically maximal Jordan shape of L_x over x outside A^2.
+
+    Exact: L_x is built with symbolic x = (x1..xn), and the ranks of its
+    powers are taken over Q(x) (integer_rank's Bareiss divisions are exact
+    on Poly entries too).  Generic x maximizes the rank of every power at
+    once, so its Jordan type dominates, and hence is lexicographically at
+    least, the type at any other x; and generic x lies outside A^2.
+    """
+    if not power_filtration(algebra).nilpotent:
+        raise InputError("characteristic sequence requires a nilpotent algebra")
+    n = algebra.dim
+    op = [[Poly.zero()] * n for _ in range(n)]
+    for i, j, k, c in algebra.terms:
+        op[k][j] += Poly.var(f"x{i + 1}") * c
+    ranks, power = [n], op
+    while ranks[-1]:  # L_x is nilpotent, as A is
+        ranks.append(integer_rank([list(row) for row in power]))
+        power = [
+            [sum(map(mul, row, col), Poly.zero()) for col in zip(*op)]
+            for row in power
+        ]
     # ranks[k-1] - ranks[k] counts blocks of size >= k.
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     at_least.append(0)
@@ -248,44 +268,6 @@ def _jordan_sizes(op: Matrix) -> tuple[int, ...] | None:
     for k in range(1, len(at_least)):
         sizes.extend([k] * (at_least[k - 1] - at_least[k]))
     return tuple(sorted(sizes, reverse=True))
-
-
-def characteristic_sequence(
-    algebra: Algebra, trials: int = 200, seed: int = 0
-) -> tuple[int, ...]:
-    """Lexicographically maximal Jordan shape of L_x over x outside A^2.
-
-    Candidates are the basis vectors not in A^2 plus `trials` random
-    rational vectors; the result is exact for each candidate but only a
-    lower bound for the algebra, since the maximum is over a sample.
-    """
-    if trials < 1:
-        raise InputError("trials must be at least 1")
-    filtration = power_filtration(algebra)
-    if not filtration.nilpotent:
-        raise InputError("characteristic sequence requires a nilpotent algebra")
-    square = filtration.subspaces[1]
-    n = algebra.dim
-    candidates = []
-    for i in range(n):
-        e_i = tuple(1 if t == i else 0 for t in range(n))
-        if not square.contains(e_i):
-            candidates.append(e_i)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        x = random_vector(rng, n)
-        if not square.contains(x):
-            candidates.append(x)
-    best: tuple[int, ...] | None = None
-    for x in candidates:
-        sizes = _jordan_sizes(left_mult_operator(algebra, x))
-        if sizes is None:
-            raise InputError("left multiplication is not nilpotent")
-        if best is None or sizes > best:
-            best = sizes
-    if best is None:
-        raise InputError("algebra equals its own square; no candidates")
-    return best
 
 
 def multiplicativity_residual(algebra: Algebra, phi) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -68,12 +67,10 @@ from .local_automorphisms import (
     verify_pattern,
 )
 from .local_derivations import (
-    LocalDerivationSpace,
     local_derivation_space,
-    membership_checker,
     pointwise_membership,
+    refuting_point,
     strict_inclusion_witness,
-    structured_probe_points,
 )
 from .rationals import format_rational, parse_rational
 from .templates import LOCAL_DERIVATION_FORM_PI3, closed_forms
@@ -143,26 +140,6 @@ def _automorphism_counterexample(args, algebra, phi: Matrix) -> dict | None:
     if not is_invertible(phi):
         return {"kind": "not_invertible", "matrix": operator_to_payload(phi)}
     return None
-
-
-def _locder_counterexample(
-    args, op: Matrix, space: LocalDerivationSpace
-) -> dict:
-    """A concrete point refuting membership, or the span-level fact."""
-    points = structured_probe_points(space.algebra, space.case_tree, seed=args.seed)
-    rng = random.Random(args.seed + 1)
-    for _ in range(max(args.trials or 1000, 100)):
-        points.append([rng.randint(-99, 99) for _ in range(space.algebra.dim)])
-    member = membership_checker(space.derivations, op)
-    for x in points:
-        if not member(x):
-            return _counterexample(
-                args, "pointwise", matrix=operator_to_payload(op),
-                point=_vector_payload(x),
-            )
-    return _counterexample(
-        args, "span_membership", space="locder", matrix=operator_to_payload(op)
-    )
 
 
 def _field(obj: dict, name: str, what: str, ok=lambda raw: True, parse=None):
@@ -292,9 +269,7 @@ def _cmd_algebra_check(args) -> tuple[int, dict, list[str]]:
         f"nilpotent: {filtration.nilpotent} (nilindex {filtration.nilindex})",
     ]
     if filtration.nilpotent:
-        sequence = characteristic_sequence(
-            algebra, trials=args.trials or 25, seed=args.seed
-        )
+        sequence = characteristic_sequence(algebra)
         payload["characteristic_sequence"] = list(sequence)
         lines.append(f"characteristic sequence: {sequence}")
     if counterexample:
@@ -368,13 +343,12 @@ def _cmd_locder_check(args) -> tuple[int, dict, list[str]]:
     payload = {"algebra": algebra.name, "is_local_derivation": ok}
     lines = [f"is_local_derivation: {ok}"]
     if not ok:
-        counterexample = _locder_counterexample(args, op, space)
+        point = _vector_payload(refuting_point(space, op))
+        counterexample = _counterexample(
+            args, "pointwise", matrix=operator_to_payload(op), point=point
+        )
         payload["counterexample"] = counterexample
-        if counterexample["kind"] == "pointwise":
-            lines.append(
-                "no derivation matches at point "
-                f"({', '.join(counterexample['point'])})"
-            )
+        lines.append(f"no derivation matches at point ({', '.join(point)})")
         lines.append("counterexample: " + json.dumps(counterexample))
         return 1, payload, lines
     return 0, payload, lines
@@ -766,10 +740,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
     shared.add_argument(
-        "--trials", type=_positive_int, default=None,
-        help="randomized trial count (a positive integer)",
-    )
-    shared.add_argument(
         "--tol", type=float, default=1e-9, help="numeric tolerance"
     )
     shared.add_argument(
@@ -777,6 +747,12 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="fmt", help="report format",
     )
     shared.add_argument("--out", default=None, help="write the report here")
+    # only the commands that sample read a trial count
+    sampled = argparse.ArgumentParser(add_help=False, parents=[shared])
+    sampled.add_argument(
+        "--trials", type=_positive_int, default=None,
+        help="randomized trial count (a positive integer)",
+    )
 
     parser = argparse.ArgumentParser(
         prog="locsym",
@@ -826,10 +802,10 @@ def _build_parser() -> argparse.ArgumentParser:
     locaut_check = locaut_sub.add_parser("check", parents=[shared])
     locaut_check.add_argument("--matrix", required=True, help="operator file")
     locaut_check.set_defaults(handler=_cmd_locaut_check)
-    locaut_sub.add_parser("verify", parents=[shared]).set_defaults(
+    locaut_sub.add_parser("verify", parents=[sampled]).set_defaults(
         handler=_cmd_locaut_verify
     )
-    locaut_witness = locaut_sub.add_parser("witness", parents=[shared])
+    locaut_witness = locaut_sub.add_parser("witness", parents=[sampled])
     locaut_witness.add_argument("--matrix", required=True, help="operator file")
     locaut_witness.set_defaults(handler=_cmd_locaut_witness)
 
@@ -847,7 +823,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     log_cmd.set_defaults(handler=_cmd_log)
 
-    bridge_cmd = commands.add_parser("bridge", parents=[shared])
+    bridge_cmd = commands.add_parser("bridge", parents=[sampled])
     bridge_cmd.add_argument(
         "--direction", choices=("exp", "log"), default="exp"
     )

@@ -10,13 +10,14 @@ the leaf strata cover the probe space, and each basis element is then
 proved local on every leaf by a polynomial-identity certificate
 (stratify.certificate_failure).  A pivot the solver cannot split
 into degree-1 factors is refused with a StratificationError (an
-UnsupportedError) that names it; there is no approximate answer.
+UnsupportedError) that names it; there is no approximate answer.  An
+operator outside the space gets a deterministic refuting point from the
+first leaf whose certificate it breaks (refuting_point).
 """
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -24,15 +25,14 @@ from operator import mul
 from .algebra import Algebra
 from .derivations import DerivationSpace, derivation_algebra, is_derivation
 from .errors import InputError, InternalCheckError, StratificationError
-from .linalg import Matrix, Subspace, in_row_span, solve, vector
+from .linalg import Matrix, Subspace, Vector, in_row_span, solve, vector
 from .poly import Poly
-from .rationals import random_vector
 from .stratify import (
     CaseTree,
     Equation,
     ParametricSystem,
     certificate_failure,
-    sample_stratum,
+    leaf_refutation,
     solve_parametric,
 )
 
@@ -122,21 +122,6 @@ def support_patterns(dim: int):
         yield from itertools.combinations(indices, size)
 
 
-def structured_probe_points(
-    algebra: Algebra, tree: CaseTree, seed: int = 0
-) -> list[tuple[Fraction, ...]]:
-    """Support-pattern points plus one sample per discovered stratum."""
-    rng = random.Random(seed)
-    points = [
-        random_vector(rng, algebra.dim, support=s)
-        for s in support_patterns(algebra.dim)
-    ]
-    for k, leaf in enumerate(tree.leaves):
-        point = sample_stratum(leaf, seed=seed + k + 1)
-        points.append(tuple(point[f"n{j + 1}"] for j in range(algebra.dim)))
-    return points
-
-
 def local_derivation_space(
     algebra: Algebra,
     seed: int = 0,
@@ -191,6 +176,24 @@ def membership_checker(ders: DerivationSpace, op: Matrix):
         return in_row_span(images[:-1], images[-1])
 
     return check
+
+
+def refuting_point(space: LocalDerivationSpace, op: Matrix) -> Vector:
+    """A point x with op(x) outside span{D(x)}, for op outside the space.
+
+    Deterministic: the first leaf whose certificate op breaks gives the
+    point (stratify.leaf_refutation), which is checked pointwise again.
+    """
+    tree = space.case_tree
+    member = membership_checker(space.derivations, op)
+    for leaf in tree.leaves:
+        point = leaf_refutation(tree.system, leaf, op.vec())
+        if point is not None:
+            x = vector(point[v] for v in tree.system.nu_vars)
+            if member(x):
+                break
+            return x
+    raise InternalCheckError("no leaf refutes the operator pointwise")
 
 
 def _prove(space: LocalDerivationSpace) -> None:

@@ -83,6 +83,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(m == _ONE for m in self.terms)
 
@@ -312,6 +315,13 @@ class Poly:
             quotient[qmono] = quotient.get(qmono, Fraction(0)) + qcoeff
             remainder = remainder - Poly({qmono: qcoeff}) * divisor
         return Poly(quotient)
+
+    def __floordiv__(self, divisor) -> "Poly":
+        """Exact division, as Bareiss elimination needs; a remainder raises."""
+        quotient = self.div_exact(divisor)
+        if quotient is None:
+            raise ArithmeticError(f"{divisor} does not divide {self}")
+        return quotient
 
     def sqrt_exact(self) -> "Poly | None":
         """Return s with s*s == self, or None if self is not a square."""

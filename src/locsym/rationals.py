@@ -8,9 +8,9 @@ Divide exact scalars with `quotient`: int / int is a float, and
 `quotient` keeps an exact int quotient an int.
 
 Serialized rationals are "p" or "p/q" strings so that round trips are
-lossless.  Random rationals follow one convention everywhere: numerator
-and denominator drawn uniformly from [-10**6, 10**6] with zero excluded
-(denominator sign is folded into the numerator by Fraction itself).
+lossless.  A random rational draws numerator and denominator uniformly
+from [-10**6, 10**6] with zero excluded (denominator sign is folded into
+the numerator by Fraction itself); no engine path samples one.
 """
 from __future__ import annotations
 
@@ -69,17 +69,3 @@ def random_nonzero_int(rng: random.Random, bound: int = SAMPLE_BOUND) -> int:
 def random_rational(rng: random.Random, bound: int = SAMPLE_BOUND) -> Fraction:
     """Uniform numerator/denominator sampling; never returns zero."""
     return Fraction(random_nonzero_int(rng, bound), random_nonzero_int(rng, bound))
-
-
-def random_vector(rng: random.Random, dim: int, support=None) -> tuple[Fraction, ...]:
-    """Random rational vector; nonzero exactly on the given support.
-
-    support is an iterable of 0-based coordinate indices; None means all
-    coordinates.
-    """
-    if support is None:
-        support = range(dim)
-    chosen = set(support)
-    return tuple(
-        random_rational(rng) if i in chosen else Fraction(0) for i in range(dim)
-    )

@@ -25,11 +25,13 @@ The leaves partition the nu-space, so the union of all leaf constraints
 is necessary and sufficient for universal solvability.  Sufficiency is
 proved per leaf by certificate_failure, which back-substitutes the
 leaf's recorded pivots and checks the original equations as polynomial
-identities, sharing nothing with the elimination but Poly.
+identities, sharing nothing with the elimination but Poly.  A b that
+fails the certificate gets a point of the leaf where it is not solvable
+from leaf_refutation, off a fixed grid, so nothing is sampled.
 """
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -37,7 +39,6 @@ from typing import Mapping, Sequence
 from .errors import InternalCheckError, StratificationError, UnsupportedError
 from .linalg import Matrix, Subspace, nullspace
 from .poly import Poly, linear_factors, solve_linear, unit_times_powers
-from .rationals import random_rational
 
 MAX_DEPTH = 12
 
@@ -310,19 +311,52 @@ def _make_leaf(system, eqs, equalities, ineq_shown, subst, pivots) -> StratumCas
     )
 
 
-def sample_stratum(case: StratumCase, seed: int = 0) -> dict[str, Fraction]:
-    """Random exact point of the stratum by rejection over the free vars."""
-    rng = random.Random(seed)
-    for _ in range(10000):
-        point = {v: random_rational(rng) for v in case.free_vars}
-        for v, expr in case.substitution.items():
-            point[v] = expr.evaluate(point)
-        if all(q.evaluate(point) != 0 for q in case.inequations):
-            return point
-    raise UnsupportedError("stratum appears to have no admissible points")
-
-
 # -- the per-leaf certificate ---------------------------------------------------
+
+
+def _residuals(system: ParametricSystem, leaf: StratumCase):
+    """den and b -> residuals: the leaf's certificate, read once.
+
+    den is the product of the pivot coefficients under the substitution,
+    and residuals(b) yields, for each original equation in turn, the
+    polynomial  sum_u c_u N_u - den * rhs(b)  in the free variables (see
+    certificate_failure), which is zero iff the candidate solves it.
+    """
+    sub = leaf.substitution
+    symbols = system.rhs_symbols
+
+    def read(eq):
+        # the coefficients and the rhs's linear form in b, under s, read once
+        coeffs = {u: c.subs(sub) for u, c in eq.coeffs.items()}
+        form, _ = eq.rhs.subs(sub).linear_decompose(symbols)
+        return coeffs, [(i, form[s]) for i, s in enumerate(symbols)
+                        if not form[s].is_zero()]
+
+    def at(form, b):
+        return sum((c * b[i] for i, c in form if b[i]), Poly.zero())
+
+    pivots = [(u, *read(eq)) for u, eq in leaf.pivots]
+    equations = [read(eq) for eq in system.equations]
+    den = Poly.const(1)
+    for u, coeffs, _ in pivots:
+        den = den * coeffs[u]
+
+    def residuals(b):
+        # after step k every numerator is over the product of p_k..p_K
+        numer: dict[str, Poly] = {}
+        scale = Poly.const(1)
+        for u, coeffs, form in reversed(pivots):
+            known = sum((coeffs[v] * n for v, n in numer.items() if v in coeffs),
+                        Poly.zero())
+            numer = {v: n * coeffs[u] for v, n in numer.items()}
+            numer[u] = at(form, b) * scale - known
+            scale = scale * coeffs[u]
+        for coeffs, form in equations:
+            lhs = sum((c * numer[u] for u, c in coeffs.items() if u in numer),
+                      Poly.zero())
+            yield lhs - den * at(form, b)
+
+    return den, residuals
 
 
 def certificate_failure(
@@ -347,41 +381,38 @@ def certificate_failure(
     whole stratum and the identity gives a solution at every point of it.
     """
     sub = leaf.substitution
-    symbols = system.rhs_symbols
-
-    def read(eq):
-        # the coefficients and the rhs's linear form in b, under s, read once
-        coeffs = {u: c.subs(sub) for u, c in eq.coeffs.items()}
-        form, _ = eq.rhs.subs(sub).linear_decompose(symbols)
-        return coeffs, [(i, form[s]) for i, s in enumerate(symbols)
-                        if not form[s].is_zero()]
-
-    def at(form, b):
-        return sum((c * b[i] for i, c in form if b[i]), Poly.zero())
-
     if any(not e.subs(sub).is_zero() for e in leaf.equalities):
         return f"the substitution does not solve the equalities {leaf.signature()}"
-    pivots = [(u, *read(eq)) for u, eq in leaf.pivots]
-    equations = [read(eq) for eq in system.equations]
-    den = Poly.const(1)
-    for u, coeffs, _ in pivots:
-        den = den * coeffs[u]
+    den, residuals = _residuals(system, leaf)
     opens = [q.subs(sub) for q in leaf.inequations]
     if not unit_times_powers(den, opens):
         return f"pivot product {den} is not a unit times powers of the inequations"
     for b in vectors:
-        # after step k every numerator is over the product of p_k..p_K
-        numer: dict[str, Poly] = {}
-        scale = Poly.const(1)
-        for u, coeffs, form in reversed(pivots):
-            known = sum((coeffs[v] * n for v, n in numer.items() if v in coeffs),
-                        Poly.zero())
-            numer = {v: n * coeffs[u] for v, n in numer.items()}
-            numer[u] = at(form, b) * scale - known
-            scale = scale * coeffs[u]
-        for coeffs, form in equations:
-            lhs = sum((c * numer[u] for u, c in coeffs.items() if u in numer),
-                      Poly.zero())
-            if not (lhs - den * at(form, b)).is_zero():
-                return f"b = {tuple(b)} is not solved on the stratum {leaf.signature()}"
+        if any(residuals(b)):
+            return f"b = {tuple(b)} is not solved on the stratum {leaf.signature()}"
     return None
+
+
+def leaf_refutation(
+    system: ParametricSystem, leaf: StratumCase, b
+) -> dict[str, int | Fraction] | None:
+    """A point of the leaf where the system has no solution at b, or None.
+
+    None means the certificate holds for b on the leaf.  Otherwise a
+    residual D of certificate_failure is a nonzero polynomial, and so is
+    Q = D times the inequations under s.  With degree at most d_v in each
+    free variable v, Q is nonzero somewhere on the grid prod {0..d_v}; the
+    first such point, mapped through s, is the point returned.  Every
+    pivot is nonzero there, so a solution there would be the
+    back-substituted candidate, which D(x) != 0 says fails.
+    """
+    _, residuals = _residuals(system, leaf)
+    q = next((r for r in residuals(b) if r), None)
+    if q is None:
+        return None
+    for ineq in leaf.inequations:
+        q = q * ineq.subs(leaf.substitution)
+    free = leaf.free_vars
+    grid = itertools.product(*(range(q.degree_in(v) + 1) for v in free))
+    point = next(p for p in (dict(zip(free, g)) for g in grid) if q.evaluate(p))
+    return point | {v: e.evaluate(point) for v, e in leaf.substitution.items()}

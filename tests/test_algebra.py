@@ -6,9 +6,13 @@ sequence) are pinned to their independently computed values.
 """
 
 import json
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +28,22 @@ from locsym import (
     save_algebra,
     zero_algebra,
 )
+import locsym.algebra
+import locsym.local_derivations
+import locsym.stratify
 from locsym.algebra import Algebra
+from sympy.polys.matrices import DomainMatrix
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from solve_inputs import make_cycle  # noqa: E402
 
 coords = st.lists(st.integers(-9, 9), min_size=5, max_size=5)
+
+
+def tri4():
+    """e1e1 = e2, e2e2 = e3, e3e3 = e4: nilpotent, not associative."""
+    table = {(0, 0): (0, 1, 0, 0), (1, 1): (0, 0, 1, 0), (2, 2): (0, 0, 0, 1)}
+    return Algebra(name="tri4", dim=4, table=table)
 
 
 def basis_vec(i, dim=5):
@@ -127,9 +144,72 @@ def test_zero_algebra_filtration():
     assert f.nilpotent and f.nilindex == 2
 
 
+def test_a_non_associative_power_chain_can_stall_and_still_vanish():
+    # e1e1 = e2, e2e2 = e3, e3e3 = e4: A^3 and A^4 are both span(e3, e4),
+    # yet the 8-fold product ((e1e1)(e1e1))((e1e1)(e1e1)) = e4 is nonzero
+    a = tri4()
+    e1 = basis_vec(0, 4)
+    square = a.multiply(e1, e1)
+    fourth = a.multiply(square, square)
+    assert a.multiply(fourth, fourth) == basis_vec(3, 4)
+    f = power_filtration(a)
+    assert f.dims == (4, 3, 2, 2, 1, 1, 1, 1, 0)
+    assert f.nilpotent and f.nilindex == 9
+
+
+def test_an_idempotent_is_not_nilpotent():
+    a = Algebra(name="idem", dim=2, table={(0, 0): (1, 0)})
+    f = power_filtration(a)
+    assert not f.nilpotent and f.nilindex is None
+    with pytest.raises(InputError):
+        characteristic_sequence(a)
+
+
 @pytest.mark.parametrize("name", ["pi2", "pi3"])
 def test_characteristic_sequence(name):
-    assert characteristic_sequence(builtin(name), trials=25) == (3, 2)
+    assert characteristic_sequence(builtin(name)) == (3, 2)
+
+
+def generic_jordan_type(algebra):
+    """Jordan type of L_x at symbolic x, from sympy ranks over Q(x)."""
+    n = algebra.dim
+    xs = sympy.symbols(f"x1:{n + 1}")
+    op = sympy.zeros(n, n)
+    for i, j, k, c in algebra.terms:
+        op[k, j] += xs[i] * sympy.Rational(c.numerator, c.denominator)
+    op = DomainMatrix.from_Matrix(op).convert_to(sympy.QQ.frac_field(*xs))
+    ranks, power = [n], op
+    while ranks[-1]:
+        ranks.append(power.rank())
+        power = power * op
+    # ranks[k-1] - ranks[k] blocks have size >= k: the conjugate partition
+    conjugate = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    return tuple(
+        sum(1 for c in conjugate if c >= size)
+        for size in range(1, conjugate[0] + 1)
+    )
+
+
+def rebased_solve_copies():
+    return [a for name, a in make_cycle(1, 0) if name.startswith("iso")]
+
+
+@pytest.mark.parametrize(
+    "algebra", [*rebased_solve_copies(), tri4()], ids=lambda a: a.name
+)
+def test_characteristic_sequence_is_the_generic_jordan_type(algebra):
+    assert characteristic_sequence(algebra) == generic_jordan_type(algebra)
+
+
+def test_characteristic_sequence_draws_no_random_number(monkeypatch):
+    def draw(*_):
+        raise AssertionError("a random number was drawn")
+
+    monkeypatch.setattr(random.Random, "random", draw)
+    monkeypatch.setattr(random.Random, "getrandbits", draw)
+    assert characteristic_sequence(builtin("pi3")) == (3, 2)
+    for module in (locsym.algebra, locsym.stratify, locsym.local_derivations):
+        assert "random" not in vars(module)
 
 
 # -- serialization ----------------------------------------------------------------

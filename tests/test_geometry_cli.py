@@ -6,6 +6,7 @@ real process, and the console-script entry in pyproject.toml is checked
 to name the same main().
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -24,7 +25,7 @@ from locsym import (
     save_operator,
     zero_algebra,
 )
-from locsym.cli import main
+from locsym.cli import _build_parser, main
 from locsym.linalg import operator_to_payload
 from locsym.templates import LOCAL_AUTOMORPHISM_FORM_PI3_PLUS
 
@@ -392,29 +393,67 @@ def test_cli_bridge(capsys):
                    "--trials", "10") == 0
 
 
+SAMPLING_COMMANDS = (("locaut", "verify"), ("locaut", "witness"), ("bridge",))
+
+
+def leaf_commands(parser, path=()):
+    """(command words, argv filling its required arguments) per subcommand."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        required = [
+            word for a in parser._actions if a.required
+            for word in ([a.option_strings[0], "x"] if a.option_strings else ["x"])
+        ]
+        return [(path, required)]
+    return [leaf for name, sub in subs[0].choices.items()
+            for leaf in leaf_commands(sub, path + (name,))]
+
+
+@pytest.mark.parametrize("command, required", [
+    pytest.param(command, required, id=" ".join(command))
+    for command, required in leaf_commands(_build_parser())
+])
+def test_cli_trials_is_a_flag_of_the_sampling_commands_only(
+    command, required, capsys
+):
+    argv = [*command, *required, "--trials", "5"]
+    if command in SAMPLING_COMMANDS:
+        assert _build_parser().parse_args(argv).trials == 5
+    else:
+        assert run_cli(*argv) == 2
+        assert "unrecognized arguments: --trials" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials", ["-3", "0"])
-@pytest.mark.parametrize(
-    "command", [("locaut", "verify"), ("aut", "family-verify"), ("bridge",)],
-    ids=" ".join,
-)
+@pytest.mark.parametrize("command", [*SAMPLING_COMMANDS, ("aut", "family-verify")],
+                         ids=" ".join)
 def test_cli_trials_must_be_positive(command, trials, capsys):
+    # aut family-verify proves its family and takes no count at all, so a
+    # non-positive one is refused there as an unknown flag.
     assert run_cli(*command, "--algebra", "pi3", "--trials", trials) == 2
-    assert "not a positive integer" in capsys.readouterr().err
+    expected = ("not a positive integer" if command in SAMPLING_COMMANDS
+                else "unrecognized arguments: --trials")
+    assert expected in capsys.readouterr().err
 
 
 def test_cli_locder_check_pins_the_refuting_point(tmp_path, capsys):
-    # The counterexample is the first probe point, structured points then
-    # seeded random ones, where E12 fails membership; at seed 7 that is
-    # the second structured point.
+    # The point comes off a fixed grid on the first leaf that E12 breaks,
+    # so every seed reports the same one, and it replays.
     e12 = str(tmp_path / "e12.json")
     save_operator(e12, Matrix([[0, 1, 0, 0, 0]] + [[0] * 5] * 4))
-    assert run_cli("locder", "check", "--algebra", "pi2", "--matrix", e12,
-                   "--seed", "7", "--format", "structured") == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["counterexample"]["kind"] == "pointwise"
-    assert report["counterexample"]["point"] == [
-        "0", "683647/171996", "0", "0", "0"
-    ]
+    reports = []
+    for seed in ("0", "7"):
+        assert run_cli("locder", "check", "--algebra", "pi2", "--matrix", e12,
+                       "--seed", seed, "--format", "structured") == 1
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    counterexample = json.loads(reports[0])["counterexample"]
+    assert counterexample["kind"] == "pointwise"
+    assert counterexample["point"] == ["0", "1", "0", "1", "0"]
+    path = tmp_path / "report.json"
+    path.write_text(reports[0])
+    assert run_cli("verify-counterexample", str(path)) == 0
 
 
 def test_cli_locder_check_computes_locder_once(tmp_path, capsys, monkeypatch):

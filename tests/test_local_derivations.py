@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from locsym import (
+    InternalCheckError,
     Matrix,
     StratificationError,
     is_derivation,
@@ -17,7 +18,12 @@ from locsym import (
     strict_inclusion_witness,
     template_space_equals,
 )
+from locsym.cli import _verify_counterexample
+from locsym.linalg import operator_to_payload
+from locsym.local_derivations import refuting_point
 from locsym.poly import linear_factors
+from locsym.rationals import format_rational
+from locsym.stratify import leaf_refutation
 from locsym.templates import LOCAL_DERIVATION_FORM_PI2, LOCAL_DERIVATION_FORM_PI3
 
 
@@ -105,6 +111,43 @@ def test_membership_checker_agrees_with_the_solve(der2, loc2, der3, loc3):
                 assert member(x) == expected
                 outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+# -- deterministic refutation of non-members ------------------------------------
+
+@pytest.mark.parametrize("name, count", [("pi2", 40), ("pi3", 50)])
+def test_every_leaf_constraint_is_refuted_from_its_own_leaf(
+    name, count, loc2, loc3
+):
+    tree = {"pi2": loc2, "pi3": loc3}[name].case_tree
+    symbols = tree.system.rhs_symbols
+    refuted = 0
+    for leaf in tree.leaves:
+        for constraint in leaf.constraints:
+            # the unit operator on a symbol the constraint reads breaks it
+            symbol = next(s for s in symbols if constraint.degree_in(s))
+            b = tuple(int(s == symbol) for s in symbols)
+            point = leaf_refutation(tree.system, leaf, b)
+            assert point is not None and leaf.contains(point)
+            reproduced, _ = _verify_counterexample({
+                "kind": "pointwise", "algebra": name,
+                "matrix": operator_to_payload(Matrix.from_vec(b, 5)),
+                "point": [format_rational(point[v]) for v in tree.system.nu_vars],
+            }, tol=0.0)
+            assert reproduced
+            refuted += 1
+    assert refuted == count
+
+
+def test_refuting_point_is_deterministic_and_draws_nothing(loc2, monkeypatch):
+    def draw(*_):
+        raise AssertionError("a random number was drawn")
+
+    monkeypatch.setattr(random.Random, "random", draw)
+    monkeypatch.setattr(random.Random, "getrandbits", draw)
+    assert refuting_point(loc2, e_matrix(0, 1)) == (0, 1, 0, 1, 0)
+    with pytest.raises(InternalCheckError):
+        refuting_point(loc2, loc2.basis[0])
 
 
 # -- strict inclusion ---------------------------------------------------------------

@@ -18,7 +18,7 @@ from locsym import (
 )
 from locsym.local_derivations import localization_system
 from locsym.poly import Poly, poly
-from locsym.stratify import Equation, certificate_failure, sample_stratum
+from locsym.stratify import Equation, certificate_failure, leaf_refutation
 
 
 def scalar_system(coeff_text):
@@ -63,11 +63,14 @@ def test_solution_space_aggregates_constraints():
     assert free.solution_space().dim == 1
 
 
-def test_samples_lie_in_their_strata():
+def test_a_broken_leaf_gives_a_point_of_that_leaf():
     tree = solve_parametric(scalar_system("n"))
-    for leaf in tree.leaves:
-        for seed in (0, 5):
-            assert leaf.contains(sample_stratum(leaf, seed=seed))
+    special = next(l for l in tree.leaves if l.equalities)
+    generic = next(l for l in tree.leaves if not l.equalities)
+    # b = 1 breaks only the n = 0 leaf, whose one point is n = 0
+    assert leaf_refutation(tree.system, special, (1,)) == {"n": 0}
+    assert leaf_refutation(tree.system, generic, (1,)) is None
+    assert leaf_refutation(tree.system, special, (0,)) is None
 
 
 # -- cascaded elimination -------------------------------------------------------
