@@ -194,6 +194,14 @@ def power_filtration(algebra: Algebra) -> PowerFiltration:
     reaches 0 iff A is nilpotent, since V_j <= A^{j+1} and
     A^{2^m+1} <= V_m.  A repeat of dim A^i alone decides nothing unless
     A^{i+1} = A A^i, which associativity guarantees.
+
+    The powers decrease (A^{N+1} <= A^N), so equal dims mean equal powers.
+    Once A^m = ... = A^N with N >= 2m, also A^N <= A^{N+1}: a term
+    A^k A^{N-k} of A^N has k >= m or N-k >= m, say k, and A^k = A^{k+1}
+    inside the plateau puts the term in A^{k+1} A^{N-k} <= A^{N+1}.  So
+    the chain is constant from A^m on.  A non-nilpotent chain is computed
+    until such a plateau and reported through the first repeat of its
+    final value.
     """
     n = algebra.dim
     whole = Subspace(n, Matrix.identity(n).rows)
@@ -216,7 +224,10 @@ def power_filtration(algebra: Algebra) -> PowerFiltration:
             for x in chain[k - 1].basis
             for y in chain[i - k].basis
         ]))
-        if not nilpotent and chain[-1].dim == chain[-2].dim:
+        # m: the 1-based exponent where the chain's last value begins
+        m = next(k for k, s in enumerate(chain, 1) if s.dim == chain[-1].dim)
+        if not nilpotent and len(chain) >= 2 * m:
+            del chain[m + 1:]
             break
     # chain[k] is A^{k+1}; the nilpotency index is the first 1-based
     # power that vanishes.

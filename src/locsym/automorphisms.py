@@ -16,7 +16,8 @@ from operator import sub
 from .algebra import Algebra, power_filtration
 from .errors import InputError, UnsupportedError
 from .linalg import Matrix, Subspace, is_invertible
-from .poly import Poly, linear_factors, solve_linear, unit_times_powers
+from .poly import Poly, linear_factors, unit_times_powers
+from .stratify import Split, StratumCase, coverage_failure, tree_leaves, zero_branches
 from .templates import (
     MatrixTemplate,
     closed_forms,
@@ -146,24 +147,32 @@ def _generic_images(algebra: Algebra) -> tuple[list[str], list[list[Poly]]]:
     return generators, [list(row) for row in zip(*(images[k] for k in range(n)))]
 
 
-def _leaves(grid, equations) -> list[tuple[list[list[Poly]], Poly]]:
-    """(grid, det) on every branch of a complete split of the equations.
+def _case_split(algebra: Algebra):
+    """Generators, the generic grid and the recorded split of its equations.
 
-    A step branches on the distinct linear factors of one equation, each
-    solved for its last variable.  A branch with det identically 0 or a
-    nonzero constant equation has no invertible point and is pruned.
+    The multiplicativity equations of the generic map (_generic_images)
+    are split one at a time: a step splits on the new linear factors of
+    the first nonzero equation (stratify.zero_branches), whose generic
+    child is empty.  A stratum where the determinant vanishes
+    identically, or no equation is left, is a leaf.
     """
-    det, equations = determinant(grid), [e for e in equations if not e.is_zero()]
-    if det.is_zero() or any(e.is_constant() for e in equations):
-        return []
-    if not equations:
-        return [(grid, det)]
-    leaves = []
-    for factor in dict.fromkeys(linear_factors(equations[0])[1]):
-        s = solve_linear(factor)
-        leaves += _leaves([[x.subs(s) for x in row] for row in grid],
-                          [e.subs(s) for e in equations[1:]])
-    return leaves
+    generators, generic = _generic_images(algebra)
+
+    def split(det, equations, stratum):
+        equations = [e for e in equations if not e.is_zero()]
+        if det.is_zero() or not equations:
+            return stratum
+        known = stratum.opens()
+        factors = tuple(f for f in dict.fromkeys(linear_factors(equations[0])[1])
+                        if f not in known)
+        return Split(factors, equations[0], (*(
+            None if branch is None else split(
+                det.subs(branch[0]), [e.subs(branch[0]) for e in equations[1:]],
+                branch[1])
+            for branch in zero_branches(factors, stratum)), None))
+
+    equations = _defects(algebra, generic)
+    return generators, generic, split(determinant(generic), equations, StratumCase())
 
 
 def _search(grid, shows) -> Matrix | None:
@@ -182,9 +191,10 @@ def verify_family(family: AutomorphismFamily) -> FamilyReport:
 
     Forward: T(e_i) T(e_j) = T(e_i e_j) identically in the template T's
     parameters, and det T is a unit times powers of the open conditions.
-    Reverse: the template reads every leaf of _leaves, the split of the
-    generic map's multiplicativity equations, with no deviation, and each
-    open condition read there divides the leaf's determinant.
+    Reverse: the split of the generic map's multiplicativity equations
+    covers their zero set (stratify.coverage_failure), and on every leaf
+    with det not identically 0 the template reads the map with no
+    deviation, and each open condition read there divides its determinant.
     """
     algebra, template = family.algebra, family.template
     grid, opens = template.entries, template.nonzero
@@ -192,9 +202,15 @@ def verify_family(family: AutomorphismFamily) -> FamilyReport:
         phi = _search(grid, lambda m: family.match(m) is not None
                       and not is_automorphism(algebra, m))
         return FamilyReport(False, phi, "a member of the family is no automorphism")
-    generators, grid = _generic_images(algebra)
-    leaves = _leaves(grid, _defects(algebra, grid))
-    for leaf, det in leaves:
+    generators, generic, root = _case_split(algebra)
+    if (failure := coverage_failure(root)) is not None:
+        return FamilyReport(False, None, f"the case split does not cover: {failure}")
+    leaves = 0
+    for stratum in tree_leaves(root):
+        leaf = [[x.subs(stratum.substitution) for x in row] for row in generic]
+        if (det := determinant(leaf)).is_zero():
+            continue
+        leaves += 1
         params, deviations = template.read(leaf, Poly.subs)
         read = [c.subs(params) for c in opens]
         if any(not d.is_zero() for d in deviations.values()) or any(
@@ -204,7 +220,7 @@ def verify_family(family: AutomorphismFamily) -> FamilyReport:
                           and family.match(m) is None)
             return FamilyReport(False, phi, "an automorphism escapes the family")
     return FamilyReport(True, None, f"Aut equals the family, proved from generators "
-                        f"{', '.join(generators)} (case-split leaves: {len(leaves)})")
+                        f"{', '.join(generators)} (case-split leaves: {leaves})")
 
 
 def group_closure_report(family: AutomorphismFamily) -> FamilyReport:

@@ -6,7 +6,8 @@ plain exact linear solve.  The space of all local derivations is exact:
 it builds the parametric system  sum_p T_p(params) nu = B nu  over the
 derivation parameters, runs the stratified case-split solver and reads
 the space off the aggregated b-constraints; this is complete because
-the leaf strata cover the probe space, and each basis element is then
+the leaf strata cover the probe space, which the recorded tree proves
+(stratify.coverage_failure), and each basis element is then
 proved local on every leaf by a polynomial-identity certificate
 (stratify.certificate_failure).  A pivot the solver cannot split
 into degree-1 factors is refused with a StratificationError (an
@@ -32,6 +33,7 @@ from .stratify import (
     Equation,
     ParametricSystem,
     certificate_failure,
+    coverage_failure,
     leaf_refutation,
     solve_parametric,
 )
@@ -111,10 +113,6 @@ class LocalDerivationSpace:
         return self.span().contains(op.vec())
 
 
-def _basis_from_subspace(space: Subspace, n: int) -> tuple[Matrix, ...]:
-    return tuple(Matrix.from_vec(v, n) for v in space.basis)
-
-
 def support_patterns(dim: int):
     """All 2^dim - 1 nonzero supports, small supports first."""
     indices = range(dim)
@@ -144,7 +142,8 @@ def local_derivation_space(
         raise exc.with_traceback(None)
     result = LocalDerivationSpace(
         algebra=algebra,
-        basis=_basis_from_subspace(tree.solution_space(), algebra.dim),
+        basis=tuple(Matrix.from_vec(v, algebra.dim)
+                    for v in tree.solution_space().basis),
         case_tree=tree,
         derivations=ders,
     )
@@ -199,14 +198,17 @@ def refuting_point(space: LocalDerivationSpace, op: Matrix) -> Vector:
 def _prove(space: LocalDerivationSpace) -> None:
     """Der lies in the space, and every basis element is local on every leaf.
 
-    The case split makes the leaves partition the probe space, so the
-    certificates prove each basis element local at every point.
+    The coverage walk proves that the leaves partition the probe space
+    (stratify.coverage_failure), so the certificates prove each basis
+    element local at every point.
     """
+    tree = space.case_tree
+    if (failure := coverage_failure(tree.root)) is not None:
+        raise InternalCheckError(f"case tree coverage: {failure}")
     span = space.span()
     for d in space.derivations.basis:
         if not span.contains(d.vec()):
             raise InternalCheckError("a derivation escaped the computed space")
-    tree = space.case_tree
     vectors = [m.vec() for m in space.basis]
     for leaf in tree.leaves:
         failure = certificate_failure(tree.system, leaf, vectors)

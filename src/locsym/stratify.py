@@ -21,8 +21,11 @@ affine space minus finitely many hypersurfaces, so identical vanishing
 of a polynomial on the stratum is equivalent to all its coefficients
 vanishing, which is what makes the leaf constraints exact.
 
-The leaves partition the nu-space, so the union of all leaf constraints
-is necessary and sufficient for universal solvability.  Sufficiency is
+The splits are recorded as a tree (CaseTree.root), and coverage_failure
+proves from that record that the leaves partition the nu-space, so the
+union of all leaf constraints is necessary and sufficient for universal
+solvability.  The splitter, zero_branches, also splits the automorphism
+equations (automorphisms.verify_family).  Sufficiency is
 proved per leaf by certificate_failure, which back-substitutes the
 leaf's recorded pivots and checks the original equations as polynomial
 identities, sharing nothing with the elimination but Poly.  A b that
@@ -32,8 +35,9 @@ from leaf_refutation, off a fixed grid, so nothing is sampled.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, StratificationError, UnsupportedError
@@ -56,13 +60,18 @@ class Equation:
             rhs=self.rhs.subs(mapping),
         )
 
-    def combine(self, scale_self: Poly, other: "Equation", scale_other: Poly):
-        """scale_self * self - scale_other * other, coefficientwise."""
-        coeffs = {}
-        for u in self.coeffs:
-            coeffs[u] = scale_self * self.coeffs[u] - scale_other * other.coeffs[u]
-        rhs = scale_self * self.rhs - scale_other * other.rhs
-        return Equation(coeffs=coeffs, rhs=rhs)
+    def eliminate(self, unknown: str, pivot: "Equation") -> "Equation":
+        """p * self - c * pivot without the unknown, p and c its coefficients
+        in pivot and self; self without the unknown when c is 0."""
+        scale, other = pivot.coeffs[unknown], self.coeffs[unknown]
+        if other.is_zero():
+            return Equation({u: c for u, c in self.coeffs.items() if u != unknown},
+                            self.rhs)
+        return Equation(
+            coeffs={u: scale * c - other * pivot.coeffs[u]
+                    for u, c in self.coeffs.items() if u != unknown},
+            rhs=scale * self.rhs - other * pivot.rhs,
+        )
 
 
 @dataclass(frozen=True)
@@ -97,18 +106,20 @@ class ParametricSystem:
 
 @dataclass(frozen=True)
 class StratumCase:
-    """One leaf stratum: conditions, solved substitution and b-constraints.
+    """One stratum: conditions, solved substitution and b-constraints.
 
-    pivots lists the generic-branch pivots on the path to the leaf, in
-    path order, as (unknown, equation it was solved from).
+    The splitters carry the stratum of each node down the tree.
+    solve_parametric also carries the pivots, the generic-branch pivots
+    on the path in path order as (unknown, equation it was solved from),
+    and completes a leaf with its free variables and b-constraints.
     """
 
-    equalities: tuple[Poly, ...]
-    inequations: tuple[Poly, ...]
-    substitution: Mapping[str, Poly]
-    free_vars: tuple[str, ...]
-    constraints: tuple[Poly, ...]
-    pivots: tuple[tuple[str, Equation], ...]
+    equalities: tuple[Poly, ...] = ()
+    inequations: tuple[Poly, ...] = ()
+    substitution: Mapping[str, Poly] = field(default_factory=dict)
+    free_vars: tuple[str, ...] = ()
+    constraints: tuple[Poly, ...] = ()
+    pivots: tuple[tuple[str, Equation], ...] = ()
 
     def contains(self, point: Mapping[str, Fraction]) -> bool:
         """Exact stratum membership of a full nu assignment."""
@@ -122,11 +133,67 @@ class StratumCase:
             tuple(str(q) for q in self.inequations),
         )
 
+    def opens(self) -> tuple[Poly, ...]:
+        """The nonconstant inequations under the substitution, primitive."""
+        reduced = (q.subs(self.substitution) for q in self.inequations)
+        return tuple(q.content_primitive()[1] for q in reduced if not q.is_constant())
+
+
+@dataclass(frozen=True)
+class Split:
+    """One recorded case split of a stratum on its factors f_0..f_{k-1}.
+
+    children[i] for i < k is the stratum f_i = 0 with f_0..f_{i-1} != 0,
+    and children[k] the stratum where every f_i != 0.  A child is a Split,
+    a StratumCase leaf, or None when it is empty.  equation is the
+    polynomial that must vanish on the leaves of an automorphism split, so
+    children[k] is empty; a pivot split has none and eliminates its pivot
+    in children[k].
+    """
+
+    factors: tuple[Poly, ...]
+    equation: Poly | None
+    children: tuple
+
+
+def zero_branches(factors: tuple[Poly, ...], stratum: StratumCase):
+    """(mapping, child) for f_i = 0 with f_0..f_{i-1} != 0, i in order.
+
+    mapping = solve_linear(f_i) solves the child's new equality.  None
+    stands for an empty child, where one of the stratum's opens or of
+    f_0..f_{i-1} vanishes under the mapping.
+    """
+    opens = stratum.opens()
+    for i, f in enumerate(factors):
+        mapping = solve_linear(f)
+        if any(q.subs(mapping).is_zero() for q in (*opens, *factors[:i])):
+            yield None
+            continue
+        yield mapping, replace(
+            stratum, equalities=stratum.equalities + (f,),
+            inequations=stratum.inequations + factors[:i],
+            substitution={v: e.subs(mapping)
+                          for v, e in stratum.substitution.items()} | mapping)
+
+
+def tree_leaves(node):
+    """The leaves below a node of a recorded tree, depth first."""
+    if isinstance(node, Split):
+        for child in node.children:
+            yield from tree_leaves(child)
+    elif node is not None:
+        yield node
+
 
 @dataclass(frozen=True)
 class CaseTree:
     system: ParametricSystem
-    leaves: tuple[StratumCase, ...]
+    root: Split | StratumCase
+
+    @cached_property
+    def leaves(self) -> tuple[StratumCase, ...]:
+        """The leaves of the recorded tree, sorted by signature."""
+        return tuple(sorted(tree_leaves(self.root), key=StratumCase.signature))
 
     def solution_space(self) -> Subspace:
         """All b satisfying every leaf's constraints."""
@@ -154,14 +221,12 @@ def _linear_form_row(form: Poly, symbols: Sequence[str]) -> tuple[Fraction, ...]
 # -- the explorer -----------------------------------------------------------
 
 
-def solve_parametric(system: ParametricSystem, max_depth: int = MAX_DEPTH) -> CaseTree:
+def solve_parametric(system: ParametricSystem) -> CaseTree:
     """Build the full case tree of the parametric system.
 
     Raises StratificationError when a pivot coefficient cannot be split
-    into degree-1 factors or the split depth exceeds max_depth.
+    into degree-1 factors or the split depth exceeds MAX_DEPTH.
     """
-    leaves: list[StratumCase] = []
-    state = _State(system=system, max_depth=max_depth, leaves=leaves)
     normalized = [
         Equation(
             coeffs={u: eq.coeffs.get(u, Poly.zero()) for u in system.unknowns},
@@ -169,129 +234,56 @@ def solve_parametric(system: ParametricSystem, max_depth: int = MAX_DEPTH) -> Ca
         )
         for eq in system.equations
     ]
-    state.explore(
-        eqs=normalized,
-        equalities=[],
-        ineq_shown=[],
-        ineq_current=[],
-        subst={},
-        pivots=[],
-        depth=0,
-    )
-    leaves.sort(key=lambda leaf: leaf.signature())
-    return CaseTree(system=system, leaves=tuple(leaves))
+    return CaseTree(system, _explore(system, normalized, StratumCase(), 0))
 
 
-@dataclass
-class _State:
-    system: ParametricSystem
-    max_depth: int
-    leaves: list
+def _explore(system, eqs, stratum, depth):
+    """The tree below a stratum: a leaf, or a Split on a pivot's new factors."""
+    opens = stratum.opens()
+    pivot = _select_pivot(eqs, opens)
+    if pivot is None:
+        return _make_leaf(system, eqs, stratum)
+    (_, _, eq_index, unknown), factors = pivot
+    novel = tuple(dict.fromkeys(f for f in factors if f not in opens))
+    if novel and depth >= MAX_DEPTH:
+        raise StratificationError(f"case split depth exceeded {MAX_DEPTH}")
+    depth += bool(novel)
+    children = [
+        None if branch is None else _explore(
+            system, [eq.subs(branch[0]) for eq in eqs], branch[1], depth)
+        for branch in zero_branches(novel, stratum)
+    ]
+    # Generic branch: every factor of the pivot coefficient is nonzero.
+    pivot_eq = eqs[eq_index]
+    generic = _explore(
+        system, [eq.eliminate(unknown, pivot_eq)
+                 for i, eq in enumerate(eqs) if i != eq_index],
+        replace(stratum, inequations=stratum.inequations + novel,
+                pivots=stratum.pivots + ((unknown, pivot_eq),)), depth)
+    return Split(novel, None, (*children, generic)) if novel else generic
 
-    def explore(self, eqs, equalities, ineq_shown, ineq_current, subst, pivots,
-                depth):
-        pivot = self._select_pivot(eqs, ineq_current)
-        if pivot is None:
-            self.leaves.append(
-                _make_leaf(self.system, eqs, equalities, ineq_shown, subst, pivots)
-            )
-            return
-        eq_index, unknown, factors = pivot
-        novel = []
-        for f in factors:
-            if f not in ineq_current and f not in novel:
-                novel.append(f)
-        if novel and depth >= self.max_depth:
-            raise StratificationError(
-                f"case split depth exceeded {self.max_depth}"
-            )
-        next_depth = depth + 1 if novel else depth
-        # Vanishing branches: factor i is zero, factors 0..i-1 are not.
-        for idx, factor in enumerate(novel):
-            mapping = solve_linear(factor)
-            new_subst = {v: e.subs(mapping) for v, e in subst.items()} | mapping
-            new_current = []
-            empty = False
-            for q in ineq_current + novel[:idx]:
-                reduced = q.subs(mapping)
-                if reduced.is_zero():
-                    empty = True  # a required-nonzero form vanished: empty stratum
-                    break
-                if not reduced.is_constant():
-                    _, reduced = reduced.content_primitive()
-                new_current.append(reduced)
-            if empty:
+
+def _select_pivot(eqs, opens):
+    """Pivot with the fewest new factors, then fewest factors overall."""
+    candidates, failure = [], None
+    for ei, eq in enumerate(eqs):
+        for unknown in sorted(eq.coeffs):
+            coeff = eq.coeffs[unknown]
+            if coeff.is_zero():
                 continue
-            self.explore(
-                eqs=[eq.subs(mapping) for eq in eqs],
-                equalities=equalities + [factor],
-                ineq_shown=ineq_shown + novel[:idx],
-                ineq_current=[q for q in new_current if not q.is_constant()],
-                subst=new_subst,
-                pivots=pivots,
-                depth=next_depth,
-            )
-        # Generic branch: every factor of the pivot coefficient is nonzero.
-        pivot_eq = eqs[eq_index]
-        pivot_coeff = pivot_eq.coeffs[unknown]
-        reduced_eqs = []
-        for i, eq in enumerate(eqs):
-            if i == eq_index:
+            try:
+                _, factors = linear_factors(coeff)
+            except StratificationError as exc:
+                failure = exc
                 continue
-            other_coeff = eq.coeffs[unknown]
-            if other_coeff.is_zero():
-                combined = eq
-            else:
-                combined = eq.combine(pivot_coeff, pivot_eq, other_coeff)
-            reduced_eqs.append(
-                Equation(
-                    coeffs={
-                        u: c for u, c in combined.coeffs.items() if u != unknown
-                    },
-                    rhs=combined.rhs,
-                )
-            )
-        self.explore(
-            eqs=reduced_eqs,
-            equalities=equalities,
-            ineq_shown=ineq_shown + novel,
-            ineq_current=ineq_current + novel,
-            subst=subst,
-            pivots=pivots + [(unknown, pivot_eq)],
-            depth=next_depth,
-        )
-
-    def _select_pivot(self, eqs, ineq_current):
-        """Pivot with the fewest new factors, then fewest factors overall."""
-        best = None
-        best_key = None
-        failure = None
-        known = set(ineq_current)
-        for ei, eq in enumerate(eqs):
-            for unknown in sorted(eq.coeffs):
-                coeff = eq.coeffs[unknown]
-                if coeff.is_zero():
-                    continue
-                try:
-                    _, factors = linear_factors(coeff)
-                except StratificationError as exc:
-                    failure = exc
-                    continue
-                new = {f for f in factors if f not in known}
-                key = (len(new), len(factors), ei, unknown)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (ei, unknown, factors)
-        if best is None and failure is not None:
-            # Some coefficient is nonzero but no pivot is factorable.
-            if any(
-                not c.is_zero() for eq in eqs for c in eq.coeffs.values()
-            ):
-                raise failure
-        return best
+            new = {f for f in factors if f not in opens}
+            candidates.append(((len(new), len(factors), ei, unknown), factors))
+    if not candidates and failure is not None:
+        raise failure  # some coefficient is nonzero but none is factorable
+    return min(candidates, default=None, key=lambda c: c[0])
 
 
-def _make_leaf(system, eqs, equalities, ineq_shown, subst, pivots) -> StratumCase:
+def _make_leaf(system, eqs, stratum) -> StratumCase:
     constraints: dict[str, Poly] = {}
     for eq in eqs:
         if any(not c.is_zero() for c in eq.coeffs.values()):
@@ -301,14 +293,56 @@ def _make_leaf(system, eqs, equalities, ineq_shown, subst, pivots) -> StratumCas
                 continue
             _, prim = coeff.content_primitive()
             constraints.setdefault(str(prim), prim)
-    return StratumCase(
-        equalities=tuple(equalities),
-        inequations=tuple(ineq_shown),
-        substitution=dict(subst),
-        free_vars=tuple(v for v in system.nu_vars if v not in subst),
-        constraints=tuple(constraints[k] for k in sorted(constraints)),
-        pivots=tuple(pivots),
-    )
+    return replace(
+        stratum, constraints=tuple(constraints[k] for k in sorted(constraints)),
+        free_vars=tuple(v for v in system.nu_vars if v not in stratum.substitution))
+
+
+# -- the coverage walk ----------------------------------------------------------
+
+
+def coverage_failure(root) -> str | None:
+    """Why the leaves below root do not cover its stratum, or None.
+
+    A walk that uses only Poly, solve_linear and unit_times_powers, and
+    carries the path's equalities, inequations and substitution.  The
+    children V(f_0), V(f_1) n D(f_0), ..., D(f_0...f_{k-1}) of a split
+    partition its stratum, so each must be present or proved empty:
+    child i < k when a path inequation or one of f_0..f_{i-1} vanishes
+    under solve_linear(f_i), child k when the split's equation (zero on
+    all the split covers) is a unit times powers of the factors and the
+    path's inequations.  Every leaf must record exactly its path.  The
+    leaves then partition the root stratum, or, below splits of
+    equations, cover their zero set.
+    """
+    def walk(node, equalities, inequations, sub):
+        if isinstance(node, StratumCase):
+            if (node.equalities, node.inequations, dict(node.substitution)) != (
+                    equalities, inequations, sub):
+                return f"leaf {node.signature()} does not record its path"
+            return None
+        factors, children = node.factors, node.children
+        if len(children) != len(factors) + 1:
+            return f"a split on {len(factors)} factors has {len(children)} children"
+        opens = tuple(q.subs(sub) for q in inequations)
+        for i, (f, child) in enumerate(zip(factors, children)):
+            mapping = solve_linear(f)
+            if child is None:
+                if not any(q.subs(mapping).is_zero() for q in (*opens, *factors[:i])):
+                    return f"the stratum {f} = 0 is marked empty below {inequations}"
+            elif failure := walk(child, equalities + (f,), inequations + factors[:i],
+                                 {v: e.subs(mapping) for v, e in sub.items()} | mapping):
+                return failure
+        if children[-1] is not None:
+            return walk(children[-1], equalities, inequations + factors, sub)
+        if node.equation is None or not unit_times_powers(node.equation,
+                                                          (*factors, *opens)):
+            return f"the stratum {factors} != 0 is marked empty below {inequations}"
+        return None
+
+    if root is None:
+        return "the root stratum is marked empty"
+    return walk(root, (), (), {})
 
 
 # -- the per-leaf certificate ---------------------------------------------------

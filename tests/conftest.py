@@ -19,6 +19,7 @@ from locsym import (
     local_derivation_space,
     locaut_pattern,
 )
+from locsym import automorphisms
 from locsym.linalg import inverse
 from locsym.poly import poly
 
@@ -112,6 +113,12 @@ def fam2(pi2):
 @pytest.fixture(scope="session")
 def fam3(pi3):
     return automorphism_family(pi3)
+
+
+@pytest.fixture(scope="session")
+def aut_trees(pi2, pi3):
+    """The recorded case splits of the generic multiplicative maps."""
+    return tuple(automorphisms._case_split(a)[2] for a in (pi2, pi3))
 
 
 def mutant_family(table, form, entries=(), drop=(), nonzero=None):

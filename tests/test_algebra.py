@@ -157,6 +157,17 @@ def test_a_non_associative_power_chain_can_stall_and_still_vanish():
     assert f.nilpotent and f.nilindex == 9
 
 
+def test_a_non_nilpotent_chain_runs_past_a_temporary_plateau():
+    # tri4 plus an idempotent e5: A^3 = A^4, but A^5 is smaller, and the
+    # chain settles only at A^9 = A^10 = ... (checked through A^20)
+    table = {(0, 0): (0, 1, 0, 0, 0), (1, 1): (0, 0, 1, 0, 0),
+             (2, 2): (0, 0, 0, 1, 0), (4, 4): (0, 0, 0, 0, 1)}
+    f = power_filtration(Algebra(name="tri4-idem", dim=5, table=table))
+    assert f.dims == (5, 4, 3, 3, 2, 2, 2, 2, 1, 1)
+    assert not f.nilpotent and f.nilindex is None
+    assert f.subspaces[-1].contains(basis_vec(4))
+
+
 def test_an_idempotent_is_not_nilpotent():
     a = Algebra(name="idem", dim=2, table={(0, 0): (1, 0)})
     f = power_filtration(a)

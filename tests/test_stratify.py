@@ -2,23 +2,33 @@
 
 A hand-built one-equation system pins the expected two-leaf tree; the
 localization system of the derivation engine exercises the full path.
-The per-leaf certificate is checked on both, and on mutated leaves.
+The coverage walk is checked on every recorded tree and on mutated
+trees, and the per-leaf certificate on both systems and on mutated leaves.
 """
 
 import dataclasses
-import random
 from fractions import Fraction
 
 import pytest
 
 from locsym import (
+    CaseTree,
+    InternalCheckError,
     ParametricSystem,
     StratificationError,
+    StratumCase,
+    local_derivation_space,
     solve_parametric,
 )
-from locsym.local_derivations import localization_system
+from locsym import automorphisms, local_derivations, stratify, verify_family
 from locsym.poly import Poly, poly
-from locsym.stratify import Equation, certificate_failure, leaf_refutation
+from locsym.stratify import (
+    Equation,
+    Split,
+    certificate_failure,
+    coverage_failure,
+    leaf_refutation,
+)
 
 
 def scalar_system(coeff_text):
@@ -97,26 +107,96 @@ def test_unsplittable_pivot_is_refused():
         solve_parametric(scalar_system("n^2 + n + 1"))
 
 
-def test_depth_budget_is_enforced():
+def test_depth_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(stratify, "MAX_DEPTH", 0)
     with pytest.raises(StratificationError):
-        solve_parametric(scalar_system("n"), max_depth=0)
+        solve_parametric(scalar_system("n"))
 
 
 # -- the real localization system --------------------------------------------------
 
-def test_localization_tree_covers_probe_space(der2, loc2):
-    tree = loc2.case_tree
-    assert tree is not None
-    assert loc2.provenance == "exact"
-    system = localization_system(der2)
-    assert system.unknowns == tree.system.unknowns
-    rng = random.Random(11)
-    for _ in range(50):
-        point = {
-            v: Fraction(rng.randint(-9, 9)) for v in tree.system.nu_vars
-        }
-        hits = [leaf for leaf in tree.leaves if leaf.contains(point)]
-        assert len(hits) == 1
+def test_every_tree_covers_its_space(loc2, loc3, adapted_spaces, aut_trees):
+    trees = [s.case_tree.root for s in (loc2, loc3, *adapted_spaces)]
+    for root in (*trees, *aut_trees, solve_parametric(scalar_system("n")).root):
+        assert coverage_failure(root) is None
+
+
+def nodes(node, path=()):
+    """(path, node) for every node, a path being the child indices to it."""
+    yield path, node
+    if isinstance(node, Split):
+        for i, child in enumerate(node.children):
+            yield from nodes(child, path + (i,))
+
+
+def edit(node, path, change):
+    """The tree with the node at path replaced by change(node)."""
+    if not path:
+        return change(node)
+    children = list(node.children)
+    children[path[0]] = edit(children[path[0]], path[1:], change)
+    return dataclasses.replace(node, children=tuple(children))
+
+
+def mutated_trees(root):
+    """The tree with a leaf dropped, a child dropped, a nonempty child
+    marked empty, or a leaf's inequations one too many or too few."""
+    for path, node in nodes(root):
+        if isinstance(node, Split):
+            for i in range(len(node.children)):
+                yield "child dropped", edit(root, path, lambda n: dataclasses.replace(
+                    n, children=n.children[:i] + n.children[i + 1:]))
+        if node is not None and path:
+            kind = "leaf dropped" if isinstance(node, StratumCase) else "marked empty"
+            yield kind, edit(root, path, lambda n: None)
+        if isinstance(node, StratumCase):
+            yield "extra inequation", edit(root, path, lambda n: dataclasses.replace(
+                n, inequations=n.inequations + (Poly.var("z"),)))
+            for k in range(len(node.inequations)):
+                yield "missing inequation", edit(root, path, lambda n: dataclasses.replace(
+                    n, inequations=n.inequations[:k] + n.inequations[k + 1:]))
+
+
+def test_every_mutated_tree_fails_the_coverage_walk(loc2, loc3, adapted_spaces,
+                                                     aut_trees):
+    kinds = set()
+    for root in (*(s.case_tree.root for s in (loc2, loc3, *adapted_spaces)),
+                 *aut_trees):
+        for kind, mutant in mutated_trees(root):
+            kinds.add(kind)
+            assert coverage_failure(mutant) is not None, kind
+    assert kinds == {"child dropped", "leaf dropped", "marked empty",
+                     "extra inequation", "missing inequation"}
+
+
+def test_a_tree_without_a_leaf_is_refused(monkeypatch, pi2, loc2):
+    # some pi2 leaf, dropped, gives a space of the wrong dimension, which
+    # every remaining leaf's certificate accepts
+    root, dims = loc2.case_tree.root, set()
+    for path, node in nodes(root):
+        if isinstance(node, StratumCase):
+            tree = CaseTree(loc2.case_tree.system, edit(root, path, lambda n: None))
+            dims.add(tree.solution_space().dim)
+            monkeypatch.setattr(local_derivations, "solve_parametric",
+                                lambda system: tree)
+            with pytest.raises(InternalCheckError, match="coverage"):
+                local_derivation_space(pi2)
+    assert dims - {loc2.dim}
+
+
+def test_an_automorphism_split_without_a_leaf_is_refused(monkeypatch, aut_trees,
+                                                         fam2, fam3):
+    # without a leaf, the reverse proof would read the template on fewer
+    # strata than cover the automorphisms
+    split = automorphisms._case_split
+    for fam, root in zip((fam2, fam3), aut_trees):
+        leaves = [path for path, node in nodes(root) if isinstance(node, StratumCase)]
+        assert len(leaves) >= 3
+        for path in leaves:
+            monkeypatch.setattr(automorphisms, "_case_split", lambda algebra: (
+                *split(algebra)[:2], edit(root, path, lambda n: None)))
+            report = verify_family(fam)
+            assert not report.ok and "does not cover" in report.detail
 
 
 # -- the per-leaf certificate -------------------------------------------------------

@@ -4,7 +4,8 @@ perfbench/tracer.py wraps named callables of the locsym modules from
 outside the program.  A renamed or deleted callable would silently drop
 its layer metric, so every (module, attribute path) the tracer lists
 must resolve on the imported package.  The keywords perfbench/run.py
-passes to the engine must stay accepted too.
+passes to the engine must stay accepted too, and so must the results the
+tracer's observers read.
 """
 
 import importlib
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import locsym
+from locsym.local_derivations import localization_system
+from locsym.stratify import StratumCase, solve_parametric
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -45,3 +48,10 @@ def test_the_solve_workload_keywords_are_accepted(pi3):
     )
     assert locders.dim == 7
     assert witness is not None
+
+
+def test_the_leaves_counter_reads_a_tuple_of_leaves(der3):
+    # the tracer's stratify.solve_parametric.leaves adds len(result.leaves)
+    leaves = solve_parametric(localization_system(der3)).leaves
+    assert isinstance(leaves, tuple) and len(leaves) == 7
+    assert all(isinstance(leaf, StratumCase) for leaf in leaves)
