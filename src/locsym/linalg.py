@@ -125,7 +125,7 @@ class Matrix:
     def apply(self, vec: Sequence) -> Vector:
         if len(vec) != self.shape[1]:
             raise InputError("vector length does not match column count")
-        return vector(sum(map(mul, row, vec)) for row in self.rows)
+        return tuple([exact(sum(map(mul, row, vec))) for row in self.rows])
 
     def power(self, k: int) -> "Matrix":
         n, m = self.shape

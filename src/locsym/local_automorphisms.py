@@ -8,7 +8,11 @@ member agree with B at x" is decided by a triangular case schedule over
 the support of x, with every decision an exact rational zero test.
 Square or cube roots enter only when building an explicit witness
 parameter assignment, never in the feasibility decision itself, and
-each such witness is checked through the automorphism template.
+each such witness is checked through the automorphism template: its
+numeric table (MatrixTemplate.numeric_image) gives the terms of T(q) n,
+and the residual |T(q) n - y| may be FLOAT_TOL times the largest row
+sum of |terms| (at least FLOAT_TOL), as roundoff grows with the size of
+the coordinates.
 
 The closed local-automorphism patterns (shape, entry relations and
 nonvanishing conditions) are the templates that templates.closed_forms
@@ -38,6 +42,8 @@ from .templates import (
     random_parameters,
 )
 
+# Root witnesses verify up to FLOAT_TOL relative to the size of the image
+# terms, or absolutely when those are at most 1 (see _try_numeric).
 FLOAT_TOL = 1e-9
 
 
@@ -56,7 +62,7 @@ class FeasibilityReport:
 def _exact_report(params: dict, detail: str) -> FeasibilityReport:
     return FeasibilityReport(
         feasible=True,
-        witness_params=dict(params),
+        witness_params=params,
         residual=0.0,
         exact=True,
         detail=detail,
@@ -99,23 +105,22 @@ def _cbrts(value: complex):
 def _try_numeric(family, params, n, y, detail) -> FeasibilityReport | None:
     """Wrap a root-based witness if its float residual is acceptable.
 
-    The image of n is taken through the automorphism template itself.
+    params maps every parameter of the family to a complex value.  The
+    image of n is taken through the automorphism template itself (its
+    numeric table).  The residual may be FLOAT_TOL times the largest sum
+    of |terms| in a row of the image, and at least FLOAT_TOL: roundoff
+    grows with the size of the coordinates.
     """
-    numeric = {k: complex(v) for k, v in params.items()}
-    image = [
-        sum(
-            entry.evaluate_numeric(numeric) * complex(v)
-            for entry, v in zip(row, n)
-            if v
-        )
-        for row in family.entries
-    ]
-    residual = max(abs(iv - complex(t)) for iv, t in zip(image, y))
-    if residual > FLOAT_TOL:
+    rows = family.numeric_image(params, [complex(v) for v in n])
+    residual = max(
+        abs(sum(terms) - complex(t)) for terms, t in zip(rows, y)
+    )
+    scale = max(1.0, *(sum(map(abs, terms)) for terms in rows))
+    if residual > FLOAT_TOL * scale:
         return None
     return FeasibilityReport(
         feasible=True,
-        witness_params=numeric,
+        witness_params=params,
         residual=residual,
         exact=False,
         detail=detail,

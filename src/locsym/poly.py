@@ -24,6 +24,7 @@ import re
 from fractions import Fraction
 
 from .errors import StratificationError
+from .rationals import exact
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -178,15 +179,20 @@ class Poly:
 
     # -- evaluation and substitution -----------------------------------
 
-    def evaluate(self, assignment) -> Fraction:
-        """Exact evaluation; every variable must be assigned."""
-        total = Fraction(0)
+    def evaluate(self, assignment) -> int | Fraction:
+        """Exact evaluation; every variable must be assigned.
+
+        Runs on canonical scalars (rationals.exact): the value is an int
+        when integral and a Fraction otherwise.  A float in the
+        assignment counts as the exact rational it stores.
+        """
+        total = 0
         for mono, coeff in self.terms.items():
-            value = coeff
+            value = exact(coeff)
             for var, exp in mono:
-                value *= Fraction(assignment[var]) ** exp
+                value *= exact(assignment[var]) ** exp
             total += value
-        return total
+        return exact(total)
 
     def evaluate_numeric(self, assignment) -> complex:
         """Float/complex evaluation for numeric verification paths."""

@@ -7,10 +7,11 @@ CLI subcommand.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
-from locsym import StratificationError, acceptance
+from locsym import StratificationError, acceptance, local_automorphisms
 from locsym.acceptance import CRITERIA, builtin_spaces, run_suite
 from locsym.cli import main
 
@@ -32,6 +33,8 @@ ACCEPTANCE_SEED = 0
 
 # the arguments of every LocDer solve the battery fixture makes
 SOLVES = []
+# calls of the pointwise LocAut kernels during the battery, by name
+CALLS = Counter()
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +45,20 @@ def suite():
         SOLVES.append(args)
         return solve(*args, **kwargs)
 
+    def tally(fn):
+        def wrapper(*args, **kwargs):
+            CALLS[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(acceptance, "local_derivation_space", counted)
+        # every module global bound to a kernel, so no call site is missed
+        for fn in (local_automorphisms.locaut_feasible_at,
+                   local_automorphisms.find_witness):
+            for module in (local_automorphisms, acceptance):
+                if getattr(module, fn.__name__, None) is fn:
+                    patch.setattr(module, fn.__name__, tally(fn))
         return run_suite(seed=ACCEPTANCE_SEED)
 
 
@@ -70,6 +85,12 @@ def test_all_criteria_counted(suite):
 
 def test_locder_is_solved_once_per_builtin(suite):
     assert [args[0].name for args in SOLVES] == ["pi2", "pi3"]
+
+
+def test_criterion_7_does_its_full_sampled_work(suite):
+    # 200 members x 200 points per algebra, 200 refuted violations per
+    # algebra and two pinned witnesses: a speed-up may not drop any of them
+    assert CALLS == {"locaut_feasible_at": 82_564, "find_witness": 402}
 
 
 def test_cheap_criteria_are_seed_deterministic(spaces):

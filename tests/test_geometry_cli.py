@@ -211,6 +211,25 @@ def test_cli_verify_counterexample_round_trip(tmp_path, capsys):
     assert "reproduce" in out.lower()
 
 
+def test_cli_replays_a_feasible_large_point_without_an_internal_error(
+    tmp_path, capsys
+):
+    # a pi2 pattern member at a point whose root witness has residual
+    # 1.86e-9: the point is feasible, so the claimed witness is refuted
+    member = Matrix([[7, 0, 0, 0, 0], [-2, -8, 0, 0, 0], [0, -9, -7, -6, 0],
+                     [8, 0, 0, 15, 0], [-8, -3, 0, 4, -11]])
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps({
+        "kind": "locaut_witness", "algebra": "pi2",
+        "matrix": operator_to_payload(member),
+        "point": ["0", "163787", "723238", "0", "44498"],
+    }))
+    assert run_cli("verify-counterexample", str(path)) == 1
+    captured = capsys.readouterr()
+    assert "did NOT reproduce" in captured.out
+    assert captured.err == ""
+
+
 BUMP = operator_to_payload(Matrix(DIAG_BUMP))
 MALFORMED_REPLAYS = [
     ({"kind": "pointwise", "algebra": "pi2"}, "matrix"),

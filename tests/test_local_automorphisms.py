@@ -20,7 +20,10 @@ from locsym.local_automorphisms import (
     _point_cycle,
     _random_point,
     _random_violation,
+    _try_numeric,
 )
+from locsym.local_derivations import support_patterns
+from locsym.templates import AUTOMORPHISM_FORM_PI2, AUTOMORPHISM_FORM_PI3
 
 
 def diag(*values):
@@ -157,6 +160,61 @@ def test_exact_witnesses_stay_exact_on_rational_points(
     assert_exact_witnesses_match(
         rng, points, ((pi2, pat2, fam2), (pi3, pat3, fam3))
     )
+
+
+# A pi2 pattern member whose n2-branch root witness has residual 1.86e-9
+# at this point: roundoff relative to max|y| = 6.5e6 is 2.8e-16.
+LARGE_POINT_MEMBER = Matrix([
+    [7, 0, 0, 0, 0],
+    [-2, -8, 0, 0, 0],
+    [0, -9, -7, -6, 0],
+    [8, 0, 0, 15, 0],
+    [-8, -3, 0, 4, -11],
+])
+LARGE_POINT = (0, 163787, 723238, 0, 44498)
+
+
+def test_root_witness_tolerance_scales_with_the_coordinates(pi2, pat2):
+    assert pattern_check(pat2, LARGE_POINT_MEMBER).ok
+    report = locaut_feasible_at(pi2, LARGE_POINT_MEMBER, LARGE_POINT)
+    assert report.feasible and not report.exact
+    assert 1e-9 < report.residual < 1e-8
+
+
+def test_root_branches_verify_at_large_coordinates(pi2, pi3, pat2, pat3):
+    # every support with x1 = 0 reaches a root witness or an exact
+    # n4-branch solve; none may fail to verify (InternalCheckError)
+    rng = random.Random(13)
+    supports = [s for s in support_patterns(5) if 0 not in s]
+    for algebra, pattern in ((pi2, pat2), (pi3, pat3)):
+        roots = 0
+        for _ in range(40):
+            b = random_pattern_member(pattern, rng)
+            for support in supports:
+                x = tuple(
+                    rng.choice((-1, 1)) * rng.randint(1, 10**7)
+                    if i in support else 0
+                    for i in range(5)
+                )
+                report = locaut_feasible_at(algebra, b, x)
+                assert report.feasible, (b, x, report.detail)
+                roots += not report.exact
+        assert roots > 0
+
+
+@pytest.mark.parametrize("name, family", [
+    ("pi2", AUTOMORPHISM_FORM_PI2), ("pi3", AUTOMORPHISM_FORM_PI3),
+])
+def test_a_negated_root_is_rejected_at_large_coordinates(request, name, family):
+    algebra = request.getfixturevalue(name)
+    b = diag(2, 4, 8, 2, 4)   # a11 = 2 in both automorphism families
+    x = (0, 0, 10**7, 0, 0)   # the cube-root branch: y3 = a11^3 x3
+    report = locaut_feasible_at(algebra, b, x)
+    assert report.feasible and not report.exact
+    y = b.apply(x)
+    assert _try_numeric(family, report.witness_params, x, y, report.detail) == report
+    negated = dict(report.witness_params, a11=-report.witness_params["a11"])
+    assert _try_numeric(family, negated, x, y, report.detail) is None
 
 
 # -- refutation witnesses --------------------------------------------------------------

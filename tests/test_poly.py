@@ -96,6 +96,23 @@ def test_evaluate_exact():
     assert p.evaluate(point) == Fraction(-2) - 6 + Fraction(1, 2)
 
 
+@pytest.mark.parametrize("point, value", [
+    ({"x": 2, "y": 1}, -3),
+    ({"x": 1, "y": 1}, Fraction(-3, 2)),
+    ({"x": Fraction(2), "y": Fraction(1)}, -3),
+    ({"x": Fraction(1, 2), "y": Fraction(8)}, Fraction(1, 2)),
+    ({"x": 2.0, "y": 1.0}, -3),
+    ({"x": 0.5, "y": 8.0}, Fraction(1, 2)),
+    ({"x": 0.1, "y": 0}, 1 - 3 * Fraction(0.1)),
+], ids=["int", "int-half", "fraction", "fraction-half", "float", "float-half",
+        "float-inexact"])
+def test_evaluate_returns_canonical_scalars(point, value):
+    got = poly("1/2*x^2*y - 3*x + 1").evaluate(point)
+    assert got == value
+    # an int when integral, a Fraction otherwise: never a float
+    assert type(got) is (int if value == int(value) else Fraction)
+
+
 @settings(max_examples=30, deadline=None)
 @given(polys(), st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
 def test_evaluate_matches_sympy(p, vx, vy, vz):
