@@ -499,9 +499,12 @@ def _cmd_locaut_verify(args) -> tuple[int, dict, list[str]]:
         "algebra": algebra.name,
         "trials": trials,
         "ok": report.ok,
+        "proof": report.proof,
         "detail": report.detail,
     }
-    lines = [f"pattern verification ({trials} trials): {report.ok}"]
+    lines = [f"pattern verification: {report.ok}", f"forward proof: {report.proof}"]
+    if report.trials:
+        lines.append(f"reverse stream ({trials} sampled violations): {report.detail}")
     if not report.ok:
         if report.counterexample is not None:
             matrix, point = report.counterexample

@@ -1,401 +1,371 @@
 """Local automorphisms: pointwise automorphic-image feasibility.
 
 B is a local automorphism when for every x some automorphism phi_x has
-B(x) = phi_x(x).  Unlike the derivation side this is a nonlinear
-matching problem, so the engine carries a dedicated solver per
-automorphism template: the feasibility question "does some family
-member agree with B at x" is decided by a triangular case schedule over
-the support of x, with every decision an exact rational zero test.
-Square or cube roots enter only when building an explicit witness
-parameter assignment, never in the feasibility decision itself, and
-each such witness is checked through the automorphism template: its
-numeric table (MatrixTemplate.numeric_image) gives the terms of T(q) n,
-and the residual |T(q) n - y| may be FLOAT_TOL times the largest row
-sum of |terms| (at least FLOAT_TOL), as roundoff grows with the size of
-the coordinates.
+B(x) = phi_x(x).  Whether some member of the automorphism template T
+agrees with B at x is read off one recorded solve of T(a) x = y per
+template, with x and y symbolic (orbit_solve): locaut_feasible_at walks
+its splits by x and evaluates the leaf's conditions at (x, B x) exactly.
 
 The closed local-automorphism patterns (shape, entry relations and
 nonvanishing conditions) are the templates that templates.closed_forms
 finds for the algebra, wrapped as LocAutPattern objects.  Membership
-checks use MatrixTemplate.read; on top sit two-way randomized
-verification against the pointwise solver and group closure, proved
-from symbolic products (templates.closure_failure).
+checks use MatrixTemplate.read.  verify_pattern proves on every leaf of
+the solve that every member matches an automorphism at every x over C,
+and refutes sampled single-constraint violations; group closure is
+proved from symbolic products (templates.closure_failure).
 """
 from __future__ import annotations
 
-import cmath
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 from .algebra import Algebra
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, StratificationError, UnsupportedError
 from .linalg import Matrix, vector
 from .local_derivations import support_patterns
-from .poly import Poly
-from .rationals import quotient, random_nonzero_int
+from .poly import Poly, linear_factors, unit_times_powers
+from .rationals import quotient
+from .stratify import (
+    Equation,
+    Split,
+    StratumCase,
+    coverage_failure,
+    grid_point,
+    tree_leaves,
+    zero_branches,
+)
 from .templates import (
-    AUTOMORPHISM_FORM_PI2,
-    AUTOMORPHISM_FORM_PI3,
     MatrixTemplate,
     closed_forms,
     closure_failure,
     random_parameters,
 )
 
-# Root witnesses verify up to FLOAT_TOL relative to the size of the image
-# terms, or absolutely when those are at most 1 (see _try_numeric).
-FLOAT_TOL = 1e-9
+
+# -- the orbit solve ------------------------------------------------------------
 
 
-# -- feasibility reports ------------------------------------------------------
+@dataclass(frozen=True)
+class Root:
+    """coeff * unknown^power = value: the torus unknown is a root there."""
+
+    unknown: str
+    coeff: Poly
+    power: int
+    value: Poly
+
+    def subs(self, mapping) -> "Root":
+        return replace(self, coeff=self.coeff.subs(mapping), value=self.value.subs(mapping))
+
+
+@dataclass(frozen=True)
+class OrbitLeaf(StratumCase):
+    """A leaf of the orbit solve: a stratum of x-space where T(a) x = y is
+    solvable iff every constraint E(x, y) vanishes and no N(x, y) in
+    nonzero does.  A pivot (u, Equation({u: c}, v)) solves c * u = v; an
+    unknown neither pivoted nor a root is free (1 if torus, else 0).
+    """
+
+    nonzero: tuple[Poly, ...] = ()
+    roots: tuple[Root, ...] = ()
+
+    @cached_property
+    def name(self) -> str:
+        return "{" + ", ".join([f"{e} = 0" for e in self.equalities]
+                               + [f"{q} != 0" for q in self.inequations]) + "}"
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
-    witness_params: dict | None
-    residual: float
-    exact: bool
     detail: str
 
 
-def _exact_report(params: dict, detail: str) -> FeasibilityReport:
-    return FeasibilityReport(
-        feasible=True,
-        witness_params=params,
-        residual=0.0,
-        exact=True,
-        detail=detail,
-    )
+@dataclass(frozen=True)
+class Witness:
+    """Exact parameters, polynomials in root symbols t with t^power = value."""
+
+    params: dict[str, Poly]
+    roots: tuple[Root, ...]
+
+    def verifies(self, template: MatrixTemplate, x, y) -> bool:
+        """T(params) x = y modulo the root relations."""
+        rows = (sum((e * v for e, v in zip(row, x) if v), Poly.zero())
+                for row in template.entries)
+        return not any(_reduce(r.subs(self.params) - w, self.roots) for r, w in zip(rows, y))
 
 
-def _infeasible(detail: str) -> FeasibilityReport:
-    return FeasibilityReport(
-        feasible=False,
-        witness_params=None,
-        residual=float("inf"),
-        exact=True,
-        detail=detail,
-    )
+_ONE = Poly.const(1)
 
 
-# -- the pointwise solvers ----------------------------------------------------
-
-def _zero_params(names) -> dict:
-    return {name: 0 for name in names}
+def _names(prefix: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i + 1}" for i in range(n))
 
 
-def _sqrts(value: complex):
-    root = cmath.sqrt(value)
-    return (root, -root)
+def _by_degree(p: Poly, u: str) -> dict[int, Poly]:
+    """{k: p_k} with p the sum of p_k * u^k."""
+    return {dict(mono).get(u, 0): part for mono, part in p.group_by((u,)).items()}
 
 
-def _cbrts(value: complex):
-    r, phi = cmath.polar(value)
-    base = r ** (1 / 3)
-    roots = [
-        cmath.rect(base, (phi + 2 * cmath.pi * k) / 3) for k in range(3)
-    ]
-    # prefer (numerically) real roots so that rational data gets
-    # readable witnesses like a11 = -1 instead of a complex conjugate
-    roots.sort(key=lambda z: abs(z.imag))
-    return tuple(roots)
+def _substitute(p: Poly, u: str, value: Poly, c: Poly) -> Poly:
+    """c^k p at u = value / c, k the degree of p in u."""
+    parts = _by_degree(p, u)
+    return sum((part * value ** k * c ** (max(parts) - k) for k, part in parts.items()),
+               Poly.zero())
 
 
-def _try_numeric(family, params, n, y, detail) -> FeasibilityReport | None:
-    """Wrap a root-based witness if its float residual is acceptable.
+def _reduce(p: Poly, roots) -> Poly:
+    """p times powers of the coeffs, with each unknown^power replaced by
+    value until p has degree below power in every root unknown."""
+    for r in roots:
+        while (parts := _by_degree(p, r.unknown)) and max(parts) >= r.power:
+            t = Poly.var(r.unknown)
+            p = sum((part * (r.value * t ** (k - r.power) if k >= r.power
+                             else r.coeff * t ** k) for k, part in parts.items()),
+                    Poly.zero())
+    return p
 
-    params maps every parameter of the family to a complex value.  The
-    image of n is taken through the automorphism template itself (its
-    numeric table).  The residual may be FLOAT_TOL times the largest sum
-    of |terms| in a row of the image, and at least FLOAT_TOL: roundoff
-    grows with the size of the coordinates.
+
+def _strip(p: Poly, factors) -> Poly:
+    """The primitive part of p without the factors, each divided out fully."""
+    for f in factors:
+        while p and not p.is_constant() and (q := p.div_exact(f)) is not None:
+            p = q
+    return p.content_primitive()[1]
+
+
+def _fraction(p: Poly, values) -> tuple[Poly, Poly]:
+    """(num, den) with p = num / den at values {u: (num_u, den_u)}."""
+    p, den = p.subs({u: n for u, (n, d) in values.items() if d == _ONE}), _ONE
+    for u, (n, d) in values.items():
+        if d != _ONE and (k := p.degree_in(u)):
+            p, den = _substitute(p, u, n, d), den * d ** k
+    return p, den
+
+
+@dataclass(frozen=True)
+class OrbitSolve:
+    """The recorded solve of T(a) x = y for an automorphism template T.
+
+    torus gives each parameter solved for a torus unknown t_k in terms of
+    the unknowns (t_1.. first), equations are the rows of T x - y, and
+    root is the tree of Split nodes over x with OrbitLeaf leaves.
     """
-    rows = family.numeric_image(params, [complex(v) for v in n])
-    residual = max(
-        abs(sum(terms) - complex(t)) for terms, t in zip(rows, y)
-    )
-    scale = max(1.0, *(sum(map(abs, terms)) for terms in rows))
-    if residual > FLOAT_TOL * scale:
-        return None
-    return FeasibilityReport(
-        feasible=True,
-        witness_params=params,
-        residual=residual,
-        exact=False,
-        detail=detail,
-    )
+
+    template: MatrixTemplate
+    torus: dict[str, Poly]
+    unknowns: tuple[str, ...]
+    equations: tuple[Poly, ...]
+    root: Split | OrbitLeaf
+
+    @cached_property
+    def leaves(self) -> tuple[OrbitLeaf, ...]:
+        return tuple(tree_leaves(self.root))
+
+    def point(self, x, y) -> dict:
+        n = self.template.dim
+        return dict(zip(_names("x", n), x)) | dict(zip(_names("y", n), y))
+
+    def leaf_at(self, point) -> OrbitLeaf:
+        """The leaf holding the point, found by walking the splits by x."""
+        node = self.root
+        while isinstance(node, Split):
+            node = node.children[next((i for i, f in enumerate(node.factors)
+                                       if not f.evaluate(point)), len(node.factors))]
+        return node
+
+    def decide(self, x, y) -> FeasibilityReport:
+        point = self.point(x, y)
+        leaf = self.leaf_at(point)
+        failed = next((f"{e} = 0" for e in leaf.constraints if e.evaluate(point)), None) or (
+            next((f"{q} != 0" for q in leaf.nonzero if not q.evaluate(point)), None))
+        if failed:
+            return FeasibilityReport(False, f"{failed} fails on the leaf {leaf.name}")
+        return FeasibilityReport(True, f"matched on the leaf {leaf.name}")
+
+    def witness(self, x, y) -> Witness | None:
+        """Exact parameters with T x = y, or None when there are none; match
+        checks T(q) x = y modulo the root relations as it builds them."""
+        if not self.decide(x, y).feasible:
+            return None
+        point = self.point(x, y)
+        xy = {v: Poly.const(c) for v, c in point.items()}
+        failure, params, roots = self.match(self.leaf_at(point), xy, ())
+        if failure:
+            raise InternalCheckError(f"a feasible point has no witness: {failure}")
+        roots = tuple(replace(r, coeff=_ONE, value=r.value * (1 / r.coeff.constant_value()))
+                      for r in roots)
+        return Witness({p: _reduce(n * (1 / d.constant_value()), roots)
+                        for p, (n, d) in params.items()}, roots)
+
+    def match(self, leaf: OrbitLeaf, xy, allowed):
+        """(failure or None, params, roots): the leaf's back-substitution at xy.
+
+        xy maps each x_i and y_i to a polynomial.  Every condition must
+        vanish there, and every inequation, root coefficient, pivot
+        coefficient and torus value must be a unit times powers of
+        allowed and the root symbols.  The pivots, back-substituted from
+        the last with each root a symbol r with c * r^m = d, give each
+        parameter as (num, den), and every row of T(q) x - y must reduce
+        to 0 modulo the root relations.
+        """
+        roots = tuple(r.subs(xy) for r in leaf.roots)
+        rooted = {r.unknown: r for r in roots}
+        allowed = (*allowed, *map(Poly.var, rooted))
+        if bad := next((e for e in leaf.constraints if e.subs(xy)), None):
+            return f"the condition {bad} = 0 fails", None, roots
+        opens = (*leaf.nonzero, *(r.coeff for r in leaf.roots))
+        if bad := next((q for q in opens if not unit_times_powers(q.subs(xy), allowed)), None):
+            return f"{bad} is not a unit times powers of the open conditions", None, roots
+        torus = len(self.template.nonzero)
+        values = {u: (Poly.var(u) if u in rooted else Poly.const(int(k < torus)), _ONE)
+                  for k, u in enumerate(self.unknowns)}
+        for u, eq in reversed(leaf.pivots):
+            ((mono, c),) = eq.coeffs[u].group_by(self.unknowns).items()
+            num, den = _fraction(eq.rhs.subs(xy), values)
+            den = den * c.subs(xy)
+            for t, k in mono:   # 1/t: d/n for t = n/d, t^(m-1) c/d for a root
+                r = rooted.get(t)
+                n, d = (r.value, Poly.var(t) ** (r.power - 1) * r.coeff) if r else values[t]
+                num, den = num * d ** k, den * n ** k
+            if not unit_times_powers(den, allowed) or (
+                    u in self.unknowns[:torus] and not unit_times_powers(num, allowed)):
+                return f"the pivot on {u} is not a unit times powers", None, roots
+            values[u] = (num * (1 / den.constant_value()), _ONE) if den.is_constant() else (
+                num, den)
+        for e in self.equations:
+            if _reduce(_fraction(e.subs(xy), values)[0], roots):
+                return f"T(q) x = y fails in the row {e}", None, roots
+        return None, {p: _fraction(self.torus.get(p, Poly.var(p)), values)
+                      for p in self.template.params}, roots
 
 
-def _numeric_or_fail(candidates) -> FeasibilityReport:
-    """First root choice whose witness verifies; exhausting them is a bug.
+@cache
+def orbit_solve(template: MatrixTemplate) -> OrbitSolve:
+    """The solve of T(a) x = y, built on first use and kept per template.
 
-    The schedules only reach a root step after the exact decision says
-    feasible, so every root choice should verify up to roundoff.
+    Each open condition, linear in the parameters, is solved for one of
+    them as a torus unknown t_k; every other parameter must enter
+    linearly.  A pivot is an equation c * u^m + rest with c free of
+    unknowns but for a monomial in the t_k.  Its x-factors split x-space
+    (zero_branches); each y-factor must divide a recorded inequation.  A
+    linear pivot substitutes u = -rest / c (each equation times c^k), and
+    a torus unknown's value -rest joins the inequations.  c * t^m = d with
+    m > 1 records a root relation and d != 0; every equation is reduced by
+    it, so a second power relation on t is Euclid on the exponents.
     """
-    for report in candidates:
-        if report is not None:
-            return report
-    raise InternalCheckError(
-        "feasible schedule failed to verify any root witness"
-    )
+    torus, sub = [], {}
+    try:
+        for condition in template.nonzero:
+            c, t = condition.subs(sub), Poly.var(f"t{len(torus) + 1}")
+            v = max(v for v in c.variables() if v in template.params)
+            coeff, rest = c.coeff_split(v)
+            value = (t - rest) * (1 / coeff.constant_value())
+            sub = {p: e.subs({v: value}) for p, e in sub.items()} | {v: value}
+            torus.append(str(t))
+        others = tuple(p for p in template.params if p not in sub)
+        grid = [[e.subs(sub) for e in row] for row in template.entries]
+        for entry in (e for row in grid for e in row):
+            entry.linear_decompose(others)
+    except ValueError as exc:
+        raise UnsupportedError(f"the automorphism template has no torus form: {exc}") from None
+    xs, ys = _names("x", template.dim), _names("y", template.dim)
+    equations = tuple(sum((e * Poly.var(x) for e, x in zip(row, xs)), Poly.zero())
+                      - Poly.var(y) for row, y in zip(grid, ys))
+    solver = _Solver(tuple(torus), (*torus, *others), xs, frozenset(ys))
+    return OrbitSolve(template, sub, solver.unknowns, equations,
+                      solver.explore(list(equations), OrbitLeaf()))
 
 
-def _feasible_pi2(n, y) -> FeasibilityReport:
-    n1, n2, n3, n4, n5 = n
-    y1, y2, y3, y4, y5 = y
-    p = _zero_params(AUTOMORPHISM_FORM_PI2.params)
-    if n1 != 0:
-        if y1 == 0:
-            return _infeasible("coordinate 1 forces a11 = 0")
-        a11 = quotient(y1, n1)
-        if n1 + n4 != 0:
-            if y1 + y4 == 0:
-                return _infeasible("coordinate 4 forces a11 + a41 = 0")
-            a41 = quotient(y4 - a11 * n4, n1 + n4)
+class _Solver:
+    """The steps of orbit_solve."""
+
+    def __init__(self, torus, unknowns, xs, ys):
+        self.torus, self.unknowns, self.xs, self.ys = torus, unknowns, xs, ys
+
+    def explore(self, eqs, node: OrbitLeaf):
+        """The tree below a node: a leaf, or the next pivot's splits."""
+        eqs = [e for e in (_strip(e, (*node.opens(), *map(Poly.var, self.torus)))
+                           for e in eqs) if e]
+        step = min(self.pivots(eqs, node), default=None, key=lambda s: s[0])
+        if step is None:
+            if live := [e for e in eqs if set(e.variables()) & set(self.unknowns)]:
+                raise UnsupportedError(f"the orbit solve leaves {live[0]} = 0 "
+                                       f"unsolved on {node.name}")
+            return replace(node, constraints=tuple(dict.fromkeys(eqs)), free_vars=tuple(
+                v for v in self.xs if v not in node.substitution))
+        (_, _, m, i, u), new, c, rest = step
+        generic = self.explore(*self.apply(
+            eqs, replace(node, inequations=node.inequations + new), i, u, m, c, rest))
+        return Split(new, None, (*(
+            None if branch is None else self.explore(
+                [e.subs(branch[0]) for e in eqs],
+                replace(branch[1], nonzero=tuple(q.subs(branch[0]) for q in node.nonzero),
+                        roots=tuple(r.subs(branch[0]) for r in node.roots)))
+            for branch in zero_branches(new, node)), generic)) if new else generic
+
+    def pivots(self, eqs, node):
+        """(key, new x-factors, c, rest) for each pivot c * u^m + rest; the
+        key prefers the fewest new factors, torus unknowns, low powers,
+        then the earliest equation."""
+        opens = node.opens()
+        for i, e in enumerate(eqs):
+            for u in (u for u in self.unknowns if e.degree_in(u)):
+                m = e.degree_in(u)
+                c = _by_degree(e, u)[m]
+                rest = e - c * Poly.var(u) ** m
+                (mono, cxy), *more = c.group_by(self.unknowns).items()
+                if more or any(v not in self.torus for v, _ in mono) or (
+                        m > 1 and (mono or u not in self.torus)) or (
+                        u in self.torus and set(rest.variables()) & set(self.unknowns)):
+                    continue
+                try:
+                    factors = dict.fromkeys(linear_factors(cxy)[1])
+                except StratificationError:
+                    continue
+                ys = [f for f in factors if self.ys.intersection(f.variables())]
+                if all(any(q.div_exact(f) is not None for q in node.nonzero) for f in ys):
+                    new = tuple(f for f in factors if f not in ys and f not in opens)
+                    yield (len(new), u not in self.torus, m, i, u), new, c, rest
+
+    def apply(self, eqs, node, i, u, m, c, rest):
+        """The equations and the node once eqs[i] = c * u^m + rest is solved."""
+        eqs, roots = eqs[:i] + eqs[i + 1:], {r.unknown: r for r in node.roots}
+        if m == 1:
+            if old := roots.pop(u, None):
+                eqs.append(old.coeff * (-rest) ** old.power - old.value * c ** old.power)
+            eqs = [_substitute(e, u, -rest, c) for e in eqs]
+            node = replace(node, pivots=node.pivots + ((u, Equation({u: c}, -rest)),))
         else:
-            if y1 + y4 != 0:
-                return _infeasible(
-                    "coordinate 4 is inconsistent on the stratum n1 + n4 = 0"
-                )
-            a41 = 0
-        a21 = quotient(y2 - a11 * a11 * n2, n1)
-        s = a11 + a41
-        p.update(a11=a11, a21=a21, a41=a41)
-        p["a31"] = quotient(y3 - 2 * a11 * a21 * n2 - a11 ** 3 * n3, n1)
-        p["a51"] = quotient(y5 - (s * s - a11 * a11) * n2 - s * s * n5, n1)
-        return _exact_report(p, "solved on the n1 != 0 branch")
-    if n4 != 0:
-        if y1 != 0:
-            return _infeasible("coordinate 1 must vanish when n1 = 0")
-        if y4 == 0:
-            return _infeasible("coordinate 4 forces a11 + a41 = 0")
-        s = quotient(y4, n4)
-        if n2 != 0:
-            if y2 == 0:
-                return _infeasible("coordinate 2 forces a11 = 0")
-
-            def n4_witnesses():
-                for a11 in _sqrts(complex(quotient(y2, n2))):
-                    q = {k: complex(v) for k, v in p.items()}
-                    q["a11"] = a11
-                    q["a41"] = complex(s) - a11
-                    q["a34"] = (
-                        complex(y3) - a11 ** 3 * complex(n3)
-                    ) / complex(n4)
-                    q["a54"] = (
-                        complex(y5)
-                        - (complex(s) ** 2 - a11 ** 2) * complex(n2)
-                        - complex(s) ** 2 * complex(n5)
-                    ) / complex(n4)
-                    yield _try_numeric(
-                        AUTOMORPHISM_FORM_PI2, q, n, y,
-                        "square root on the n4 branch",
-                    )
-
-            return _numeric_or_fail(n4_witnesses())
-        if y2 != 0:
-            return _infeasible("coordinate 2 is inconsistent when n2 = 0")
-        p.update(a11=s)
-        p["a34"] = quotient(y3 - s ** 3 * n3, n4)
-        p["a54"] = quotient(y5 - s * s * n5, n4)
-        return _exact_report(p, "solved on the n4 != 0 branch")
-    if n2 != 0:
-        if y1 != 0 or y4 != 0:
-            return _infeasible("coordinates 1 and 4 must vanish")
-        if y2 == 0:
-            return _infeasible("coordinate 2 forces a11 = 0")
-        if n2 + n5 != 0:
-            if y2 + y5 == 0:
-                return _infeasible("coordinate 5 forces a11 + a41 = 0")
-            u2 = quotient(y2 + y5, n2 + n5)
-        else:
-            if y2 + y5 != 0:
-                return _infeasible(
-                    "coordinate 5 is inconsistent on the stratum n2 + n5 = 0"
-                )
-            u2 = quotient(y2, n2)
-        def n2_witnesses():
-            for a11 in _sqrts(complex(quotient(y2, n2))):
-                for u in _sqrts(complex(u2)):
-                    q = {k: complex(v) for k, v in p.items()}
-                    q["a11"] = a11
-                    q["a41"] = u - a11
-                    q["a21"] = (
-                        complex(y3) - a11 ** 3 * complex(n3)
-                    ) / (2 * a11 * complex(n2))
-                    yield _try_numeric(
-                        AUTOMORPHISM_FORM_PI2, q, n, y,
-                        "square roots on the n2 branch",
-                    )
-
-        return _numeric_or_fail(n2_witnesses())
-    if n3 != 0:
-        if y1 != 0 or y2 != 0 or y4 != 0:
-            return _infeasible("coordinates 1, 2 and 4 must vanish")
-        if y3 == 0:
-            return _infeasible("coordinate 3 forces a11 = 0")
-        if n5 != 0 and y5 == 0:
-            return _infeasible("coordinate 5 forces a11 + a41 = 0")
-        if n5 == 0 and y5 != 0:
-            return _infeasible("coordinate 5 is inconsistent when n5 = 0")
-
-        def n3_witnesses():
-            for a11 in _cbrts(complex(quotient(y3, n3))):
-                roots = (
-                    _sqrts(complex(quotient(y5, n5))) if n5 != 0 else (a11,)
-                )
-                for u in roots:
-                    q = {k: complex(v) for k, v in p.items()}
-                    q["a11"] = a11
-                    q["a41"] = u - a11
-                    yield _try_numeric(
-                        AUTOMORPHISM_FORM_PI2, q, n, y,
-                        "cube root on the n3 branch",
-                    )
-
-        return _numeric_or_fail(n3_witnesses())
-    if n5 != 0:
-        if y1 != 0 or y2 != 0 or y3 != 0 or y4 != 0:
-            return _infeasible("coordinates 1 through 4 must vanish")
-        if y5 == 0:
-            return _infeasible("coordinate 5 forces a11 + a41 = 0")
-
-        def n5_witnesses():
-            for u in _sqrts(complex(quotient(y5, n5))):
-                q = {k: complex(v) for k, v in p.items()}
-                q["a11"] = u
-                yield _try_numeric(
-                    AUTOMORPHISM_FORM_PI2, q, n, y,
-                    "square root on the n5 branch",
-                )
-
-        return _numeric_or_fail(n5_witnesses())
-    p["a11"] = 1
-    return _exact_report(p, "x = 0 is matched by the identity")
+            if old := roots.get(u):
+                eqs.append(old.coeff * Poly.var(u) ** old.power - old.value)
+            roots[u] = Root(u, c, m, -rest)
+        nonzero = node.nonzero + ((_strip(-rest, node.opens()),) if u in self.torus else ())
+        roots = tuple(roots.values())
+        return [_reduce(e, roots) for e in eqs], replace(node, nonzero=nonzero, roots=roots)
 
 
-def _feasible_pi3(n, y) -> FeasibilityReport:
-    n1, n2, n3, n4, n5 = n
-    y1, y2, y3, y4, y5 = y
-    p = _zero_params(AUTOMORPHISM_FORM_PI3.params)
-    if n1 != 0:
-        if y1 == 0:
-            return _infeasible("coordinate 1 forces a11 = 0")
-        if y1 * n4 != y4 * n1:
-            return _infeasible("coordinates 1 and 4 disagree about a11")
-        a11 = quotient(y1, n1)
-        a21 = quotient(y2 - a11 * a11 * n2, n1)
-        p.update(a11=a11, a21=a21)
-        p["a31"] = quotient(y3 - 2 * a11 * a21 * n2 - a11 ** 3 * n3, n1)
-        p["a51"] = quotient(y5 - a11 * a11 * n5, n1)
-        return _exact_report(p, "solved on the n1 != 0 branch")
-    if n4 != 0:
-        if y1 != 0:
-            return _infeasible("coordinate 1 must vanish when n1 = 0")
-        if y4 == 0:
-            return _infeasible("coordinate 4 forces a11 = 0")
-        a11 = quotient(y4, n4)
-        if n2 != 0:
-            if y4 * y4 * n2 != y2 * n4 * n4:
-                return _infeasible("coordinate 2 disagrees with a11 squared")
-        elif y2 != 0:
-            return _infeasible("coordinate 2 is inconsistent when n2 = 0")
-        p.update(a11=a11)
-        p["a34"] = quotient(y3 - a11 ** 3 * n3, n4)
-        p["a54"] = quotient(y5 - a11 * a11 * n5, n4)
-        return _exact_report(p, "solved on the n4 != 0 branch")
-    if n2 != 0:
-        if y1 != 0 or y4 != 0:
-            return _infeasible("coordinates 1 and 4 must vanish")
-        if y2 == 0:
-            return _infeasible("coordinate 2 forces a11 = 0")
-        if y2 * n5 != y5 * n2:
-            return _infeasible("coordinate 5 disagrees with a11 squared")
-
-        def n2_witnesses():
-            for a11 in _sqrts(complex(quotient(y2, n2))):
-                q = {k: complex(v) for k, v in p.items()}
-                q["a11"] = a11
-                q["a21"] = (
-                    complex(y3) - a11 ** 3 * complex(n3)
-                ) / (2 * a11 * complex(n2))
-                yield _try_numeric(
-                    AUTOMORPHISM_FORM_PI3, q, n, y,
-                    "square root on the n2 branch",
-                )
-
-        return _numeric_or_fail(n2_witnesses())
-    if n3 != 0:
-        if y1 != 0 or y2 != 0 or y4 != 0:
-            return _infeasible("coordinates 1, 2 and 4 must vanish")
-        if y3 == 0:
-            return _infeasible("coordinate 3 forces a11 = 0")
-        w = quotient(y3, n3)
-        if n5 != 0:
-            if y5 == 0:
-                return _infeasible("coordinate 5 forces a11 = 0")
-            u = quotient(y5, n5)
-            if w * w != u ** 3:
-                return _infeasible(
-                    "coordinates 3 and 5 need a11^3 and a11^2 with "
-                    "incompatible values"
-                )
-            p["a11"] = quotient(w, u)
-            return _exact_report(p, "solved exactly on the n3, n5 branch")
-        if y5 != 0:
-            return _infeasible("coordinate 5 is inconsistent when n5 = 0")
-
-        def n3_witnesses():
-            for a11 in _cbrts(complex(w)):
-                q = {k: complex(v) for k, v in p.items()}
-                q["a11"] = a11
-                yield _try_numeric(
-                    AUTOMORPHISM_FORM_PI3, q, n, y,
-                    "cube root on the n3 branch",
-                )
-
-        return _numeric_or_fail(n3_witnesses())
-    if n5 != 0:
-        if y1 != 0 or y2 != 0 or y3 != 0 or y4 != 0:
-            return _infeasible("coordinates 1 through 4 must vanish")
-        if y5 == 0:
-            return _infeasible("coordinate 5 forces a11 = 0")
-
-        def n5_witnesses():
-            for a11 in _sqrts(complex(quotient(y5, n5))):
-                q = {k: complex(v) for k, v in p.items()}
-                q["a11"] = a11
-                yield _try_numeric(
-                    AUTOMORPHISM_FORM_PI3, q, n, y,
-                    "square root on the n5 branch",
-                )
-
-        return _numeric_or_fail(n5_witnesses())
-    p["a11"] = 1
-    return _exact_report(p, "x = 0 is matched by the identity")
-
-
-# Each schedule decides feasibility for the automorphism template it solves.
-_SOLVERS = {
-    AUTOMORPHISM_FORM_PI2: _feasible_pi2,
-    AUTOMORPHISM_FORM_PI3: _feasible_pi3,
-}
-
-
-def locaut_feasible_at(algebra: Algebra, b: Matrix, x) -> FeasibilityReport:
-    """Does some automorphism agree with b at x?  Decided exactly.
-
-    The decision is a chain of rational zero tests ordered by the
-    support of x; complex roots appear only inside witness parameters.
-    """
-    solver = _SOLVERS[closed_forms(algebra).automorphism]
+def _at(algebra: Algebra, b: Matrix, x):
+    """The orbit solve of the algebra's automorphism template, x and b x."""
+    solve = orbit_solve(closed_forms(algebra).automorphism)
     x = vector(x)
     if len(x) != algebra.dim:
         raise InputError("point dimension does not match the algebra")
-    # The schedules divide with rationals.quotient, so they run on the
-    # canonical entries and integral coordinates stay ints.
-    return solver(x, b.apply(x))
+    return solve, x, b.apply(x)
+
+
+def locaut_feasible_at(algebra: Algebra, b: Matrix, x) -> FeasibilityReport:
+    """Does some automorphism agree with b at x?  Decided exactly, over C,
+    by the conditions and inequations of the orbit-solve leaf holding x."""
+    solve, x, y = _at(algebra, b, x)
+    return solve.decide(x, y)
+
+
+def automorphic_witness(algebra: Algebra, b: Matrix, x) -> Witness | None:
+    """Exact parameters of an automorphism agreeing with b at x, or None."""
+    solve, x, y = _at(algebra, b, x)
+    return solve.witness(x, y)
 
 
 # -- the closed patterns ------------------------------------------------------
@@ -530,24 +500,46 @@ def find_witness(
     return None
 
 
-def _point_cycle(dim: int):
-    """Support patterns plus the singled-out strata, as sampler specs."""
-    supports = list(support_patterns(dim))
-    strata = [raw for raw in STRATUM_POINTS if len(raw) == dim]
-    return supports, strata
+def _stratum_point(solve: OrbitSolve, leaf: OrbitLeaf) -> tuple:
+    """The leaf's point as leaf_refutation picks one (stratify.grid_point)."""
+    point = grid_point(leaf)
+    return tuple(point[v] for v in _names("x", solve.template.dim))
 
 
-def _random_point(supports, strata, dim: int, rng: random.Random, k: int):
-    """k-th sample point: cycles every support pattern, then the strata."""
-    phase = k % (len(supports) + len(strata))
-    if phase < len(supports):
-        support = set(supports[phase])
-        return tuple(
-            random_nonzero_int(rng, 9) if i in support else 0
-            for i in range(dim)
-        )
-    scale = rng.randint(1, 9)
-    return tuple(scale * v for v in strata[phase - len(supports)])
+def member_failure(solve: OrbitSolve, leaf: OrbitLeaf, template: MatrixTemplate):
+    """OrbitSolve.match on the leaf at y = B x, B a symbolic member of
+    template and x the leaf's point under its substitution; the units are
+    the leaf's inequations and the template's open conditions."""
+    xs, ys = _names("x", template.dim), _names("y", template.dim)
+    at = {v: Poly.var(v).subs(leaf.substitution) for v in xs}
+    image = {y: sum((e * at[v] for e, v in zip(row, xs)), Poly.zero())
+             for y, row in zip(ys, template.entries)}
+    return solve.match(leaf, at | image, (*leaf.opens(), *template.nonzero))[0]
+
+
+def forward_failure(pattern: LocAutPattern):
+    """Why some member is no local automorphism over C, or None.
+
+    member_failure runs for each template on every leaf; the leaves
+    partition x-space (coverage_failure), so every member matches an
+    automorphism at every x.  A failure is (detail naming the leaf,
+    (member, point) or None), the member and point refuted by
+    locaut_feasible_at, from 100 seeded small members.
+    """
+    algebra, rng = pattern.algebra, random.Random(0)
+    solve = orbit_solve(closed_forms(algebra).automorphism)
+    if failure := coverage_failure(solve.root):
+        return f"the orbit solve does not cover x-space: {failure}", None
+    for branch, template in zip(pattern.branches, pattern.templates):
+        for leaf in solve.leaves:
+            if failure := member_failure(solve, leaf, template):
+                points = [_stratum_point(solve, leaf), *probe_points(algebra.dim)]
+                members = (template.instantiate(random_parameters(template, rng, 3))
+                           for _ in range(100))
+                return f"the {branch} template on the leaf {leaf.name}: {failure}", next(
+                    ((b, x) for b in members for x in points
+                     if not locaut_feasible_at(algebra, b, x).feasible), None)
+    return None
 
 
 @dataclass(frozen=True)
@@ -556,51 +548,32 @@ class PatternReport:
     trials: int
     counterexample: tuple[Matrix, tuple | None] | None
     detail: str
+    proof: str   # the forward proof, or where it fails
 
 
-def verify_pattern(
-    pattern: LocAutPattern, trials: int = 200, seed: int = 0
-) -> PatternReport:
+def verify_pattern(pattern: LocAutPattern, trials: int = 200, seed: int = 0) -> PatternReport:
     """Two-way check of "local automorphism iff pattern member".
 
-    Forward: each of `trials` random members is feasible at `trials`
-    points spanning every support pattern and the singled-out strata.
-    Reverse: `trials` random single-constraint violations must each be
-    refuted by an explicit witness point.
+    Forward, proved over C (forward_failure).  Reverse, sampled: `trials`
+    random single-constraint violations must each be refuted by an
+    explicit witness point.
     """
-    rng = random.Random(seed)
     algebra = pattern.algebra
-    supports, strata = _point_cycle(algebra.dim)
-    for t in range(trials):
-        member = random_pattern_member(pattern, rng)
-        for k in range(trials):
-            x = _random_point(supports, strata, algebra.dim, rng, k)
-            report = locaut_feasible_at(algebra, member, x)
-            if not report.feasible:
-                return PatternReport(
-                    ok=False,
-                    trials=t + 1,
-                    counterexample=(member, x),
-                    detail=f"pattern member infeasible at {x}: "
-                           f"{report.detail}",
-                )
+    if failure := forward_failure(pattern):
+        return PatternReport(False, 0, failure[1], failure[0], failure[0])
+    leaves, count = len(orbit_solve(closed_forms(algebra).automorphism).leaves), len(
+        pattern.templates)
+    proof = (f"the members of {count} template{'s' * (count > 1)} match an "
+             f"automorphism at every x over C, proved on the {leaves} leaves of "
+             f"the orbit solve")
+    rng = random.Random(seed)
     for t in range(trials):
         violated = _random_violation(pattern, rng)
-        witness = find_witness(algebra, violated, seed=seed + t,
-                               random_trials=1000)
-        if witness is None:
-            return PatternReport(
-                ok=False,
-                trials=t + 1,
-                counterexample=(violated, None),
-                detail="a relation violation survived every probe point",
-            )
-    return PatternReport(
-        ok=True,
-        trials=trials,
-        counterexample=None,
-        detail="members feasible everywhere; violations all refuted",
-    )
+        if find_witness(algebra, violated, seed=seed + t, random_trials=1000) is None:
+            return PatternReport(False, t + 1, (violated, None),
+                                 "a relation violation survived every probe point", proof)
+    return PatternReport(True, trials, None,
+                         f"{trials} single-constraint violations all refuted", proof)
 
 
 def _random_violation(pattern: LocAutPattern, rng: random.Random) -> Matrix:

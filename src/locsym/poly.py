@@ -154,15 +154,14 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Poly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        result, base = None, self
+        while exponent:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return Poly.const(1) if result is None else result
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -207,14 +206,15 @@ class Poly:
     def subs(self, mapping) -> "Poly":
         """Substitute variables by polynomials (or scalars)."""
         replace = {v: _coerce(p) for v, p in mapping.items()}
-        result = Poly.zero()
+        result: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
-            term = Poly.const(coeff)
+            term = Poly({tuple((v, e) for v, e in mono if v not in replace): coeff})
             for var, exp in mono:
-                factor = replace.get(var, Poly.var(var))
-                term = term * factor**exp
-            result = result + term
-        return result
+                if var in replace:
+                    term = term * replace[var] ** exp
+            for m, c in term.terms.items():
+                result[m] = result.get(m, 0) + c
+        return Poly(result)
 
     # -- structure helpers ---------------------------------------------
 

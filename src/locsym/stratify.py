@@ -438,12 +438,19 @@ def leaf_refutation(
     free variable v, Q is nonzero somewhere on the grid prod {0..d_v}; the
     first such point, mapped through s, is the point returned.  Every
     pivot is nonzero there, so a solution there would be the
-    back-substituted candidate, which D(x) != 0 says fails.
+    back-substituted candidate, which D(x) != 0 says fails (grid_point).
     """
     _, residuals = _residuals(system, leaf)
     q = next((r for r in residuals(b) if r), None)
     if q is None:
         return None
+    return grid_point(leaf, q)
+
+
+def grid_point(leaf: StratumCase, q: Poly = Poly.const(1)) -> dict:
+    """The first point of the grid prod {0..d_v} where Q, q times the
+    inequations under s, is nonzero (d_v: Q's degree in the free variable
+    v), mapped through s."""
     for ineq in leaf.inequations:
         q = q * ineq.subs(leaf.substitution)
     free = leaf.free_vars

@@ -27,16 +27,13 @@ from .linalg import Matrix, Subspace
 from .poly import Poly, poly, unit_times_powers
 
 
-# Compared and hashed by identity: each closed form is one object, and the
-# pointwise schedules are looked up by template on every call.
+# Compared and hashed by identity: each closed form is one object, and
+# local_automorphisms.orbit_solve keeps one solve per automorphism template.
 @dataclass(frozen=True, eq=False)
 class MatrixTemplate:
     """A dim x dim grid of polynomials in params, with open conditions.
 
-    Two cached views are derived from the grid: free_coordinates, where
-    read() takes each parameter from, and numeric_table, the entries'
-    terms with complex coefficients, from which numeric_image evaluates
-    T(q) x at complex parameters without converting a coefficient.
+    free_coordinates, cached, is where read() takes each parameter from.
     """
 
     dim: int
@@ -143,40 +140,6 @@ class MatrixTemplate:
         if missing:
             raise UnsupportedError(f"no bare entry to read {missing} from")
         return free
-
-    @cached_property
-    def numeric_table(self) -> tuple[tuple[tuple, ...], ...]:
-        """Each entry's terms as (complex coefficient, monomial) pairs."""
-        return tuple(
-            tuple(
-                tuple((complex(c), mono) for mono, c in entry.terms.items())
-                for entry in row
-            )
-            for row in self.entries
-        )
-
-    def numeric_image(self, params, point) -> list[list[complex]]:
-        """The terms T(params)[i][j] * x_j of T(params) x, row by row.
-
-        params maps every parameter to a complex value and point holds
-        complex coordinates; zero coordinates contribute no term.  Each
-        entry is evaluated as Poly.evaluate_numeric does, with the same
-        float operations in the same order, so sum() of a row is bitwise
-        the value of sum(entry.evaluate_numeric(params) * x_j ...).
-        """
-        image = []
-        for row in self.numeric_table:
-            terms = []
-            for entry, x in zip(row, point):
-                if x:
-                    total = 0j
-                    for value, mono in entry:
-                        for var, exp in mono:
-                            value *= params[var] ** exp
-                        total += value
-                    terms.append(total * x)
-            image.append(terms)
-        return image
 
     def read(self, rows, evaluate=Poly.evaluate):
         """Parameters read off a grid, and its deviation at every other entry.

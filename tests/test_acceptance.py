@@ -88,9 +88,17 @@ def test_locder_is_solved_once_per_builtin(suite):
 
 
 def test_criterion_7_does_its_full_sampled_work(suite):
-    # 200 members x 200 points per algebra, 200 refuted violations per
-    # algebra and two pinned witnesses: a speed-up may not drop any of them
-    assert CALLS == {"locaut_feasible_at": 82_564, "find_witness": 402}
+    # The forward half is proved on every orbit-solve leaf (10 on pi2, 7 on
+    # pi3) for all three templates; the reverse stream refutes 200 sampled
+    # violations per algebra, and two pinned witnesses follow: a speed-up
+    # may not drop any of them.
+    assert CALLS == {"locaut_feasible_at": 2_578, "find_witness": 402}
+    detail = suite.results[6].detail
+    for name, templates, leaves in (("pi2", "1 template", 10), ("pi3", "2 templates", 7)):
+        assert (f"{name}: the members of {templates} match an automorphism at "
+                f"every x over C, proved on the {leaves} leaves of the orbit solve"
+                in detail)
+    assert "200 sampled single-constraint violations per algebra refuted" in detail
 
 
 def test_cheap_criteria_are_seed_deterministic(spaces):

@@ -230,6 +230,38 @@ def test_cli_replays_a_feasible_large_point_without_an_internal_error(
     assert captured.err == ""
 
 
+def test_cli_replays_a_point_beyond_float_range(tmp_path, capsys):
+    # the identity matches itself at every point, also beyond float range
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps({
+        "kind": "locaut_witness", "algebra": "pi2",
+        "matrix": operator_to_payload(Matrix.identity(5)),
+        "point": ["0", str(10**400), "0", "0", "0"],
+    }))
+    assert run_cli("verify-counterexample", str(path)) == 1
+    captured = capsys.readouterr()
+    assert "did NOT reproduce" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("name, leaves", [("pi2", 10), ("pi3", 7)])
+def test_cli_locaut_verify_names_the_proof(capsys, name, leaves):
+    assert run_cli("locaut", "verify", "--algebra", name, "--trials", "20",
+                   "--format", "structured") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] and payload["trials"] == 20
+    assert payload["proof"].endswith(
+        f"match an automorphism at every x over C, proved on the {leaves} "
+        "leaves of the orbit solve")
+    assert payload["detail"] == "20 single-constraint violations all refuted"
+    assert run_cli("locaut", "verify", "--algebra", name) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "pattern verification: True"
+    assert lines[1].startswith("forward proof: the members of ")
+    assert lines[2] == ("reverse stream (200 sampled violations): "
+                        "200 single-constraint violations all refuted")
+
+
 BUMP = operator_to_payload(Matrix(DIAG_BUMP))
 MALFORMED_REPLAYS = [
     ({"kind": "pointwise", "algebra": "pi2"}, "matrix"),

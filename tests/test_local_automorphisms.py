@@ -1,6 +1,7 @@
-"""Local automorphisms: closed patterns, pointwise feasibility, witnesses."""
+"""Local automorphisms: closed patterns, the orbit solve, witnesses."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,13 +18,21 @@ from locsym import (
     verify_pattern,
 )
 from locsym.local_automorphisms import (
-    _point_cycle,
-    _random_point,
+    STRATUM_POINTS,
+    Witness,
     _random_violation,
-    _try_numeric,
+    _stratum_point,
+    automorphic_witness,
+    orbit_solve,
+    probe_points,
 )
 from locsym.local_derivations import support_patterns
-from locsym.templates import AUTOMORPHISM_FORM_PI2, AUTOMORPHISM_FORM_PI3
+from locsym.stratify import coverage_failure
+from locsym.templates import (
+    AUTOMORPHISM_FORM_PI2,
+    AUTOMORPHISM_FORM_PI3,
+    random_parameters,
+)
 
 
 def diag(*values):
@@ -101,44 +110,46 @@ def test_members_are_pointwise_feasible(pi3, pat3):
 def test_feasibility_report_carries_matching_parameters(pi2, pat2, fam2):
     member = random_pattern_member(pat2, random.Random(2))
     x = (2, -1, 3, 1, 4)
-    report = locaut_feasible_at(pi2, member, x)
-    assert report.feasible and report.exact
-    phi = fam2.instantiate(report.witness_params)
+    assert locaut_feasible_at(pi2, member, x).feasible
+    witness = automorphic_witness(pi2, member, x)
+    assert not witness.roots   # x1 != 0: every parameter is rational
+    phi = fam2.instantiate({p: v.constant_value() for p, v in witness.params.items()})
     assert phi.apply(x) == member.apply(x)
 
 
+def support_points(rng, draw):
+    """A point of each support pattern, and a multiple of each stratum point."""
+    return [
+        tuple(draw() if i in s else 0 for i in range(5)) for s in support_patterns(5)
+    ] + [tuple(draw() * v for v in raw) for raw in STRATUM_POINTS]
+
+
 def assert_exact_witnesses_match(rng, points, cases):
-    """Every exact witness is canonical (never a float) and matches b at x."""
-    exact_reports = 0
+    """Every witness is exact (no float anywhere) and matches b at x."""
+    rational = 0
     for algebra, pattern, family in cases:
         for _ in range(10):
             b = random_pattern_member(pattern, rng)
             for x in points:
-                report = locaut_feasible_at(algebra, b, x)
-                assert report.feasible
-                if not report.exact:
-                    continue
-                exact_reports += 1
-                for v in report.witness_params.values():
-                    assert type(v) is int or (
-                        type(v) is Fraction and v.denominator != 1
-                    ), v
-                phi = family.instantiate(report.witness_params)
-                assert phi.apply(x) == b.apply(x)
-    assert exact_reports > 0
+                assert locaut_feasible_at(algebra, b, x).feasible
+                witness = automorphic_witness(algebra, b, x)
+                assert witness.verifies(family.template, x, b.apply(x))
+                values = [c for p in witness.params.values() for c in p.terms.values()]
+                values += [c for r in witness.roots for c in r.value.terms.values()]
+                assert all(type(v) is Fraction for v in values)
+                if not witness.roots:
+                    rational += 1
+                    phi = family.instantiate(
+                        {p: v.constant_value() for p, v in witness.params.items()})
+                    assert phi.apply(x) == b.apply(x)
+    assert rational > 0
 
 
 def test_exact_witnesses_stay_exact_on_int_points(
     pi2, pi3, pat2, pat3, fam2, fam3
 ):
-    # Canonical int coordinates must not turn the schedules' divisions
-    # (y1 / n1) into float division.
     rng = random.Random(11)
-    supports, strata = _point_cycle(5)
-    points = [
-        tuple(rng.choice((-3, -2, -1, 1, 2, 3)) if i in s else 0 for i in range(5))
-        for s in supports
-    ] + [tuple(rng.randint(1, 9) * v for v in raw) for raw in strata]
+    points = support_points(rng, lambda: rng.choice((-3, -2, -1, 1, 2, 3)))
     assert_exact_witnesses_match(
         rng, points, ((pi2, pat2, fam2), (pi3, pat3, fam3))
     )
@@ -148,22 +159,19 @@ def test_exact_witnesses_stay_exact_on_rational_points(
     pi2, pi3, pat2, pat3, fam2, fam3
 ):
     rng = random.Random(12)
-    supports, strata = _point_cycle(5)
 
     def ratio():
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
 
-    points = [
-        tuple(ratio() if i in s else 0 for i in range(5)) for s in supports
-    ] + [tuple(ratio() * v for v in raw) for raw in strata]
+    points = support_points(rng, ratio)
     assert any(type(v) is Fraction for x in points for v in x)
     assert_exact_witnesses_match(
         rng, points, ((pi2, pat2, fam2), (pi3, pat3, fam3))
     )
 
 
-# A pi2 pattern member whose n2-branch root witness has residual 1.86e-9
-# at this point: roundoff relative to max|y| = 6.5e6 is 2.8e-16.
+# A pi2 pattern member at a large point of the leaf x1 = x4 = 0 with
+# x2, x2 + x5 != 0, where both torus values are square roots.
 LARGE_POINT_MEMBER = Matrix([
     [7, 0, 0, 0, 0],
     [-2, -8, 0, 0, 0],
@@ -174,19 +182,36 @@ LARGE_POINT_MEMBER = Matrix([
 LARGE_POINT = (0, 163787, 723238, 0, 44498)
 
 
-def test_root_witness_tolerance_scales_with_the_coordinates(pi2, pat2):
+def test_a_large_point_has_an_exact_root_witness(pi2, pat2):
     assert pattern_check(pat2, LARGE_POINT_MEMBER).ok
-    report = locaut_feasible_at(pi2, LARGE_POINT_MEMBER, LARGE_POINT)
-    assert report.feasible and not report.exact
-    assert 1e-9 < report.residual < 1e-8
+    assert locaut_feasible_at(pi2, LARGE_POINT_MEMBER, LARGE_POINT).feasible
+    witness = automorphic_witness(pi2, LARGE_POINT_MEMBER, LARGE_POINT)
+    assert [(r.unknown, r.power) for r in witness.roots] == [("t1", 2), ("t2", 2)]
+    y = LARGE_POINT_MEMBER.apply(LARGE_POINT)
+    assert witness.verifies(AUTOMORPHISM_FORM_PI2, LARGE_POINT, y)
+
+
+def test_a_coordinate_beyond_float_range_is_decided(pi2):
+    # beyond float range: the decision and the witness take no float step
+    x = (0, 10**400, 0, 0, 0)
+    assert locaut_feasible_at(pi2, Matrix.identity(5), x).feasible
+    witness = automorphic_witness(pi2, Matrix.identity(5), x)
+    assert witness.verifies(AUTOMORPHISM_FORM_PI2, x, x)
+
+
+@pytest.mark.parametrize("decide", [locaut_feasible_at, automorphic_witness])
+def test_a_point_of_the_wrong_dimension_is_refused(pi2, decide):
+    with pytest.raises(InputError, match="point dimension does not match"):
+        decide(pi2, Matrix.identity(5), (1, 0))
 
 
 def test_root_branches_verify_at_large_coordinates(pi2, pi3, pat2, pat3):
     # every support with x1 = 0 reaches a root witness or an exact
-    # n4-branch solve; none may fail to verify (InternalCheckError)
+    # x4 != 0 solve; each must verify exactly
     rng = random.Random(13)
     supports = [s for s in support_patterns(5) if 0 not in s]
-    for algebra, pattern in ((pi2, pat2), (pi3, pat3)):
+    for algebra, pattern, family in ((pi2, pat2, AUTOMORPHISM_FORM_PI2),
+                                     (pi3, pat3, AUTOMORPHISM_FORM_PI3)):
         roots = 0
         for _ in range(40):
             b = random_pattern_member(pattern, rng)
@@ -198,8 +223,19 @@ def test_root_branches_verify_at_large_coordinates(pi2, pi3, pat2, pat3):
                 )
                 report = locaut_feasible_at(algebra, b, x)
                 assert report.feasible, (b, x, report.detail)
-                roots += not report.exact
+                witness = automorphic_witness(algebra, b, x)
+                assert witness.verifies(family, x, b.apply(x))
+                roots += bool(witness.roots)
         assert roots > 0
+
+
+def negated(witness):
+    """The witness with each root a root of the negated radicand.
+
+    For an odd power that is the negated root; for a square the negated
+    root is the other root, which matches as well as the first.
+    """
+    return Witness(witness.params, tuple(replace(r, value=-r.value) for r in witness.roots))
 
 
 @pytest.mark.parametrize("name, family", [
@@ -208,13 +244,72 @@ def test_root_branches_verify_at_large_coordinates(pi2, pi3, pat2, pat3):
 def test_a_negated_root_is_rejected_at_large_coordinates(request, name, family):
     algebra = request.getfixturevalue(name)
     b = diag(2, 4, 8, 2, 4)   # a11 = 2 in both automorphism families
-    x = (0, 0, 10**7, 0, 0)   # the cube-root branch: y3 = a11^3 x3
-    report = locaut_feasible_at(algebra, b, x)
-    assert report.feasible and not report.exact
+    x = (0, 0, 10**7, 0, 0)   # the cube-root leaf: a11^3 x3 = y3
+    witness = automorphic_witness(algebra, b, x)
+    assert [(r.unknown, r.power) for r in witness.roots] == [("t1", 3)]
     y = b.apply(x)
-    assert _try_numeric(family, report.witness_params, x, y, report.detail) == report
-    negated = dict(report.witness_params, a11=-report.witness_params["a11"])
-    assert _try_numeric(family, negated, x, y, report.detail) is None
+    assert witness.verifies(family, x, y)
+    assert not negated(witness).verifies(family, x, y)
+
+
+# -- the orbit solve -------------------------------------------------------------------
+
+SOLVES = [(AUTOMORPHISM_FORM_PI2, 10), (AUTOMORPHISM_FORM_PI3, 7)]
+
+
+@pytest.mark.parametrize("family, leaves", SOLVES, ids=["pi2", "pi3"])
+def test_the_orbit_solve_leaves_partition_x_space(family, leaves):
+    solve = orbit_solve(family)
+    assert coverage_failure(solve.root) is None
+    assert len(solve.leaves) == leaves
+
+
+@pytest.mark.parametrize("family, leaves", SOLVES, ids=["pi2", "pi3"])
+def test_every_leaf_but_zero_holds_a_probe_point(family, leaves):
+    # ties STRATUM_POINTS to the derived strata
+    solve = orbit_solve(family)
+    probed = {id(solve.leaf_at(solve.point(x, x))) for x in probe_points(5)}
+    missed = [leaf for leaf in solve.leaves if id(leaf) not in probed]
+    assert [(len(leaf.equalities), leaf.inequations) for leaf in missed] == [(5, ())]
+
+
+def breakings(y, polynomial, point, vanish):
+    """y changed in one coordinate so that polynomial vanishes, or does not."""
+    for v in sorted(v for v in polynomial.variables() if v.startswith("y")):
+        k, at = int(v[1:]) - 1, point | {v: 0}
+        if vanish:
+            a, rest = polynomial.coeff_split(v)
+            if a.evaluate(at):
+                yield y[:k] + (Fraction(-rest.evaluate(at)) / a.evaluate(at),) + y[k + 1:]
+        else:
+            yield from (y[:k] + (y[k] + d,) + y[k + 1:] for d in (1, 2, 3)
+                        if polynomial.evaluate(point | {v: y[k] + d}))
+
+
+@pytest.mark.parametrize("family", [AUTOMORPHISM_FORM_PI2, AUTOMORPHISM_FORM_PI3],
+                         ids=["pi2", "pi3"])
+def test_every_leaf_accepts_images_and_refuses_each_broken_condition(family):
+    solve, rng = orbit_solve(family), random.Random(7)
+    for leaf in solve.leaves:
+        x = _stratum_point(solve, leaf)
+        y = tuple(family.instantiate(random_parameters(family, rng, 3)).apply(x))
+        point = solve.point(x, y)
+        assert solve.leaf_at(point) is leaf
+        assert solve.decide(x, y).feasible, leaf.name
+        witness = solve.witness(x, y)
+        assert witness.verifies(family, x, y)
+        if witness.roots:
+            assert not negated(witness).verifies(family, x, y), leaf.name
+        # conditions are read first, so a vanishing inequation may be
+        # reported through a condition that the change breaks as well
+        conditions = [f"{e} = 0 fails" for e in leaf.constraints]
+        checks = [(e, [f"{e} = 0 fails"], False) for e in leaf.constraints]
+        checks += [(q, [f"{q} != 0 fails", *conditions], True) for q in leaf.nonzero]
+        for polynomial, failures, vanish in checks:
+            assert any(not (r := solve.decide(x, moved)).feasible
+                       and r.detail.endswith(f"fails on the leaf {leaf.name}")
+                       and r.detail.startswith(tuple(failures))
+                       for moved in breakings(y, polynomial, point, vanish)), failures[0]
 
 
 # -- refutation witnesses --------------------------------------------------------------
@@ -244,16 +339,6 @@ def test_verify_pattern_small_battery(pat2, pat3):
         report = verify_pattern(pat, trials=40, seed=6)
         assert report.ok, report.detail
         assert report.counterexample is None
-
-
-def test_support_points_have_exactly_their_support():
-    supports, strata = _point_cycle(5)
-    rng = random.Random(10)
-    for k in range(20 * (len(supports) + len(strata))):
-        x = _random_point(supports, strata, 5, rng, k)
-        phase = k % (len(supports) + len(strata))
-        if phase < len(supports):
-            assert {i for i, v in enumerate(x) if v != 0} == set(supports[phase])
 
 
 def test_group_closure(pat2, pat3):

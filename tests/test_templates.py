@@ -16,7 +16,6 @@ from locsym import (
     template_space_equals,
     zero_algebra,
 )
-from locsym.local_derivations import support_patterns
 from locsym.poly import poly
 from locsym.rationals import quotient
 from locsym.templates import (
@@ -143,28 +142,6 @@ def test_match_rejects_open_condition_zeros(kind, name):
         params[var] = quotient(-rest.evaluate(params), coeff.evaluate(params))
         grid = Matrix([[e.evaluate(params) for e in row] for row in t.entries])
         assert template_match(t, grid) is None
-
-
-@pytest.mark.parametrize(
-    "template", [AUTOMORPHISM_FORM_PI2, AUTOMORPHISM_FORM_PI3],
-    ids=["pi2", "pi3"],
-)
-def test_numeric_image_is_bitwise_the_evaluated_grid_times_the_point(template):
-    rng = random.Random(20)
-
-    def draw():
-        return complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-
-    for support in support_patterns(5):
-        for scale in (1, 10**7):
-            q = {p: draw() for p in template.params}
-            x = [scale * draw() if i in support else 0j for i in range(5)]
-            want = [
-                sum(e.evaluate_numeric(q) * v for e, v in zip(row, x) if v)
-                for row in template.entries
-            ]
-            got = [sum(terms) for terms in template.numeric_image(q, x)]
-            assert got == want
 
 
 def test_a_parameter_without_a_bare_entry_is_unreadable():
