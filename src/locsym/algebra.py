@@ -16,6 +16,7 @@ square of the algebra.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -258,13 +259,17 @@ def characteristic_sequence(algebra: Algebra) -> tuple[int, ...]:
     on Poly entries too).  Generic x maximizes the rank of every power at
     once, so its Jordan type dominates, and hence is lexicographically at
     least, the type at any other x; and generic x lies outside A^2.
+    L_x is scaled by the lcm of the structure constants' denominators,
+    which keeps Bareiss on integer coefficients; rank((cL)^k) = rank(L^k)
+    for c != 0.
     """
     if not power_filtration(algebra).nilpotent:
         raise InputError("characteristic sequence requires a nilpotent algebra")
     n = algebra.dim
+    scale = math.lcm(*(c.denominator for *_, c in algebra.terms))
     op = [[Poly.zero()] * n for _ in range(n)]
     for i, j, k, c in algebra.terms:
-        op[k][j] += Poly.var(f"x{i + 1}") * c
+        op[k][j] += Poly.var(f"x{i + 1}") * (c * scale)
     ranks, power = [n], op
     while ranks[-1]:  # L_x is nilpotent, as A is
         ranks.append(integer_rank([list(row) for row in power]))

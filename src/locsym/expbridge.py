@@ -29,6 +29,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .algebra import Algebra, builtin
@@ -78,13 +79,20 @@ def series_coefficients(name: str, count: int) -> tuple[Fraction, ...]:
     raise InputError(f"unknown series {name!r}")
 
 
+@cache
+def _complex_coefficients(name: str, order: int) -> tuple[complex, ...]:
+    """series_coefficients as complex numbers, built on first use per
+    (name, order) and kept: the bridge and the series claims sum the same
+    few tables at every sample."""
+    return tuple(complex(c) for c in series_coefficients(name, order))
+
+
 def eval_series(name: str, x1: complex, order: int = DEFAULT_ORDER) -> complex:
     """Truncated series value at x1 (first `order` terms)."""
-    coeffs = series_coefficients(name, order)
     total = 0j
     power = 1 + 0j
-    for c in coeffs:
-        total += complex(c) * power
+    for c in _complex_coefficients(name, order):
+        total += c * power
         power *= complex(x1)
     return total
 

@@ -99,6 +99,7 @@ class Witness:
 _ONE = Poly.const(1)
 
 
+@cache
 def _names(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
@@ -194,9 +195,10 @@ class OrbitSolve:
         failure, params, roots = self.match(self.leaf_at(point), xy, ())
         if failure:
             raise InternalCheckError(f"a feasible point has no witness: {failure}")
-        roots = tuple(replace(r, coeff=_ONE, value=r.value * (1 / r.coeff.constant_value()))
+        roots = tuple(replace(r, coeff=_ONE,
+                              value=r.value * quotient(1, r.coeff.constant_value()))
                       for r in roots)
-        return Witness({p: _reduce(n * (1 / d.constant_value()), roots)
+        return Witness({p: _reduce(n * quotient(1, d.constant_value()), roots)
                         for p, (n, d) in params.items()}, roots)
 
     def match(self, leaf: OrbitLeaf, xy, allowed):
@@ -232,8 +234,8 @@ class OrbitSolve:
             if not unit_times_powers(den, allowed) or (
                     u in self.unknowns[:torus] and not unit_times_powers(num, allowed)):
                 return f"the pivot on {u} is not a unit times powers", None, roots
-            values[u] = (num * (1 / den.constant_value()), _ONE) if den.is_constant() else (
-                num, den)
+            values[u] = ((num * quotient(1, den.constant_value()), _ONE)
+                         if den.is_constant() else (num, den))
         for e in self.equations:
             if _reduce(_fraction(e.subs(xy), values)[0], roots):
                 return f"T(q) x = y fails in the row {e}", None, roots
@@ -261,7 +263,7 @@ def orbit_solve(template: MatrixTemplate) -> OrbitSolve:
             c, t = condition.subs(sub), Poly.var(f"t{len(torus) + 1}")
             v = max(v for v in c.variables() if v in template.params)
             coeff, rest = c.coeff_split(v)
-            value = (t - rest) * (1 / coeff.constant_value())
+            value = (t - rest) * quotient(1, coeff.constant_value())
             sub = {p: e.subs({v: value}) for p, e in sub.items()} | {v: value}
             torus.append(str(t))
         others = tuple(p for p in template.params if p not in sub)
@@ -471,7 +473,8 @@ STRATUM_POINTS = (
 )
 
 
-def probe_points(dim: int) -> list[tuple[int, ...]]:
+@cache
+def probe_points(dim: int) -> tuple[tuple[int, ...], ...]:
     """Structured refutation probes: e_i, e_i + e_j, stratum points."""
     points = [
         tuple(int(t in support) for t in range(dim))
@@ -479,7 +482,7 @@ def probe_points(dim: int) -> list[tuple[int, ...]]:
         if len(support) <= 2
     ]
     points.extend(raw for raw in STRATUM_POINTS if len(raw) == dim)
-    return points
+    return tuple(points)
 
 
 def find_witness(

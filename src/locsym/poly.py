@@ -7,10 +7,13 @@ exact polynomial arithmetic, substitution, grouping by monomials in a
 chosen variable block, and extraction of linear factors from pivot
 coefficients.
 
-A polynomial is a mapping from monomials to nonzero Fraction
-coefficients.  A monomial is a tuple of (variable, exponent) pairs
-sorted by variable name with all exponents >= 1; the empty tuple is the
-constant monomial.  Instances are immutable and hashable.
+A polynomial is a mapping from monomials to nonzero coefficients in
+canonical form (rationals.exact: an int when integral, else a Fraction),
+so integral polynomials run on machine ints; coefficients are divided
+with rationals.quotient, since int / int is a float.  A monomial is a
+tuple of (variable, exponent) pairs sorted by variable name with all
+exponents >= 1; the empty tuple is the constant monomial.  Instances
+are immutable and hashable.
 
 The string syntax accepted by :func:`poly` is sums of products of
 rational literals, named variables and parenthesized subexpressions,
@@ -24,7 +27,7 @@ import re
 from fractions import Fraction
 
 from .errors import StratificationError
-from .rationals import exact
+from .rationals import exact, quotient
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -48,15 +51,15 @@ def _mono_key(m: Monomial, var_order: tuple[str, ...]):
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with canonical int-or-Fraction coefficients."""
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, terms: dict[Monomial, int | Fraction] | None = None):
         clean = {}
         for mono, coeff in (terms or {}).items():
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = exact(coeff)
             if coeff:
                 clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
@@ -73,11 +76,11 @@ class Poly:
 
     @staticmethod
     def const(value) -> "Poly":
-        return Poly({_ONE: Fraction(value)})
+        return Poly({_ONE: value})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)})
+        return Poly({((name, 1),): 1})
 
     # -- basic queries ------------------------------------------------
 
@@ -90,10 +93,11 @@ class Poly:
     def is_constant(self) -> bool:
         return all(m == _ONE for m in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
+        """The constant as a canonical scalar; divide by it with quotient."""
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self.terms.get(_ONE, Fraction(0))
+        return self.terms.get(_ONE, 0)
 
     def variables(self) -> tuple[str, ...]:
         seen = set()
@@ -121,7 +125,7 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            terms[mono] = terms.get(mono, 0) + coeff
         return Poly(terms)
 
     __radd__ = __add__
@@ -142,11 +146,11 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _mono_mul(m1, m2)
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+                terms[mono] = terms.get(mono, 0) + c1 * c2
         return Poly(terms)
 
     __rmul__ = __mul__
@@ -187,7 +191,7 @@ class Poly:
         """
         total = 0
         for mono, coeff in self.terms.items():
-            value = exact(coeff)
+            value = coeff
             for var, exp in mono:
                 value *= exact(assignment[var]) ** exp
             total += value
@@ -206,7 +210,7 @@ class Poly:
     def subs(self, mapping) -> "Poly":
         """Substitute variables by polynomials (or scalars)."""
         replace = {v: _coerce(p) for v, p in mapping.items()}
-        result: dict[Monomial, Fraction] = {}
+        result: dict[Monomial, int | Fraction] = {}
         for mono, coeff in self.terms.items():
             term = Poly({tuple((v, e) for v, e in mono if v not in replace): coeff})
             for var, exp in mono:
@@ -226,8 +230,8 @@ class Poly:
         """
         unknowns = tuple(unknowns)
         uset = set(unknowns)
-        coeffs: dict[str, dict[Monomial, Fraction]] = {u: {} for u in unknowns}
-        rest: dict[Monomial, Fraction] = {}
+        coeffs: dict[str, dict[Monomial, int | Fraction]] = {u: {} for u in unknowns}
+        rest: dict[Monomial, int | Fraction] = {}
         for mono, coeff in self.terms.items():
             present = [(v, e) for v, e in mono if v in uset]
             if not present:
@@ -244,8 +248,8 @@ class Poly:
         """For degree_in(var) == 1 write self = A*var + B with A, B var-free."""
         if self.degree_in(var) != 1:
             raise ValueError(f"{self} is not linear in {var}")
-        a: dict[Monomial, Fraction] = {}
-        b: dict[Monomial, Fraction] = {}
+        a: dict[Monomial, int | Fraction] = {}
+        b: dict[Monomial, int | Fraction] = {}
         for mono, coeff in self.terms.items():
             exps = dict(mono)
             if exps.get(var, 0):
@@ -263,14 +267,14 @@ class Poly:
         expression must vanish identically.
         """
         chosen = set(variables)
-        groups: dict[Monomial, dict[Monomial, Fraction]] = {}
+        groups: dict[Monomial, dict[Monomial, int | Fraction]] = {}
         for mono, coeff in self.terms.items():
             key = tuple((v, e) for v, e in mono if v in chosen)
             other = tuple((v, e) for v, e in mono if v not in chosen)
             groups.setdefault(key, {})[other] = coeff
         return {key: Poly(t) for key, t in groups.items()}
 
-    def content_primitive(self) -> tuple[Fraction, "Poly"]:
+    def content_primitive(self) -> tuple[int | Fraction, "Poly"]:
         """Split into content * primitive with integer coprime coefficients.
 
         The primitive part's leading coefficient (graded lex over its own
@@ -278,15 +282,15 @@ class Poly:
         of the polynomial up to nonzero rational scaling.
         """
         if self.is_zero():
-            return Fraction(0), self
+            return 0, self
         nums = [c.numerator for c in self.terms.values()]
         dens = [c.denominator for c in self.terms.values()]
-        content = Fraction(math.gcd(*nums), math.lcm(*dens))
+        content = quotient(math.gcd(*nums), math.lcm(*dens))
         order = self.variables()
         lead = max(self.terms, key=lambda m: _mono_key(m, order))
         if self.terms[lead] < 0:
             content = -content
-        return content, Poly({m: c / content for m, c in self.terms.items()})
+        return content, Poly({m: quotient(c, content) for m, c in self.terms.items()})
 
     # -- division and factor extraction ---------------------------------
 
@@ -296,13 +300,13 @@ class Poly:
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_constant():
-            inv = 1 / divisor.constant_value()
+            inv = quotient(1, divisor.constant_value())
             return Poly({m: c * inv for m, c in self.terms.items()})
         order = tuple(sorted(set(self.variables()) | set(divisor.variables())))
         dlead = max(divisor.terms, key=lambda m: _mono_key(m, order))
         dcoeff = divisor.terms[dlead]
         dexps = dict(dlead)
-        quotient: dict[Monomial, Fraction] = {}
+        result: dict[Monomial, int | Fraction] = {}
         remainder = self
         while not remainder.is_zero():
             rlead = max(remainder.terms, key=lambda m: _mono_key(m, order))
@@ -317,17 +321,17 @@ class Poly:
                 if var not in dexps:
                     qexps[var] = exp
             qmono = tuple(sorted((v, e) for v, e in qexps.items() if e > 0))
-            qcoeff = remainder.terms[rlead] / dcoeff
-            quotient[qmono] = quotient.get(qmono, Fraction(0)) + qcoeff
+            qcoeff = quotient(remainder.terms[rlead], dcoeff)
+            result[qmono] = result.get(qmono, 0) + qcoeff
             remainder = remainder - Poly({qmono: qcoeff}) * divisor
-        return Poly(quotient)
+        return Poly(result)
 
     def __floordiv__(self, divisor) -> "Poly":
         """Exact division, as Bareiss elimination needs; a remainder raises."""
-        quotient = self.div_exact(divisor)
-        if quotient is None:
+        result = self.div_exact(divisor)
+        if result is None:
             raise ArithmeticError(f"{divisor} does not divide {self}")
-        return quotient
+        return result
 
     def sqrt_exact(self) -> "Poly | None":
         """Return s with s*s == self, or None if self is not a square."""
@@ -397,18 +401,18 @@ def _coerce(value) -> Poly:
     return NotImplemented
 
 
-def _frac_str(f: Fraction) -> str:
+def _frac_str(f: int | Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _fraction_sqrt(f: Fraction) -> Fraction | None:
+def _fraction_sqrt(f: int | Fraction) -> int | Fraction | None:
     if f < 0:
         return None
     num, den = f.numerator, f.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
         return None
-    return Fraction(rn, rd)
+    return quotient(rn, rd)
 
 
 # -- parsing -------------------------------------------------------------
@@ -522,10 +526,10 @@ def solve_linear(factor: Poly) -> dict[str, Poly]:
     """{v: e} with factor = 0 iff v = e, v the last variable of a degree-1 factor."""
     var = max(factor.variables())
     a, b = factor.coeff_split(var)
-    return {var: b * (-1 / a.constant_value())}
+    return {var: b * quotient(-1, a.constant_value())}
 
 
-def linear_factors(p: Poly) -> tuple[Fraction, list[Poly]]:
+def linear_factors(p: Poly) -> tuple[int | Fraction, list[Poly]]:
     """Factor p into content * product of primitive polynomials of degree 1.
 
     Degree-1 factors are what the stratification engine can branch on: a
@@ -540,10 +544,10 @@ def linear_factors(p: Poly) -> tuple[Fraction, list[Poly]]:
     for var in p.variables():
         shift = min(dict(m).get(var, 0) for m in p.terms)
         for _ in range(shift):
-            quotient = p.div_exact(Poly.var(var))
-            assert quotient is not None
+            q = p.div_exact(Poly.var(var))
+            assert q is not None
             factors.append(Poly.var(var))
-            p = quotient
+            p = q
     content, p = p.content_primitive()
     while p.total_degree() > 1:
         step = _peel_linear(p)
@@ -561,7 +565,7 @@ def linear_factors(p: Poly) -> tuple[Fraction, list[Poly]]:
         content *= extra
     else:
         content *= p.constant_value()
-    return content, factors
+    return exact(content), factors
 
 
 def _peel_linear(p: Poly) -> tuple[Poly, Poly] | None:
@@ -569,10 +573,10 @@ def _peel_linear(p: Poly) -> tuple[Poly, Poly] | None:
     for var in p.variables():
         if p.degree_in(var) == 1:
             a, b = p.coeff_split(var)
-            quotient = b.div_exact(a)
-            if quotient is None:
+            q = b.div_exact(a)
+            if q is None:
                 continue
-            factor = Poly.var(var) + quotient
+            factor = Poly.var(var) + q
             if factor.total_degree() == 1:
                 return factor, a
     # Quadratic in some variable: try completing the square or the

@@ -136,7 +136,8 @@ def assert_exact_witnesses_match(rng, points, cases):
                 assert witness.verifies(family.template, x, b.apply(x))
                 values = [c for p in witness.params.values() for c in p.terms.values()]
                 values += [c for r in witness.roots for c in r.value.terms.values()]
-                assert all(type(v) is Fraction for v in values)
+                assert all(type(v) is int or type(v) is Fraction and v.denominator > 1
+                           for v in values)
                 if not witness.roots:
                     rational += 1
                     phi = family.instantiate(

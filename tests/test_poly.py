@@ -4,6 +4,7 @@ sympy serves as an independent oracle for arithmetic; hypothesis drives
 the ring-axiom property tests over randomly built polynomials.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locsym.poly import Poly, linear_factors, poly
+from locsym.poly import Poly, linear_factors, poly, solve_linear
 
 X, Y, Z = sympy.symbols("x y z")
 SYMS = {"x": X, "y": Y, "z": Z}
@@ -38,6 +39,34 @@ def polys(draw):
             mono = mono * Poly.var(var)
         total = total + mono
     return total
+
+
+def canonical(c) -> bool:
+    """An int when integral, a Fraction with denominator > 1 otherwise."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+# Coefficients as callers hand them over: ints, proper Fractions and
+# integral Fractions such as 4/2.
+COEFFS = st.one_of(
+    st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+)
+
+
+@st.composite
+def raw_polys(draw):
+    monos = st.lists(st.sampled_from("xyz"), max_size=3).map(
+        lambda vs: tuple(sorted(Counter(vs).items())))
+    return Poly(draw(st.dictionaries(monos, COEFFS, max_size=4)))
+
+
+@st.composite
+def linear_forms(draw):
+    """c0 + cx*x + cy*y + cz*z with cz != 0."""
+    form = Poly.const(draw(COEFFS)) + draw(COEFFS.filter(bool)) * Poly.var("z")
+    for var in "xy":
+        form = form + draw(COEFFS) * Poly.var(var)
+    return form
 
 
 # -- parsing -------------------------------------------------------------
@@ -128,12 +157,14 @@ def test_subs_is_substitution():
     assert q == poly("y^2 - 2*y + 1 + y")
 
 
-def test_coefficients_are_fractions_and_zeros_are_dropped():
-    x, y = (("x", 1),), (("y", 1),)
-    p = Poly({x: 3, y: Fraction(1, 2), (): 0, (("z", 1),): Fraction(0)})
-    assert p.terms == {x: Fraction(3), y: Fraction(1, 2)}
-    assert all(type(c) is Fraction for c in p.terms.values())
+def test_coefficients_are_canonical_and_zeros_are_dropped():
+    x, y, z = (("x", 1),), (("y", 1),), (("z", 1),)
+    p = Poly({x: Fraction(6, 2), y: Fraction(1, 2), z: -4, (): 0, (("w", 1),): Fraction(0)})
+    assert p.terms == {x: 3, y: Fraction(1, 2), z: -4}
+    assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+    assert all(map(canonical, p.terms.values()))
     assert Poly({x: Fraction(0), y: 0}).is_zero()
+    assert type(poly("4/2").constant_value()) is int
 
 
 def test_degree_and_variables():
@@ -174,6 +205,49 @@ def test_sqrt_exact():
     assert poly("x^2 + 2*x*y + y^2").sqrt_exact() == poly("x + y")
     assert poly("x^2 + 1").sqrt_exact() is None
     assert poly("4/9").sqrt_exact() == poly("2/3")
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_polys(), raw_polys(), st.integers(0, 3), linear_forms(), linear_forms(), COEFFS)
+def test_every_operation_keeps_coefficients_canonical(a, b, k, f, g, c):
+    """Each result holds only canonical coefficients and is the right value.
+
+    int / int is a float, so a division left on coefficients shows here
+    as a float coefficient, a wrong value or a refused float operand.
+    """
+    # scalar roots first: a wrong one makes the square root of a * a slow
+    for coeff in (c, *a.terms.values()):
+        assert Poly.const(coeff * coeff).sqrt_exact() == Poly.const(abs(coeff))
+    results = [a, a + b, a - b, a * b, a ** k, -a,
+               a.subs({"x": b, "y": c}), a.subs({"z": Fraction(1, 3)})]
+    if b:
+        assert (back := (a * b).div_exact(b)) == a
+        results.append(back)
+        if (q := a.div_exact(b)) is not None:
+            assert q * b == a
+            results.append(q)
+    if a:
+        content, primitive = a.content_primitive()
+        assert canonical(content) and primitive * content == a
+        assert all(type(v) is int for v in primitive.terms.values())
+        results.append(primitive)
+        root = (a * a).sqrt_exact()
+        assert root in (a, -a)
+        results.append(root)
+    (var, value), = solve_linear(f).items()
+    assert var == "z" and f.subs({var: value}).is_zero()
+    results.append(value)
+    if c:
+        scale, factors = linear_factors(f * g * c)
+        product = Poly.const(scale)
+        for factor in factors:
+            product = product * factor
+        assert canonical(scale) and product == f * g * c
+        results.extend(factors)
+    for p in results:
+        assert all(map(canonical, p.terms.values())), p.terms
+        assert poly(str(p)) == p
+    assert canonical(a.evaluate({"x": 2, "y": Fraction(1, 3), "z": -1}))
 
 
 def test_linear_factors():
