@@ -8,8 +8,6 @@ reproduces byte-identical output.
 """
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 
 from .algebra import (
@@ -19,7 +17,8 @@ from .algebra import (
     power_filtration,
 )
 from .derivations import bracket_closed, is_derivation
-from .expbridge import bridge_check, eval_series, closed_form, series_coefficients
+from .errors import InputError, UnsupportedError
+from .expbridge import CHAINS, SERIES_NAMES, bridge_check, series_failure
 from .geometry import geometry_report
 from .inference import infer_shape, validate_prediction
 from .linalg import Matrix
@@ -281,51 +280,47 @@ def criterion_7(spaces: Spaces, seed: int) -> CriterionResult:
 
 
 def criterion_8(spaces: Spaces, seed: int) -> CriterionResult:
-    """Exponential bridge in both directions."""
-    problems = []
-    residuals = []
+    """Exponential bridge: exp proved exactly, log recovery sampled."""
+    problems, proofs = [], []
     for name in BOTH:
-        report = bridge_check(
-            spaces[name].algebra, "exp", trials=100, seed=_subseed(seed, 14)
-        )
-        residuals.append(f"exp {name}: {report.max_residual:.2e}")
+        report = bridge_check(spaces[name].algebra, "exp")
+        proofs.append(f"{name}: {report.detail}")
         if not report.ok:
             problems.append(f"exp bridge({name}): {report.detail}")
-    report = bridge_check(
-        spaces["pi3"].algebra, "log", trials=100, seed=_subseed(seed, 15)
-    )
-    residuals.append(f"log pi3: {report.max_residual:.2e}")
+    try:
+        report = bridge_check(
+            spaces["pi3"].algebra, "log", trials=100, seed=_subseed(seed, 15)
+        )
+    except (InputError, UnsupportedError) as exc:
+        # the log direction inverts the pattern: a broken pattern stops it
+        # here, and the exp direction's finding above still stands
+        return _result(8, problems + [f"log bridge(pi3): {exc}"], "")
     if not report.ok:
         problems.append(f"log bridge(pi3): {report.detail}")
     return _result(
         8,
         problems,
-        "100-sample exp direction within 1e-9 for both algebras and "
-        "log recovery within 1e-8 (" + ", ".join(residuals) + ")",
+        "exp(LocDer) lies in LocAut, proved exactly (" + "; ".join(proofs)
+        + "); log direction sampled: 100 pi3 members recover their "
+        f"logarithm within 1e-8 (worst {report.max_residual:.2e})",
     )
 
 
 def criterion_9(spaces: Spaces, seed: int) -> CriterionResult:
-    """Series identities: closed forms and termwise equality."""
-    problems = []
-    rng = random.Random(_subseed(seed, 16))
-    worst = 0.0
-    for _ in range(100):
-        radius = rng.uniform(0.0, 1.0)
-        angle = rng.uniform(0.0, 2 * math.pi)
-        x = radius * complex(math.cos(angle), math.sin(angle))
-        for name in ("lambda21", "lambda31", "mu31", "lambda32", "lambda34"):
-            gap = abs(eval_series(name, x, 30) - closed_form(name, x))
-            worst = max(worst, gap)
-            if gap > 1e-10:
-                problems.append(f"{name} misses its closed form by {gap:.2e}")
-    if series_coefficients("lambda34", 30) != series_coefficients("lambda31", 30):
-        problems.append("lambda34 and lambda31 differ termwise")
+    """Series identities: each series equals its closed form at every order."""
+    problems = [
+        f"{name}: {failure}"
+        for name in SERIES_NAMES
+        if (failure := series_failure(name)) is not None
+    ]
+    if CHAINS["lambda34"] != CHAINS["lambda31"]:
+        problems.append("lambda34 and lambda31 have different chains")
     return _result(
         9,
         problems,
-        f"five series match closed forms at 100 points (worst gap "
-        f"{worst:.2e}); lambda34 = lambda31 termwise through N=30",
+        "five series equal their exponential closed forms at every order "
+        "(each chain's start value and recurrence hold as identities in "
+        "2^(n-1), 3^(n-1)); lambda34 = lambda31 termwise, one chain",
     )
 
 

@@ -39,9 +39,9 @@ from .errors import (
     UnsupportedError,
 )
 from .expbridge import (
-    EXP_PATTERN_TOL,
     LOG_ROUND_TRIP_TOL,
     bridge_check,
+    exp_leaves_pattern,
     log_round_trip_residual,
     matrix_exp,
     matrix_log,
@@ -231,8 +231,7 @@ def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
     if kind == "bridge_sample":
         if _field(obj, "direction", "exp or log",
                   lambda raw: raw in ("exp", "log")) == "exp":
-            residual = pattern_residual(algebra, matrix_exp(op)).residual
-            return residual > EXP_PATTERN_TOL, "the exponential leaves the pattern"
+            return exp_leaves_pattern(algebra, op), "the exponential leaves the pattern"
         residual = log_round_trip_residual(op)
         return residual > LOG_ROUND_TRIP_TOL, "the log/exp round trip misses"
     prediction = infer_shape(closed_forms(algebra).derivation)
@@ -609,23 +608,20 @@ def _cmd_log(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_bridge(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
-    trials = args.trials or 100
-    report = bridge_check(
-        algebra, args.direction, trials=trials, seed=args.seed
-    )
-    payload = {
-        "algebra": algebra.name,
-        "direction": args.direction,
-        "trials": trials,
-        "ok": report.ok,
-        "max_residual": report.max_residual,
-        "detail": report.detail,
-    }
-    lines = [
-        f"bridge {args.direction} ({algebra.name}, {trials} trials): "
-        f"{report.ok}",
-        f"worst residual: {report.max_residual:.3e}",
-    ]
+    payload = {"algebra": algebra.name, "direction": args.direction}
+    if args.direction == "exp":
+        # a proof: it reads neither --trials nor --seed
+        report = bridge_check(algebra, "exp")
+        lines = [f"bridge exp ({algebra.name}, proved exactly): {report.ok}"]
+    else:
+        trials = args.trials or 100
+        report = bridge_check(algebra, "log", trials=trials, seed=args.seed)
+        payload.update(trials=trials, max_residual=report.max_residual)
+        lines = [
+            f"bridge log ({algebra.name}, {trials} trials): {report.ok}",
+            f"worst residual: {report.max_residual:.3e}",
+        ]
+    payload.update(ok=report.ok, detail=report.detail)
     if not report.ok:
         if report.sample is not None:
             counterexample = _counterexample(
@@ -636,6 +632,8 @@ def _cmd_bridge(args) -> tuple[int, dict, list[str]]:
             lines.append("counterexample: " + json.dumps(counterexample))
         lines.append(f"detail: {report.detail}")
         return 1, payload, lines
+    if args.direction == "exp":
+        lines.append(f"proof: {report.detail}")
     return 0, payload, lines
 
 
@@ -828,7 +826,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bridge_cmd = commands.add_parser("bridge", parents=[sampled])
     bridge_cmd.add_argument(
-        "--direction", choices=("exp", "log"), default="exp"
+        "--direction", choices=("exp", "log"), default="exp",
+        help="exp is proved exactly and reads neither --trials nor --seed; "
+        "log samples pi3's pattern",
     )
     bridge_cmd.set_defaults(handler=_cmd_bridge)
 

@@ -1,19 +1,29 @@
 """Exponential bridge between local derivations and local automorphisms.
 
+exp maps the local derivations into the local automorphisms, and
+bridge_check(algebra, "exp") proves it for the whole LocDer template T
+at once.  T is triangular in a suitable basis order, so exp(T) is a sum
+over paths (symbolic_exp); every relation of the LocAut pattern is then
+read off exp(T) as a polynomial identity.  The log direction inverts the
+pattern of pi3 in floats and stays sampled.
+
 The series lambda21, lambda31, mu31, lambda32, lambda34 are the entry
 coefficients of exp(nabla) for nabla in the local-derivation pattern of
-pi3; their coefficients are generated by the recurrences that the
-matrix powers of the pattern satisfy:
+pi3.  Their coefficients come from the chains of CHAINS, the recurrences
+that the matrix powers of the pattern satisfy:
 
     c_n = 1 + 2 c_{n-1}              (2,1)-chain     -> lambda21
     k_n = 1 + 3 k_{n-1}              (3,1)-chain     -> lambda31, lambda34
     d_n = 2^{n-1} + 3 d_{n-1}        (3,2)-chain     -> lambda32
     m_n = (2^{n-1} - 1) + 3 m_{n-1}  mixed (3,1)     -> mu31
 
-Each series also has a closed form in exponentials ((e^{2x}-e^x)/x and
-friends).  The closed forms are not definitions here: they are used as
-oracles and are validated against the truncated series by the test
-suite before anything relies on them.
+Each series also has a closed form, a sum of exponentials over a power
+of x ((e^{2x} - e^x)/x and friends), whose weights sit in the same
+table.  series_failure proves series and closed form equal at every
+order.  closed_form evaluates the same functions in floats, written
+through phi(z) = (e^z - 1)/z = e^{z/2} sinh(z/2)/(z/2) so that nothing
+cancels near 0; it is the float oracle for eval_series, which the log
+direction sums.
 
 Numeric kernels: matrix_exp is scaling-and-squaring with a truncated
 Taylor sum; matrix_log is inverse scaling-and-squaring (Denman-Beavers
@@ -30,12 +40,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from graphlib import CycleError, TopologicalSorter
 from math import factorial
+from typing import NamedTuple
 
 from .algebra import Algebra, builtin
 from .errors import InputError, NumericsError, UnsupportedError
 from .linalg import Matrix
-from .local_automorphisms import pattern_residual
+from .local_automorphisms import locaut_pattern, pattern_residual
+from .poly import Poly
+from .rationals import quotient
 from .templates import LOCAL_DERIVATION_FORM_PI3, MatrixTemplate, closed_forms
 
 SERIES_NAMES = ("lambda21", "lambda31", "mu31", "lambda32", "lambda34")
@@ -43,47 +57,94 @@ SERIES_NAMES = ("lambda21", "lambda31", "mu31", "lambda32", "lambda34")
 DEFAULT_ORDER = 30
 
 
-def _chain(count: int, start: int, mult: int, gain) -> list[int]:
-    """c_1 = start, c_n = gain(n) + mult * c_{n-1}; returns c_1..c_count."""
-    values = [start]
-    for n in range(2, count + 1):
-        values.append(gain(n) + mult * values[-1])
-    return values
+class Chain(NamedTuple):
+    """One series: its coefficient chain and its exponential closed form.
+
+    The chain is c_1 = start, c_n = gain(n) + mult * c_{n-1} with
+    gain(n) = g1 + g2 2^{n-1} + g3 3^{n-1}, and the series' coefficient of
+    x^t is c_{t+shift} / (t+shift)!.  The closed form is
+    (w1 e^x + w2 e^{2x} + w3 e^{3x}) / (scale x^shift).
+    """
+
+    start: int
+    mult: int
+    gain: tuple[int, int, int]
+    shift: int
+    weights: tuple[int, int, int]
+    scale: int
+
+
+_LAMBDA31 = Chain(start=1, mult=3, gain=(1, 0, 0), shift=1,
+                  weights=(-1, 0, 1), scale=2)
+
+CHAINS = {
+    "lambda21": Chain(start=1, mult=2, gain=(1, 0, 0), shift=1,
+                      weights=(-1, 1, 0), scale=1),
+    "lambda31": _LAMBDA31,
+    "mu31": Chain(start=0, mult=3, gain=(-1, 1, 0), shift=2,
+                  weights=(1, -2, 1), scale=2),
+    "lambda32": Chain(start=1, mult=3, gain=(0, 1, 0), shift=1,
+                      weights=(0, -1, 1), scale=1),
+    "lambda34": _LAMBDA31,
+}
+
+
+def _chain(name: str) -> Chain:
+    try:
+        return CHAINS[name]
+    except KeyError:
+        raise InputError(f"unknown series {name!r}") from None
 
 
 def series_coefficients(name: str, count: int) -> tuple[Fraction, ...]:
     """First `count` Taylor coefficients (exact) of the named series."""
+    chain = _chain(name)
     if count < 1:
         raise InputError("series truncation order must be at least 1")
-    if name == "lambda21":
-        cs = _chain(count, 1, 2, lambda n: 1)
-        return tuple(
-            Fraction(cs[t], factorial(t + 1)) for t in range(count)
-        )
-    if name in ("lambda31", "lambda34"):
-        ks = _chain(count, 1, 3, lambda n: 1)
-        return tuple(
-            Fraction(ks[t], factorial(t + 1)) for t in range(count)
-        )
-    if name == "lambda32":
-        ds = _chain(count, 1, 3, lambda n: 2 ** (n - 1))
-        return tuple(
-            Fraction(ds[t], factorial(t + 1)) for t in range(count)
-        )
-    if name == "mu31":
-        # the chain starts at n = 2; m_1 = 0
-        ms = _chain(count + 1, 0, 3, lambda n: 2 ** (n - 1) - 1)
-        return tuple(
-            Fraction(ms[t + 1], factorial(t + 2)) for t in range(count)
-        )
-    raise InputError(f"unknown series {name!r}")
+    g1, g2, g3 = chain.gain
+    values = [chain.start]
+    for n in range(2, count + chain.shift):
+        gain = g1 + g2 * 2 ** (n - 1) + g3 * 3 ** (n - 1)
+        values.append(gain + chain.mult * values[-1])
+    return tuple(
+        Fraction(values[t + chain.shift - 1], factorial(t + chain.shift))
+        for t in range(count)
+    )
+
+
+def series_failure(name: str) -> str | None:
+    """Why the series and its closed form differ at some order, or None.
+
+    The closed form's numerator sum_k w_k e^{kx} has x^n-coefficient
+    N(n)/n! with N(n) = w1 + w2 2^n + w3 3^n.  If N(n) = 0 for n < shift,
+    the closed form is analytic at 0 with x^t-coefficient
+    N(t+shift) / (scale (t+shift)!), so it equals the series at every
+    order iff N(n) = scale c_n for all n >= 1.  That holds by induction
+    once N(1) = scale * start and N(n) - mult N(n-1) = scale gain(n),
+    checked as an identity in the atoms p2 = 2^{n-1}, p3 = 3^{n-1}.
+    """
+    chain = _chain(name)
+    w1, w2, w3 = chain.weights
+    if any(w1 + w2 * 2 ** n + w3 * 3 ** n for n in range(chain.shift)):
+        return "its closed form has a pole at 0"
+    if w1 + 2 * w2 + 3 * w3 != chain.scale * chain.start:
+        return f"its closed form misses the chain's start value {chain.start}"
+    p2, p3 = Poly.var("p2"), Poly.var("p3")
+    numerator = w1 + w2 * 2 * p2 + w3 * 3 * p3  # N(n)
+    previous = w1 + w2 * p2 + w3 * p3  # N(n-1)
+    g1, g2, g3 = chain.gain
+    gain = g1 + g2 * p2 + g3 * p3
+    defect = numerator - chain.mult * previous - chain.scale * gain
+    if defect:
+        return f"its closed form misses the chain's recurrence by {defect}"
+    return None
 
 
 @cache
 def _complex_coefficients(name: str, order: int) -> tuple[complex, ...]:
     """series_coefficients as complex numbers, built on first use per
-    (name, order) and kept: the bridge and the series claims sum the same
-    few tables at every sample."""
+    (name, order) and kept: the log direction sums the same few tables
+    at every sample."""
     return tuple(complex(c) for c in series_coefficients(name, order))
 
 
@@ -97,26 +158,31 @@ def eval_series(name: str, x1: complex, order: int = DEFAULT_ORDER) -> complex:
     return total
 
 
-def closed_form(name: str, x1: complex) -> complex:
-    """Exponential closed forms; removable singularities via the series.
+def _phi(z: complex) -> complex:
+    """(e^z - 1)/z for z != 0, as e^{z/2} sinh(z/2)/(z/2): no cancellation."""
+    half = z / 2
+    return cmath.exp(half) * cmath.sinh(half) / half
 
-    Near zero the quotients cancel catastrophically, so values with
-    |x1| below 1e-3 are delegated to the (exact-coefficient) series.
-    """
+
+# The closed forms of CHAINS, factored through phi.
+_FACTORED = {
+    "lambda21": lambda x: cmath.exp(x) * _phi(x),
+    "lambda31": lambda x: cmath.exp(x) * _phi(2 * x),
+    "mu31": lambda x: cmath.exp(x) * _phi(x) ** 2 / 2,
+    "lambda32": lambda x: cmath.exp(2 * x) * _phi(x),
+    "lambda34": lambda x: cmath.exp(x) * _phi(2 * x),
+}
+
+
+def closed_form(name: str, x1: complex) -> complex:
+    """The exponential closed form in floats; the series' value at 0."""
+    _chain(name)
     x = complex(x1)
-    if abs(x) < 1e-3:
+    if x == 0:
         return eval_series(name, x)
-    if name == "lambda21":
-        return (cmath.exp(2 * x) - cmath.exp(x)) / x
-    if name in ("lambda31", "lambda34"):
-        return (cmath.exp(3 * x) - cmath.exp(x)) / (2 * x)
-    if name == "lambda32":
-        return (cmath.exp(3 * x) - cmath.exp(2 * x)) / x
-    if name == "mu31":
-        return (
-            cmath.exp(3 * x) - 2 * cmath.exp(2 * x) + cmath.exp(x)
-        ) / (2 * x * x)
-    raise InputError(f"unknown series {name!r}")
+    return _FACTORED[name](x)
+
+
 
 
 # -- numeric matrix kernels ---------------------------------------------------
@@ -276,7 +342,187 @@ def _require_plus_branch(rows, tol: float) -> None:
         )
 
 
-# -- randomized bridge verification -------------------------------------------
+# -- the exact exponential of a LocDer template -------------------------------
+
+
+class _Ratio:
+    """num / den, den a product of primitive linear forms {form: power}.
+
+    num is a Poly in the template's parameters and the atoms E_v = e^v;
+    den holds differences of diagonal entries only, so no atom is ever
+    divided by.  Denominators stay factored: a sum takes the least common
+    multiple of its terms' factor powers.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: dict[Poly, int] | None = None):
+        self.num = num
+        self.den = den or {}
+
+    def _over(self, den: dict[Poly, int]) -> Poly:
+        """num rewritten over den, a multiple of self.den."""
+        num = self.num
+        for form, power in den.items():
+            if power > self.den.get(form, 0):
+                num = num * form ** (power - self.den.get(form, 0))
+        return num
+
+    def __add__(self, other: "_Ratio") -> "_Ratio":
+        den = dict(self.den)
+        for form, power in other.den.items():
+            den[form] = max(power, den.get(form, 0))
+        return _Ratio(self._over(den) + other._over(den), den)
+
+    def __neg__(self) -> "_Ratio":
+        return _Ratio(-self.num, self.den)
+
+    def __sub__(self, other: "_Ratio") -> "_Ratio":
+        return self + -other
+
+    def __mul__(self, other: "_Ratio") -> "_Ratio":
+        den = dict(self.den)
+        for form, power in other.den.items():
+            den[form] = den.get(form, 0) + power
+        return _Ratio(self.num * other.num, den)
+
+    def divided_by(self, form: Poly) -> "_Ratio":
+        """self / form for a nonzero polynomial of degree at most 1."""
+        content, primitive = form.content_primitive()
+        num = self.num * quotient(1, content)
+        if primitive.is_constant():
+            return _Ratio(num, self.den)
+        return _Ratio(num, {**self.den, primitive: self.den.get(primitive, 0) + 1})
+
+    def whole(self) -> Poly | None:
+        """num / den as a polynomial, or None when den does not divide num."""
+        den = Poly.const(1)
+        for form, power in self.den.items():
+            den = den * form ** power
+        return self.num.div_exact(den)
+
+    def __str__(self) -> str:
+        if (whole := self.whole()) is not None:
+            return str(whole)
+        den = " * ".join(
+            f"({f})^{k}" if k > 1 else f"({f})" for f, k in self.den.items()
+        )
+        return f"({self.num}) / {den}"
+
+
+def _at(entry: Poly, params: dict[str, _Ratio]) -> _Ratio:
+    """A template entry evaluated at _Ratio parameters (MatrixTemplate.read)."""
+    total = _Ratio(Poly.zero())
+    for mono, coeff in entry.terms.items():
+        term = _Ratio(Poly.const(coeff))
+        for var, exp in mono:
+            for _ in range(exp):
+                term = term * params[var]
+        total = total + term
+    return total
+
+
+class SymbolicExp(NamedTuple):
+    """exp(T) of a template T, exactly.
+
+    order is a basis order (0-based) in which T is lower-triangular;
+    atoms maps each atom name E_v to its parameter v; rows holds exp(T)
+    in the original basis, each entry a _Ratio.
+    """
+
+    order: tuple[int, ...]
+    atoms: dict[str, str]
+    rows: tuple[tuple[_Ratio, ...], ...]
+
+
+def symbolic_exp(template: MatrixTemplate) -> SymbolicExp:
+    """exp(T) for a linear template T, as a sum over paths.
+
+    In a basis order where T = S + N is lower-triangular (S diagonal,
+    N strictly lower), exp(T)_ij is the sum over paths i > k_1 > ... > j
+    of the product of N's entries along the path times the divided
+    difference of exp at the path's diagonal entries.  A divided
+    difference of exp at linear forms d_0..d_m lies in Q(b)[E]: it is
+    e^d / m! when all the d_k coincide, and otherwise
+    (exp[d_1..d_m] - exp[d_0..d_{m-1}]) / (d_m - d_0).  Every diagonal
+    entry must be a nonnegative integer combination of parameters v, so
+    that e^{d} is a monomial in the atoms E_v = e^v.
+    """
+    n, t = template.dim, template.entries
+    below = {i: {j for j in range(n) if j != i and t[i][j]} for i in range(n)}
+    try:
+        order = tuple(TopologicalSorter(below).static_order())
+    except CycleError:
+        raise UnsupportedError(
+            "the template is lower-triangular in no order of the basis"
+        ) from None
+    diagonal = [t[i][i] for i in range(n)]
+    names = sorted({v for d in diagonal for v in d.variables()})
+    atoms = {f"E_{v}": v for v in names}
+    points = list(dict.fromkeys(diagonal))  # the distinct diagonal entries
+    powers = [_exp_monomial(d, names) for d in points]  # e^d in the atoms
+    slot = [points.index(d) for d in diagonal]
+    memo: dict[tuple[int, ...], _Ratio] = {}
+
+    def divided(key: tuple[int, ...]) -> _Ratio:
+        if key not in memo:
+            first, last = key[0], key[-1]
+            if first == last:
+                scale = quotient(1, factorial(len(key) - 1))
+                memo[key] = _Ratio(powers[first] * scale)
+            else:
+                memo[key] = (divided(key[1:]) - divided(key[:-1])).divided_by(
+                    points[last] - points[first]
+                )
+        return memo[key]
+
+    def paths(i: int, j: int):
+        for k in below[i]:
+            if k == j:
+                yield (i, j)
+            else:
+                yield from ((i, *rest) for rest in paths(k, j))
+
+    def entry(i: int, j: int) -> _Ratio:
+        if i == j:
+            return _Ratio(powers[slot[i]])
+        total = _Ratio(Poly.zero())
+        for path in paths(i, j):
+            weight = Poly.const(1)
+            for a, b in zip(path, path[1:]):
+                weight = weight * t[a][b]
+            total = total + _Ratio(weight) * divided(tuple(sorted(slot[k] for k in path)))
+        return total
+
+    rows = tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+    return SymbolicExp(order=order, atoms=atoms, rows=rows)
+
+
+def _exp_monomial(d: Poly, names: list[str]) -> Poly:
+    """e^d as a monomial in the atoms E_v, for d = sum of k_v v, k_v >= 0."""
+    try:
+        coeffs, rest = d.linear_decompose(names)
+    except ValueError:
+        coeffs, rest = {}, d
+    powers = {f"E_{v}": c.constant_value() for v, c in coeffs.items() if c}
+    if rest or any(type(k) is not int or k < 0 for k in powers.values()):
+        raise UnsupportedError(
+            f"the diagonal entry {d} is not a nonnegative integer "
+            "combination of parameters"
+        )
+    return Poly({tuple(sorted(powers.items())): 1})
+
+
+def _unit_monomial(value: _Ratio, atoms) -> Poly | None:
+    """value as c * (monomial in the atoms), c != 0, or None."""
+    whole = value.whole()
+    if whole is None or len(whole.terms) != 1:
+        return None
+    (mono,) = whole.terms
+    return whole if all(v in atoms for v, _ in mono) else None
+
+
+# -- the bridge ----------------------------------------------------------------
 
 # Largest pattern residual of an exponential that counts as in the pattern.
 EXP_PATTERN_TOL = 1e-9
@@ -291,26 +537,87 @@ def log_round_trip_residual(member) -> float:
     return max(gaps) / max(1.0, max(abs(v) for row in member for v in row))
 
 
+def exp_leaves_pattern(algebra: Algebra, nabla) -> bool:
+    """Whether the float exp(nabla) misses the identity (+) branch of the
+    pattern: the test a bridge_sample of the exp direction replays."""
+    check = pattern_residual(algebra, matrix_exp(nabla))
+    return check.residual > EXP_PATTERN_TOL or check.branch == "-"
+
+
 @dataclass(frozen=True)
 class BridgeReport:
     ok: bool
     algebra: str
     direction: str
-    trials: int
-    max_residual: float
     detail: str
+    # the log direction's sample count and worst round-trip gap; None for
+    # the exp direction, which is proved
+    trials: int | None = None
+    max_residual: float | None = None
     # on failure: the sample (nabla or pattern member) that broke the check
     sample: tuple[tuple[complex, ...], ...] | None = None
 
 
-def _random_locder_numeric(template: MatrixTemplate, rng: random.Random):
-    """Random local-derivation sample with entries bounded by 1."""
-    params = {p: rng.uniform(-1.0, 1.0) for p in template.params}
-    rows = template.instantiate_numeric(params)
-    peak = max(abs(v) for row in rows for v in row)
-    if peak > 1.0:
-        rows = [[v / peak for v in row] for row in rows]
-    return rows
+def _exp_sample(algebra: Algebra, template: MatrixTemplate):
+    """The first of 100 seeded float members nabla of the LocDer template
+    whose exponential leaves the pattern, or None."""
+    rng = random.Random(0)
+    for _ in range(100):
+        nabla = template.instantiate_numeric(
+            {p: rng.uniform(-1.0, 1.0) for p in template.params}
+        )
+        if exp_leaves_pattern(algebra, nabla):
+            return tuple(tuple(complex(v) for v in row) for row in nabla)
+    return None
+
+
+def exp_failure(algebra: Algebra) -> tuple[str | None, str]:
+    """(why exp(LocDer) leaves the LocAut pattern, or None; the proof).
+
+    exp(T) of the LocDer template T (symbolic_exp) is read in the + branch
+    template: every deviation must be 0 and every open condition a unit
+    times a monomial in the atoms.  Each other branch must have a
+    deviation that is a unit times a monomial, so exp(T) is in it at no
+    parameter point.
+
+    Soundness.  The checks are identities in Q(b)[E] with the atoms E
+    independent, so they hold when E_v = e^v is substituted; a monomial
+    in the atoms never vanishes there.  Where a denominator (a difference
+    of diagonal entries) vanishes, exp(T) is still continuous in b, so
+    the identities hold there too, by continuity.
+    """
+    pattern = locaut_pattern(algebra)
+    exp = symbolic_exp(closed_forms(algebra).local_derivation)
+    first, *others = pattern.templates
+    params, relations = first.read(exp.rows, _at)
+    for (i, j), deviation in relations.items():
+        if deviation.num:
+            return (f"exp(T) leaves the + template at ({i + 1},{j + 1}): "
+                    f"its deviation is {deviation}"), ""
+    for condition in first.nonzero:
+        if _unit_monomial(_at(condition, params), exp.atoms) is None:
+            return (f"the open condition {condition} of the + template is no "
+                    "unit times a monomial in the atoms on exp(T)"), ""
+    excluded = []
+    for branch, template in zip(pattern.branches[1:], others):
+        _, deviations = template.read(exp.rows, _at)
+        witness = next((
+            (pos, m) for pos, d in deviations.items()
+            if (m := _unit_monomial(d, exp.atoms)) is not None), None)
+        if witness is None:
+            return (f"exp(T) is not excluded from the {branch} template: none of "
+                    "its deviations is a unit times a monomial in the atoms"), ""
+        (i, j), monomial = witness
+        excluded.append(f"the {branch} branch is excluded, its ({i + 1},{j + 1}) "
+                        f"deviation being {monomial}")
+    order = ", ".join(f"e{k + 1}" for k in exp.order)
+    atoms = ", ".join(f"{a} = e^{v}" for a, v in exp.atoms.items())
+    proof = (f"the LocDer template T is lower-triangular in the order {order}; "
+             f"exp(T) reads in the + template with no deviation at its "
+             f"{len(relations)} relation entries, and every open condition "
+             f"({', '.join(map(str, first.nonzero))}) is a unit times a "
+             f"monomial in {atoms}")
+    return None, "; ".join([proof, *excluded])
 
 
 def bridge_check(
@@ -319,45 +626,33 @@ def bridge_check(
     trials: int = 100,
     seed: int = 0,
 ) -> BridgeReport:
-    """exp: LocDer samples land in the pattern; log: members recover.
+    """exp: proved by exp_failure; log: sampled members recover.
 
-    The log direction exists for pi3 only and draws plus-branch members
-    with b11 in (0.5, 2); recovery must round-trip through matrix_exp.
-    On a two-branch pattern the exponential must land on the plus branch.
+    The exp direction is exact and reads neither trials nor seed; a failure
+    carries a float sample nabla from a seeded search (exp_leaves_pattern)
+    when one is found, and the verdict never depends on that search.  The
+    log direction exists for pi3 only and draws plus-branch members with
+    b11 in (0.5, 2); recovery must round-trip through matrix_exp.
     """
     forms = closed_forms(algebra)
-    rng = random.Random(seed)
-    worst = 0.0
     if direction == "exp":
-        for t in range(trials):
-            nabla = _random_locder_numeric(forms.local_derivation, rng)
-            image = matrix_exp(nabla)
-            check = pattern_residual(algebra, image)
-            worst = max(worst, check.residual)
-            if check.residual > EXP_PATTERN_TOL or check.branch == "-":
-                return BridgeReport(
-                    ok=False,
-                    algebra=algebra.name,
-                    direction=direction,
-                    trials=t + 1,
-                    max_residual=worst,
-                    detail=f"exponential left the pattern (branch "
-                           f"{check.branch}, residual {check.residual:.3e})",
-                    sample=tuple(tuple(complex(v) for v in row) for row in nabla),
-                )
+        failure, proof = exp_failure(algebra)
+        if failure is not None:
+            return BridgeReport(
+                ok=False, algebra=algebra.name, direction=direction,
+                detail=failure,
+                sample=_exp_sample(algebra, forms.local_derivation),
+            )
         return BridgeReport(
-            ok=True,
-            algebra=algebra.name,
-            direction=direction,
-            trials=trials,
-            max_residual=worst,
-            detail="all exponentials landed in the pattern",
+            ok=True, algebra=algebra.name, direction=direction, detail=proof
         )
     if direction == "log":
         if forms.local_derivation is not LOCAL_DERIVATION_FORM_PI3:
             raise UnsupportedError(
                 "structured logarithm recovery is defined for pi3"
             )
+        rng = random.Random(seed)
+        worst = 0.0
         template = forms.local_automorphism[0]  # the plus branch
         for t in range(trials):
             params = {p: rng.uniform(-1.0, 1.0) for p in template.params}

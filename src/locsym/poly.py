@@ -10,10 +10,11 @@ coefficients.
 A polynomial is a mapping from monomials to nonzero coefficients in
 canonical form (rationals.exact: an int when integral, else a Fraction),
 so integral polynomials run on machine ints; coefficients are divided
-with rationals.quotient, since int / int is a float.  A monomial is a
-tuple of (variable, exponent) pairs sorted by variable name with all
-exponents >= 1; the empty tuple is the constant monomial.  Instances
-are immutable and hashable.
+with rationals.quotient, since int / int is a float.  A float or complex
+coefficient raises TypeError rather than entering as a binary rational.
+A monomial is a tuple of (variable, exponent) pairs sorted by variable
+name with all exponents >= 1; the empty tuple is the constant monomial.
+Instances are immutable and hashable.
 
 The string syntax accepted by :func:`poly` is sums of products of
 rational literals, named variables and parenthesized subexpressions,
@@ -59,6 +60,8 @@ class Poly:
         clean = {}
         for mono, coeff in (terms or {}).items():
             if type(coeff) is not int:
+                if isinstance(coeff, (float, complex)):
+                    raise TypeError(f"inexact polynomial coefficient {coeff!r}")
                 coeff = exact(coeff)
             if coeff:
                 clean[mono] = coeff

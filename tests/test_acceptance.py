@@ -101,10 +101,11 @@ def test_criterion_7_does_its_full_sampled_work(suite):
     assert "200 sampled single-constraint violations per algebra refuted" in detail
 
 
-@pytest.mark.parametrize("seed", (1, 2, 3, 4, 97))
+@pytest.mark.parametrize("seed", (1, 2, 3, 4, 97, 351, 498, 953))
 def test_the_battery_passes_at_other_seeds(seed):
     # the benchmark runs seeds seed, seed + 1, ...; a sampled claim that
-    # fails at one of them must not hide behind seed 0
+    # fails at one of them must not hide behind seed 0 (criterion 9 once
+    # failed at 351, 498 and 953 on float cancellation)
     result = run_suite(seed=seed)
     assert result.lines()[-1] == f"11/11 criteria passed (seed {seed})", result.lines()
 

@@ -1,12 +1,17 @@
 """Exponential bridge: entry series, matrix exp/log kernels, round trips.
 
 The entry-series coefficients are frozen against their defining
-recurrences; the closed forms are validated termwise against truncated
-series before anything else relies on them.
+recurrences and proved equal to their closed forms at every order; the
+float closed forms are checked against the truncated series.  The exp
+direction of the bridge is a proof, and faults injected into the
+templates it reads make it fail with a sample that replays.
 """
 
 import cmath
+import json
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,15 +20,22 @@ from locsym import (
     InputError,
     Matrix,
     NumericsError,
+    UnsupportedError,
+    acceptance,
     bridge_check,
     builtin,
     closed_form,
     eval_series,
+    expbridge,
     matrix_exp,
     matrix_log,
     series_coefficients,
     structured_log_pi3,
+    templates,
 )
+from locsym.cli import main
+from locsym.expbridge import CHAINS, series_failure, symbolic_exp
+from locsym.poly import poly
 from locsym.templates import LOCAL_DERIVATION_FORM_PI3
 
 SERIES = ("lambda21", "lambda31", "mu31", "lambda32", "lambda34")
@@ -73,12 +85,75 @@ def test_closed_forms_match_series_on_a_grid():
 
 
 def test_closed_form_small_argument_uses_series():
-    # the quotient forms cancel catastrophically near 0; the small-x path
-    # must stay finite and continuous
+    # the quotient forms cancel catastrophically near 0; the factored
+    # forms must stay finite and continuous, and 0 itself is the series
     for name in SERIES:
         near = closed_form(name, 1e-9)
         at_zero = complex(series_coefficients(name, 1)[0])
         assert abs(near - at_zero) < 1e-6
+        assert closed_form(name, 0) == at_zero
+
+
+# The samples where mu31's quotient form missed the series by 1e-10 to
+# 2e-10: |x| just above 1e-3, where (e^{3x} - 2e^{2x} + e^x)/(2x^2) loses
+# about eps/|x|^2 to cancellation (battery seeds 351, 498, 953).
+CANCELLING = (
+    complex(0.0002561390582927263, -0.0010711110964822777),
+    complex(0.0008908788539802845, -0.0007914396878139114),
+    complex(0.0006030423970781378, 0.0008754742209016069),
+)
+
+
+def test_closed_forms_do_not_cancel_near_zero():
+    radii = [10 ** (-4 + 4 * k / 199) for k in range(200)]
+    points = list(CANCELLING) + [
+        r * cmath.exp(2j * math.pi * a / 7) for r in radii for a in range(7)
+    ]
+    worst = max(
+        abs(eval_series(name, x) - closed_form(name, x))
+        for name in SERIES for x in points
+    )
+    assert worst <= 1e-13
+
+
+def test_closed_forms_are_the_chain_weights():
+    # away from 0 the table's quotient form is accurate: the float oracle
+    # evaluates the same function the series proof is about
+    for name in SERIES:
+        chain = CHAINS[name]
+        for x in (0.5, -0.7 + 0.4j, 1.3j):
+            quotient_form = sum(
+                w * cmath.exp(k * x) for k, w in enumerate(chain.weights, 1)
+            ) / (chain.scale * x ** chain.shift)
+            assert abs(quotient_form - closed_form(name, x)) < 1e-13
+
+
+def test_every_series_equals_its_closed_form_at_every_order():
+    assert [series_failure(name) for name in SERIES] == [None] * 5
+    assert CHAINS["lambda34"] is CHAINS["lambda31"]
+    with pytest.raises(InputError):
+        series_failure("lambda99")
+
+
+@pytest.mark.parametrize("change, failure", [
+    ({"weights": (1, -2, 2)}, "its closed form has a pole at 0"),
+    ({"start": 1}, "its closed form misses the chain's start value 1"),
+    ({"gain": (-1, 2, 0)}, "its closed form misses the chain's recurrence by -2*p2"),
+    ({"mult": 2}, "its closed form misses the chain's recurrence by -2*p2 + p3 + 1"),
+], ids=["pole", "start", "gain", "mult"])
+def test_a_changed_chain_fails_the_series_proof(monkeypatch, change, failure):
+    monkeypatch.setitem(CHAINS, "mu31", CHAINS["mu31"]._replace(**change))
+    assert series_failure("mu31") == failure
+    result = acceptance.criterion_9({}, 0)
+    assert not result.passed
+    assert result.detail == f"mu31: {failure}"
+
+
+def test_the_proof_reads_the_table_the_coefficients_come_from(monkeypatch):
+    before = series_coefficients("mu31", 6)
+    monkeypatch.setitem(CHAINS, "mu31", CHAINS["mu31"]._replace(gain=(-1, 2, 0)))
+    assert series_coefficients("mu31", 6) != before
+    assert series_failure("mu31") is not None
 
 
 def test_lambda21_at_log2():
@@ -224,16 +299,138 @@ def test_structured_log_rejects_off_pattern_and_minus_branch():
         matrix_log(minus)
 
 
-# -- randomized bridge batteries ---------------------------------------------------------
+# -- the exp direction, proved -------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["pi2", "pi3"])
+def test_symbolic_exp_matches_matrix_exp(name):
+    template = templates.closed_forms(builtin(name)).local_derivation
+    rng = random.Random(5)
+    point = {p: rng.uniform(-1.0, 1.0) for p in template.params}
+    exp = symbolic_exp(template)
+    values = dict(point)
+    values.update({atom: cmath.exp(point[v]) for atom, v in exp.atoms.items()})
+    numeric = matrix_exp(template.instantiate_numeric(point))
+    for i, row in enumerate(exp.rows):
+        for j, entry in enumerate(row):
+            den = 1
+            for form, power in entry.den.items():
+                den *= form.evaluate_numeric(values) ** power
+            assert abs(entry.num.evaluate_numeric(values) / den - numeric[i][j]) < 1e-12
+
+
+def test_symbolic_exp_of_a_diagonal_pair_is_a_divided_difference():
+    # exp [[a, 0], [c, b]] = [[e^a, 0], [c (e^a - e^b)/(a - b), e^b]]
+    template = templates.MatrixTemplate(
+        dim=2, params=("a", "b", "c"),
+        entries=((poly("a"), poly(0)), (poly("c"), poly("b"))))
+    exp = symbolic_exp(template)
+    assert exp.order == (0, 1)
+    assert str(exp.rows[1][0]) == "(E_a*c - E_b*c) / (a - b)"
+    assert str(exp.rows[0][0]) == "E_a" and str(exp.rows[0][1]) == "0"
+
+
+def test_symbolic_exp_refuses_what_it_cannot_write():
+    cyclic = templates.MatrixTemplate(
+        dim=2, params=("a", "c"),
+        entries=((poly("a"), poly("c")), (poly("c"), poly("a"))))
+    with pytest.raises(UnsupportedError, match="lower-triangular in no order"):
+        symbolic_exp(cyclic)
+    negative = templates.MatrixTemplate(
+        dim=2, params=("a", "b"),
+        entries=((poly("a"), poly(0)), (poly(0), poly("a - b"))))
+    with pytest.raises(UnsupportedError, match="nonnegative integer combination"):
+        symbolic_exp(negative)
+
 
 def test_bridge_exp_small_battery():
+    # the exp direction is a proof: no trials, no residual, no seed
     for name in ("pi2", "pi3"):
         report = bridge_check(builtin(name), "exp", trials=20, seed=11)
         assert report.ok, report.detail
-        assert report.max_residual < 1e-9
+        assert (report.trials, report.max_residual, report.sample) == (None, None, None)
+        assert report == bridge_check(builtin(name), "exp")
+        assert "exp(T) reads in the + template with no deviation" in report.detail
+    pi3 = bridge_check(builtin("pi3"), "exp").detail
+    assert pi3.startswith("the LocDer template T is lower-triangular in the order "
+                          "e1, e4, e2, e5, e3; ")
+    assert pi3.endswith("the - branch is excluded, its (3,3) deviation being 2*E_b11^3")
 
 
 def test_bridge_log_small_battery():
     report = bridge_check(builtin("pi3"), "log", trials=20, seed=12)
     assert report.ok, report.detail
     assert report.max_residual < 1e-8
+
+
+# -- faults injected into the templates the exp proof reads -----------------------------
+
+def edited(template, position, text):
+    rows = [list(row) for row in template.entries]
+    rows[position[0] - 1][position[1] - 1] = poly(text)
+    return replace(template, entries=tuple(map(tuple, rows)))
+
+
+FAULTS = {
+    "pi3-locder-b22-is-3b11": (
+        "pi3", "local_derivation",
+        lambda forms: edited(forms.local_derivation, (2, 2), "3*b11"),
+        "exp(T) leaves the + template at (2,2): its deviation is E_b11^3 - E_b11^2"),
+    "pi2-locaut-b44-is-b41+2b11": (
+        "pi2", "local_automorphism",
+        lambda forms: (edited(forms.local_automorphism[0], (4, 4), "b41 + 2*b11"),),
+        "exp(T) leaves the + template at (4,4): its deviation is -E_b11"),
+    "pi3-minus-branch-only": (
+        "pi3", "local_automorphism",
+        lambda forms: forms.local_automorphism[1:],
+        "exp(T) leaves the + template at (3,3): its deviation is 2*E_b11^3"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_an_injected_fault_fails_criterion_8_and_replays(
+    monkeypatch, tmp_path, capsys, loc2, loc3, fault
+):
+    name, field, change, detail = FAULTS[fault]
+    algebra = builtin(name)
+    forms = templates.closed_forms(algebra)
+    monkeypatch.setitem(templates._CLOSED_FORMS, algebra.structure,
+                        replace(forms, **{field: change(forms)}))
+    result = acceptance.criterion_8({"pi2": loc2, "pi3": loc3}, 0)
+    assert not result.passed
+    # on pi3 the sampled log direction fails too: it inverts the pattern
+    assert result.detail.split("; ")[0] == f"exp bridge({name}): {detail}"
+    assert main(["bridge", "--algebra", name, "--format", "structured"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["detail"] == detail
+    sample = report["counterexample"]
+    assert (sample["kind"], sample["direction"]) == ("bridge_sample", "exp")
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps(sample))
+    assert main(["verify-counterexample", str(path)]) == 0
+    assert "did NOT reproduce" not in capsys.readouterr().out
+
+
+def test_an_open_condition_exp_can_break_fails_the_proof(monkeypatch):
+    # b41 != 0 shrinks pi2's pattern, but exp(T) has (4,1) = E_b41*E_b11 - E_b11,
+    # which vanishes at b41 = 0; the float search never hits that point
+    algebra = builtin("pi2")
+    forms = templates.closed_forms(algebra)
+    plus = forms.local_automorphism[0]
+    monkeypatch.setitem(templates._CLOSED_FORMS, algebra.structure, replace(
+        forms, local_automorphism=(replace(plus, nonzero=plus.nonzero + (poly("b41"),)),)))
+    report = bridge_check(algebra, "exp")
+    assert not report.ok and report.sample is None
+    assert report.detail == ("the open condition b41 of the + template is no unit "
+                             "times a monomial in the atoms on exp(T)")
+
+
+def test_a_failed_search_leaves_the_verdict_standing(monkeypatch):
+    # the sample search never decides: with no sample found the proof
+    # still fails
+    algebra = builtin("pi3")
+    forms = templates.closed_forms(algebra)
+    monkeypatch.setitem(templates._CLOSED_FORMS, algebra.structure, replace(
+        forms, local_automorphism=forms.local_automorphism[1:]))
+    monkeypatch.setattr(expbridge, "exp_leaves_pattern", lambda *args: False)
+    report = bridge_check(algebra, "exp")
+    assert not report.ok and report.sample is None

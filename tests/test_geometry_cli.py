@@ -439,9 +439,17 @@ def test_cli_structured_log_needs_pi3(tmp_path, capsys):
 def test_cli_bridge(capsys):
     assert run_cli("bridge", "--algebra", "pi3", "--direction", "log",
                    "--trials", "10", "--seed", "4") == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out.startswith("bridge log (pi3, 10 trials): True\n")
+    # the exp direction is a proof: --trials and --seed change nothing
     assert run_cli("bridge", "--algebra", "pi2", "--direction", "exp",
-                   "--trials", "10") == 0
+                   "--trials", "10", "--format", "structured") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "trials" not in payload and "max_residual" not in payload
+    assert payload["detail"].startswith("the LocDer template T is lower-triangular")
+    assert run_cli("bridge", "--algebra", "pi3", "--seed", "7") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "bridge exp (pi3, proved exactly): True"
+    assert lines[1].endswith("its (3,3) deviation being 2*E_b11^3")
 
 
 SAMPLING_COMMANDS = (("locaut", "verify"), ("locaut", "witness"), ("bridge",))
@@ -623,10 +631,11 @@ def test_import_leaves_numpy_unloaded():
 
 
 def test_script_env_seed_matches_flag():
-    via_flag = run_script("bridge", "--algebra", "pi3", "--direction", "exp",
+    # the log direction samples, so its report depends on the seed
+    via_flag = run_script("bridge", "--algebra", "pi3", "--direction", "log",
                           "--trials", "5", "--seed", "21",
                           "--format", "structured")
-    via_env = run_script("bridge", "--algebra", "pi3", "--direction", "exp",
+    via_env = run_script("bridge", "--algebra", "pi3", "--direction", "log",
                          "--trials", "5", "--format", "structured",
                          env={"LOCSYM_SEED": "21"})
     assert via_flag.returncode == via_env.returncode == 0

@@ -167,6 +167,18 @@ def test_coefficients_are_canonical_and_zeros_are_dropped():
     assert type(poly("4/2").constant_value()) is int
 
 
+@pytest.mark.parametrize("coeff", [0.5, 1.0, 0.0, 1j, complex(2, 0)], ids=repr)
+def test_an_inexact_coefficient_is_refused(coeff):
+    # a float would enter as the binary rational it stores, silently
+    with pytest.raises(TypeError, match="inexact polynomial coefficient"):
+        Poly({(("x", 1),): coeff})
+    with pytest.raises(TypeError):
+        Poly.const(coeff)
+    # the exact scalars pass, int and Fraction alike
+    assert Poly.const(Fraction(1, 2)).constant_value() == Fraction(1, 2)
+    assert Poly.const(3).constant_value() == 3
+
+
 def test_degree_and_variables():
     p = poly("x^2*y - z")
     assert p.total_degree() == 3
