@@ -452,15 +452,19 @@ def symbolic_exp(template: MatrixTemplate) -> SymbolicExp:
     below = {i: {j for j in range(n) if j != i and t[i][j]} for i in range(n)}
     try:
         order = tuple(TopologicalSorter(below).static_order())
-    except CycleError:
+    except CycleError as exc:
+        cycle = exc.args[1]  # each node is below the next: t[next][node] != 0
+        entries = ", ".join(f"({i + 1},{j + 1}) = {t[i][j]}"
+                            for j, i in zip(cycle, cycle[1:]))
         raise UnsupportedError(
-            "the template is lower-triangular in no order of the basis"
+            "the template is lower-triangular in no order of the basis: "
+            f"the entries {entries} close a cycle"
         ) from None
     diagonal = [t[i][i] for i in range(n)]
     names = sorted({v for d in diagonal for v in d.variables()})
     atoms = {f"E_{v}": v for v in names}
     points = list(dict.fromkeys(diagonal))  # the distinct diagonal entries
-    powers = [_exp_monomial(d, names) for d in points]  # e^d in the atoms
+    powers = [_exp_monomial(d, names, diagonal.index(d)) for d in points]
     slot = [points.index(d) for d in diagonal]
     memo: dict[tuple[int, ...], _Ratio] = {}
 
@@ -498,8 +502,9 @@ def symbolic_exp(template: MatrixTemplate) -> SymbolicExp:
     return SymbolicExp(order=order, atoms=atoms, rows=rows)
 
 
-def _exp_monomial(d: Poly, names: list[str]) -> Poly:
-    """e^d as a monomial in the atoms E_v, for d = sum of k_v v, k_v >= 0."""
+def _exp_monomial(d: Poly, names: list[str], i: int) -> Poly:
+    """e^d as a monomial in the atoms E_v, for d = sum of k_v v, k_v >= 0,
+    the diagonal entry (i, i) counted from 0."""
     try:
         coeffs, rest = d.linear_decompose(names)
     except ValueError:
@@ -507,8 +512,8 @@ def _exp_monomial(d: Poly, names: list[str]) -> Poly:
     powers = {f"E_{v}": c.constant_value() for v, c in coeffs.items() if c}
     if rest or any(type(k) is not int or k < 0 for k in powers.values()):
         raise UnsupportedError(
-            f"the diagonal entry {d} is not a nonnegative integer "
-            "combination of parameters"
+            f"the diagonal entry ({i + 1},{i + 1}) = {d} is not a nonnegative "
+            "integer combination of parameters"
         )
     return Poly({tuple(sorted(powers.items())): 1})
 
@@ -578,7 +583,8 @@ def exp_failure(algebra: Algebra) -> tuple[str | None, str]:
     template: every deviation must be 0 and every open condition a unit
     times a monomial in the atoms.  Each other branch must have a
     deviation that is a unit times a monomial, so exp(T) is in it at no
-    parameter point.
+    parameter point.  A template that symbolic_exp refuses fails, with the
+    refusal naming the entry, since nothing is then proved.
 
     Soundness.  The checks are identities in Q(b)[E] with the atoms E
     independent, so they hold when E_v = e^v is substituted; a monomial
@@ -587,7 +593,10 @@ def exp_failure(algebra: Algebra) -> tuple[str | None, str]:
     the identities hold there too, by continuity.
     """
     pattern = locaut_pattern(algebra)
-    exp = symbolic_exp(closed_forms(algebra).local_derivation)
+    try:
+        exp = symbolic_exp(closed_forms(algebra).local_derivation)
+    except UnsupportedError as exc:
+        return f"exp(T) of the LocDer template is not written exactly: {exc}", ""
     first, *others = pattern.templates
     params, relations = first.read(exp.rows, _at)
     for (i, j), deviation in relations.items():

@@ -3,17 +3,20 @@
 nabla is a local derivation when for every x there is a derivation D_x
 (depending on x) with nabla(x) = D_x(x).  Pointwise membership is a
 plain exact linear solve.  The space of all local derivations is exact:
-it builds the parametric system  sum_p T_p(params) nu = B nu  over the
-derivation parameters, runs the stratified case-split solver and reads
-the space off the aggregated b-constraints; this is complete because
-the leaf strata cover the probe space, which the recorded tree proves
-(stratify.coverage_failure), and each basis element is then
-proved local on every leaf by a polynomial-identity certificate
-(stratify.certificate_failure).  A pivot the solver cannot split
-into degree-1 factors is refused with a StratificationError (an
-UnsupportedError) that names it; there is no approximate answer.  An
-operator outside the space gets a deterministic refuting point from the
-first leaf whose certificate it breaks (refuting_point).
+B x = D x for some D in Der is T(a) x = y at y = B x for the Der
+template T (parameters a_k, entries sum a_k D_k over the computed Der
+basis), so local_derivation_space solves that template once
+(stratify.solve_parametric) and reads the space off its leaves.  On each
+leaf, B is local iff every leaf condition E(x, B x) vanishes identically
+in the leaf's free x, which is linear in B; the space is the nullspace
+of those x-coefficients.  This is complete because the leaves partition
+x-space, which the recorded tree proves (stratify.coverage_failure), and
+the space is proved local on every leaf by back-substituting the leaf's
+pivots at y = B x for its symbolic member B (stratify.member_failure).
+A pivot the solver cannot split into degree-1 factors is refused with a
+StratificationError (an UnsupportedError) that names it; there is no
+approximate answer.  An operator outside the space gets a deterministic
+refuting point from the first leaf condition it breaks (refuting_point).
 """
 from __future__ import annotations
 
@@ -26,17 +29,18 @@ from operator import mul
 from .algebra import Algebra
 from .derivations import DerivationSpace, derivation_algebra, is_derivation
 from .errors import InputError, InternalCheckError, StratificationError
-from .linalg import Matrix, Subspace, Vector, in_row_span, solve, vector
+from .linalg import Matrix, Subspace, Vector, in_row_span, nullspace, solve, vector
 from .poly import Poly
 from .stratify import (
-    CaseTree,
-    Equation,
-    ParametricSystem,
-    certificate_failure,
+    OrbitSolve,
+    StratumCase,
     coverage_failure,
-    leaf_refutation,
+    grid_point,
+    member_failure,
+    member_image,
     solve_parametric,
 )
+from .templates import span_template
 
 
 def output_symbols(dim: int) -> tuple[str, ...]:
@@ -44,10 +48,6 @@ def output_symbols(dim: int) -> tuple[str, ...]:
     return tuple(
         f"b{i + 1}{j + 1}" for i in range(dim) for j in range(dim)
     )
-
-
-def probe_symbols(dim: int) -> tuple[str, ...]:
-    return tuple(f"n{j + 1}" for j in range(dim))
 
 
 def pointwise_membership(
@@ -62,42 +62,11 @@ def pointwise_membership(
     return solve(stacked, nabla.apply(x))
 
 
-def localization_system(ders: DerivationSpace) -> ParametricSystem:
-    """Parametric system asking D(nu) = B nu for a derivation D.
-
-    The unknowns are coordinates t_k of D in the computed derivation
-    basis, so the construction is independent of any closed form.
-    """
-    n = ders.algebra.dim
-    unknowns = tuple(f"t{k + 1}" for k in range(ders.dim))
-    nu = probe_symbols(n)
-    symbols = output_symbols(n)
-    equations = []
-    for i in range(n):
-        coeffs = {}
-        for k, d in enumerate(ders.basis):
-            c = Poly.zero()
-            for j in range(n):
-                if d.rows[i][j]:
-                    c = c + Poly.var(nu[j]) * d.rows[i][j]
-            coeffs[unknowns[k]] = c
-        rhs = Poly.zero()
-        for j in range(n):
-            rhs = rhs + Poly.var(f"b{i + 1}{j + 1}") * Poly.var(nu[j])
-        equations.append(Equation(coeffs=coeffs, rhs=rhs))
-    return ParametricSystem(
-        unknowns=unknowns,
-        nu_vars=nu,
-        rhs_symbols=symbols,
-        equations=tuple(equations),
-    )
-
-
 @dataclass(frozen=True)
 class LocalDerivationSpace:
     algebra: Algebra
     basis: tuple[Matrix, ...]
-    case_tree: CaseTree
+    solve: OrbitSolve  # the solve of the Der template
     derivations: DerivationSpace  # the Der the space was solved from
     provenance = "exact"  # the only way a space is computed
 
@@ -128,27 +97,41 @@ def local_derivation_space(
     """The exact space of local derivations, proved on every leaf.
 
     `seed` and `validation_checks` are accepted and ignored: nothing is
-    sampled, since every basis element is proved a local derivation by
-    the per-leaf certificate (stratify.certificate_failure).
-    Raises StratificationError when the case split meets a pivot that
-    does not split into degree-1 factors, or grows too deep.
+    sampled, since the space is proved on every leaf of the solve (_prove).
+    Raises StratificationError when the solve meets a pivot that does not
+    split into degree-1 factors, or grows too deep.
     """
     ders = derivation_algebra(algebra)
     try:
-        tree = solve_parametric(localization_system(ders))
+        solve = solve_parametric(span_template(algebra.dim, ders.basis, "a"))
     except StratificationError as exc:
         # Drop the traceback: it would pin every frame of the solver's
         # recursion for as long as the caller keeps the error.
         raise exc.with_traceback(None)
     result = LocalDerivationSpace(
         algebra=algebra,
-        basis=tuple(Matrix.from_vec(v, algebra.dim)
-                    for v in tree.solution_space().basis),
-        case_tree=tree,
+        basis=_solution_basis(solve),
+        solve=solve,
         derivations=ders,
     )
     _prove(result)
     return result
+
+
+def _solution_basis(solve: OrbitSolve) -> tuple[Matrix, ...]:
+    """The B with every leaf condition E(x, B x) identically zero in the
+    leaf's free x: the nullspace of the x-coefficients, linear in B."""
+    n = solve.template.dim
+    symbols = output_symbols(n)
+    generic = [[Poly.var(s) for s in symbols[i * n:(i + 1) * n]] for i in range(n)]
+    rows = {}
+    for leaf in solve.leaves:
+        xy = member_image(leaf, generic)
+        for e in leaf.constraints:
+            for form in e.subs(xy).group_by(leaf.free_vars).values():
+                rows[tuple(form.terms.get(((s, 1),), 0) for s in symbols)] = None
+    space = Subspace(n * n, nullspace(list(rows) or [(0,) * n * n]))
+    return tuple(Matrix.from_vec(v, n) for v in space.basis)
 
 
 def membership_checker(ders: DerivationSpace, op: Matrix):
@@ -180,15 +163,17 @@ def membership_checker(ders: DerivationSpace, op: Matrix):
 def refuting_point(space: LocalDerivationSpace, op: Matrix) -> Vector:
     """A point x with op(x) outside span{D(x)}, for op outside the space.
 
-    Deterministic: the first leaf whose certificate op breaks gives the
-    point (stratify.leaf_refutation), which is checked pointwise again.
+    Deterministic: the leaves are walked sorted by signature, and the
+    first leaf condition q = E(x, op x) that is nonzero gives the point
+    grid_point(leaf, q), where q and the leaf's inequations are nonzero,
+    so no derivation matches there; it is checked pointwise again.
     """
-    tree = space.case_tree
     member = membership_checker(space.derivations, op)
-    for leaf in tree.leaves:
-        point = leaf_refutation(tree.system, leaf, op.vec())
-        if point is not None:
-            x = vector(point[v] for v in tree.system.nu_vars)
+    for leaf in sorted(space.solve.leaves, key=StratumCase.signature):
+        xy = member_image(leaf, op.rows)
+        if q := next((r for e in leaf.constraints if (r := e.subs(xy))), None):
+            point = grid_point(leaf, q)
+            x = vector(point[f"x{k + 1}"] for k in range(op.shape[1]))
             if member(x):
                 break
             return x
@@ -196,24 +181,25 @@ def refuting_point(space: LocalDerivationSpace, op: Matrix) -> Vector:
 
 
 def _prove(space: LocalDerivationSpace) -> None:
-    """Der lies in the space, and every basis element is local on every leaf.
+    """Der lies in the space, and the space is local on every leaf.
 
-    The coverage walk proves that the leaves partition the probe space
-    (stratify.coverage_failure), so the certificates prove each basis
-    element local at every point.
+    The coverage walk proves that the leaves partition x-space
+    (stratify.coverage_failure), and member_failure proves a symbolic
+    member of the space's span template matched by a derivation on each
+    leaf, so every member is local at every point.
     """
-    tree = space.case_tree
-    if (failure := coverage_failure(tree.root)) is not None:
-        raise InternalCheckError(f"case tree coverage: {failure}")
+    solve = space.solve
+    if (failure := coverage_failure(solve.root)) is not None:
+        raise InternalCheckError(f"Der solve coverage: {failure}")
     span = space.span()
     for d in space.derivations.basis:
         if not span.contains(d.vec()):
             raise InternalCheckError("a derivation escaped the computed space")
-    vectors = [m.vec() for m in space.basis]
-    for leaf in tree.leaves:
-        failure = certificate_failure(tree.system, leaf, vectors)
-        if failure is not None:
-            raise InternalCheckError(f"local derivation certificate: {failure}")
+    template = span_template(space.algebra.dim, space.basis, "c")
+    for leaf in solve.leaves:
+        if failure := member_failure(solve, leaf, template):
+            raise InternalCheckError(
+                f"local derivation proof on the leaf {leaf.name}: {failure}")
 
 
 def strict_inclusion_witness(

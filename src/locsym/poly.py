@@ -298,13 +298,28 @@ class Poly:
     # -- division and factor extraction ---------------------------------
 
     def div_exact(self, divisor: "Poly") -> "Poly | None":
-        """Exact multivariate division; None when the remainder is nonzero."""
+        """Exact multivariate division; None when the remainder is nonzero.
+
+        When the divisor's leading coefficient in some variable v is a
+        constant, this is long division in v over the other variables,
+        one step per degree: the division with remainder is unique there,
+        so the divisor divides exactly when the remainder is 0.  Otherwise
+        the leading terms are divided one at a time in graded lex order.
+        """
         divisor = _coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_constant():
             inv = quotient(1, divisor.constant_value())
             return Poly({m: c * inv for m, c in self.terms.items()})
+        for var in divisor.variables():
+            k, lead = _leading_in(divisor, var)
+            if lead.is_constant():
+                inv, result, remainder = quotient(1, lead.constant_value()), Poly.zero(), self
+                while remainder and (n := remainder.degree_in(var)) >= k:
+                    step = _leading_in(remainder, var)[1] * inv * Poly.var(var) ** (n - k)
+                    result, remainder = result + step, remainder - step * divisor
+                return None if remainder else result
         order = tuple(sorted(set(self.variables()) | set(divisor.variables())))
         dlead = max(divisor.terms, key=lambda m: _mono_key(m, order))
         dcoeff = divisor.terms[dlead]
@@ -402,6 +417,14 @@ def _coerce(value) -> Poly:
     if isinstance(value, (int, Fraction)):
         return Poly.const(value)
     return NotImplemented
+
+
+def _leading_in(p: Poly, var: str) -> tuple[int, Poly]:
+    """(k, c) with p = c * var^k + lower powers of var, c free of var and
+    k >= 1 the degree of p in var."""
+    k = p.degree_in(var)
+    return k, Poly({tuple(t for t in mono if t != (var, k)): c
+                    for mono, c in p.terms.items() if (var, k) in mono})
 
 
 def _frac_str(f: int | Fraction) -> str:

@@ -1,48 +1,49 @@
-"""Stratified elimination for parametric linear systems.
+"""Stratified solving of parametric matrix templates.
 
-The systems handled here are linear in the unknowns alpha, with
-coefficients that are polynomials in probe coordinates nu and right-hand
-sides that are linear in output symbols b:
+solve_parametric(T) solves T(a) x = y once for a matrix template T, with
+the parameters a as unknowns and x and y symbolic.  The result is an
+OrbitSolve: a recorded tree of Split nodes over x-space whose OrbitLeaf
+leaves are strata where T(a) x = y is solvable iff every condition
+E(x, y) of the leaf vanishes and no inequation N(x, y) of the leaf does.
 
-    sum_u  c_{e,u}(nu) * alpha_u  =  rhs_e(nu, b)      for each equation e.
+Each open condition of T, linear in the parameters, is solved for one of
+them as a torus unknown t_k; every other parameter must enter linearly.
+Pivot coefficients are polynomials in x that may vanish on subvarieties,
+so every pivot splits x-space: its coefficient is factored into degree-1
+factors (poly.linear_factors), and one splitter, zero_branches, gives
+the strata f_i = 0 with f_0..f_{i-1} != 0, while the generic branch
+keeps every factor as an inequation.  A coefficient that does not split
+into degree-1 factors, or a tree deeper than MAX_DEPTH, is refused with
+a StratificationError; there is no approximate answer.
 
-The question answered is: for which b is the system solvable for EVERY
-nu?  Gaussian elimination in alpha works, except that pivot coefficients
-are polynomials in nu which may vanish on subvarieties, so every pivot
-splits the nu-space into strata.  Each pivot coefficient is factored
-into degree-1 factors; a vanishing factor is eliminated by substituting
-the solved variable, a nonvanishing factor joins the stratum's
-inequations.  At a leaf no unknown has a nonzero coefficient left, so
-each surviving equation demands that its right-hand side vanish
-identically on the stratum; reading coefficients off nu-monomials turns
-that into linear constraints on b.  After substituting the stratum's
-linear equalities the remaining free nu coordinates range over a full
-affine space minus finitely many hypersurfaces, so identical vanishing
-of a polynomial on the stratum is equivalent to all its coefficients
-vanishing, which is what makes the leaf constraints exact.
+There are two readers.  local_automorphisms decides pointwise whether
+some automorphism agrees with B at x from the solve of each automorphism
+template.  local_derivations reads LocDer off the solve of the Der
+template (parameters a_k, entries sum a_k D_k, no open conditions): B x
+= D x for some derivation D is T(a) x = y at y = B x.  The splitter also
+splits the automorphism equations (automorphisms.verify_family).
 
-The splits are recorded as a tree (CaseTree.root), and coverage_failure
-proves from that record that the leaves partition the nu-space, so the
-union of all leaf constraints is necessary and sufficient for universal
-solvability.  The splitter, zero_branches, also splits the automorphism
-equations (automorphisms.verify_family).  Sufficiency is
-proved per leaf by certificate_failure, which back-substitutes the
-leaf's recorded pivots and checks the original equations as polynomial
-identities, sharing nothing with the elimination but Poly.  A b that
-fails the certificate gets a point of the leaf where it is not solvable
-from leaf_refutation, off a fixed grid, so nothing is sampled.
+The proofs share nothing with the elimination but Poly.  coverage_failure
+proves from the recorded splits that the leaves partition x-space (or,
+below splits of equations, cover their zero set).  OrbitSolve.match
+back-substitutes a leaf's recorded pivots at given (x, y) and checks
+T(q) x = y as a polynomial identity, every pivot a unit times powers of
+the allowed inequations; member_failure runs it at y = B x for a
+symbolic member B of a template.  grid_point gives a point of a leaf
+where a polynomial is nonzero, off a fixed grid, so nothing is sampled.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, Sequence
+from functools import cache, cached_property
+from typing import Mapping
 
 from .errors import InternalCheckError, StratificationError, UnsupportedError
-from .linalg import Matrix, Subspace, nullspace
 from .poly import Poly, linear_factors, solve_linear, unit_times_powers
+from .rationals import quotient
+from .templates import MatrixTemplate
 
 MAX_DEPTH = 12
 
@@ -54,64 +55,15 @@ class Equation:
     coeffs: Mapping[str, Poly]
     rhs: Poly
 
-    def subs(self, mapping) -> "Equation":
-        return Equation(
-            coeffs={u: c.subs(mapping) for u, c in self.coeffs.items()},
-            rhs=self.rhs.subs(mapping),
-        )
-
-    def eliminate(self, unknown: str, pivot: "Equation") -> "Equation":
-        """p * self - c * pivot without the unknown, p and c its coefficients
-        in pivot and self; self without the unknown when c is 0."""
-        scale, other = pivot.coeffs[unknown], self.coeffs[unknown]
-        if other.is_zero():
-            return Equation({u: c for u, c in self.coeffs.items() if u != unknown},
-                            self.rhs)
-        return Equation(
-            coeffs={u: scale * c - other * pivot.coeffs[u]
-                    for u, c in self.coeffs.items() if u != unknown},
-            rhs=scale * self.rhs - other * pivot.rhs,
-        )
-
-
-@dataclass(frozen=True)
-class ParametricSystem:
-    unknowns: tuple[str, ...]
-    nu_vars: tuple[str, ...]
-    rhs_symbols: tuple[str, ...]
-    equations: tuple[Equation, ...]
-
-    def __post_init__(self):
-        nu = set(self.nu_vars)
-        ok_rhs = nu | set(self.rhs_symbols)
-        for eq in self.equations:
-            for u, c in eq.coeffs.items():
-                if u not in self.unknowns:
-                    raise UnsupportedError(f"coefficient for undeclared unknown {u}")
-                if not set(c.variables()) <= nu:
-                    raise UnsupportedError(
-                        f"coefficient {c} is not a polynomial in the probe variables"
-                    )
-                if c.total_degree() > 3:
-                    raise UnsupportedError("coefficient degree above the supported bound")
-            if not set(eq.rhs.variables()) <= ok_rhs:
-                raise UnsupportedError("right-hand side uses undeclared symbols")
-            try:
-                lin, rest = eq.rhs.linear_decompose(self.rhs_symbols)
-            except ValueError:
-                raise UnsupportedError("right-hand side is not linear in the outputs")
-            if not rest.is_zero():
-                raise UnsupportedError("right-hand side has an output-free part")
-
 
 @dataclass(frozen=True)
 class StratumCase:
-    """One stratum: conditions, solved substitution and b-constraints.
+    """One stratum: conditions, solved substitution and constraints.
 
-    The splitters carry the stratum of each node down the tree.
-    solve_parametric also carries the pivots, the generic-branch pivots
-    on the path in path order as (unknown, equation it was solved from),
-    and completes a leaf with its free variables and b-constraints.
+    The splitters carry the stratum of each node down the tree.  The
+    solve also carries the pivots, in path order as (unknown, equation it
+    was solved from), and completes a leaf with its free variables and
+    constraints.
     """
 
     equalities: tuple[Poly, ...] = ()
@@ -122,7 +74,7 @@ class StratumCase:
     pivots: tuple[tuple[str, Equation], ...] = ()
 
     def contains(self, point: Mapping[str, Fraction]) -> bool:
-        """Exact stratum membership of a full nu assignment."""
+        """Exact stratum membership of a full assignment."""
         if any(e.evaluate(point) != 0 for e in self.equalities):
             return False
         return all(q.evaluate(point) != 0 for q in self.inequations)
@@ -185,119 +137,6 @@ def tree_leaves(node):
         yield node
 
 
-@dataclass(frozen=True)
-class CaseTree:
-    system: ParametricSystem
-    root: Split | StratumCase
-
-    @cached_property
-    def leaves(self) -> tuple[StratumCase, ...]:
-        """The leaves of the recorded tree, sorted by signature."""
-        return tuple(sorted(tree_leaves(self.root), key=StratumCase.signature))
-
-    def solution_space(self) -> Subspace:
-        """All b satisfying every leaf's constraints."""
-        symbols = self.system.rhs_symbols
-        seen = {str(c): c for leaf in self.leaves for c in leaf.constraints}
-        rows = [_linear_form_row(seen[k], symbols) for k in sorted(seen)]
-        if not rows:
-            return Subspace(len(symbols), Matrix.identity(len(symbols)).rows)
-        return Subspace(len(symbols), nullspace(Matrix(rows)))
-
-
-def _linear_form_row(form: Poly, symbols: Sequence[str]) -> tuple[Fraction, ...]:
-    lin, rest = form.linear_decompose(symbols)
-    if not rest.is_zero():
-        raise InternalCheckError(f"constraint {form} is not homogeneous linear")
-    row = []
-    for s in symbols:
-        c = lin[s]
-        if not c.is_constant():
-            raise InternalCheckError(f"constraint {form} has nonconstant coefficients")
-        row.append(c.constant_value() if not c.is_zero() else Fraction(0))
-    return tuple(row)
-
-
-# -- the explorer -----------------------------------------------------------
-
-
-def solve_parametric(system: ParametricSystem) -> CaseTree:
-    """Build the full case tree of the parametric system.
-
-    Raises StratificationError when a pivot coefficient cannot be split
-    into degree-1 factors or the split depth exceeds MAX_DEPTH.
-    """
-    normalized = [
-        Equation(
-            coeffs={u: eq.coeffs.get(u, Poly.zero()) for u in system.unknowns},
-            rhs=eq.rhs,
-        )
-        for eq in system.equations
-    ]
-    return CaseTree(system, _explore(system, normalized, StratumCase(), 0))
-
-
-def _explore(system, eqs, stratum, depth):
-    """The tree below a stratum: a leaf, or a Split on a pivot's new factors."""
-    opens = stratum.opens()
-    pivot = _select_pivot(eqs, opens)
-    if pivot is None:
-        return _make_leaf(system, eqs, stratum)
-    (_, _, eq_index, unknown), factors = pivot
-    novel = tuple(dict.fromkeys(f for f in factors if f not in opens))
-    if novel and depth >= MAX_DEPTH:
-        raise StratificationError(f"case split depth exceeded {MAX_DEPTH}")
-    depth += bool(novel)
-    children = [
-        None if branch is None else _explore(
-            system, [eq.subs(branch[0]) for eq in eqs], branch[1], depth)
-        for branch in zero_branches(novel, stratum)
-    ]
-    # Generic branch: every factor of the pivot coefficient is nonzero.
-    pivot_eq = eqs[eq_index]
-    generic = _explore(
-        system, [eq.eliminate(unknown, pivot_eq)
-                 for i, eq in enumerate(eqs) if i != eq_index],
-        replace(stratum, inequations=stratum.inequations + novel,
-                pivots=stratum.pivots + ((unknown, pivot_eq),)), depth)
-    return Split(novel, None, (*children, generic)) if novel else generic
-
-
-def _select_pivot(eqs, opens):
-    """Pivot with the fewest new factors, then fewest factors overall."""
-    candidates, failure = [], None
-    for ei, eq in enumerate(eqs):
-        for unknown in sorted(eq.coeffs):
-            coeff = eq.coeffs[unknown]
-            if coeff.is_zero():
-                continue
-            try:
-                _, factors = linear_factors(coeff)
-            except StratificationError as exc:
-                failure = exc
-                continue
-            new = {f for f in factors if f not in opens}
-            candidates.append(((len(new), len(factors), ei, unknown), factors))
-    if not candidates and failure is not None:
-        raise failure  # some coefficient is nonzero but none is factorable
-    return min(candidates, default=None, key=lambda c: c[0])
-
-
-def _make_leaf(system, eqs, stratum) -> StratumCase:
-    constraints: dict[str, Poly] = {}
-    for eq in eqs:
-        if any(not c.is_zero() for c in eq.coeffs.values()):
-            raise InternalCheckError("leaf reached with a live unknown")
-        for _, coeff in eq.rhs.group_by(system.nu_vars).items():
-            if coeff.is_zero():
-                continue
-            _, prim = coeff.content_primitive()
-            constraints.setdefault(str(prim), prim)
-    return replace(
-        stratum, constraints=tuple(constraints[k] for k in sorted(constraints)),
-        free_vars=tuple(v for v in system.nu_vars if v not in stratum.substitution))
-
-
 # -- the coverage walk ----------------------------------------------------------
 
 
@@ -345,115 +184,360 @@ def coverage_failure(root) -> str | None:
     return walk(root, (), (), {})
 
 
-# -- the per-leaf certificate ---------------------------------------------------
-
-
-def _residuals(system: ParametricSystem, leaf: StratumCase):
-    """den and b -> residuals: the leaf's certificate, read once.
-
-    den is the product of the pivot coefficients under the substitution,
-    and residuals(b) yields, for each original equation in turn, the
-    polynomial  sum_u c_u N_u - den * rhs(b)  in the free variables (see
-    certificate_failure), which is zero iff the candidate solves it.
-    """
-    sub = leaf.substitution
-    symbols = system.rhs_symbols
-
-    def read(eq):
-        # the coefficients and the rhs's linear form in b, under s, read once
-        coeffs = {u: c.subs(sub) for u, c in eq.coeffs.items()}
-        form, _ = eq.rhs.subs(sub).linear_decompose(symbols)
-        return coeffs, [(i, form[s]) for i, s in enumerate(symbols)
-                        if not form[s].is_zero()]
-
-    def at(form, b):
-        return sum((c * b[i] for i, c in form if b[i]), Poly.zero())
-
-    pivots = [(u, *read(eq)) for u, eq in leaf.pivots]
-    equations = [read(eq) for eq in system.equations]
-    den = Poly.const(1)
-    for u, coeffs, _ in pivots:
-        den = den * coeffs[u]
-
-    def residuals(b):
-        # after step k every numerator is over the product of p_k..p_K
-        numer: dict[str, Poly] = {}
-        scale = Poly.const(1)
-        for u, coeffs, form in reversed(pivots):
-            known = sum((coeffs[v] * n for v, n in numer.items() if v in coeffs),
-                        Poly.zero())
-            numer = {v: n * coeffs[u] for v, n in numer.items()}
-            numer[u] = at(form, b) * scale - known
-            scale = scale * coeffs[u]
-        for coeffs, form in equations:
-            lhs = sum((c * numer[u] for u, c in coeffs.items() if u in numer),
-                      Poly.zero())
-            yield lhs - den * at(form, b)
-
-    return den, residuals
-
-
-def certificate_failure(
-    system: ParametricSystem, leaf: StratumCase, vectors
-) -> str | None:
-    """Why some b in vectors is not solvable on all of the leaf, or None.
-
-    A proof that reads the leaf's equalities, substitution s,
-    inequations and pivots, and uses nothing of the elimination but
-    Poly.  Every equality must vanish under s, so s parametrizes the
-    stratum by its free variables.  The pivots (u_k, P_k) only build a
-    candidate solution: back-substitution from the last pivot over den,
-    the product of the pivot coefficients p_k = coeff of u_k in P_k,
-    gives alpha_u = N_u / den (unknowns never pivoted are 0).  For each
-    b in vectors (one entry per rhs symbol) every ORIGINAL equation
-    must then satisfy
-
-        sum_u  c_u(nu) * N_u  -  den * rhs(nu, b)  ==  0
-
-    as a polynomial identity in the free variables, and den must be a
-    unit times powers of the leaf's inequations, so it is nonzero on the
-    whole stratum and the identity gives a solution at every point of it.
-    """
-    sub = leaf.substitution
-    if any(not e.subs(sub).is_zero() for e in leaf.equalities):
-        return f"the substitution does not solve the equalities {leaf.signature()}"
-    den, residuals = _residuals(system, leaf)
-    opens = [q.subs(sub) for q in leaf.inequations]
-    if not unit_times_powers(den, opens):
-        return f"pivot product {den} is not a unit times powers of the inequations"
-    for b in vectors:
-        if any(residuals(b)):
-            return f"b = {tuple(b)} is not solved on the stratum {leaf.signature()}"
-    return None
-
-
-def leaf_refutation(
-    system: ParametricSystem, leaf: StratumCase, b
-) -> dict[str, int | Fraction] | None:
-    """A point of the leaf where the system has no solution at b, or None.
-
-    None means the certificate holds for b on the leaf.  Otherwise a
-    residual D of certificate_failure is a nonzero polynomial, and so is
-    Q = D times the inequations under s.  With degree at most d_v in each
-    free variable v, Q is nonzero somewhere on the grid prod {0..d_v}; the
-    first such point, mapped through s, is the point returned.  Every
-    pivot is nonzero there, so a solution there would be the
-    back-substituted candidate, which D(x) != 0 says fails (grid_point).
-    """
-    _, residuals = _residuals(system, leaf)
-    q = next((r for r in residuals(b) if r), None)
-    if q is None:
-        return None
-    return grid_point(leaf, q)
-
-
 def grid_point(leaf: StratumCase, q: Poly = Poly.const(1)) -> dict:
     """The first point of the grid prod {0..d_v} where Q, q times the
     inequations under s, is nonzero (d_v: Q's degree in the free variable
-    v), mapped through s."""
+    v), mapped through s.
+
+    Such a point exists for nonzero q: a nonzero polynomial of degree at
+    most d_v in each v cannot vanish on the whole grid.  Every inequation
+    is nonzero there, so the point lies on the leaf and q is nonzero at it.
+    """
     for ineq in leaf.inequations:
         q = q * ineq.subs(leaf.substitution)
     free = leaf.free_vars
     grid = itertools.product(*(range(q.degree_in(v) + 1) for v in free))
     point = next(p for p in (dict(zip(free, g)) for g in grid) if q.evaluate(p))
     return point | {v: e.evaluate(point) for v, e in leaf.substitution.items()}
+
+
+# -- the solve --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Root:
+    """coeff * unknown^power = value: the torus unknown is a root there."""
+
+    unknown: str
+    coeff: Poly
+    power: int
+    value: Poly
+
+    def subs(self, mapping) -> "Root":
+        return replace(self, coeff=self.coeff.subs(mapping), value=self.value.subs(mapping))
+
+
+@dataclass(frozen=True)
+class OrbitLeaf(StratumCase):
+    """A leaf of the solve: a stratum of x-space where T(a) x = y is
+    solvable iff every constraint E(x, y) vanishes and no N(x, y) in
+    nonzero does.  A pivot (u, Equation({u: c}, v)) solves c * u = v; an
+    unknown neither pivoted nor a root is free (1 if torus, else 0).
+    """
+
+    nonzero: tuple[Poly, ...] = ()
+    roots: tuple[Root, ...] = ()
+
+    @cached_property
+    def name(self) -> str:
+        return "{" + ", ".join([f"{e} = 0" for e in self.equalities]
+                               + [f"{q} != 0" for q in self.inequations]) + "}"
+
+
+@dataclass(frozen=True)
+class FeasibilityReport:
+    feasible: bool
+    detail: str
+
+
+@dataclass(frozen=True)
+class Witness:
+    """Exact parameters, polynomials in root symbols t with t^power = value."""
+
+    params: dict[str, Poly]
+    roots: tuple[Root, ...]
+
+    def verifies(self, template: MatrixTemplate, x, y) -> bool:
+        """T(params) x = y modulo the root relations."""
+        rows = (sum((e * v for e, v in zip(row, x) if v), Poly.zero())
+                for row in template.entries)
+        return not any(_reduce(r.subs(self.params) - w, self.roots) for r, w in zip(rows, y))
+
+
+_ONE = Poly.const(1)
+
+
+@cache
+def _names(prefix: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i + 1}" for i in range(n))
+
+
+def _by_degree(p: Poly, u: str) -> dict[int, Poly]:
+    """{k: p_k} with p the sum of p_k * u^k."""
+    return {dict(mono).get(u, 0): part for mono, part in p.group_by((u,)).items()}
+
+
+def _substitute(p: Poly, u: str, value: Poly, c: Poly) -> Poly:
+    """c^k p at u = value / c, k the degree of p in u."""
+    parts = _by_degree(p, u)
+    return sum((part * value ** k * c ** (max(parts) - k) for k, part in parts.items()),
+               Poly.zero())
+
+
+def _reduce(p: Poly, roots) -> Poly:
+    """p times powers of the coeffs, with each unknown^power replaced by
+    value until p has degree below power in every root unknown."""
+    for r in roots:
+        while (parts := _by_degree(p, r.unknown)) and max(parts) >= r.power:
+            t = Poly.var(r.unknown)
+            p = sum((part * (r.value * t ** (k - r.power) if k >= r.power
+                             else r.coeff * t ** k) for k, part in parts.items()),
+                    Poly.zero())
+    return p
+
+
+def _strip(p: Poly, factors) -> Poly:
+    """The primitive part of p without the factors, each divided out fully."""
+    for f in factors:
+        while p and not p.is_constant() and (q := p.div_exact(f)) is not None:
+            p = q
+    return p.content_primitive()[1]
+
+
+def _fraction(p: Poly, values) -> tuple[Poly, Poly]:
+    """(num, den) with p = num / den at values {u: (num_u, den_u)}."""
+    p, den = p.subs({u: n for u, (n, d) in values.items() if d == _ONE}), _ONE
+    for u, (n, d) in values.items():
+        if d != _ONE and (k := p.degree_in(u)):
+            p, den = _substitute(p, u, n, d), den * d ** k
+    return p, den
+
+
+@dataclass(frozen=True)
+class OrbitSolve:
+    """The recorded solve of T(a) x = y for a template T.
+
+    torus gives each parameter solved for a torus unknown t_k in terms of
+    the unknowns (t_1.. first), equations are the rows of T x - y, and
+    root is the tree of Split nodes over x with OrbitLeaf leaves.
+    """
+
+    template: MatrixTemplate
+    torus: dict[str, Poly]
+    unknowns: tuple[str, ...]
+    equations: tuple[Poly, ...]
+    root: Split | OrbitLeaf
+
+    @cached_property
+    def leaves(self) -> tuple[OrbitLeaf, ...]:
+        return tuple(tree_leaves(self.root))
+
+    def point(self, x, y) -> dict:
+        n = self.template.dim
+        return dict(zip(_names("x", n), x)) | dict(zip(_names("y", n), y))
+
+    def leaf_at(self, point) -> OrbitLeaf:
+        """The leaf holding the point, found by walking the splits by x."""
+        node = self.root
+        while isinstance(node, Split):
+            node = node.children[next((i for i, f in enumerate(node.factors)
+                                       if not f.evaluate(point)), len(node.factors))]
+        return node
+
+    def decide(self, x, y) -> FeasibilityReport:
+        point = self.point(x, y)
+        leaf = self.leaf_at(point)
+        failed = next((f"{e} = 0" for e in leaf.constraints if e.evaluate(point)), None) or (
+            next((f"{q} != 0" for q in leaf.nonzero if not q.evaluate(point)), None))
+        if failed:
+            return FeasibilityReport(False, f"{failed} fails on the leaf {leaf.name}")
+        return FeasibilityReport(True, f"matched on the leaf {leaf.name}")
+
+    def witness(self, x, y) -> Witness | None:
+        """Exact parameters with T x = y, or None when there are none; match
+        checks T(q) x = y modulo the root relations as it builds them."""
+        if not self.decide(x, y).feasible:
+            return None
+        point = self.point(x, y)
+        xy = {v: Poly.const(c) for v, c in point.items()}
+        failure, params, roots = self.match(self.leaf_at(point), xy, ())
+        if failure:
+            raise InternalCheckError(f"a feasible point has no witness: {failure}")
+        roots = tuple(replace(r, coeff=_ONE,
+                              value=r.value * quotient(1, r.coeff.constant_value()))
+                      for r in roots)
+        return Witness({p: _reduce(n * quotient(1, d.constant_value()), roots)
+                        for p, (n, d) in params.items()}, roots)
+
+    def match(self, leaf: OrbitLeaf, xy, allowed):
+        """(failure or None, params, roots): the leaf's back-substitution at xy.
+
+        xy maps each x_i and y_i to a polynomial.  Every condition must
+        vanish there, and every inequation, root coefficient, pivot
+        coefficient and torus value must be a unit times powers of
+        allowed and the root symbols.  The pivots, back-substituted from
+        the last with each root a symbol r with c * r^m = d, give each
+        parameter as (num, den), with the factors of allowed that num and
+        den share cancelled, and every row of T(q) x - y must reduce to 0
+        modulo the root relations.
+        """
+        roots = tuple(r.subs(xy) for r in leaf.roots)
+        rooted = {r.unknown: r for r in roots}
+        allowed = (*allowed, *map(Poly.var, rooted))
+        if bad := next((e for e in leaf.constraints if e.subs(xy)), None):
+            return f"the condition {bad} = 0 fails", None, roots
+        opens = (*leaf.nonzero, *(r.coeff for r in leaf.roots))
+        if bad := next((q for q in opens if not unit_times_powers(q.subs(xy), allowed)), None):
+            return f"{bad} is not a unit times powers of the open conditions", None, roots
+        torus = len(self.template.nonzero)
+        values = {u: (Poly.var(u) if u in rooted else Poly.const(int(k < torus)), _ONE)
+                  for k, u in enumerate(self.unknowns)}
+        for u, eq in reversed(leaf.pivots):
+            ((mono, c),) = eq.coeffs[u].group_by(self.unknowns).items()
+            num, den = _fraction(eq.rhs.subs(xy), values)
+            den = den * c.subs(xy)
+            for t, k in mono:   # 1/t: d/n for t = n/d, t^(m-1) c/d for a root
+                r = rooted.get(t)
+                n, d = (r.value, Poly.var(t) ** (r.power - 1) * r.coeff) if r else values[t]
+                num, den = num * d ** k, den * n ** k
+            if not unit_times_powers(den, allowed) or (
+                    u in self.unknowns[:torus] and not unit_times_powers(num, allowed)):
+                return f"the pivot on {u} is not a unit times powers", None, roots
+            for f in allowed:   # cancel the factors num and den share
+                while not den.is_constant() and (d := den.div_exact(f)) is not None and (
+                        n := num.div_exact(f)) is not None:
+                    num, den = n, d
+            values[u] = ((num * quotient(1, den.constant_value()), _ONE)
+                         if den.is_constant() else (num, den))
+        for e in self.equations:
+            if _reduce(_fraction(e.subs(xy), values)[0], roots):
+                return f"T(q) x = y fails in the row {e}", None, roots
+        return None, {p: _fraction(self.torus.get(p, Poly.var(p)), values)
+                      for p in self.template.params}, roots
+
+
+def member_image(leaf: StratumCase, rows) -> dict:
+    """x under the leaf's substitution, and y = B x for the grid rows of B."""
+    xs, ys = _names("x", len(rows)), _names("y", len(rows))
+    at = {v: Poly.var(v).subs(leaf.substitution) for v in xs}
+    return at | {y: sum((e * at[v] for e, v in zip(row, xs)), Poly.zero())
+                 for y, row in zip(ys, rows)}
+
+
+def member_failure(solve: OrbitSolve, leaf: OrbitLeaf, template: MatrixTemplate):
+    """OrbitSolve.match on the leaf at y = B x, B a symbolic member of
+    template and x the leaf's point under its substitution; the units are
+    the leaf's inequations and the template's open conditions."""
+    xy = member_image(leaf, template.entries)
+    return solve.match(leaf, xy, (*leaf.opens(), *template.nonzero))[0]
+
+
+def solve_parametric(template: MatrixTemplate) -> OrbitSolve:
+    """The solve of T(a) x = y, built anew on each call.
+
+    Each open condition, linear in the parameters, is solved for one of
+    them as a torus unknown t_k; every other parameter must enter
+    linearly.  A pivot is an equation c * u^m + rest with c free of
+    unknowns but for a monomial in the t_k.  Its x-factors split x-space
+    (zero_branches); each y-factor must divide a recorded inequation.  A
+    linear pivot substitutes u = -rest / c (each equation times c^k), and
+    a torus unknown's value -rest joins the inequations.  c * t^m = d with
+    m > 1 records a root relation and d != 0; every equation is reduced by
+    it, so a second power relation on t is Euclid on the exponents.
+
+    Raises StratificationError when the only pivots left have a
+    coefficient that does not split into degree-1 factors, naming it,
+    or when the splits nest deeper than MAX_DEPTH.
+    """
+    torus, sub = [], {}
+    try:
+        for condition in template.nonzero:
+            c, t = condition.subs(sub), Poly.var(f"t{len(torus) + 1}")
+            v = max(v for v in c.variables() if v in template.params)
+            coeff, rest = c.coeff_split(v)
+            value = (t - rest) * quotient(1, coeff.constant_value())
+            sub = {p: e.subs({v: value}) for p, e in sub.items()} | {v: value}
+            torus.append(str(t))
+        others = tuple(p for p in template.params if p not in sub)
+        grid = [[e.subs(sub) for e in row] for row in template.entries]
+        for entry in (e for row in grid for e in row):
+            entry.linear_decompose(others)
+    except ValueError as exc:
+        raise UnsupportedError(f"the template has no torus form: {exc}") from None
+    xs, ys = _names("x", template.dim), _names("y", template.dim)
+    equations = tuple(sum((e * Poly.var(x) for e, x in zip(row, xs)), Poly.zero())
+                      - Poly.var(y) for row, y in zip(grid, ys))
+    solver = _Solver(tuple(torus), (*torus, *others), xs, frozenset(ys))
+    return OrbitSolve(template, sub, solver.unknowns, equations,
+                      solver.explore(list(equations), OrbitLeaf(), 0))
+
+
+class _Solver:
+    """The steps of solve_parametric."""
+
+    def __init__(self, torus, unknowns, xs, ys):
+        self.torus, self.unknowns, self.xs, self.ys = torus, unknowns, xs, ys
+
+    def explore(self, eqs, node: OrbitLeaf, depth: int):
+        """The tree below a node: a leaf, or the next pivot's splits; depth
+        counts the splits on new factors above it."""
+        eqs = [e for e in (_strip(e, (*node.opens(), *map(Poly.var, self.torus)))
+                           for e in eqs) if e]
+        steps, unsplit = self.pivots(eqs, node)
+        if not steps:
+            if live := [e for e in eqs if set(e.variables()) & set(self.unknowns)]:
+                if unsplit is not None:
+                    raise unsplit
+                raise UnsupportedError(f"the solve leaves {live[0]} = 0 "
+                                       f"unsolved on {node.name}")
+            return replace(node, constraints=tuple(dict.fromkeys(eqs)), free_vars=tuple(
+                v for v in self.xs if v not in node.substitution))
+        (_, _, m, i, u), new, c, rest = min(steps, key=lambda s: s[0])
+        if new and depth >= MAX_DEPTH:
+            raise StratificationError(f"case split depth exceeded {MAX_DEPTH}")
+        depth += bool(new)
+        # the zero branches first: their equations are smaller than the
+        # generic branch's, so a pivot that does not split is met sooner
+        children = tuple(
+            None if branch is None else self.explore(
+                [e.subs(branch[0]) for e in eqs],
+                replace(branch[1], nonzero=tuple(q.subs(branch[0]) for q in node.nonzero),
+                        roots=tuple(r.subs(branch[0]) for r in node.roots)), depth)
+            for branch in zero_branches(new, node))
+        generic = self.explore(*self.apply(
+            eqs, replace(node, inequations=node.inequations + new), i, u, m, c, rest), depth)
+        return Split(new, None, (*children, generic)) if new else generic
+
+    def pivots(self, eqs, node):
+        """(steps, unsplit): (key, new x-factors, c, rest) for each pivot
+        c * u^m + rest, and the StratificationError of the last coefficient
+        that does not split into degree-1 factors, or None.  The key
+        prefers the fewest new factors, torus unknowns, low powers, then
+        the earliest equation."""
+        opens, steps, unsplit = node.opens(), [], None
+        for i, e in enumerate(eqs):
+            for u in (u for u in self.unknowns if e.degree_in(u)):
+                m = e.degree_in(u)
+                c = _by_degree(e, u)[m]
+                rest = e - c * Poly.var(u) ** m
+                (mono, cxy), *more = c.group_by(self.unknowns).items()
+                if more or any(v not in self.torus for v, _ in mono) or (
+                        m > 1 and (mono or u not in self.torus)) or (
+                        u in self.torus and set(rest.variables()) & set(self.unknowns)):
+                    continue
+                try:
+                    factors = dict.fromkeys(linear_factors(cxy)[1])
+                except StratificationError as exc:
+                    unsplit = exc
+                    continue
+                ys = [f for f in factors if self.ys.intersection(f.variables())]
+                if all(any(q.div_exact(f) is not None for q in node.nonzero) for f in ys):
+                    new = tuple(f for f in factors if f not in ys and f not in opens)
+                    steps.append(((len(new), u not in self.torus, m, i, u), new, c, rest))
+        return steps, unsplit
+
+    def apply(self, eqs, node, i, u, m, c, rest):
+        """The equations and the node once eqs[i] = c * u^m + rest is solved."""
+        eqs, roots = eqs[:i] + eqs[i + 1:], {r.unknown: r for r in node.roots}
+        if m == 1:
+            if old := roots.pop(u, None):
+                eqs.append(old.coeff * (-rest) ** old.power - old.value * c ** old.power)
+            eqs = [_substitute(e, u, -rest, c) for e in eqs]
+            node = replace(node, pivots=node.pivots + ((u, Equation({u: c}, -rest)),))
+        else:
+            if old := roots.get(u):
+                eqs.append(old.coeff * Poly.var(u) ** old.power - old.value)
+            roots[u] = Root(u, c, m, -rest)
+        nonzero = node.nonzero + ((_strip(-rest, node.opens()),) if u in self.torus else ())
+        roots = tuple(roots.values())
+        return [_reduce(e, roots) for e in eqs], replace(node, nonzero=nonzero, roots=roots)

@@ -196,6 +196,18 @@ def template_space_equals(template: MatrixTemplate, basis) -> bool:
     return span == other
 
 
+def span_template(dim: int, basis, prefix: str) -> MatrixTemplate:
+    """The linear template sum_k p_k M_k over the matrices M_k of basis,
+    with parameters p_k named prefix + k (from 1) and no open conditions."""
+    params = tuple(f"{prefix}{k + 1}" for k in range(len(basis)))
+    entries = tuple(
+        tuple(sum((Poly.var(p) * m.rows[i][j] for p, m in zip(params, basis)),
+                  Poly.zero()) for j in range(dim))
+        for i in range(dim)
+    )
+    return MatrixTemplate(dim, params, entries)
+
+
 # -- group closure, proved on symbolic members --------------------------------
 
 

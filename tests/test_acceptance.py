@@ -8,12 +8,14 @@ CLI subcommand.
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from locsym import StratificationError, acceptance, local_automorphisms
+from locsym import StratificationError, acceptance, local_automorphisms, templates
 from locsym.acceptance import CRITERIA, builtin_spaces, run_suite
 from locsym.cli import main
+from locsym.poly import poly
 
 TITLES = [
     "01-structure-diagnostics",
@@ -144,6 +146,21 @@ def test_a_failed_solve_fails_every_criterion(monkeypatch):
     assert {r.detail for r in crashed} == {
         "raised StratificationError: pivot does not split"
     }
+
+
+def test_a_changed_locder_template_fails_criterion_3(monkeypatch, spaces):
+    # criterion 3 compares the solved space with the closed form, so a
+    # wrong entry in the form (pi3's b22 = 2 b11 made 3 b11) must show
+    pi3 = spaces["pi3"].algebra
+    forms = templates.closed_forms(pi3)
+    rows = [list(row) for row in forms.local_derivation.entries]
+    rows[1][1] = poly("3*b11")
+    monkeypatch.setitem(templates._CLOSED_FORMS, pi3.structure, replace(
+        forms, local_derivation=replace(forms.local_derivation,
+                                        entries=tuple(map(tuple, rows)))))
+    result = acceptance.criterion_3(spaces, 0)
+    assert not result.passed
+    assert result.detail == "LocDer(pi3) differs from its closed-form template"
 
 
 def test_a_passing_criterion_file_does_not_reproduce(tmp_path, capsys):

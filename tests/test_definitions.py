@@ -1,0 +1,61 @@
+"""Every module-level def and class of the package is named somewhere else.
+
+An AST scan over src/locsym, tests and perfbench: a name counts as used
+when a top-level statement other than its own definition loads it (as a
+name or an attribute), imports it, or holds it as a dotted part of a
+string constant such as "Matrix.__mul__" (perfbench/tracer.py lists its
+layers by name).  A helper orphaned by a deletion fails the scan.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "locsym").glob("*.py"))
+OTHERS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def named(node) -> set[str]:
+    """The names a statement refers to."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.split(".")[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and (
+                re.fullmatch(r"[\w.]+", sub.value)):
+            names.update(sub.value.split("."))
+    return names
+
+
+def dead_definitions(package: dict[str, str], others: list[str]) -> list[str]:
+    """'file: name' for each module-level def or class of the package
+    sources that no other top-level statement of any source names."""
+    counts, definitions = Counter(), []
+    for label, source in [*package.items(), *(("", s) for s in others)]:
+        for statement in ast.parse(source).body:
+            refs = named(statement)
+            counts.update(refs)
+            if label and isinstance(statement, DEFINITIONS):
+                definitions.append((label, statement.name, statement.name in refs))
+    return sorted(f"{label}: {name}" for label, name, own in definitions
+                  if counts[name] - own == 0)
+
+
+def test_the_scan_finds_a_dead_definition():
+    source = "def a():\n    b()\n\ndef b():\n    pass\n\ndef c():\n    c()\n"
+    assert dead_definitions({"m.py": source}, ["LAYERS = ('m', 'Klass.run')\n"]) == [
+        "m.py: a", "m.py: c"]
+    assert dead_definitions({"m.py": "class a:\n    pass\n"}, ["LAYERS = ('m', 'a')\n"]) == []
+
+
+def test_every_definition_is_named_elsewhere():
+    package = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    others = [path.read_text(encoding="utf-8") for path in OTHERS]
+    assert dead_definitions(package, others) == []

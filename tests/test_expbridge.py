@@ -383,6 +383,18 @@ FAULTS = {
         "pi3", "local_automorphism",
         lambda forms: forms.local_automorphism[1:],
         "exp(T) leaves the + template at (3,3): its deviation is 2*E_b11^3"),
+    # templates symbolic_exp refuses fail criterion 8 instead of crashing it
+    "pi2-locder-b55-is-b22-b52": (
+        "pi2", "local_derivation",
+        lambda forms: edited(forms.local_derivation, (5, 5), "b22 - b52"),
+        "exp(T) of the LocDer template is not written exactly: the diagonal entry "
+        "(5,5) = b22 - b52 is not a nonnegative integer combination of parameters"),
+    "pi2-locder-b12-is-b22": (
+        "pi2", "local_derivation",
+        lambda forms: edited(forms.local_derivation, (1, 2), "b22"),
+        "exp(T) of the LocDer template is not written exactly: the template is "
+        "lower-triangular in no order of the basis: the entries (2,1) = b21, "
+        "(1,2) = b22 close a cycle"),
 }
 
 

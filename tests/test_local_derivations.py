@@ -20,10 +20,10 @@ from locsym import (
 )
 from locsym.cli import _verify_counterexample
 from locsym.linalg import operator_to_payload
-from locsym.local_derivations import refuting_point
-from locsym.poly import linear_factors
+from locsym.local_derivations import output_symbols, refuting_point
+from locsym.poly import linear_factors, poly
 from locsym.rationals import format_rational
-from locsym.stratify import leaf_refutation
+from locsym.stratify import grid_point, member_image
 from locsym.templates import LOCAL_DERIVATION_FORM_PI2, LOCAL_DERIVATION_FORM_PI3
 
 
@@ -115,24 +115,30 @@ def test_membership_checker_agrees_with_the_solve(der2, loc2, der3, loc3):
 
 # -- deterministic refutation of non-members ------------------------------------
 
-@pytest.mark.parametrize("name, count", [("pi2", 40), ("pi3", 50)])
+@pytest.mark.parametrize("name, count", [("pi2", 20), ("pi3", 16)])
 def test_every_leaf_constraint_is_refuted_from_its_own_leaf(
     name, count, loc2, loc3
 ):
-    tree = {"pi2": loc2, "pi3": loc3}[name].case_tree
-    symbols = tree.system.rhs_symbols
+    solve = {"pi2": loc2, "pi3": loc3}[name].solve
+    symbols = output_symbols(5)
+    generic = [[poly(s) for s in symbols[5 * i:5 * i + 5]] for i in range(5)]
     refuted = 0
-    for leaf in tree.leaves:
-        for constraint in leaf.constraints:
-            # the unit operator on a symbol the constraint reads breaks it
-            symbol = next(s for s in symbols if constraint.degree_in(s))
-            b = tuple(int(s == symbol) for s in symbols)
-            point = leaf_refutation(tree.system, leaf, b)
-            assert point is not None and leaf.contains(point)
+    for leaf in solve.leaves:
+        for condition in leaf.constraints:
+            # the unit operator on a symbol the condition reads at y = B x
+            # breaks it; a condition that reads none (on the leaf x = 0,
+            # B x = 0 for every B) holds for every operator
+            read = condition.subs(member_image(leaf, generic))
+            if not read:
+                continue
+            symbol = next(s for s in symbols if read.degree_in(s))
+            op = Matrix.from_vec([int(s == symbol) for s in symbols], 5)
+            point = grid_point(leaf, condition.subs(member_image(leaf, op.rows)))
+            assert leaf.contains(point)
             reproduced, _ = _verify_counterexample({
                 "kind": "pointwise", "algebra": name,
-                "matrix": operator_to_payload(Matrix.from_vec(b, 5)),
-                "point": [format_rational(point[v]) for v in tree.system.nu_vars],
+                "matrix": operator_to_payload(op),
+                "point": [format_rational(point[f"x{k + 1}"]) for k in range(5)],
             }, tol=0.0)
             assert reproduced
             refuted += 1
@@ -183,10 +189,13 @@ def test_random_local_members_pass_pointwise_probes(der3, loc3):
 
 # -- refusal instead of an approximate space ------------------------------------
 
-# The pivot of the dense copy's case split that linear_factors cannot
-# split.  Over Q it is (2 n1 + 37 n5)^3, but _peel_linear only peels a
-# factor off a variable of degree 1 or 2, and here both have degree 3.
-DENSE_PI3_PIVOT = "8*n1^3 + 444*n1^2*n5 + 8214*n1*n5^2 + 50653*n5^3"
+# The pivot of the dense copy's Der solve that linear_factors cannot
+# split.  Over Q it is (285 x1 - 99 x2 + 125 x3)^3, but _peel_linear only
+# peels a factor off a variable of degree 1 or 2, and here all have
+# degree 3 (ROADMAP item 1, step 1).
+DENSE_PI3_PIVOT = ("23149125*x1^3 - 24123825*x1^2*x2 + 30459375*x1^2*x3 + 8379855*x1*x2^2"
+                   " - 21161250*x1*x2*x3 + 13359375*x1*x3^2 - 970299*x2^3 + 3675375*x2^2*x3"
+                   " - 4640625*x2*x3^2 + 1953125*x3^3")
 
 
 def test_a_pivot_that_does_not_split_is_refused(dense_pi3):

@@ -23,9 +23,9 @@ from locsym import (
 )
 from locsym.cli import main
 from locsym.linalg import operator_from_payload, operator_to_payload
-from locsym.local_automorphisms import OrbitLeaf, _Solver, forward_failure, member_failure, orbit_solve
+from locsym.local_automorphisms import forward_failure, orbit_solve
 from locsym.poly import poly
-from locsym.stratify import Equation
+from locsym.stratify import Equation, OrbitLeaf, _Solver, member_failure
 from locsym.templates import AUTOMORPHISM_FORM_PI2, LOCAL_AUTOMORPHISM_FORM_PI2
 
 # name: (algebra, 1-based position, new entry, open conditions or None)
@@ -138,8 +138,8 @@ def test_a_y_factor_must_divide_a_recorded_inequation():
     # c = x1 * y2 divides by y2 only once y2 != 0 is recorded
     solver = _Solver(("t1",), ("t1",), ("x1",), frozenset({"y1", "y2"}))
     equation = poly("t1*x1*y2 - y1")
-    assert list(solver.pivots([equation], OrbitLeaf())) == []
-    pivots = solver.pivots([equation], OrbitLeaf(nonzero=(poly("y2"),)))
+    assert solver.pivots([equation], OrbitLeaf()) == ([], None)
+    pivots, _ = solver.pivots([equation], OrbitLeaf(nonzero=(poly("y2"),)))
     assert [(key[-1], new) for key, new, *_ in pivots] == [("t1", (poly("x1"),))]
 
 

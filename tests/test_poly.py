@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locsym.poly import Poly, linear_factors, poly, solve_linear
+from locsym.poly import Poly, linear_factors, poly, solve_linear, unit_times_powers
 
 X, Y, Z = sympy.symbols("x y z")
 SYMS = {"x": X, "y": Y, "z": Z}
@@ -213,6 +213,22 @@ def test_div_exact():
     assert num.div_exact(poly("x + 1")) is None
 
 
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), polys())
+def test_div_exact_agrees_with_sympy(a, b, c):
+    # b * c divided by c gives b back; any other quotient is exact or None
+    # exactly when sympy's remainder is 0 (one-variable long division where
+    # c has a constant leading coefficient in some variable, term by term
+    # otherwise, as for x*y)
+    for divisor in (c, c * poly("x*y")):
+        if divisor:
+            assert (b * divisor).div_exact(divisor) == b
+            quot, rem = sympy.div(to_sympy(a), to_sympy(divisor), X, Y, Z)
+            result = a.div_exact(divisor)
+            assert (result is None) == (rem != 0)
+            assert result is None or to_sympy(result) == sympy.expand(quot)
+
+
 def test_sqrt_exact():
     assert poly("x^2 + 2*x*y + y^2").sqrt_exact() == poly("x + y")
     assert poly("x^2 + 1").sqrt_exact() is None
@@ -269,3 +285,33 @@ def test_linear_factors():
         rebuilt = rebuilt * f
     assert rebuilt == poly("2*x^2 - 2*y^2")
     assert all(f.total_degree() == 1 for f in factors)
+
+
+# Distinct primitive irreducible polynomials, none a unit times another:
+# the kind of factors unit_times_powers peels in the proofs (inequations
+# and open conditions).
+IRREDUCIBLE = tuple(map(poly, (
+    "x", "y", "z", "x + y", "x - 2*y + z", "y + 3*z", "x^2 + y^2 + 1", "x*y + z",
+)))
+
+
+def primitive(p: Poly) -> Poly:
+    return p.content_primitive()[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(IRREDUCIBLE), max_size=4, unique=True),
+       st.lists(st.tuples(st.sampled_from(IRREDUCIBLE), st.integers(1, 3)), max_size=4),
+       st.one_of(st.none(), polys()), COEFFS)
+def test_unit_times_powers_agrees_with_factor_list(allowed, powers, other, unit):
+    # p = unit * prod f^k (* other): a unit times powers of allowed iff
+    # every irreducible factor sympy finds is one of allowed, up to a unit
+    p = Poly.const(unit)
+    for f, k in powers:
+        p = p * f ** k
+    if other is not None:
+        p = p * other
+    _, factors = sympy.factor_list(to_sympy(p))
+    readings = {primitive(poly(str(g).replace("**", "^"))) for g, _ in factors}
+    expected = bool(p) and readings <= {primitive(f) for f in allowed}
+    assert unit_times_powers(p, allowed) == expected

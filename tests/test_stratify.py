@@ -1,9 +1,10 @@
-"""Parametric linear solving with exact case splits on vanishing pivots.
+"""Stratified solving of parametric templates with exact case splits.
 
-A hand-built one-equation system pins the expected two-leaf tree; the
-localization system of the derivation engine exercises the full path.
-The coverage walk is checked on every recorded tree and on mutated
-trees, and the per-leaf certificate on both systems and on mutated leaves.
+Hand-built one- and two-parameter templates pin the expected trees and
+refusals; the Der templates of the builtins exercise the full path.  The
+coverage walk is checked on every recorded tree and on mutated trees,
+and the per-leaf proof (member_failure) on the Der solves and on
+mutated leaves.
 """
 
 import dataclasses
@@ -12,9 +13,9 @@ from fractions import Fraction
 import pytest
 
 from locsym import (
-    CaseTree,
     InternalCheckError,
-    ParametricSystem,
+    Matrix,
+    MatrixTemplate,
     StratificationError,
     StratumCase,
     local_derivation_space,
@@ -23,101 +24,95 @@ from locsym import (
 from locsym import automorphisms, local_derivations, stratify, verify_family
 from locsym.poly import Poly, poly
 from locsym.stratify import (
-    Equation,
     Split,
-    certificate_failure,
     coverage_failure,
-    leaf_refutation,
+    grid_point,
+    member_failure,
+    member_image,
 )
+from locsym.templates import span_template
 
 
-def scalar_system(coeff_text):
-    return ParametricSystem(
-        unknowns=("u",),
-        nu_vars=("n",),
-        rhs_symbols=("b",),
-        equations=(Equation(coeffs={"u": poly(coeff_text)}, rhs=poly("b")),),
-    )
+def template(*rows):
+    """The linear template with the given rows of entries, no open conditions."""
+    grid = tuple(tuple(map(poly, row)) for row in rows)
+    params = tuple(sorted({v for row in grid for e in row for v in e.variables()}))
+    return MatrixTemplate(len(rows), params, grid)
 
 
-# -- the canonical pivot split: n*u = b --------------------------------------
+def constant(*rows):
+    return MatrixTemplate(len(rows), (), tuple(tuple(map(poly, row)) for row in rows))
+
+
+SCALAR = template(["a"])                 # a x1 = y1
+FIRST = template(["a", "0"], ["0", "0"])  # a x1 = y1, 0 = y2
+
+
+def special_and_generic(solve):
+    return (next(l for l in solve.leaves if l.equalities),
+            next(l for l in solve.leaves if not l.equalities))
+
+
+# -- the canonical pivot split: a x1 = y1 ------------------------------------
 
 def test_single_pivot_splits_into_two_leaves():
-    tree = solve_parametric(scalar_system("n"))
-    assert len(tree.leaves) == 2
-    signatures = {leaf.signature() for leaf in tree.leaves}
-    generic = next(l for l in tree.leaves if not l.equalities)
-    special = next(l for l in tree.leaves if l.equalities)
-    assert generic.inequations and str(generic.inequations[0]) == "n"
+    solve = solve_parametric(SCALAR)
+    assert len(solve.leaves) == 2
+    special, generic = special_and_generic(solve)
+    assert [str(q) for q in generic.inequations] == ["x1"]
     assert not generic.constraints
-    # on n = 0 the equation forces b = 0
-    assert [str(c) for c in special.constraints] == ["b"]
-    assert len(signatures) == 2
+    # on x1 = 0 the equation forces y1 = 0
+    assert [str(c) for c in special.constraints] == ["y1"]
+    assert len({leaf.signature() for leaf in solve.leaves}) == 2
 
 
 def test_leaf_membership_partitions_parameter_line():
-    tree = solve_parametric(scalar_system("n"))
+    solve = solve_parametric(SCALAR)
     for value in (-3, 0, 1, 7):
-        point = {"n": Fraction(value)}
-        hits = [leaf for leaf in tree.leaves if leaf.contains(point)]
-        assert len(hits) == 1
-
-
-def test_solution_space_aggregates_constraints():
-    tree = solve_parametric(scalar_system("n"))
-    # b must vanish on the n = 0 stratum, so globally solvable b form a point
-    assert tree.solution_space().dim == 0
-    free = solve_parametric(scalar_system("2"))
-    # constant pivot: one leaf, always solvable, no constraints on b
-    assert len(free.leaves) == 1
-    assert free.solution_space().dim == 1
+        point = {"x1": Fraction(value)}
+        assert len([leaf for leaf in solve.leaves if leaf.contains(point)]) == 1
 
 
 def test_a_broken_leaf_gives_a_point_of_that_leaf():
-    tree = solve_parametric(scalar_system("n"))
-    special = next(l for l in tree.leaves if l.equalities)
-    generic = next(l for l in tree.leaves if not l.equalities)
-    # b = 1 breaks only the n = 0 leaf, whose one point is n = 0
-    assert leaf_refutation(tree.system, special, (1,)) == {"n": 0}
-    assert leaf_refutation(tree.system, generic, (1,)) is None
-    assert leaf_refutation(tree.system, special, (0,)) is None
+    special, generic = special_and_generic(solve_parametric(FIRST))
+    e12 = ((0, 1), (0, 0))
+    # B = E12 gives y1 = x2, which breaks the condition y1 = 0 of x1 = 0 only
+    (broken,) = [q for e in special.constraints if (q := e.subs(member_image(special, e12)))]
+    assert grid_point(special, broken) == {"x1": 0, "x2": 1}
+    assert not any(e.subs(member_image(generic, e12)) for e in generic.constraints)
 
 
-# -- cascaded elimination -------------------------------------------------------
-
-def test_constant_pivot_elimination_then_split():
-    system = ParametricSystem(
-        unknowns=("u1", "u2"),
-        nu_vars=("n",),
-        rhs_symbols=("b1", "b2"),
-        equations=(
-            Equation(coeffs={"u1": poly("n"), "u2": poly("1")}, rhs=poly("b1")),
-            Equation(coeffs={"u1": Poly.zero(), "u2": poly("1")}, rhs=poly("b2")),
-        ),
-    )
-    tree = solve_parametric(system)
-    assert len(tree.leaves) == 2
-    special = next(l for l in tree.leaves if l.equalities)
-    assert [str(c) for c in special.constraints] == ["b1 - b2"]
-    assert tree.solution_space().dim == 1
+def test_solution_space_aggregates_constraints():
+    # x1 = 0 forces b12 = 0, both leaves force b21 = b22 = 0: only E11 is local
+    solve = solve_parametric(FIRST)
+    assert local_derivations._solution_basis(solve) == (Matrix([[1, 0], [0, 0]]),)
+    assert local_derivations._solution_basis(solve_parametric(SCALAR)) == (Matrix([[1]]),)
 
 
 def test_unsplittable_pivot_is_refused():
-    with pytest.raises(StratificationError):
-        solve_parametric(scalar_system("n^2 + n + 1"))
+    # after a = (y1 - b x2) / x1 the second row's pivot on b is
+    # -(x1^2 - x1 x2 + x2^2), irreducible over Q
+    with pytest.raises(StratificationError) as info:
+        solve_parametric(template(["a", "b"], ["-b", "a + b"]))
+    assert str(info.value.offending) == "x1^2 - x1*x2 + x2^2"
+    assert "x1^2 - x1*x2 + x2^2" in str(info.value)
 
 
 def test_depth_budget_is_enforced(monkeypatch):
     monkeypatch.setattr(stratify, "MAX_DEPTH", 0)
-    with pytest.raises(StratificationError):
-        solve_parametric(scalar_system("n"))
+    with pytest.raises(StratificationError, match="depth exceeded 0"):
+        solve_parametric(SCALAR)
 
 
-# -- the real localization system --------------------------------------------------
+# -- the coverage walk --------------------------------------------------------------
+
+def der_solves(loc2, loc3, adapted_spaces):
+    return [s.solve for s in (loc2, loc3, *adapted_spaces)]
+
 
 def test_every_tree_covers_its_space(loc2, loc3, adapted_spaces, aut_trees):
-    trees = [s.case_tree.root for s in (loc2, loc3, *adapted_spaces)]
-    for root in (*trees, *aut_trees, solve_parametric(scalar_system("n")).root):
+    roots = [s.root for s in der_solves(loc2, loc3, adapted_spaces)]
+    for root in (*roots, *aut_trees, solve_parametric(SCALAR).root):
         assert coverage_failure(root) is None
 
 
@@ -160,8 +155,7 @@ def mutated_trees(root):
 def test_every_mutated_tree_fails_the_coverage_walk(loc2, loc3, adapted_spaces,
                                                      aut_trees):
     kinds = set()
-    for root in (*(s.case_tree.root for s in (loc2, loc3, *adapted_spaces)),
-                 *aut_trees):
+    for root in (*(s.root for s in der_solves(loc2, loc3, adapted_spaces)), *aut_trees):
         for kind, mutant in mutated_trees(root):
             kinds.add(kind)
             assert coverage_failure(mutant) is not None, kind
@@ -171,14 +165,14 @@ def test_every_mutated_tree_fails_the_coverage_walk(loc2, loc3, adapted_spaces,
 
 def test_a_tree_without_a_leaf_is_refused(monkeypatch, pi2, loc2):
     # some pi2 leaf, dropped, gives a space of the wrong dimension, which
-    # every remaining leaf's certificate accepts
-    root, dims = loc2.case_tree.root, set()
-    for path, node in nodes(root):
+    # every remaining leaf's proof accepts
+    solve, dims = loc2.solve, set()
+    for path, node in nodes(solve.root):
         if isinstance(node, StratumCase):
-            tree = CaseTree(loc2.case_tree.system, edit(root, path, lambda n: None))
-            dims.add(tree.solution_space().dim)
+            dropped = dataclasses.replace(solve, root=edit(solve.root, path, lambda n: None))
+            dims.add(len(local_derivations._solution_basis(dropped)))
             monkeypatch.setattr(local_derivations, "solve_parametric",
-                                lambda system: tree)
+                                lambda template: dropped)
             with pytest.raises(InternalCheckError, match="coverage"):
                 local_derivation_space(pi2)
     assert dims - {loc2.dim}
@@ -199,40 +193,42 @@ def test_an_automorphism_split_without_a_leaf_is_refused(monkeypatch, aut_trees,
             assert not report.ok and "does not cover" in report.detail
 
 
-# -- the per-leaf certificate -------------------------------------------------------
+# -- the per-leaf proof ---------------------------------------------------------------
 
-def certified(tree, vectors):
-    return all(
-        certificate_failure(tree.system, leaf, vectors) is None
-        for leaf in tree.leaves
-    )
+def proved(solve, member):
+    return all(member_failure(solve, leaf, member) is None for leaf in solve.leaves)
 
 
 def test_certificate_pins_the_special_leaf():
-    # on n = 0 the equation 0*u = b is solvable only for b = 0
-    tree = solve_parametric(scalar_system("n"))
-    special = next(l for l in tree.leaves if l.equalities)
-    generic = next(l for l in tree.leaves if not l.equalities)
-    assert certificate_failure(tree.system, special, [(3,)]) is not None
-    assert certificate_failure(tree.system, special, [(0,)]) is None
-    # off n = 0, u = b/n solves it for every b
-    assert certificate_failure(tree.system, generic, [(3,)]) is None
+    # on x1 = 0 the first row 0 = y1 holds only for B with y1 = b12 x2 = 0
+    solve = solve_parametric(FIRST)
+    special, generic = special_and_generic(solve)
+    e12 = constant(["0", "1"], ["0", "0"])
+    assert member_failure(solve, special, e12) == "the condition y1 = 0 fails"
+    assert member_failure(solve, special, constant(["3", "0"], ["0", "0"])) is None
+    # off x1 = 0, a = x2 / x1 solves it
+    assert member_failure(solve, generic, e12) is None
+
+
+def span(space):
+    return span_template(space.algebra.dim, space.basis, "c")
 
 
 def test_builtin_spaces_are_certified(loc2, loc3):
     for space in (loc2, loc3):
-        assert certified(space.case_tree, [m.vec() for m in space.basis])
+        assert proved(space.solve, span(space))
 
 
 def test_adapted_copies_are_certified(adapted_spaces):
     assert [space.dim for space in adapted_spaces] == [11, 7]
+    assert [len(space.solve.leaves) for space in adapted_spaces] == [11, 8]
     for space in adapted_spaces:
-        assert certified(space.case_tree, [m.vec() for m in space.basis])
+        assert proved(space.solve, span(space))
 
 
-def mutated_leaves(tree):
+def mutated_leaves(solve):
     """Every leaf with one substitution term or entry, or one pivot, dropped."""
-    for leaf in tree.leaves:
+    for leaf in solve.leaves:
         for var, expr in leaf.substitution.items():
             for mono in expr.terms:
                 terms = {m: c for m, c in expr.terms.items() if m != mono}
@@ -250,15 +246,32 @@ def mutated_leaves(tree):
 def test_every_mutated_leaf_fails_the_certificate(loc2, loc3, adapted_spaces):
     dropped = set()
     for space in (loc2, loc3, *adapted_spaces):
-        vectors = [m.vec() for m in space.basis]
-        for kind, mutant in mutated_leaves(space.case_tree):
+        for kind, mutant in mutated_leaves(space.solve):
             dropped.add(kind)
-            failure = certificate_failure(space.case_tree.system, mutant, vectors)
-            assert failure is not None, (kind, mutant.signature())
+            failure = member_failure(space.solve, mutant, span(space))
+            assert failure is not None, (kind, mutant.name)
     assert dropped == {"substitution term", "substitution entry", "pivot"}
 
 
+def test_every_dropped_inequation_fails_the_pivot_unit_check(loc2, loc3):
+    # on the builtins every inequation is a factor some pivot divides by;
+    # on the adapted copies a few only separate strata (f_0 != 0 on the
+    # child f_1 = 0), and dropping one of those leaves a true statement
+    count = 0
+    for space in (loc2, loc3):
+        for leaf in space.solve.leaves:
+            for k in range(len(leaf.inequations)):
+                mutant = dataclasses.replace(
+                    leaf, inequations=leaf.inequations[:k] + leaf.inequations[k + 1:])
+                failure = member_failure(space.solve, mutant, span(space))
+                assert failure is not None and failure.startswith("the pivot on "), (
+                    leaf.name, k)
+                assert failure.endswith(" is not a unit times powers")
+                count += 1
+    assert count == 20
+
+
 def test_a_non_member_fails_the_certificate(loc2):
-    e12 = [0] * 25
-    e12[1] = 1  # E12 on pi2 is not a local derivation
-    assert not certified(loc2.case_tree, [e12])
+    e12 = constant(*[["1" if (i, j) == (0, 1) else "0" for j in range(5)]
+                     for i in range(5)])
+    assert not proved(loc2.solve, e12)

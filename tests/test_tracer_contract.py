@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 import locsym
-from locsym.local_derivations import localization_system
 from locsym.stratify import StratumCase, solve_parametric
+from locsym.templates import span_template
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -52,6 +52,6 @@ def test_the_solve_workload_keywords_are_accepted(pi3):
 
 def test_the_leaves_counter_reads_a_tuple_of_leaves(der3):
     # the tracer's stratify.solve_parametric.leaves adds len(result.leaves)
-    leaves = solve_parametric(localization_system(der3)).leaves
+    leaves = solve_parametric(span_template(5, der3.basis, "a")).leaves
     assert isinstance(leaves, tuple) and len(leaves) == 7
     assert all(isinstance(leaf, StratumCase) for leaf in leaves)
