@@ -491,19 +491,16 @@ def _cmd_locaut_check(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_locaut_verify(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
-    pattern = locaut_pattern(algebra)
-    trials = args.trials or 200
-    report = verify_pattern(pattern, trials=trials, seed=args.seed)
+    report = verify_pattern(locaut_pattern(algebra))
     payload = {
         "algebra": algebra.name,
-        "trials": trials,
         "ok": report.ok,
-        "proof": report.proof,
-        "detail": report.detail,
+        "forward": report.forward,
+        "reverse": report.reverse,
     }
-    lines = [f"pattern verification: {report.ok}", f"forward proof: {report.proof}"]
-    if report.trials:
-        lines.append(f"reverse stream ({trials} sampled violations): {report.detail}")
+    lines = [f"pattern verification: {report.ok}", f"forward proof: {report.forward}"]
+    if report.reverse is not None:
+        lines.append(f"reverse proof: {report.reverse}")
     if not report.ok:
         if report.counterexample is not None:
             matrix, point = report.counterexample
@@ -803,7 +800,7 @@ def _build_parser() -> argparse.ArgumentParser:
     locaut_check = locaut_sub.add_parser("check", parents=[shared])
     locaut_check.add_argument("--matrix", required=True, help="operator file")
     locaut_check.set_defaults(handler=_cmd_locaut_check)
-    locaut_sub.add_parser("verify", parents=[sampled]).set_defaults(
+    locaut_sub.add_parser("verify", parents=[shared]).set_defaults(
         handler=_cmd_locaut_verify
     )
     locaut_witness = locaut_sub.add_parser("witness", parents=[sampled])

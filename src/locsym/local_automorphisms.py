@@ -11,33 +11,45 @@ gives LocDer from the Der template (local_derivations).
 The closed local-automorphism patterns (shape, entry relations and
 nonvanishing conditions) are the templates that templates.closed_forms
 finds for the algebra, wrapped as LocAutPattern objects.  Membership
-checks use MatrixTemplate.read.  verify_pattern proves on every leaf of
-the solve that every member matches an automorphism at every x over C
-(stratify.member_failure), and refutes sampled single-constraint
-violations; group closure is proved from symbolic products
-(templates.closure_failure).
+checks use MatrixTemplate.read.  verify_pattern proves both halves over
+C from the same solve: every member matches an automorphism at every x,
+on every leaf (forward_failure, stratify.member_failure), and every
+local automorphism is a member, from the relations the leaf conditions
+put on B and their recorded split (reverse_failure, relation_split).
+Group closure is proved from symbolic products (templates.closure_failure).
 """
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 from .algebra import Algebra
-from .errors import InputError
+from .errors import InputError, StratificationError
 from .linalg import Matrix, vector
-from .local_derivations import support_patterns
+from .local_derivations import (
+    generic_operator,
+    leaf_relations,
+    output_symbols,
+    support_patterns,
+)
 from .poly import Poly
-from .rationals import quotient
 from .stratify import (
     FeasibilityReport,
     OrbitLeaf,
     OrbitSolve,
+    Split,
+    StratumCase,
     Witness,
     coverage_failure,
     grid_point,
     member_failure,
+    member_image,
+    relation_factors,
     solve_parametric,
+    tree_leaves,
+    zero_branches,
 )
 from .templates import (
     MatrixTemplate,
@@ -171,7 +183,7 @@ def random_pattern_member(
     return template.instantiate(random_parameters(template, rng, bound))
 
 
-# -- randomized two-way verification ------------------------------------------
+# -- refutation points and the two-way proof -------------------------------------
 
 STRATUM_POINTS = (
     (1, 0, 0, -1, 0),   # n1 + n4 = 0
@@ -224,7 +236,7 @@ def forward_failure(pattern: LocAutPattern):
     (member, point) or None), the member and point refuted by
     locaut_feasible_at, from 100 seeded small members.
     """
-    algebra, rng = pattern.algebra, random.Random(0)
+    algebra = pattern.algebra
     solve = orbit_solve(closed_forms(algebra).automorphism)
     if failure := coverage_failure(solve.root):
         return f"the orbit solve does not cover x-space: {failure}", None
@@ -232,6 +244,7 @@ def forward_failure(pattern: LocAutPattern):
         for leaf in solve.leaves:
             if failure := member_failure(solve, leaf, template):
                 points = [_stratum_point(solve, leaf), *probe_points(algebra.dim)]
+                rng = random.Random(0)
                 members = (template.instantiate(random_parameters(template, rng, 3))
                            for _ in range(100))
                 return f"the {branch} template on the leaf {leaf.name}: {failure}", next(
@@ -240,78 +253,154 @@ def forward_failure(pattern: LocAutPattern):
     return None
 
 
+@cache
+def relation_split(template: MatrixTemplate):
+    """The relations R of the local automorphisms and the split of R = 0,
+    from the orbit solve of a builtin automorphism template; built on
+    first use and kept, like the solve.
+
+    R is read off the solve as for the Der template (leaf_relations): B
+    meets every leaf condition on the whole of every leaf iff R(B) = 0.
+    The split over the entries of a generic B takes, at each step, the
+    relation with the fewest new factors (stratify.relation_factors) and
+    records it as a Split whose generic child is empty, each zero branch
+    substituting its factor's solution (stratify.zero_branches); so its
+    leaves cover R = 0, as coverage_failure proves.  b22 = b44^2 is such
+    a substitution, and pi3's b55^3 - b33^2, which becomes b11^6 - b33^2,
+    splits into b33 = -b11^3 and b33 = b11^3.
+    """
+    relations = tuple(dict.fromkeys(
+        r.content_primitive()[1] for r in leaf_relations(orbit_solve(template))))
+
+    def split(relations, stratum):
+        relations = [r for r in relations if r]
+        if not relations:
+            return stratum
+        known, steps, unsplit = stratum.opens(), [], None
+        for k, r in enumerate(relations):
+            try:
+                new = tuple(f for f in relation_factors(r) if f not in known)
+            except StratificationError as exc:
+                unsplit = exc
+                continue
+            steps.append((len(new), k, new))
+            if len(new) <= 1:   # no relation has fewer but a constant one
+                break
+        if not steps:
+            raise unsplit
+        _, k, new = min(steps)
+        rest = relations[:k] + relations[k + 1:]
+        return Split(new, relations[k], (*(
+            None if branch is None else split([r.subs(branch[0]) for r in rest], branch[1])
+            for branch in zero_branches(new, stratum)), None))
+
+    return relations, split(relations, StratumCase())
+
+
+def _product(polys) -> Poly:
+    """The product of the nonzero polynomials."""
+    return math.prod((p for p in polys if p), start=Poly.const(1))
+
+
+def _member_at(stratum: StratumCase, q: Poly, dim: int) -> Matrix:
+    """The generic operator at the stratum's grid point where q is nonzero
+    (stratify.grid_point)."""
+    symbols = output_symbols(dim)
+    point = grid_point(replace(stratum, free_vars=tuple(
+        s for s in symbols if s not in stratum.substitution)), q)
+    return Matrix([[point[s] for s in symbols[i * dim:(i + 1) * dim]] for i in range(dim)])
+
+
+def _vanishes(solve: OrbitSolve, rows) -> bool:
+    """Some leaf inequation N(x, B x) is identically zero on its leaf, at
+    the grid rows of B, so no automorphism matches B on its points."""
+    return any(not q.subs(xy) for leaf in solve.leaves
+               for xy in (member_image(leaf, rows),) for q in leaf.nonzero)
+
+
+def reverse_failure(pattern: LocAutPattern):
+    """Why some local automorphism is no member of the pattern, or None.
+
+    Every local automorphism B meets the relations R = 0 (relation_split),
+    whose split is proved to cover them (coverage_failure).  On each leaf
+    some template T must read the generic B with no deviation, so B is
+    T(p) with p read off B.  Each open condition c of T must be
+    necessary: on c(p) = 0, split by its factors, some leaf inequation
+    N(x, B x) of the solve vanishes identically (b33 x3 at b33 = 0), so
+    no automorphism matches B at that leaf's points.  A failure is
+    (detail, B or None), B a point of the leaf that the pattern misses,
+    where every open condition read is nonzero but the failing one.
+    """
+    aut = closed_forms(pattern.algebra).automorphism
+    solve, (_, root), dim = orbit_solve(aut), relation_split(aut), aut.dim
+    if failure := coverage_failure(root):
+        return f"the relation split does not cover R = 0: {failure}", None
+    for leaf in tree_leaves(root):
+        rows = [[e.subs(leaf.substitution) for e in row] for row in generic_operator(dim)]
+        readings = [(t, *t.read(rows, Poly.subs)) for t in pattern.templates]
+        reading = next(((t, p) for t, p, gaps in readings if not any(gaps.values())), None)
+        if reading is None:
+            q = _product(next(g for g in gaps.values() if g)
+                         * _product(c.subs(p) for c in t.nonzero) for t, p, gaps in readings)
+            return (f"no template reads the local automorphisms on the leaf {leaf.name}",
+                    _member_at(leaf, q, dim))
+        template, params = reading
+        branch = pattern.branches[pattern.templates.index(template)]
+        for c in template.nonzero:
+            read = c.subs(params)
+            if read.is_constant() and read:
+                continue
+            strata = [({}, leaf)] if not read else [
+                b for b in zero_branches(relation_factors(read), leaf) if b is not None]
+            for mapping, stratum in strata:
+                if not _vanishes(solve, [[e.subs(mapping) for e in row] for row in rows]):
+                    others = _product(d.subs(params).subs(mapping)
+                                      for d in template.nonzero if d is not c)
+                    return (f"the open condition {c} != 0 of the {branch} template "
+                            f"is not necessary on the leaf {leaf.name}",
+                            _member_at(stratum, others, dim))
+    return None
+
+
 @dataclass(frozen=True)
 class PatternReport:
     ok: bool
-    trials: int
     counterexample: tuple[Matrix, tuple | None] | None
-    detail: str
-    proof: str   # the forward proof, or where it fails
+    forward: str          # the forward proof, or where it fails
+    reverse: str | None   # the reverse proof, where it fails, or None after a forward failure
+
+    @property
+    def detail(self) -> str:
+        """Where the verification fails, or both proofs."""
+        if self.ok:
+            return f"{self.forward}; {self.reverse}"
+        return self.reverse or self.forward
 
 
-def verify_pattern(pattern: LocAutPattern, trials: int = 200, seed: int = 0) -> PatternReport:
-    """Two-way check of "local automorphism iff pattern member".
+def verify_pattern(pattern: LocAutPattern) -> PatternReport:
+    """Proof of "local automorphism iff pattern member", both ways over C.
 
-    Forward, proved over C (forward_failure).  Reverse, sampled: `trials`
-    random single-constraint violations must each be refuted by an
-    explicit witness point.
+    Forward: every member matches an automorphism at every x
+    (forward_failure).  Reverse: every local automorphism is a member
+    (reverse_failure).  Nothing is sampled unless a proof fails, when
+    forward_failure looks for a refuted member and point.
     """
-    algebra = pattern.algebra
     if failure := forward_failure(pattern):
-        return PatternReport(False, 0, failure[1], failure[0], failure[0])
-    leaves, count = len(orbit_solve(closed_forms(algebra).automorphism).leaves), len(
-        pattern.templates)
-    proof = (f"the members of {count} template{'s' * (count > 1)} match an "
-             f"automorphism at every x over C, proved on the {leaves} leaves of "
-             f"the orbit solve")
-    rng = random.Random(seed)
-    for t in range(trials):
-        violated = _random_violation(pattern, rng)
-        if find_witness(algebra, violated, seed=seed + t, random_trials=1000) is None:
-            return PatternReport(False, t + 1, (violated, None),
-                                 "a relation violation survived every probe point", proof)
-    return PatternReport(True, trials, None,
-                         f"{trials} single-constraint violations all refuted", proof)
-
-
-def _random_violation(pattern: LocAutPattern, rng: random.Random) -> Matrix:
-    """A matrix violating exactly one pattern constraint."""
-    branch = rng.choice(pattern.branches)
-    template = pattern.template(branch)
-    member = random_pattern_member(pattern, rng, branch=branch)
-    params, deviations = template.read(member.rows)
-    rows = [list(row) for row in member.rows]
-    delta = rng.randint(1, 9)
-    kind = rng.choice(("zero", "relation", "open"))
-    if kind == "zero":
-        zeros = template.zero_positions()
-        i, j = zeros[rng.randrange(len(zeros))]
-        rows[i][j] += delta
-        return Matrix(rows)
-    if kind == "relation":
-        relations = [
-            (i, j) for i, j in deviations if not template.entries[i][j].is_zero()
-        ]
-        i, j = rng.choice(relations)
-        # keep clear of every branch, or the bump lands in another one
-        values = {t.entries[i][j].evaluate(params) for t in pattern.templates}
-        while rows[i][j] + delta in values:
-            delta += 1
-        rows[i][j] += delta
-        return Matrix(rows)
-    # an open condition vanishes while every relation still holds: solve
-    # it for a degree-1 parameter and evaluate the grid directly
-    # (instantiate would reject the assignment)
-    condition = rng.choice(template.nonzero)
-    name = next(
-        v for v in reversed(condition.variables())
-        if condition.degree_in(v) == 1
-    )
-    coeff, rest = condition.coeff_split(name)
-    params[name] = quotient(-rest.evaluate(params), coeff.evaluate(params))
-    return Matrix(
-        [[entry.evaluate(params) for entry in row] for row in template.entries]
-    )
+        return PatternReport(False, failure[1], failure[0], None)
+    template = closed_forms(pattern.algebra).automorphism
+    count, leaves = len(pattern.templates), len(orbit_solve(template).leaves)
+    forward = (f"the members of {count} template{'s' * (count > 1)} match an "
+               f"automorphism at every x over C, proved on the {leaves} leaves of "
+               f"the orbit solve")
+    if failure := reverse_failure(pattern):
+        member = None if failure[1] is None else (failure[1], None)
+        return PatternReport(False, member, forward, failure[0])
+    relations, root = relation_split(template)
+    splits = sum(1 for _ in tree_leaves(root))
+    return PatternReport(True, None, forward, (
+        f"every local automorphism is a member, proved from the {len(relations)} "
+        f"relations of the orbit solve on the {splits} "
+        f"lea{'ves' if splits > 1 else 'f'} of their split"))
 
 
 def group_closure_check(pattern: LocAutPattern) -> bool:

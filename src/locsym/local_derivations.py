@@ -44,10 +44,31 @@ from .templates import span_template
 
 
 def output_symbols(dim: int) -> tuple[str, ...]:
-    """Row-major b-symbols labeling the entries of the unknown operator."""
+    """Row-major b-symbols labeling the entries of the unknown operator:
+    b{i}{j} up to dim 9, and b{i}_{j} beyond, where b{i}{j} would repeat
+    (b111 is both (1,11) and (11,1))."""
+    sep = "" if dim <= 9 else "_"
     return tuple(
-        f"b{i + 1}{j + 1}" for i in range(dim) for j in range(dim)
+        f"b{i + 1}{sep}{j + 1}" for i in range(dim) for j in range(dim)
     )
+
+
+def generic_operator(dim: int) -> list[list[Poly]]:
+    """The operator whose entries are the symbols of output_symbols."""
+    symbols = output_symbols(dim)
+    return [[Poly.var(s) for s in symbols[i * dim:(i + 1) * dim]] for i in range(dim)]
+
+
+def leaf_relations(solve: OrbitSolve) -> tuple[Poly, ...]:
+    """The x-coefficients of every leaf condition E(x, B x), B generic: B
+    meets every condition on the whole of every leaf iff each vanishes."""
+    generic = generic_operator(solve.template.dim)
+    forms = {}
+    for leaf in solve.leaves:
+        xy = member_image(leaf, generic)
+        for e in leaf.constraints:
+            forms.update(dict.fromkeys(e.subs(xy).group_by(leaf.free_vars).values()))
+    return tuple(forms)
 
 
 def pointwise_membership(
@@ -123,13 +144,8 @@ def _solution_basis(solve: OrbitSolve) -> tuple[Matrix, ...]:
     leaf's free x: the nullspace of the x-coefficients, linear in B."""
     n = solve.template.dim
     symbols = output_symbols(n)
-    generic = [[Poly.var(s) for s in symbols[i * n:(i + 1) * n]] for i in range(n)]
-    rows = {}
-    for leaf in solve.leaves:
-        xy = member_image(leaf, generic)
-        for e in leaf.constraints:
-            for form in e.subs(xy).group_by(leaf.free_vars).values():
-                rows[tuple(form.terms.get(((s, 1),), 0) for s in symbols)] = None
+    rows = {tuple(form.terms.get(((s, 1),), 0) for s in symbols): None
+            for form in leaf_relations(solve)}
     space = Subspace(n * n, nullspace(list(rows) or [(0,) * n * n]))
     return tuple(Matrix.from_vec(v, n) for v in space.basis)
 

@@ -549,10 +549,15 @@ def unit_times_powers(p: Poly, factors) -> bool:
 
 
 def solve_linear(factor: Poly) -> dict[str, Poly]:
-    """{v: e} with factor = 0 iff v = e, v the last variable of a degree-1 factor."""
-    var = max(factor.variables())
-    a, b = factor.coeff_split(var)
-    return {var: b * quotient(-1, a.constant_value())}
+    """{v: e} with factor = 0 iff v = e: v is the last variable in which the
+    factor has degree 1 and a constant coefficient (for a degree-1 factor,
+    its last variable)."""
+    for var in reversed(factor.variables()):
+        if factor.degree_in(var) == 1:
+            a, b = factor.coeff_split(var)
+            if a.is_constant():
+                return {var: b * quotient(-1, a.constant_value())}
+    raise ValueError(f"{factor} is of degree 1 with a constant coefficient in no variable")
 
 
 def linear_factors(p: Poly) -> tuple[int | Fraction, list[Poly]]:

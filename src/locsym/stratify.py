@@ -21,7 +21,9 @@ some automorphism agrees with B at x from the solve of each automorphism
 template.  local_derivations reads LocDer off the solve of the Der
 template (parameters a_k, entries sum a_k D_k, no open conditions): B x
 = D x for some derivation D is T(a) x = y at y = B x.  The splitter also
-splits the automorphism equations (automorphisms.verify_family).
+splits the automorphism equations (automorphisms.verify_family) and the
+relations that the leaf conditions put on a local automorphism
+(local_automorphisms.relation_split, factored by relation_factors).
 
 The proofs share nothing with the elimination but Poly.  coverage_failure
 proves from the recorded splits that the leaves partition x-space (or,
@@ -85,6 +87,11 @@ class StratumCase:
             tuple(str(q) for q in self.inequations),
         )
 
+    @cached_property
+    def name(self) -> str:
+        return "{" + ", ".join([f"{e} = 0" for e in self.equalities]
+                               + [f"{q} != 0" for q in self.inequations]) + "}"
+
     def opens(self) -> tuple[Poly, ...]:
         """The nonconstant inequations under the substitution, primitive."""
         reduced = (q.subs(self.substitution) for q in self.inequations)
@@ -98,9 +105,9 @@ class Split:
     children[i] for i < k is the stratum f_i = 0 with f_0..f_{i-1} != 0,
     and children[k] the stratum where every f_i != 0.  A child is a Split,
     a StratumCase leaf, or None when it is empty.  equation is the
-    polynomial that must vanish on the leaves of an automorphism split, so
-    children[k] is empty; a pivot split has none and eliminates its pivot
-    in children[k].
+    polynomial that must vanish on the leaves of a split of equations (the
+    automorphism equations, the LocAut relations), so children[k] is
+    empty; a pivot split has none and eliminates its pivot in children[k].
     """
 
     factors: tuple[Poly, ...]
@@ -126,6 +133,41 @@ def zero_branches(factors: tuple[Poly, ...], stratum: StratumCase):
             inequations=stratum.inequations + factors[:i],
             substitution={v: e.subs(mapping)
                           for v, e in stratum.substitution.items()} | mapping)
+
+
+def relation_factors(p: Poly) -> tuple[Poly, ...]:
+    """Primitive factors of a nonzero p, p a constant times their powers,
+    each of degree 1 in a variable with a constant coefficient there, so
+    that solve_linear solves it: the variables dividing p, then the rest
+    if it is of that kind, or else the two roots of a rest quadratic in a
+    variable, with a constant leading coefficient and a square
+    discriminant (b11^6 - b33^2 gives b33 + b11^3 and b33 - b11^3).
+
+    A relation may be of any degree in its other variables, which
+    poly.linear_factors refuses.  Raises StratificationError otherwise.
+    """
+    shift = {v: min(dict(m).get(v, 0) for m in p.terms) for v in p.variables()}
+    factors = [Poly.var(v) for v, k in shift.items() if k]
+    p = Poly({tuple((v, e - shift[v]) for v, e in m if e > shift[v]): c
+              for m, c in p.terms.items()}).content_primitive()[1]
+    if p.is_constant():
+        return tuple(factors)
+    try:
+        solve_linear(p)
+    except ValueError:
+        pass
+    else:
+        return (*factors, p)
+    for v in p.variables():
+        parts = _by_degree(p, v)
+        if max(parts) == 2 and parts[2].is_constant():
+            a, b, c = parts[2], parts.get(1, Poly.zero()), parts.get(0, Poly.zero())
+            if (root := (b * b - 4 * a * c).sqrt_exact()) is not None:
+                return (*factors, *dict.fromkeys(
+                    (2 * a * Poly.var(v) + b + s * root).content_primitive()[1]
+                    for s in (-1, 1)))
+    raise StratificationError(f"relation does not split into solvable factors: {p}",
+                              offending=p)
 
 
 def tree_leaves(node):
@@ -227,11 +269,6 @@ class OrbitLeaf(StratumCase):
 
     nonzero: tuple[Poly, ...] = ()
     roots: tuple[Root, ...] = ()
-
-    @cached_property
-    def name(self) -> str:
-        return "{" + ", ".join([f"{e} = 0" for e in self.equalities]
-                               + [f"{q} != 0" for q in self.inequations]) + "}"
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ from locsym import (
 )
 from locsym import automorphisms
 from locsym.linalg import inverse
+from locsym.local_automorphisms import relation_split
 from locsym.poly import poly
+from locsym.templates import AUTOMORPHISM_FORM_PI2, AUTOMORPHISM_FORM_PI3
 
 # A dense basis change of pi3: the new basis vector f_j is column j.
 DENSE_PI3_BASIS = Matrix([
@@ -119,6 +121,12 @@ def fam3(pi3):
 def aut_trees(pi2, pi3):
     """The recorded case splits of the generic multiplicative maps."""
     return tuple(automorphisms._case_split(a)[2] for a in (pi2, pi3))
+
+
+@pytest.fixture(scope="session")
+def relation_trees():
+    """The recorded splits of the LocAut relations of pi2 and pi3."""
+    return tuple(relation_split(t)[1] for t in (AUTOMORPHISM_FORM_PI2, AUTOMORPHISM_FORM_PI3))
 
 
 def mutant_family(table, form, entries=(), drop=(), nonzero=None):

@@ -89,18 +89,22 @@ def test_locder_is_solved_once_per_builtin(suite):
     assert [args[0].name for args in SOLVES] == ["pi2", "pi3"]
 
 
-def test_criterion_7_does_its_full_sampled_work(suite):
-    # The forward half is proved on every orbit-solve leaf (10 on pi2, 7 on
-    # pi3) for all three templates; the reverse stream refutes 200 sampled
-    # violations per algebra, and two pinned witnesses follow: a speed-up
-    # may not drop any of them.
-    assert CALLS == {"locaut_feasible_at": 2_578, "find_witness": 402}
+def test_criterion_7_proves_both_halves_without_sampling(suite):
+    # Both halves are proved from the orbit solves (10 leaves on pi2, 7 on
+    # pi3): the forward half for all three templates, the reverse half from
+    # the solve's relations and their split.  Only the two pinned witnesses
+    # call the pointwise kernels: 27 probe-point decisions in all.
+    assert CALLS == {"locaut_feasible_at": 27, "find_witness": 2}
     detail = suite.results[6].detail
-    for name, templates, leaves in (("pi2", "1 template", 10), ("pi3", "2 templates", 7)):
+    for name, templates, leaves, relations, split in (
+            ("pi2", "1 template", 10, 20, "1 leaf"),
+            ("pi3", "2 templates", 7, 32, "2 leaves")):
         assert (f"{name}: the members of {templates} match an automorphism at "
-                f"every x over C, proved on the {leaves} leaves of the orbit solve"
+                f"every x over C, proved on the {leaves} leaves of the orbit solve; "
+                f"every local automorphism is a member, proved from the {relations} "
+                f"relations of the orbit solve on the {split} of their split"
                 in detail)
-    assert "200 sampled single-constraint violations per algebra refuted" in detail
+    assert "sampled" not in detail
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3, 4, 97, 351, 498, 953))

@@ -1,11 +1,16 @@
 """Shape inference from template occurrence patterns, with validation."""
 
+import json
+from dataclasses import replace
+
 from locsym import (
     builtin,
     closed_forms,
     infer_shape,
     validate_prediction,
 )
+from locsym import templates
+from locsym.cli import main
 from locsym.inference import ShapePrediction
 from locsym.poly import poly
 from locsym.templates import MatrixTemplate
@@ -142,3 +147,29 @@ def test_to_dict_round_trips_the_prediction():
     assert d["dim"] == pred.dim
     assert len(d["zero_set"]) == len(pred.zero_set)
     assert len(d["equal_pairs"]) == 2
+
+
+def test_a_failed_validation_emits_an_inference_violation_that_replays(
+    monkeypatch, tmp_path, capsys
+):
+    # pi3's Der template with its (3,2) entry 2*a21 dropped: rule 0 then
+    # predicts b32 = 0, which the computed LocDer refutes
+    pi3 = builtin("pi3")
+    forms = closed_forms(pi3)
+    rows = [list(row) for row in forms.derivation.entries]
+    rows[2][1] = poly("0")
+    with monkeypatch.context() as patch:
+        patch.setitem(templates._CLOSED_FORMS, pi3.structure, replace(
+            forms, derivation=replace(forms.derivation, entries=tuple(map(tuple, rows)))))
+        assert main(["infer", "--algebra", "pi3", "--format", "structured"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        counterexample = report["counterexample"]
+        assert counterexample["kind"] == "inference_violation"
+        assert "b32 is not forced zero on the space" in counterexample["violations"]
+        path = tmp_path / "counterexample.json"
+        path.write_text(json.dumps(counterexample))
+        assert main(["verify-counterexample", str(path)]) == 0
+        assert "reproduced" in capsys.readouterr().out
+    # with the closed form restored the prediction validates again
+    assert main(["verify-counterexample", str(path)]) == 1
+    assert "did NOT reproduce" in capsys.readouterr().out

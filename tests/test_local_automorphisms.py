@@ -20,7 +20,6 @@ from locsym import (
 from locsym.local_automorphisms import (
     STRATUM_POINTS,
     Witness,
-    _random_violation,
     _stratum_point,
     automorphic_witness,
     orbit_solve,
@@ -88,13 +87,6 @@ def test_random_members_satisfy_their_branch(pat3):
     for _ in range(10):
         member = random_pattern_member(pat3, rng)
         assert pattern_check(pat3, member).ok
-
-
-def test_random_violations_leave_the_pattern(pat2, pat3):
-    rng = random.Random(4)
-    for pat in (pat2, pat3):
-        for _ in range(60):
-            assert not pattern_check(pat, _random_violation(pat, rng)).ok
 
 
 # -- pointwise feasibility ----------------------------------------------------------
@@ -337,7 +329,7 @@ def test_members_have_no_witness(pi2, pat2):
 
 def test_verify_pattern_small_battery(pat2, pat3):
     for pat in (pat2, pat3):
-        report = verify_pattern(pat, trials=40, seed=6)
+        report = verify_pattern(pat)
         assert report.ok, report.detail
         assert report.counterexample is None
 

@@ -21,7 +21,7 @@ from locsym import (
 from locsym.cli import _verify_counterexample
 from locsym.linalg import operator_to_payload
 from locsym.local_derivations import output_symbols, refuting_point
-from locsym.poly import linear_factors, poly
+from locsym.poly import Poly, linear_factors, poly
 from locsym.rationals import format_rational
 from locsym.stratify import grid_point, member_image
 from locsym.templates import LOCAL_DERIVATION_FORM_PI2, LOCAL_DERIVATION_FORM_PI3
@@ -111,6 +111,16 @@ def test_membership_checker_agrees_with_the_solve(der2, loc2, der3, loc3):
                 assert member(x) == expected
                 outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def test_output_symbols_are_distinct_in_every_dimension():
+    # b{i}{j} would name both (1,11) and (11,1) b111 from dimension 11 on
+    for n in range(1, 13):
+        assert len(set(output_symbols(n))) == n * n
+    assert output_symbols(3)[:4] == ("b11", "b12", "b13", "b21")
+    assert output_symbols(9)[-1] == "b99"
+    assert output_symbols(11)[10] == "b1_11" and output_symbols(11)[110] == "b11_1"
+    assert all(poly(s) == Poly.var(s) for s in output_symbols(12))
 
 
 # -- deterministic refutation of non-members ------------------------------------

@@ -1,31 +1,38 @@
-"""Mutants that enlarge a LocAut pattern fail criterion 7's forward proof.
+"""Mutants of a LocAut pattern fail one of criterion 7's two proofs.
 
-Each mutant changes one entry of pi2's pattern or of pi3's + branch, so
-that some member is no local automorphism.  The proof must name the
-orbit-solve leaf where it fails and carry a member and a point that
-locaut_feasible_at refutes; every failing path (criterion 7, the suite
-command, locaut verify) emits a counterexample that replays.
+Each enlarging mutant changes one entry of pi2's pattern or of pi3's +
+branch, so that some member is no local automorphism.  The forward proof
+must name the orbit-solve leaf where it fails and carry a member and a
+point that locaut_feasible_at refutes.  Each shrinking mutant leaves out
+some local automorphisms; the reverse proof must name the leaf of the
+relation split where it fails and carry a local automorphism (a member of
+the builtin pattern) that the mutant misses.  Every failing path
+(criterion 7, the suite command, locaut verify) emits a counterexample
+that replays.
 """
 
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from locsym import (
+    Matrix,
     acceptance,
     builtin,
     local_automorphisms,
     locaut_feasible_at,
     locaut_pattern,
+    pattern_check,
     templates,
 )
 from locsym.cli import main
 from locsym.linalg import operator_from_payload, operator_to_payload
-from locsym.local_automorphisms import forward_failure, orbit_solve
+from locsym.local_automorphisms import forward_failure, orbit_solve, verify_pattern
 from locsym.poly import poly
-from locsym.stratify import Equation, OrbitLeaf, _Solver, member_failure
+from locsym.stratify import Equation, OrbitLeaf, Split, _Solver, member_failure, tree_leaves
 from locsym.templates import AUTOMORPHISM_FORM_PI2, LOCAL_AUTOMORPHISM_FORM_PI2
 
 # name: (algebra, 1-based position, new entry, open conditions or None)
@@ -178,9 +185,115 @@ def test_locaut_verify_emits_a_witness_that_replays(mutate, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     counterexample = report["counterexample"]
     assert counterexample["kind"] == "locaut_witness"
-    assert report["proof"].startswith("the + template on the leaf {")
+    assert report["forward"].startswith("the + template on the leaf {")
+    assert report["reverse"] is None
     member = operator_from_payload(counterexample["matrix"])
     point = [Fraction(v) for v in counterexample["point"]]
     assert not locaut_feasible_at(builtin("pi2"), member, point).feasible
     assert replays(tmp_path, counterexample)
     capsys.readouterr()
+
+
+# name: (algebra, the mutant's LocAut templates, the start of the reverse
+# proof's failure, the local automorphism it carries)
+PI2, PI3 = templates.LOCAL_AUTOMORPHISM_FORM_PI2, templates.LOCAL_AUTOMORPHISM_FORM_PI3_PLUS
+
+
+def without_34(template):
+    """pi2's template with the entry (3,4) forced to zero."""
+    rows = [list(row) for row in template.entries]
+    rows[2][3] = poly("0")
+    return templates.MatrixTemplate(
+        dim=5, params=tuple(p for p in template.params if p != "b34"),
+        entries=tuple(map(tuple, rows)), nonzero=template.nonzero)
+
+
+SHRINKING = {
+    "pi2-extra-open-b21": (
+        "pi2", (replace(PI2, nonzero=PI2.nonzero + (poly("b21"),)),),
+        "the open condition b21 != 0 of the + template is not necessary on the leaf {",
+        [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 1]]),
+    "pi3-minus-branch-dropped": (
+        "pi3", (PI3,), "no template reads the local automorphisms on the leaf {",
+        [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 1]]),
+    "pi2-zero-34-added": (
+        "pi2", (without_34(PI2),), "no template reads the local automorphisms on the leaf {",
+        [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 1]]),
+}
+
+
+@pytest.fixture
+def shrink(monkeypatch):
+    """Patch in the named shrinking mutant as the algebra's LocAut templates."""
+    def patch(name):
+        algebra = builtin(SHRINKING[name][0])
+        forms = templates.closed_forms(algebra)
+        monkeypatch.setitem(templates._CLOSED_FORMS, algebra.structure, replace(
+            forms, local_automorphism=SHRINKING[name][1]))
+        return algebra, forms.local_automorphism
+    return patch
+
+
+@pytest.mark.parametrize("name", SHRINKING)
+def test_every_shrinking_mutant_fails_the_reverse_proof(shrink, tmp_path, capsys, name):
+    algebra, builtin_templates = shrink(name)
+    pattern = locaut_pattern(algebra)
+    assert forward_failure(pattern) is None
+    report = verify_pattern(pattern)
+    *_, start, rows = SHRINKING[name]
+    assert not report.ok and report.reverse.startswith(start)
+    assert report.detail == report.reverse
+    member, point = report.counterexample
+    assert point is None and member == Matrix(rows)
+    # a local automorphism: a member of the builtin pattern, not of the mutant
+    assert pattern_check(replace(pattern, templates=builtin_templates), member).ok
+    assert not pattern_check(pattern, member).ok
+    assert main(["locaut", "verify", "--algebra", algebra.name,
+                 "--format", "structured"]) == 1
+    cli = json.loads(capsys.readouterr().out)
+    assert cli["reverse"] == report.reverse
+    assert cli["counterexample"] == {"kind": "pattern_member", "algebra": algebra.name,
+                                     "matrix": operator_to_payload(member)}
+    assert replays(tmp_path, cli["counterexample"])
+    capsys.readouterr()
+
+
+def test_a_passing_verification_draws_nothing_and_decides_no_point(
+    monkeypatch, pat2, pat3
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a passing verification sampled")
+
+    # every draw of every Random instance goes through one of these two
+    monkeypatch.setattr(random.Random, "random", forbidden)
+    monkeypatch.setattr(random.Random, "getrandbits", forbidden)
+    monkeypatch.setattr(local_automorphisms, "locaut_feasible_at", forbidden)
+    for pattern in (pat2, pat3):
+        report = verify_pattern(pattern)
+        assert report.ok and report.counterexample is None
+
+
+def without(node, leaf):
+    """The recorded tree with the leaf marked empty."""
+    if node is leaf:
+        return None
+    if isinstance(node, Split):
+        return replace(node, children=tuple(without(child, leaf) for child in node.children))
+    return node
+
+
+def test_a_relation_split_without_a_leaf_fails_the_reverse_proof(monkeypatch, pat3):
+    # without a leaf, the reverse proof would read the templates on fewer
+    # strata than cover the relations; pi3's leaves are its two branches
+    relations, root = local_automorphisms.relation_split(
+        templates.closed_forms(pat3.algebra).automorphism)
+    for leaf in tree_leaves(root):
+        dropped = without(root, leaf)
+        monkeypatch.setattr(local_automorphisms, "relation_split",
+                            lambda template: (relations, dropped))
+        report = verify_pattern(pat3)
+        assert not report.ok and report.counterexample is None
+        assert report.reverse.startswith("the relation split does not cover R = 0: ")

@@ -22,13 +22,15 @@ from locsym import (
     solve_parametric,
 )
 from locsym import automorphisms, local_derivations, stratify, verify_family
-from locsym.poly import Poly, poly
+from locsym.poly import Poly, poly, solve_linear, unit_times_powers
 from locsym.stratify import (
     Split,
     coverage_failure,
     grid_point,
     member_failure,
     member_image,
+    relation_factors,
+    tree_leaves,
 )
 from locsym.templates import span_template
 
@@ -104,15 +106,51 @@ def test_depth_budget_is_enforced(monkeypatch):
         solve_parametric(SCALAR)
 
 
+@pytest.mark.parametrize("relation, factors", [
+    ("b35^2", ["b35"]),
+    ("b53^2*b55", ["b53", "b55"]),
+    ("b44^2 - b22", ["b44^2 - b22"]),
+    ("b11^6 - b33^2", ["b11^3 + b33", "b11^3 - b33"]),
+    ("b11*b33^2 - b11*b55^4", ["b11", "b55^2 + b33", "b55^2 - b33"]),
+    ("3", []),
+])
+def test_relation_factors_are_solvable_and_multiply_back(relation, factors):
+    p = poly(relation)
+    found = relation_factors(p)
+    assert [str(f) for f in found] == factors
+    for f in found:   # solve_linear solves each factor
+        (v, value), = solve_linear(f).items()
+        assert f.subs({v: value}).is_zero() and value.degree_in(v) == 0
+    # p is a constant times powers of the factors, each dividing it
+    assert unit_times_powers(p, found)
+    assert all(p.div_exact(f) is not None for f in found)
+
+
+@pytest.mark.parametrize("relation", ["b11^3 - b33^2", "b11^2 + b33^2",
+                                      "b11^2*b33^2 + b11*b33 + 1"])
+def test_a_relation_without_solvable_factors_is_refused(relation):
+    with pytest.raises(StratificationError, match="does not split into solvable"):
+        relation_factors(poly(relation))
+
+
+def test_the_relation_splits_have_a_leaf_per_branch(relation_trees):
+    pi2_tree, pi3_tree = relation_trees
+    assert [leaf.inequations for leaf in tree_leaves(pi2_tree)] == [()]
+    assert [(leaf.substitution["b33"], leaf.inequations)
+            for leaf in tree_leaves(pi3_tree)] == [
+        (poly("-b11^3"), ()), (poly("b11^3"), (poly("b11^3 + b33"),))]
+
+
 # -- the coverage walk --------------------------------------------------------------
 
 def der_solves(loc2, loc3, adapted_spaces):
     return [s.solve for s in (loc2, loc3, *adapted_spaces)]
 
 
-def test_every_tree_covers_its_space(loc2, loc3, adapted_spaces, aut_trees):
+def test_every_tree_covers_its_space(loc2, loc3, adapted_spaces, aut_trees,
+                                     relation_trees):
     roots = [s.root for s in der_solves(loc2, loc3, adapted_spaces)]
-    for root in (*roots, *aut_trees, solve_parametric(SCALAR).root):
+    for root in (*roots, *aut_trees, *relation_trees, solve_parametric(SCALAR).root):
         assert coverage_failure(root) is None
 
 
@@ -153,9 +191,10 @@ def mutated_trees(root):
 
 
 def test_every_mutated_tree_fails_the_coverage_walk(loc2, loc3, adapted_spaces,
-                                                     aut_trees):
+                                                     aut_trees, relation_trees):
     kinds = set()
-    for root in (*(s.root for s in der_solves(loc2, loc3, adapted_spaces)), *aut_trees):
+    for root in (*(s.root for s in der_solves(loc2, loc3, adapted_spaces)), *aut_trees,
+                 *relation_trees):
         for kind, mutant in mutated_trees(root):
             kinds.add(kind)
             assert coverage_failure(mutant) is not None, kind
