@@ -256,7 +256,7 @@ def criterion_7(spaces: Spaces, seed: int) -> CriterionResult:
             [0, 0, 0, 0, 1],
         ]
     )
-    witness = find_witness(spaces["pi3"].algebra, b22_bump, seed=_subseed(seed, 13))
+    witness = find_witness(spaces["pi3"].algebra, b22_bump)
     if witness != (0, 1, 0, 1, 0):
         problems.append(f"pi3 b22 violation witness {witness}, expected e2+e4")
     b44_bump = Matrix(
@@ -268,7 +268,7 @@ def criterion_7(spaces: Spaces, seed: int) -> CriterionResult:
             [0, 0, 0, 0, 1],
         ]
     )
-    witness = find_witness(spaces["pi2"].algebra, b44_bump, seed=_subseed(seed, 13))
+    witness = find_witness(spaces["pi2"].algebra, b44_bump)
     if witness is None:
         problems.append("pi2 b44 violation not refuted")
     return _result(

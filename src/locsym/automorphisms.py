@@ -4,7 +4,11 @@ For the builtin algebras the full automorphism group is a closed
 parameterized family: a matrix template whose instantiations at any
 parameters satisfying the open (nonvanishing) conditions are exactly the
 automorphisms.  verify_family proves both directions by polynomial
-identities, group_closure_report the group laws by symbolic products.
+identities: the reverse one splits the multiplicativity equations of a
+generic map with the splitter that LocAut's relations use
+(stratify.split_zero_set) and reads its leaves with the same reader
+(stratify.reading_failure).  group_closure_report proves the group laws
+by symbolic products.
 """
 from __future__ import annotations
 
@@ -16,8 +20,8 @@ from operator import sub
 from .algebra import Algebra, power_filtration
 from .errors import InputError, UnsupportedError
 from .linalg import Matrix, Subspace, is_invertible
-from .poly import Poly, linear_factors, unit_times_powers
-from .stratify import Split, StratumCase, coverage_failure, tree_leaves, zero_branches
+from .poly import Poly, unit_times_powers
+from .stratify import coverage_failure, reading_failure, split_zero_set
 from .templates import (
     MatrixTemplate,
     closed_forms,
@@ -151,28 +155,12 @@ def _case_split(algebra: Algebra):
     """Generators, the generic grid and the recorded split of its equations.
 
     The multiplicativity equations of the generic map (_generic_images)
-    are split one at a time: a step splits on the new linear factors of
-    the first nonzero equation (stratify.zero_branches), whose generic
-    child is empty.  A stratum where the determinant vanishes
-    identically, or no equation is left, is a leaf.
+    are split by stratify.split_zero_set, so the leaves cover the maps
+    that are multiplicative; on all but one of them the determinant
+    vanishes identically.
     """
     generators, generic = _generic_images(algebra)
-
-    def split(det, equations, stratum):
-        equations = [e for e in equations if not e.is_zero()]
-        if det.is_zero() or not equations:
-            return stratum
-        known = stratum.opens()
-        factors = tuple(f for f in dict.fromkeys(linear_factors(equations[0])[1])
-                        if f not in known)
-        return Split(factors, equations[0], (*(
-            None if branch is None else split(
-                det.subs(branch[0]), [e.subs(branch[0]) for e in equations[1:]],
-                branch[1])
-            for branch in zero_branches(factors, stratum)), None))
-
-    equations = _defects(algebra, generic)
-    return generators, generic, split(determinant(generic), equations, StratumCase())
+    return generators, generic, split_zero_set(_defects(algebra, generic))
 
 
 def _search(grid, shows) -> Matrix | None:
@@ -186,15 +174,22 @@ def _search(grid, shows) -> Matrix | None:
     return None
 
 
+def _singular(rows) -> bool:
+    """The grid's determinant vanishes identically: it holds no automorphism."""
+    return determinant(rows).is_zero()
+
+
 def verify_family(family: AutomorphismFamily) -> FamilyReport:
     """Proof that the family's members are exactly the automorphisms.
 
     Forward: T(e_i) T(e_j) = T(e_i e_j) identically in the template T's
     parameters, and det T is a unit times powers of the open conditions.
     Reverse: the split of the generic map's multiplicativity equations
-    covers their zero set (stratify.coverage_failure), and on every leaf
-    with det not identically 0 the template reads the map with no
-    deviation, and each open condition read there divides its determinant.
+    covers their zero set (stratify.coverage_failure), and
+    stratify.reading_failure reads every leaf where det is not
+    identically 0: the template reads the map with no deviation there,
+    and det vanishes identically on every branch of each open condition
+    read.  An escaped automorphism is the generic map at a grid point.
     """
     algebra, template = family.algebra, family.template
     grid, opens = template.entries, template.nonzero
@@ -205,20 +200,9 @@ def verify_family(family: AutomorphismFamily) -> FamilyReport:
     generators, generic, root = _case_split(algebra)
     if (failure := coverage_failure(root)) is not None:
         return FamilyReport(False, None, f"the case split does not cover: {failure}")
-    leaves = 0
-    for stratum in tree_leaves(root):
-        leaf = [[x.subs(stratum.substitution) for x in row] for row in generic]
-        if (det := determinant(leaf)).is_zero():
-            continue
-        leaves += 1
-        params, deviations = template.read(leaf, Poly.subs)
-        read = [c.subs(params) for c in opens]
-        if any(not d.is_zero() for d in deviations.values()) or any(
-            c.is_zero() or det.div_exact(c) is None for c in read
-        ):
-            phi = _search(leaf, lambda m: is_automorphism(algebra, m)
-                          and family.match(m) is None)
-            return FamilyReport(False, phi, "an automorphism escapes the family")
+    leaves, failure = reading_failure(root, generic, (template,), _singular)
+    if failure:
+        return FamilyReport(False, failure[-1], "an automorphism escapes the family")
     return FamilyReport(True, None, f"Aut equals the family, proved from generators "
                         f"{', '.join(generators)} (case-split leaves: {leaves})")
 

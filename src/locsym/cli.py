@@ -474,7 +474,7 @@ def _cmd_locaut_check(args) -> tuple[int, dict, list[str]]:
         counterexample = _counterexample(
             args, "pattern_member", matrix=operator_to_payload(b)
         )
-        point = find_witness(algebra, b, seed=args.seed)
+        point = find_witness(algebra, b)
         if point is not None:
             counterexample = _counterexample(
                 args, "locaut_witness", matrix=operator_to_payload(b),
@@ -523,13 +523,11 @@ def _cmd_locaut_verify(args) -> tuple[int, dict, list[str]]:
 def _cmd_locaut_witness(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
     b = _require_rational(load_operator(args.matrix))
-    point = find_witness(
-        algebra, b, seed=args.seed, random_trials=args.trials or 1000
-    )
+    point = find_witness(algebra, b)
     if point is None:
         payload = {"algebra": algebra.name, "witness": None}
         return 0, payload, [
-            "feasible at every probe point: no witness against the matrix"
+            "a local automorphism: no point refutes the matrix"
         ]
     counterexample = _counterexample(
         args, "locaut_witness", matrix=operator_to_payload(b),
@@ -803,7 +801,7 @@ def _build_parser() -> argparse.ArgumentParser:
     locaut_sub.add_parser("verify", parents=[shared]).set_defaults(
         handler=_cmd_locaut_verify
     )
-    locaut_witness = locaut_sub.add_parser("witness", parents=[sampled])
+    locaut_witness = locaut_sub.add_parser("witness", parents=[shared])
     locaut_witness.add_argument("--matrix", required=True, help="operator file")
     locaut_witness.set_defaults(handler=_cmd_locaut_witness)
 

@@ -199,34 +199,6 @@ def integer_rank(rows: list[list[int]]) -> int:
     return r
 
 
-def in_row_span(rows: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """Whether the integer vector target lies in the span of integer rows.
-
-    One Bareiss elimination of rows, with pivots chosen among rows only,
-    reduces target in the same pass: target is in the span exactly when
-    it reduces to zero.  Neither input is changed.
-    """
-    work = [list(row) for row in rows]
-    rest = list(target)
-    nrows = len(work)
-    prev = 1
-    r = 0
-    for c in range(len(rest)):
-        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pivot_row is None:
-            continue  # later steps leave column c of rest as it is
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        top = work[r]
-        pivot = top[c]
-        for row in (*work[r + 1:], rest):
-            factor = row[c]
-            for j in range(c, len(row)):
-                row[j] = (pivot * row[j] - factor * top[j]) // prev
-        prev = pivot
-        r += 1
-    return not any(rest)
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     work = [list(map(Fraction, row)) for row in rows]

@@ -15,41 +15,34 @@ checks use MatrixTemplate.read.  verify_pattern proves both halves over
 C from the same solve: every member matches an automorphism at every x,
 on every leaf (forward_failure, stratify.member_failure), and every
 local automorphism is a member, from the relations the leaf conditions
-put on B and their recorded split (reverse_failure, relation_split).
+put on B, split by stratify.split_zero_set (relation_split) and read by
+stratify.reading_failure (reverse_failure), as Aut's equations are.
+find_witness refutes a non-member at the point that
+OrbitSolve.refuting_point walks to, as LocDer's refuting_point does.
 Group closure is proved from symbolic products (templates.closure_failure).
 """
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, replace
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, partial
 
 from .algebra import Algebra
-from .errors import InputError, StratificationError
+from .errors import InputError, InternalCheckError
 from .linalg import Matrix, vector
-from .local_derivations import (
-    generic_operator,
-    leaf_relations,
-    output_symbols,
-    support_patterns,
-)
+from .local_derivations import generic_operator, leaf_relations
 from .poly import Poly
 from .stratify import (
     FeasibilityReport,
-    OrbitLeaf,
     OrbitSolve,
-    Split,
-    StratumCase,
     Witness,
     coverage_failure,
-    grid_point,
     member_failure,
     member_image,
-    relation_factors,
+    reading_failure,
     solve_parametric,
+    split_zero_set,
     tree_leaves,
-    zero_branches,
 )
 from .templates import (
     MatrixTemplate,
@@ -185,46 +178,24 @@ def random_pattern_member(
 
 # -- refutation points and the two-way proof -------------------------------------
 
-STRATUM_POINTS = (
-    (1, 0, 0, -1, 0),   # n1 + n4 = 0
-    (0, 1, 0, 0, -1),   # n2 + n5 = 0
-)
 
+def find_witness(algebra: Algebra, b: Matrix) -> tuple | None:
+    """A point where no automorphism agrees with b, or None when b is a
+    local automorphism.
 
-@cache
-def probe_points(dim: int) -> tuple[tuple[int, ...], ...]:
-    """Structured refutation probes: e_i, e_i + e_j, stratum points."""
-    points = [
-        tuple(int(t in support) for t in range(dim))
-        for support in support_patterns(dim)
-        if len(support) <= 2
-    ]
-    points.extend(raw for raw in STRATUM_POINTS if len(raw) == dim)
-    return tuple(points)
-
-
-def find_witness(
-    algebra: Algebra,
-    b: Matrix,
-    seed: int = 0,
-    random_trials: int = 1000,
-) -> tuple[int, ...] | None:
-    """A point where b has no automorphic match, or None if none found."""
-    for x in probe_points(algebra.dim):
-        if not locaut_feasible_at(algebra, b, x).feasible:
-            return x
-    rng = random.Random(seed)
-    for _ in range(random_trials):
-        x = tuple(rng.randint(-9, 9) for _ in range(algebra.dim))
-        if not locaut_feasible_at(algebra, b, x).feasible:
-            return x
-    return None
-
-
-def _stratum_point(solve: OrbitSolve, leaf: OrbitLeaf) -> tuple:
-    """The leaf's point at the grid's first point (stratify.grid_point)."""
-    point = grid_point(leaf)
-    return tuple(point[f"x{k + 1}"] for k in range(solve.template.dim))
+    The point is the orbit solve's refuting point (OrbitSolve.refuting_point),
+    confirmed by locaut_feasible_at.  Nothing is sampled, and the walk is
+    complete: by the reverse proof (reverse_failure) an operator that
+    breaks no leaf condition and makes no inequation vanish identically
+    is a member of the pattern, and by the forward proof a member is a
+    local automorphism.
+    """
+    if b.shape != (algebra.dim,) * 2:
+        raise InputError("matrix shape does not match the algebra")
+    x = orbit_solve(closed_forms(algebra).automorphism).refuting_point(b.rows)
+    if x is not None and locaut_feasible_at(algebra, b, x).feasible:
+        raise InternalCheckError(f"the refuting point {x} is feasible")
+    return x
 
 
 def forward_failure(pattern: LocAutPattern):
@@ -233,8 +204,8 @@ def forward_failure(pattern: LocAutPattern):
     member_failure runs for each template on every leaf; the leaves
     partition x-space (coverage_failure), so every member matches an
     automorphism at every x.  A failure is (detail naming the leaf,
-    (member, point) or None), the member and point refuted by
-    locaut_feasible_at, from 100 seeded small members.
+    (member, point) or None), the first of 100 seeded small members that
+    the orbit solve refutes, at its refuting point.
     """
     algebra = pattern.algebra
     solve = orbit_solve(closed_forms(algebra).automorphism)
@@ -243,13 +214,12 @@ def forward_failure(pattern: LocAutPattern):
     for branch, template in zip(pattern.branches, pattern.templates):
         for leaf in solve.leaves:
             if failure := member_failure(solve, leaf, template):
-                points = [_stratum_point(solve, leaf), *probe_points(algebra.dim)]
                 rng = random.Random(0)
                 members = (template.instantiate(random_parameters(template, rng, 3))
                            for _ in range(100))
                 return f"the {branch} template on the leaf {leaf.name}: {failure}", next(
-                    ((b, x) for b in members for x in points
-                     if not locaut_feasible_at(algebra, b, x).feasible), None)
+                    ((b, x) for b in members
+                     if (x := solve.refuting_point(b.rows)) is not None), None)
     return None
 
 
@@ -261,54 +231,12 @@ def relation_split(template: MatrixTemplate):
 
     R is read off the solve as for the Der template (leaf_relations): B
     meets every leaf condition on the whole of every leaf iff R(B) = 0.
-    The split over the entries of a generic B takes, at each step, the
-    relation with the fewest new factors (stratify.relation_factors) and
-    records it as a Split whose generic child is empty, each zero branch
-    substituting its factor's solution (stratify.zero_branches); so its
-    leaves cover R = 0, as coverage_failure proves.  b22 = b44^2 is such
-    a substitution, and pi3's b55^3 - b33^2, which becomes b11^6 - b33^2,
-    splits into b33 = -b11^3 and b33 = b11^3.
+    Their split over the entries of a generic B (stratify.split_zero_set)
+    covers R = 0, as coverage_failure proves.
     """
     relations = tuple(dict.fromkeys(
         r.content_primitive()[1] for r in leaf_relations(orbit_solve(template))))
-
-    def split(relations, stratum):
-        relations = [r for r in relations if r]
-        if not relations:
-            return stratum
-        known, steps, unsplit = stratum.opens(), [], None
-        for k, r in enumerate(relations):
-            try:
-                new = tuple(f for f in relation_factors(r) if f not in known)
-            except StratificationError as exc:
-                unsplit = exc
-                continue
-            steps.append((len(new), k, new))
-            if len(new) <= 1:   # no relation has fewer but a constant one
-                break
-        if not steps:
-            raise unsplit
-        _, k, new = min(steps)
-        rest = relations[:k] + relations[k + 1:]
-        return Split(new, relations[k], (*(
-            None if branch is None else split([r.subs(branch[0]) for r in rest], branch[1])
-            for branch in zero_branches(new, stratum)), None))
-
-    return relations, split(relations, StratumCase())
-
-
-def _product(polys) -> Poly:
-    """The product of the nonzero polynomials."""
-    return math.prod((p for p in polys if p), start=Poly.const(1))
-
-
-def _member_at(stratum: StratumCase, q: Poly, dim: int) -> Matrix:
-    """The generic operator at the stratum's grid point where q is nonzero
-    (stratify.grid_point)."""
-    symbols = output_symbols(dim)
-    point = grid_point(replace(stratum, free_vars=tuple(
-        s for s in symbols if s not in stratum.substitution)), q)
-    return Matrix([[point[s] for s in symbols[i * dim:(i + 1) * dim]] for i in range(dim)])
+    return relations, split_zero_set(relations)
 
 
 def _vanishes(solve: OrbitSolve, rows) -> bool:
@@ -322,44 +250,27 @@ def reverse_failure(pattern: LocAutPattern):
     """Why some local automorphism is no member of the pattern, or None.
 
     Every local automorphism B meets the relations R = 0 (relation_split),
-    whose split is proved to cover them (coverage_failure).  On each leaf
-    some template T must read the generic B with no deviation, so B is
-    T(p) with p read off B.  Each open condition c of T must be
-    necessary: on c(p) = 0, split by its factors, some leaf inequation
-    N(x, B x) of the solve vanishes identically (b33 x3 at b33 = 0), so
-    no automorphism matches B at that leaf's points.  A failure is
-    (detail, B or None), B a point of the leaf that the pattern misses,
-    where every open condition read is nonzero but the failing one.
+    whose split is proved to cover them (coverage_failure).
+    stratify.reading_failure reads the generic B on each leaf, excluding
+    the B where some leaf inequation N(x, B x) of the solve vanishes
+    identically (_vanishes: b33 x3 at b33 = 0), as no automorphism
+    matches B at that leaf's points.  A failure is (detail, B or None), B
+    a point of the leaf that the pattern misses.
     """
     aut = closed_forms(pattern.algebra).automorphism
-    solve, (_, root), dim = orbit_solve(aut), relation_split(aut), aut.dim
+    root = relation_split(aut)[1]
     if failure := coverage_failure(root):
         return f"the relation split does not cover R = 0: {failure}", None
-    for leaf in tree_leaves(root):
-        rows = [[e.subs(leaf.substitution) for e in row] for row in generic_operator(dim)]
-        readings = [(t, *t.read(rows, Poly.subs)) for t in pattern.templates]
-        reading = next(((t, p) for t, p, gaps in readings if not any(gaps.values())), None)
-        if reading is None:
-            q = _product(next(g for g in gaps.values() if g)
-                         * _product(c.subs(p) for c in t.nonzero) for t, p, gaps in readings)
-            return (f"no template reads the local automorphisms on the leaf {leaf.name}",
-                    _member_at(leaf, q, dim))
-        template, params = reading
-        branch = pattern.branches[pattern.templates.index(template)]
-        for c in template.nonzero:
-            read = c.subs(params)
-            if read.is_constant() and read:
-                continue
-            strata = [({}, leaf)] if not read else [
-                b for b in zero_branches(relation_factors(read), leaf) if b is not None]
-            for mapping, stratum in strata:
-                if not _vanishes(solve, [[e.subs(mapping) for e in row] for row in rows]):
-                    others = _product(d.subs(params).subs(mapping)
-                                      for d in template.nonzero if d is not c)
-                    return (f"the open condition {c} != 0 of the {branch} template "
-                            f"is not necessary on the leaf {leaf.name}",
-                            _member_at(stratum, others, dim))
-    return None
+    _, failure = reading_failure(root, generic_operator(aut.dim), pattern.templates,
+                                 partial(_vanishes, orbit_solve(aut)))
+    if failure is None:
+        return None
+    leaf, template, c, member = failure
+    if template is None:
+        return f"no template reads the local automorphisms on the leaf {leaf.name}", member
+    branch = pattern.branches[pattern.templates.index(template)]
+    return (f"the open condition {c} != 0 of the {branch} template "
+            f"is not necessary on the leaf {leaf.name}", member)
 
 
 @dataclass(frozen=True)

@@ -16,26 +16,23 @@ pivots at y = B x for its symbolic member B (stratify.member_failure).
 A pivot the solver cannot split into degree-1 factors is refused with a
 StratificationError (an UnsupportedError) that names it; there is no
 approximate answer.  An operator outside the space gets a deterministic
-refuting point from the first leaf condition it breaks (refuting_point).
+refuting point from the first leaf condition it breaks
+(OrbitSolve.refuting_point, the walk that refutes local automorphisms
+too), confirmed by pointwise_membership.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .algebra import Algebra
 from .derivations import DerivationSpace, derivation_algebra, is_derivation
-from .errors import InputError, InternalCheckError, StratificationError
-from .linalg import Matrix, Subspace, Vector, in_row_span, nullspace, solve, vector
+from .errors import InternalCheckError, StratificationError
+from .linalg import Matrix, Subspace, Vector, nullspace, solve, vector
 from .poly import Poly
 from .stratify import (
     OrbitSolve,
-    StratumCase,
     coverage_failure,
-    grid_point,
     member_failure,
     member_image,
     solve_parametric,
@@ -103,13 +100,6 @@ class LocalDerivationSpace:
         return self.span().contains(op.vec())
 
 
-def support_patterns(dim: int):
-    """All 2^dim - 1 nonzero supports, small supports first."""
-    indices = range(dim)
-    for size in range(1, dim + 1):
-        yield from itertools.combinations(indices, size)
-
-
 def local_derivation_space(
     algebra: Algebra,
     seed: int = 0,
@@ -150,50 +140,17 @@ def _solution_basis(solve: OrbitSolve) -> tuple[Matrix, ...]:
     return tuple(Matrix.from_vec(v, n) for v in space.basis)
 
 
-def membership_checker(ders: DerivationSpace, op: Matrix):
-    """Pointwise membership test op(x) in span{D_i(x)} for a fixed op.
-
-    The returned check(x) is True exactly when pointwise_membership(ders,
-    op, x) is not None.  Membership does not change when an operator or
-    the point is scaled, so every operator is scaled to integer entries
-    once and each point is cleared of denominators; the images are then
-    integral and one fraction-free elimination (in_row_span) decides.
-    """
-    scaled = [
-        (m * math.lcm(*(v.denominator for v in m.vec()))).rows
-        for m in (*ders.basis, op)
-    ]
-    n = op.shape[1]
-
-    def check(x) -> bool:
-        if len(x) != n:
-            raise InputError("point dimension does not match the operator")
-        scale = math.lcm(*(v.denominator for v in x))
-        x = [v.numerator * (scale // v.denominator) for v in x]
-        images = [[sum(map(mul, row, x)) for row in rows] for rows in scaled]
-        return in_row_span(images[:-1], images[-1])
-
-    return check
-
-
 def refuting_point(space: LocalDerivationSpace, op: Matrix) -> Vector:
     """A point x with op(x) outside span{D(x)}, for op outside the space.
 
-    Deterministic: the leaves are walked sorted by signature, and the
-    first leaf condition q = E(x, op x) that is nonzero gives the point
-    grid_point(leaf, q), where q and the leaf's inequations are nonzero,
-    so no derivation matches there; it is checked pointwise again.
+    Deterministic: the refuting point of the Der solve
+    (OrbitSolve.refuting_point), from the first leaf condition that op
+    breaks; it is checked again by pointwise_membership.
     """
-    member = membership_checker(space.derivations, op)
-    for leaf in sorted(space.solve.leaves, key=StratumCase.signature):
-        xy = member_image(leaf, op.rows)
-        if q := next((r for e in leaf.constraints if (r := e.subs(xy))), None):
-            point = grid_point(leaf, q)
-            x = vector(point[f"x{k + 1}"] for k in range(op.shape[1]))
-            if member(x):
-                break
-            return x
-    raise InternalCheckError("no leaf refutes the operator pointwise")
+    x = space.solve.refuting_point(op.rows)
+    if x is None or pointwise_membership(space.derivations, op, x) is not None:
+        raise InternalCheckError("no leaf refutes the operator pointwise")
+    return vector(x)
 
 
 def _prove(space: LocalDerivationSpace) -> None:

@@ -10,20 +10,25 @@ Each open condition of T, linear in the parameters, is solved for one of
 them as a torus unknown t_k; every other parameter must enter linearly.
 Pivot coefficients are polynomials in x that may vanish on subvarieties,
 so every pivot splits x-space: its coefficient is factored into degree-1
-factors (poly.linear_factors), and one splitter, zero_branches, gives
-the strata f_i = 0 with f_0..f_{i-1} != 0, while the generic branch
-keeps every factor as an inequation.  A coefficient that does not split
-into degree-1 factors, or a tree deeper than MAX_DEPTH, is refused with
-a StratificationError; there is no approximate answer.
+factors (poly.linear_factors), and zero_branches gives the strata f_i =
+0 with f_0..f_{i-1} != 0, while the generic branch keeps every factor as
+an inequation.  A coefficient that does not split into degree-1
+factors, or a tree deeper than MAX_DEPTH, is refused with a
+StratificationError; there is no approximate answer.
 
-There are two readers.  local_automorphisms decides pointwise whether
-some automorphism agrees with B at x from the solve of each automorphism
-template.  local_derivations reads LocDer off the solve of the Der
-template (parameters a_k, entries sum a_k D_k, no open conditions): B x
-= D x for some derivation D is T(a) x = y at y = B x.  The splitter also
-splits the automorphism equations (automorphisms.verify_family) and the
-relations that the leaf conditions put on a local automorphism
-(local_automorphisms.relation_split, factored by relation_factors).
+Around the solve there is one splitter, one reader and one refutation,
+each shared by Aut, LocAut and LocDer:
+
+- split_zero_set splits the zero set of a list of equations: the
+  multiplicativity equations of a generic map (automorphisms) and the
+  relations the leaf conditions put on a local automorphism
+  (local_automorphisms.relation_split).
+- reading_failure is the reverse proof on the leaves of such a split:
+  on each leaf that is not excluded, some template reads the generic map
+  with no deviation, and each open condition it reads is necessary.
+- OrbitSolve.refuting_point gives a point x where no T(a) agrees with an
+  operator B, from the first leaf that B breaks (LocDer from the Der
+  solve, LocAut from the automorphism solve).
 
 The proofs share nothing with the elimination but Poly.  coverage_failure
 proves from the recorded splits that the leaves partition x-space (or,
@@ -37,12 +42,14 @@ where a polynomial is nonzero, off a fixed grid, so nothing is sampled.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Mapping
 
 from .errors import InternalCheckError, StratificationError, UnsupportedError
+from .linalg import Matrix
 from .poly import Poly, linear_factors, solve_linear, unit_times_powers
 from .rationals import quotient
 from .templates import MatrixTemplate
@@ -170,6 +177,42 @@ def relation_factors(p: Poly) -> tuple[Poly, ...]:
                               offending=p)
 
 
+def split_zero_set(equations) -> Split | StratumCase:
+    """The recorded split of the common zero set of the equations.
+
+    Each step takes the equation with the fewest new factors
+    (relation_factors) and records it as a Split whose generic child is
+    empty, each zero branch substituting its factor's solution into the
+    other equations (zero_branches); so the leaves cover the zero set, as
+    coverage_failure proves.  b22 = b44^2 is such a substitution, and
+    b11^6 - b33^2 splits into b33 = -b11^3 and b33 = b11^3.  Raises the
+    StratificationError of relation_factors when no equation left splits.
+    """
+    def split(equations, stratum):
+        equations = [e for e in equations if e]
+        if not equations:
+            return stratum
+        known, steps, unsplit = stratum.opens(), [], None
+        for k, e in enumerate(equations):
+            try:
+                new = tuple(f for f in relation_factors(e) if f not in known)
+            except StratificationError as exc:
+                unsplit = exc
+                continue
+            steps.append((len(new), k, new))
+            if len(new) <= 1:   # no equation has fewer but a constant one
+                break
+        if not steps:
+            raise unsplit
+        _, k, new = min(steps)
+        rest = equations[:k] + equations[k + 1:]
+        return Split(new, equations[k], (*(
+            None if branch is None else split([e.subs(branch[0]) for e in rest], branch[1])
+            for branch in zero_branches(new, stratum)), None))
+
+    return split(list(equations), StratumCase())
+
+
 def tree_leaves(node):
     """The leaves below a node of a recorded tree, depth first."""
     if isinstance(node, Split):
@@ -241,6 +284,67 @@ def grid_point(leaf: StratumCase, q: Poly = Poly.const(1)) -> dict:
     grid = itertools.product(*(range(q.degree_in(v) + 1) for v in free))
     point = next(p for p in (dict(zip(free, g)) for g in grid) if q.evaluate(p))
     return point | {v: e.evaluate(point) for v, e in leaf.substitution.items()}
+
+
+# -- the reverse reader -----------------------------------------------------------
+
+
+def _product(polys) -> Poly:
+    """The product of the nonzero polynomials."""
+    return math.prod((p for p in polys if p), start=Poly.const(1))
+
+
+def _member_at(stratum: StratumCase, q: Poly, generic) -> Matrix:
+    """The generic grid at the stratum's grid point where q is nonzero
+    (grid_point); the grid's variables are free in the order they appear."""
+    names = dict.fromkeys(v for row in generic for e in row for v in e.variables())
+    point = grid_point(replace(stratum, free_vars=tuple(
+        v for v in names if v not in stratum.substitution)), q)
+    return Matrix([[e.evaluate(point) for e in row] for row in generic])
+
+
+def reading_failure(root, generic, templates, excluded):
+    """(count, failure): how many leaves below root are read, and why
+    some element on them is no member of the templates, or None.
+
+    generic is a grid of polynomials, the generic element; on each leaf
+    it is read under the leaf's substitution.  excluded(rows) says that
+    the grid rows hold no element (Aut: det = 0; LocAut: an inequation of
+    the orbit solve vanishes identically).  On each leaf that is not
+    excluded some template must read the rows with no deviation, so every
+    element there is T(p) with p read off it.  Each open condition c of
+    that T must then read as a nonzero constant, or be necessary: on
+    every branch of c(p) = 0, split by its factors (relation_factors),
+    the rows are excluded.  A failure is (leaf, template or None when no
+    template reads the leaf, open condition or None, element), the
+    element a point of the leaf that every template misses, where every
+    open condition read is nonzero but the failing one (_member_at).
+    """
+    count = 0
+    for leaf in tree_leaves(root):
+        rows = [[e.subs(leaf.substitution) for e in row] for row in generic]
+        if excluded(rows):
+            continue
+        count += 1
+        readings = [(t, *t.read(rows, Poly.subs)) for t in templates]
+        reading = next(((t, p) for t, p, gaps in readings if not any(gaps.values())), None)
+        if reading is None:
+            q = _product(next(g for g in gaps.values() if g)
+                         * _product(c.subs(p) for c in t.nonzero) for t, p, gaps in readings)
+            return count, (leaf, None, None, _member_at(leaf, q, generic))
+        template, params = reading
+        for c in template.nonzero:
+            read = c.subs(params)
+            if read.is_constant() and read:
+                continue
+            strata = [({}, leaf)] if not read else [
+                b for b in zero_branches(relation_factors(read), leaf) if b is not None]
+            for mapping, stratum in strata:
+                if not excluded([[e.subs(mapping) for e in row] for row in rows]):
+                    others = _product(d.subs(params).subs(mapping)
+                                      for d in template.nonzero if d is not c)
+                    return count, (leaf, template, c, _member_at(stratum, others, generic))
+    return count, None
 
 
 # -- the solve --------------------------------------------------------------------
@@ -441,6 +545,30 @@ class OrbitSolve:
                 return f"T(q) x = y fails in the row {e}", None, roots
         return None, {p: _fraction(self.torus.get(p, Poly.var(p)), values)
                       for p in self.template.params}, roots
+
+    def refuting_point(self, rows) -> tuple | None:
+        """A point x where no T(a) x equals B x, B given by its grid rows,
+        or None when there is none.
+
+        Deterministic: the leaves are walked sorted by signature.  The
+        first leaf where a condition E(x, B x) is not zero gives
+        grid_point(leaf, E), where E and the leaf's inequations are
+        nonzero; the first where an inequation N(x, B x) is identically
+        zero gives grid_point(leaf).  None means that B meets every
+        condition on every leaf and makes no inequation vanish
+        identically: then B is a member of each pattern whose reverse
+        proof passes (reading_failure), so no point is missed.
+        """
+        for leaf in sorted(self.leaves, key=StratumCase.signature):
+            xy = member_image(leaf, rows)
+            if broken := next((r for e in leaf.constraints if (r := e.subs(xy))), None):
+                point = grid_point(leaf, broken)
+            elif any(not q.subs(xy) for q in leaf.nonzero):
+                point = grid_point(leaf)
+            else:
+                continue
+            return tuple(point[x] for x in _names("x", self.template.dim))
+        return None
 
 
 def member_image(leaf: StratumCase, rows) -> dict:

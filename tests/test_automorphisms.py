@@ -179,9 +179,17 @@ MUTANTS = [
          "pi3-44-minus", "pi3-form-on-pi2", "pi2-form-on-pi3"],
 )
 def test_every_mutant_fails_with_a_counterexample(
-    mutant, table, form, entries, drop, nonzero, direction
+    monkeypatch, mutant, table, form, entries, drop, nonzero, direction
 ):
     family = mutant(table, form, entries, drop, nonzero)
+    if direction == "reverse":
+        # the escaped automorphism is the generic map at a grid point
+        # (stratify.reading_failure): nothing is drawn
+        def draw(*_):
+            raise AssertionError("a random number was drawn")
+
+        monkeypatch.setattr(random.Random, "random", draw)
+        monkeypatch.setattr(random.Random, "getrandbits", draw)
     report = verify_family(family)
     assert not report.ok
     phi = report.counterexample

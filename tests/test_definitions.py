@@ -1,10 +1,12 @@
-"""Every module-level def and class of the package is named somewhere else.
+"""Every module-level def, class and assigned name of the package is named
+somewhere else.
 
 An AST scan over src/locsym, tests and perfbench: a name counts as used
 when a top-level statement other than its own definition loads it (as a
 name or an attribute), imports it, or holds it as a dotted part of a
 string constant such as "Matrix.__mul__" (perfbench/tracer.py lists its
-layers by name).  A helper orphaned by a deletion fails the scan.
+layers by name).  Dunder assignments (__all__, __version__) are skipped.
+A helper or constant orphaned by a deletion fails the scan.
 """
 
 import ast
@@ -16,6 +18,16 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "locsym").glob("*.py"))
 OTHERS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def defined(statement) -> list[str]:
+    """The names a module-level def, class or assignment binds, but dunders."""
+    if isinstance(statement, DEFINITIONS):
+        return [statement.name]
+    targets = (statement.targets if isinstance(statement, ast.Assign)
+               else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and not re.fullmatch(r"__\w+__", node.id)]
 
 
 def named(node) -> set[str]:
@@ -35,15 +47,16 @@ def named(node) -> set[str]:
 
 
 def dead_definitions(package: dict[str, str], others: list[str]) -> list[str]:
-    """'file: name' for each module-level def or class of the package
-    sources that no other top-level statement of any source names."""
+    """'file: name' for each module-level def, class or assigned name of
+    the package sources that no other top-level statement of any source
+    names."""
     counts, definitions = Counter(), []
     for label, source in [*package.items(), *(("", s) for s in others)]:
         for statement in ast.parse(source).body:
             refs = named(statement)
             counts.update(refs)
-            if label and isinstance(statement, DEFINITIONS):
-                definitions.append((label, statement.name, statement.name in refs))
+            if label:
+                definitions.extend((label, name, name in refs) for name in defined(statement))
     return sorted(f"{label}: {name}" for label, name, own in definitions
                   if counts[name] - own == 0)
 
@@ -53,6 +66,8 @@ def test_the_scan_finds_a_dead_definition():
     assert dead_definitions({"m.py": source}, ["LAYERS = ('m', 'Klass.run')\n"]) == [
         "m.py: a", "m.py: c"]
     assert dead_definitions({"m.py": "class a:\n    pass\n"}, ["LAYERS = ('m', 'a')\n"]) == []
+    source = "A, B = 1, 2\nC: int = A\n__all__ = ['x']\n"
+    assert dead_definitions({"m.py": source}, []) == ["m.py: B", "m.py: C"]
 
 
 def test_every_definition_is_named_elsewhere():

@@ -452,7 +452,8 @@ def test_cli_bridge(capsys):
     assert lines[1].endswith("its (3,3) deviation being 2*E_b11^3")
 
 
-SAMPLING_COMMANDS = (("locaut", "witness"), ("bridge",))
+# locaut witness walks the orbit solve and draws nothing, so it takes no count
+SAMPLING_COMMANDS = (("bridge",),)
 
 
 def leaf_commands(parser, path=()):
@@ -486,11 +487,14 @@ def test_cli_trials_is_a_flag_of_the_sampling_commands_only(
 
 @pytest.mark.parametrize("trials", ["-3", "0"])
 @pytest.mark.parametrize("command", [*SAMPLING_COMMANDS, ("aut", "family-verify"),
-                                     ("locaut", "verify")], ids=" ".join)
+                                     ("locaut", "verify"), ("locaut", "witness")],
+                         ids=" ".join)
 def test_cli_trials_must_be_positive(command, trials, capsys):
-    # aut family-verify and locaut verify prove their claims and take no
-    # count at all, so a non-positive one is refused there as an unknown flag.
-    assert run_cli(*command, "--algebra", "pi3", "--trials", trials) == 2
+    # aut family-verify, locaut verify and locaut witness decide exactly and
+    # take no count at all, so a non-positive one is refused there as an
+    # unknown flag.
+    required = dict(leaf_commands(_build_parser()))[command]
+    assert run_cli(*command, *required, "--algebra", "pi3", "--trials", trials) == 2
     expected = ("not a positive integer" if command in SAMPLING_COMMANDS
                 else "unrecognized arguments: --trials")
     assert expected in capsys.readouterr().err
@@ -553,6 +557,30 @@ def test_cli_log_bridge_sample_replays_through_the_round_trip(tmp_path, capsys):
         "kind": "bridge_sample", "algebra": "pi3", "direction": "log",
         "matrix": operator_to_payload(member, "complex"),
     }))
+    assert run_cli("verify-counterexample", str(path)) == 1
+    assert "did NOT reproduce" in capsys.readouterr().out
+
+
+def test_cli_pattern_residual_is_emitted_and_replayed(tmp_path, capsys):
+    # a complex-backend operator off pi2's pattern (b44 = b41 + b11 fails
+    # by 2) is checked numerically; its counterexample replays, and an
+    # operator on the pattern does not reproduce it
+    off = tmp_path / "off.json"
+    save_operator(str(off), [[complex(3 if i == j == 3 else i == j) for j in range(5)]
+                             for i in range(5)], "complex")
+    assert run_cli("locaut", "check", "--algebra", "pi2", "--matrix", str(off),
+                   "--format", "structured") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["residual"] == pytest.approx(2.0) and not payload["ok"]
+    counterexample = payload["counterexample"]
+    assert counterexample["kind"] == "pattern_residual"
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(counterexample))
+    assert run_cli("verify-counterexample", str(path)) == 0
+    assert "the numeric pattern residual exceeds tol" in capsys.readouterr().out
+    on = dict(counterexample, matrix=operator_to_payload(
+        [[complex(i == j) for j in range(5)] for i in range(5)], "complex"))
+    path.write_text(json.dumps(on))
     assert run_cli("verify-counterexample", str(path)) == 1
     assert "did NOT reproduce" in capsys.readouterr().out
 

@@ -6,7 +6,6 @@ exercised directly.
 """
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 
 from locsym import InputError, Matrix, Subspace
 from locsym.linalg import (
-    in_row_span,
     inverse,
     is_invertible,
     nullspace,
@@ -114,42 +112,6 @@ def test_quotient_is_exact_and_canonical():
 @given(rect)
 def test_rank_matches_sympy(rows):
     assert rank(rows) == sympy.Matrix(rows).rank()
-
-
-def test_in_row_span_agrees_with_rank():
-    rng = random.Random(5)
-
-    def draw(ncols, bound):
-        return [rng.choice((0, 0, rng.randint(-bound, bound)))
-                for _ in range(ncols)]
-
-    outcomes = set()
-    for trial in range(3000):
-        ncols = rng.randint(1, 6)
-        bound = 10**6 if trial % 5 == 0 else 9
-        rows = [draw(ncols, bound) for _ in range(rng.randint(0, 7))]
-        if rows and trial % 3 == 0:
-            # rank-deficient: one row is a combination of the others
-            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-            rows.append([a * u + b * v for u, v in zip(rows[0], rows[-1])])
-        if trial % 7 == 0:
-            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
-        kind = trial % 4
-        if kind == 0:
-            target = [0] * ncols
-        elif kind == 1 and rows:
-            # a combination of the rows, so inside the span
-            coeffs = [rng.randint(-4, 4) for _ in rows]
-            target = [sum(c * row[j] for c, row in zip(coeffs, rows))
-                      for j in range(ncols)]
-        else:
-            target = draw(ncols, bound)
-        before = ([list(row) for row in rows], list(target))
-        expected = rank(rows) == rank(rows + [target])
-        assert in_row_span(rows, target) == expected, (rows, target)
-        assert (rows, target) == before  # the inputs are left as they were
-        outcomes.add((kind, expected))
-    assert {(0, True), (1, True), (2, False), (3, True), (3, False)} <= outcomes
 
 
 @settings(max_examples=40, deadline=None)

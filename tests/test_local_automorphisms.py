@@ -1,5 +1,6 @@
 """Local automorphisms: closed patterns, the orbit solve, witnesses."""
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -17,16 +18,12 @@ from locsym import (
     random_pattern_member,
     verify_pattern,
 )
-from locsym.local_automorphisms import (
-    STRATUM_POINTS,
-    Witness,
-    _stratum_point,
-    automorphic_witness,
-    orbit_solve,
-    probe_points,
-)
-from locsym.local_derivations import support_patterns
-from locsym.stratify import coverage_failure
+from locsym.cli import _verify_counterexample
+from locsym.linalg import operator_to_payload
+from locsym.local_automorphisms import Witness, automorphic_witness, orbit_solve
+from locsym.poly import solve_linear
+from locsym.rationals import format_rational
+from locsym.stratify import coverage_failure, grid_point
 from locsym.templates import (
     AUTOMORPHISM_FORM_PI2,
     AUTOMORPHISM_FORM_PI3,
@@ -38,6 +35,16 @@ def diag(*values):
     return Matrix([
         [values[i] if i == j else 0 for j in range(5)] for i in range(5)
     ])
+
+
+# a point of each orbit-solve stratum n1 + n4 = 0 and n2 + n5 = 0
+STRATUM_POINTS = ((1, 0, 0, -1, 0), (0, 1, 0, 0, -1))
+
+
+def support_patterns(dim):
+    """All 2^dim - 1 nonzero supports, small supports first."""
+    for size in range(1, dim + 1):
+        yield from itertools.combinations(range(dim), size)
 
 
 # -- pattern shape ---------------------------------------------------------------
@@ -257,15 +264,6 @@ def test_the_orbit_solve_leaves_partition_x_space(family, leaves):
     assert len(solve.leaves) == leaves
 
 
-@pytest.mark.parametrize("family, leaves", SOLVES, ids=["pi2", "pi3"])
-def test_every_leaf_but_zero_holds_a_probe_point(family, leaves):
-    # ties STRATUM_POINTS to the derived strata
-    solve = orbit_solve(family)
-    probed = {id(solve.leaf_at(solve.point(x, x))) for x in probe_points(5)}
-    missed = [leaf for leaf in solve.leaves if id(leaf) not in probed]
-    assert [(len(leaf.equalities), leaf.inequations) for leaf in missed] == [(5, ())]
-
-
 def breakings(y, polynomial, point, vanish):
     """y changed in one coordinate so that polynomial vanishes, or does not."""
     for v in sorted(v for v in polynomial.variables() if v.startswith("y")):
@@ -284,7 +282,7 @@ def breakings(y, polynomial, point, vanish):
 def test_every_leaf_accepts_images_and_refuses_each_broken_condition(family):
     solve, rng = orbit_solve(family), random.Random(7)
     for leaf in solve.leaves:
-        x = _stratum_point(solve, leaf)
+        x = tuple(grid_point(leaf)[f"x{k + 1}"] for k in range(5))
         y = tuple(family.instantiate(random_parameters(family, rng, 3)).apply(x))
         point = solve.point(x, y)
         assert solve.leaf_at(point) is leaf
@@ -308,21 +306,70 @@ def test_every_leaf_accepts_images_and_refuses_each_broken_condition(family):
 # -- refutation witnesses --------------------------------------------------------------
 
 def test_b22_bump_witness_is_e2_plus_e4(pi3):
-    witness = find_witness(pi3, diag(1, 2, 1, 1, 1), seed=0)
+    witness = find_witness(pi3, diag(1, 2, 1, 1, 1))
     assert witness == (0, 1, 0, 1, 0)
     report = locaut_feasible_at(pi3, diag(1, 2, 1, 1, 1), witness)
     assert not report.feasible
 
 
 def test_b44_bump_witness(pi2):
-    witness = find_witness(pi2, diag(1, 1, 1, 3, 1), seed=0)
+    witness = find_witness(pi2, diag(1, 1, 1, 3, 1))
     assert witness == (1, 0, 0, -1, 0)
     assert not locaut_feasible_at(pi2, diag(1, 1, 1, 3, 1), witness).feasible
+    with pytest.raises(InputError, match="matrix shape does not match"):
+        find_witness(pi2, Matrix.identity(4))
 
 
 def test_members_have_no_witness(pi2, pat2):
     member = random_pattern_member(pat2, random.Random(3))
-    assert find_witness(pi2, member, seed=0, random_trials=50) is None
+    assert find_witness(pi2, member) is None
+
+
+def operators(pattern, rng, count):
+    """Seeded members, each with a one-entry bump and its grid on the zero
+    set of each open condition (a boundary operator, refuted only by an
+    inequation that vanishes identically), and small 0/+-1 matrices."""
+    for _ in range(count):
+        template = rng.choice(pattern.templates)
+        params = random_parameters(template, rng, 3)
+        member = template.instantiate(params)
+        rows = [list(row) for row in member.rows]
+        rows[rng.randrange(5)][rng.randrange(5)] += rng.choice((-1, 1, 2))
+        yield from (member, Matrix(rows))
+        for condition in template.nonzero:
+            (v, value), = solve_linear(condition).items()
+            at = params | {v: value.evaluate(params)}
+            yield Matrix([[e.evaluate(at) for e in row] for row in template.entries])
+        yield Matrix([[rng.choice((0, 0, 1, -1)) for _ in range(5)] for _ in range(5)])
+
+
+def test_refutation_is_complete_and_deterministic(monkeypatch, pi2, pi3, pat2, pat3):
+    # the walk refutes exactly the non-members, each at an infeasible point
+    # that replays, and draws nothing
+    rng = random.Random(21)
+    cases = [(algebra, pattern, b) for algebra, pattern in ((pi2, pat2), (pi3, pat3))
+             for b in operators(pattern, rng, 20)]
+
+    def draw(*_):
+        raise AssertionError("a random number was drawn")
+
+    monkeypatch.setattr(random.Random, "random", draw)
+    monkeypatch.setattr(random.Random, "getrandbits", draw)
+    outcomes = set()
+    for algebra, pattern, b in cases:
+        point = find_witness(algebra, b)
+        check = pattern_check(pattern, b)
+        assert (point is None) == check.ok, (algebra.name, b)
+        outcomes.add((check.ok, check.boundary))
+        if point is not None:
+            assert not locaut_feasible_at(algebra, b, point).feasible
+            reproduced, _ = _verify_counterexample({
+                "kind": "locaut_witness", "algebra": algebra.name,
+                "matrix": operator_to_payload(b),
+                "point": [format_rational(v) for v in point],
+            }, tol=0.0)
+            assert reproduced
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 # -- two-way verification and group structure ----------------------------------------

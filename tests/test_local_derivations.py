@@ -13,7 +13,6 @@ from locsym import (
     StratificationError,
     is_derivation,
     local_derivation_space,
-    membership_checker,
     pointwise_membership,
     strict_inclusion_witness,
     template_space_equals,
@@ -90,27 +89,6 @@ def test_pointwise_membership_returns_exact_coefficients(der2, loc2):
 def test_pointwise_membership_detects_failure(der2):
     # E12 is not even a local derivation; probing e2 exposes it
     assert pointwise_membership(der2, e_matrix(0, 1), (0, 1, 0, 0, 0)) is None
-
-
-def test_membership_checker_agrees_with_the_solve(der2, loc2, der3, loc3):
-    rng = random.Random(4)
-    outcomes = set()
-    for ders, locders in ((der2, loc2), (der3, loc3)):
-        ops = list(locders.basis) + [
-            Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                     for _ in range(5)] for _ in range(5)])
-            for _ in range(5)
-        ]
-        for op in ops:
-            member = membership_checker(ders, op)
-            for _ in range(30):
-                x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                     for _ in range(5)]
-                x[rng.randrange(5)] = 0
-                expected = pointwise_membership(ders, op, x) is not None
-                assert member(x) == expected
-                outcomes.add(expected)
-    assert outcomes == {True, False}
 
 
 def test_output_symbols_are_distinct_in_every_dimension():
