@@ -39,10 +39,9 @@ from .errors import (
     UnsupportedError,
 )
 from .expbridge import (
-    LOG_ROUND_TRIP_TOL,
     bridge_check,
     exp_leaves_pattern,
-    log_round_trip_residual,
+    log_leaves_template,
     matrix_exp,
     matrix_log,
     structured_log_pi3,
@@ -174,10 +173,11 @@ def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
         numbers = _field(obj, "numbers", f"a list of ints in 1..{count}",
                          lambda raw: isinstance(raw, list) and all(
                              type(v) is int and 0 < v <= count for v in raw))
-        seed = _field({"seed": 0, **obj}, "seed", "an unsigned 64-bit int",
-                      lambda raw: type(raw) is int and 0 <= raw < 2 ** 64)
+        # the seed only labels the battery, but a replay still checks it
+        _field({"seed": 0, **obj}, "seed", "an unsigned 64-bit int",
+               lambda raw: type(raw) is int and 0 <= raw < 2 ** 64)
         spaces = builtin_spaces()
-        failed = [k for k in numbers if not CRITERIA[k - 1](spaces, seed).passed]
+        failed = [k for k in numbers if not CRITERIA[k - 1](spaces).passed]
         return bool(failed), f"criteria still failing: {failed}"
     if kind in ("pattern_residual", "bridge_sample"):
         op = _field(obj, "matrix", "an operator", parse=operator_from_payload)
@@ -232,8 +232,8 @@ def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
         if _field(obj, "direction", "exp or log",
                   lambda raw: raw in ("exp", "log")) == "exp":
             return exp_leaves_pattern(algebra, op), "the exponential leaves the pattern"
-        residual = log_round_trip_residual(op)
-        return residual > LOG_ROUND_TRIP_TOL, "the log/exp round trip misses"
+        return (log_leaves_template(algebra, op),
+                "the logarithm of a positive + member leaves the LocDer template")
     prediction = infer_shape(closed_forms(algebra).derivation)
     report = validate_prediction(prediction, local_derivation_space(algebra))
     return not report.ok, "the shape prediction fails validation"
@@ -575,7 +575,7 @@ def _cmd_log(args) -> tuple[int, dict, list[str]]:
     if result is None:
         algebra = get_algebra(args.algebra)
         try:
-            # the same test bridge_check makes for its log direction
+            # structured recovery solves exp(nabla) = B on pi3's pattern only
             if closed_forms(algebra).local_derivation is not LOCAL_DERIVATION_FORM_PI3:
                 raise UnsupportedError(
                     f"it inverts pi3's pattern, not {algebra.name}'s; "
@@ -603,20 +603,10 @@ def _cmd_log(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_bridge(args) -> tuple[int, dict, list[str]]:
     algebra = get_algebra(args.algebra)
-    payload = {"algebra": algebra.name, "direction": args.direction}
-    if args.direction == "exp":
-        # a proof: it reads neither --trials nor --seed
-        report = bridge_check(algebra, "exp")
-        lines = [f"bridge exp ({algebra.name}, proved exactly): {report.ok}"]
-    else:
-        trials = args.trials or 100
-        report = bridge_check(algebra, "log", trials=trials, seed=args.seed)
-        payload.update(trials=trials, max_residual=report.max_residual)
-        lines = [
-            f"bridge log ({algebra.name}, {trials} trials): {report.ok}",
-            f"worst residual: {report.max_residual:.3e}",
-        ]
-    payload.update(ok=report.ok, detail=report.detail)
+    report = bridge_check(algebra, args.direction)
+    payload = {"algebra": algebra.name, "direction": args.direction,
+               "ok": report.ok, "detail": report.detail}
+    lines = [f"bridge {args.direction} ({algebra.name}, proved exactly): {report.ok}"]
     if not report.ok:
         if report.sample is not None:
             counterexample = _counterexample(
@@ -627,8 +617,7 @@ def _cmd_bridge(args) -> tuple[int, dict, list[str]]:
             lines.append("counterexample: " + json.dumps(counterexample))
         lines.append(f"detail: {report.detail}")
         return 1, payload, lines
-    if args.direction == "exp":
-        lines.append(f"proof: {report.detail}")
+    lines.append(f"proof: {report.detail}")
     return 0, payload, lines
 
 
@@ -719,16 +708,6 @@ def _cmd_verify_counterexample(args) -> tuple[int, dict, list[str]]:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {raw!r}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -743,12 +722,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="fmt", help="report format",
     )
     shared.add_argument("--out", default=None, help="write the report here")
-    # only the commands that sample read a trial count
-    sampled = argparse.ArgumentParser(add_help=False, parents=[shared])
-    sampled.add_argument(
-        "--trials", type=_positive_int, default=None,
-        help="randomized trial count (a positive integer)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="locsym",
@@ -819,11 +792,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     log_cmd.set_defaults(handler=_cmd_log)
 
-    bridge_cmd = commands.add_parser("bridge", parents=[sampled])
+    bridge_cmd = commands.add_parser("bridge", parents=[shared])
     bridge_cmd.add_argument(
         "--direction", choices=("exp", "log"), default="exp",
-        help="exp is proved exactly and reads neither --trials nor --seed; "
-        "log samples pi3's pattern",
+        help="both are proved exactly: exp(LocDer) lies in LocAut, and log "
+        "inverts it over R on the members with positive diagonal",
     )
     bridge_cmd.set_defaults(handler=_cmd_bridge)
 

@@ -4,8 +4,9 @@ exp maps the local derivations into the local automorphisms, and
 bridge_check(algebra, "exp") proves it for the whole LocDer template T
 at once.  T is triangular in a suitable basis order, so exp(T) is a sum
 over paths (symbolic_exp); every relation of the LocAut pattern is then
-read off exp(T) as a polynomial identity.  The log direction inverts the
-pattern of pi3 in floats and stays sampled.
+read off exp(T) as a polynomial identity.  bridge_check(algebra, "log")
+proves from the same reading that, over R, exp is a bijection from T
+onto the members of the + template with positive diagonal.
 
 The series lambda21, lambda31, mu31, lambda32, lambda34 are the entry
 coefficients of exp(nabla) for nabla in the local-derivation pattern of
@@ -22,8 +23,8 @@ of x ((e^{2x} - e^x)/x and friends), whose weights sit in the same
 table.  series_failure proves series and closed form equal at every
 order.  closed_form evaluates the same functions in floats, written
 through phi(z) = (e^z - 1)/z = e^{z/2} sinh(z/2)/(z/2) so that nothing
-cancels near 0; it is the float oracle for eval_series, which the log
-direction sums.
+cancels near 0; it is the float oracle for eval_series, which
+structured_log_pi3 sums.
 
 Numeric kernels: matrix_exp is scaling-and-squaring with a truncated
 Taylor sum; matrix_log is inverse scaling-and-squaring (Denman-Beavers
@@ -41,12 +42,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from graphlib import CycleError, TopologicalSorter
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .algebra import Algebra, builtin
 from .errors import InputError, NumericsError, UnsupportedError
-from .linalg import Matrix
+from .linalg import Matrix, nullspace
 from .local_automorphisms import locaut_pattern, pattern_residual
 from .poly import Poly
 from .rationals import quotient
@@ -143,8 +144,8 @@ def series_failure(name: str) -> str | None:
 @cache
 def _complex_coefficients(name: str, order: int) -> tuple[complex, ...]:
     """series_coefficients as complex numbers, built on first use per
-    (name, order) and kept: the log direction sums the same few tables
-    at every sample."""
+    (name, order) and kept: structured_log_pi3 sums the same few tables
+    at every call."""
     return tuple(complex(c) for c in series_coefficients(name, order))
 
 
@@ -181,8 +182,6 @@ def closed_form(name: str, x1: complex) -> complex:
     if x == 0:
         return eval_series(name, x)
     return _FACTORED[name](x)
-
-
 
 
 # -- numeric matrix kernels ---------------------------------------------------
@@ -299,7 +298,12 @@ def structured_log_pi3(m, tol: float = 1e-9) -> list[list[complex]]:
     x6, x2, x7, x3, dividing by the numerically evaluated series values.
     """
     rows = [[complex(v) for v in row] for row in _as_array(m).tolist()]
-    _require_plus_branch(rows, tol)
+    check = pattern_residual(builtin("pi3"), rows)
+    if check.residual > tol or check.branch != "+":
+        raise InputError(
+            "structured recovery needs a member of the plus branch of pi3's "
+            f"pattern (residual {check.residual:.3e}, branch {check.branch})"
+        )
     b11 = rows[0][0]
     if abs(b11) < 1e-12 or (
         b11.real < 0 and abs(b11.imag) <= 1e-12 * abs(b11.real)
@@ -326,20 +330,6 @@ def structured_log_pi3(m, tol: float = 1e-9) -> list[list[complex]]:
         {"b11": x1, "b21": x4, "b31": x6, "b32": x5, "b34": x2,
          "b51": x7, "b54": x3}
     )
-
-
-def _require_plus_branch(rows, tol: float) -> None:
-    """Reject inputs outside the plus branch of the pi3 pattern."""
-    check = pattern_residual(builtin("pi3"), rows)
-    if check.residual > tol:
-        raise InputError(
-            f"matrix is not in the local-automorphism pattern "
-            f"(residual {check.residual:.3e})"
-        )
-    if check.branch != "+":
-        raise InputError(
-            "structured recovery is defined on the plus branch only"
-        )
 
 
 # -- the exact exponential of a LocDer template -------------------------------
@@ -529,17 +519,8 @@ def _unit_monomial(value: _Ratio, atoms) -> Poly | None:
 
 # -- the bridge ----------------------------------------------------------------
 
-# Largest pattern residual of an exponential that counts as in the pattern.
+# Largest float gap that counts as zero when a bridge_sample replays.
 EXP_PATTERN_TOL = 1e-9
-# Largest relative log/exp round-trip gap that counts as recovered.
-LOG_ROUND_TRIP_TOL = 1e-8
-
-
-def log_round_trip_residual(member) -> float:
-    """Relative max-entry gap of exp(structured_log_pi3(member)) to member."""
-    back = matrix_exp(structured_log_pi3(member))
-    gaps = [abs(b - v) for bs, vs in zip(back, member) for b, v in zip(bs, vs)]
-    return max(gaps) / max(1.0, max(abs(v) for row in member for v in row))
 
 
 def exp_leaves_pattern(algebra: Algebra, nabla) -> bool:
@@ -549,30 +530,40 @@ def exp_leaves_pattern(algebra: Algebra, nabla) -> bool:
     return check.residual > EXP_PATTERN_TOL or check.branch == "-"
 
 
+def log_leaves_template(algebra: Algebra, member) -> bool:
+    """Whether member is on the + branch with a positive real diagonal and
+    its float logarithm misses the LocDer template: the test a
+    bridge_sample of the log direction replays."""
+    check = pattern_residual(algebra, member)
+    diagonal = [complex(row[i]) for i, row in enumerate(member)]
+    if check.residual > EXP_PATTERN_TOL or check.branch == "-" or any(
+            v.imag or v.real <= 0 for v in diagonal):
+        return False
+    template = closed_forms(algebra).local_derivation
+    _, deviations = template.read(matrix_log(member), Poly.evaluate_numeric)
+    return max(map(abs, deviations.values())) > EXP_PATTERN_TOL
+
+
 @dataclass(frozen=True)
 class BridgeReport:
     ok: bool
     algebra: str
     direction: str
     detail: str
-    # the log direction's sample count and worst round-trip gap; None for
-    # the exp direction, which is proved
-    trials: int | None = None
-    max_residual: float | None = None
-    # on failure: the sample (nabla or pattern member) that broke the check
+    # on failure: the sample (nabla or + member) that broke the check
     sample: tuple[tuple[complex, ...], ...] | None = None
 
 
-def _exp_sample(algebra: Algebra, template: MatrixTemplate):
-    """The first of 100 seeded float members nabla of the LocDer template
-    whose exponential leaves the pattern, or None."""
+def _sample(template: MatrixTemplate, leaves):
+    """The first of 100 seeded float members of the template that `leaves`
+    flags, or None."""
     rng = random.Random(0)
     for _ in range(100):
-        nabla = template.instantiate_numeric(
+        m = template.instantiate_numeric(
             {p: rng.uniform(-1.0, 1.0) for p in template.params}
         )
-        if exp_leaves_pattern(algebra, nabla):
-            return tuple(tuple(complex(v) for v in row) for row in nabla)
+        if leaves(m):
+            return tuple(tuple(complex(v) for v in row) for row in m)
     return None
 
 
@@ -629,64 +620,111 @@ def exp_failure(algebra: Algebra) -> tuple[str | None, str]:
     return None, "; ".join([proof, *excluded])
 
 
-def bridge_check(
-    algebra: Algebra,
-    direction: str,
-    trials: int = 100,
-    seed: int = 0,
-) -> BridgeReport:
-    """exp: proved by exp_failure; log: sampled members recover.
+def log_failure(algebra: Algebra) -> tuple[str | None, str]:
+    """(why exp is no bijection over R from the real LocDer template T onto
+    the real members of the + template P with positive diagonal, or None;
+    the proof).
 
-    The exp direction is exact and reads neither trials nor seed; a failure
-    carries a float sample nabla from a seeded search (exp_leaves_pattern)
-    when one is found, and the verdict never depends on that search.  The
-    log direction exists for pi3 only and draws plus-branch members with
-    b11 in (0.5, 2); recovery must round-trip through matrix_exp.
+    exp(T(v)) = P(p(v)), p(v) read off exp(T) (exp_failure).  Diagonal:
+    T's is d = M w, M an injective integer matrix, so w -> e^{Mw} maps R^r
+    one to one onto the positive y with y^lambda = 1 for the lambda of M's
+    left kernel.  P's diagonal D satisfies these identically and gives its
+    parameters one by one, each from an entry linear in it with a constant
+    coefficient.  Off it: T's other parameters u sit where P reads its
+    others, and exp(T) reads u exp[d_i, d_j] + R there, the divided
+    difference positive at real nodes (mean value theorem), R acyclic in
+    the u.  So w, then the u in order, are unique and reach every real
+    value.  Over C the claim fails: e^d = e^{d + 2 pi i}.
+    """
+    failure, _ = exp_failure(algebra)
+    if failure is not None:
+        return f"the exp direction is not proved: {failure}", ""
+    forms = closed_forms(algebra)
+    t, plus = forms.local_derivation, forms.local_automorphism[0]
+    exp = symbolic_exp(t)
+    params, _ = plus.read(exp.rows, _at)
+    names = list(exp.atoms.values())
+    d = [t.entries[i][i] for i in range(t.dim)]
+    diagonal = [plus.entries[i][i] for i in range(t.dim)]
+    m = [[e.linear_decompose(names)[0][v].constant_value() for v in names] for e in d]
+    if nullspace(m):
+        return f"T's diagonal does not determine {', '.join(names)}", ""
+    relations = []
+    for kernel in nullspace(list(zip(*m))):
+        scale = lcm(*(k.denominator for k in kernel))
+        sides = [[Poly.const(1), []], [Poly.const(1), []]]  # D^lambda = 1 as two sides
+        for i, k in enumerate(int(k * scale) for k in kernel):
+            if k:
+                sides[k < 0][0] *= diagonal[i] ** abs(k)
+                sides[k < 0][1].append(f"D{i + 1}" + (f"^{abs(k)}" if abs(k) > 1 else ""))
+        relations.append(" = ".join(" * ".join(side) or "1" for _, side in sides))
+        if sides[0][0] != sides[1][0]:
+            return f"the + diagonal misses the relation {relations[-1]} of e^d", ""
+    unread, read = sorted({v for e in diagonal for v in e.variables()}), []
+    while unread:
+        q = next((q for q in unread for e in diagonal
+                  if set(e.variables()) <= {*read, q} and e.degree_in(q) == 1
+                  and e.coeff_split(q)[0].is_constant()), None)
+        if q is None:
+            return (f"the + template's diagonal parameters {', '.join(unread)} "
+                    "are not read off its diagonal"), ""
+        unread.remove(q)
+        read.append(q)
+    at_t = {t.free_coordinates[u]: u for u in t.params if u not in names}
+    at_plus = {plus.free_coordinates[q]: q for q in plus.params if q not in read}
+    for i, j in sorted(at_t.keys() ^ at_plus.keys()):
+        owner, name = ("the + template", at_plus[i, j]) if (i, j) in at_plus else ("T", at_t[i, j])
+        return (f"{owner}'s parameter {name} at ({i + 1},{j + 1}) is free in "
+                "only one of T and the + template"), ""
+    depends = {}
+    for (i, j), u in sorted(at_t.items()):
+        value = params[at_plus[i, j]]
+        try:
+            coefficients, rest = value.num.linear_decompose([u])
+        except ValueError:
+            return f"exp(T) at ({i + 1},{j + 1}) is not linear in {u}", ""
+        coefficient = _Ratio(coefficients[u], value.den)
+        ei, ej = (_Ratio(_exp_monomial(d[k], names, k)) for k in (i, j))
+        if (coefficient - (ei if d[i] == d[j] else (ei - ej).divided_by(d[i] - d[j]))).num:
+            return (f"the coefficient of {u} in exp(T) at ({i + 1},{j + 1}) is "
+                    f"{coefficient}, not exp[d{i + 1}, d{j + 1}]"), ""
+        depends[u] = sorted(set(rest.variables()) & set(at_t.values()))
+    try:
+        order = list(TopologicalSorter(depends).static_order())
+    except CycleError as exc:
+        return f"the entries of {', '.join(exc.args[1])} depend on each other", ""
+    image = (f"the positive diagonals with {', '.join(relations)}, which the + "
+             "diagonal satisfies identically" if relations else "every positive diagonal")
+    return None, (
+        f"over R, exp is a bijection from the real LocDer template T onto the "
+        f"real members of the + template with positive diagonal: T's diagonal d "
+        f"is an injective integer map of {', '.join(names)}, so e^d ranges over "
+        f"{image}; the + template reads {', '.join(read)} off its diagonal; "
+        f"exp(T)'s entries at {', '.join(order)} are, in this order, each "
+        "parameter times exp[d_i, d_j] > 0 plus terms in the earlier ones")
+
+
+def bridge_check(algebra: Algebra, direction: str) -> BridgeReport:
+    """One direction of the bridge, proved by exp_failure or log_failure.
+
+    A failure carries a float sample from a fixed search of the LocDer
+    template (exp_leaves_pattern) or of the + template
+    (log_leaves_template) when one is found; the verdict never depends
+    on that search.
     """
     forms = closed_forms(algebra)
     if direction == "exp":
         failure, proof = exp_failure(algebra)
-        if failure is not None:
-            return BridgeReport(
-                ok=False, algebra=algebra.name, direction=direction,
-                detail=failure,
-                sample=_exp_sample(algebra, forms.local_derivation),
-            )
-        return BridgeReport(
-            ok=True, algebra=algebra.name, direction=direction, detail=proof
-        )
-    if direction == "log":
-        if forms.local_derivation is not LOCAL_DERIVATION_FORM_PI3:
-            raise UnsupportedError(
-                "structured logarithm recovery is defined for pi3"
-            )
-        rng = random.Random(seed)
-        worst = 0.0
-        template = forms.local_automorphism[0]  # the plus branch
-        for t in range(trials):
-            params = {p: rng.uniform(-1.0, 1.0) for p in template.params}
-            params["b11"] = rng.uniform(0.5, 2.0)
-            member = template.instantiate_numeric(params)
-            residual = log_round_trip_residual(member)
-            worst = max(worst, residual)
-            if residual > LOG_ROUND_TRIP_TOL:
-                return BridgeReport(
-                    ok=False,
-                    algebra=algebra.name,
-                    direction=direction,
-                    trials=t + 1,
-                    max_residual=worst,
-                    detail=f"log/exp round trip missed by {residual:.3e}",
-                    sample=tuple(
-                        tuple(complex(v) for v in row) for row in member
-                    ),
-                )
-        return BridgeReport(
-            ok=True,
-            algebra=algebra.name,
-            direction=direction,
-            trials=trials,
-            max_residual=worst,
-            detail="all pattern members recovered their logarithm",
-        )
-    raise InputError(f"unknown bridge direction {direction!r}")
+        template, leaves = forms.local_derivation, exp_leaves_pattern
+    elif direction == "log":
+        failure, proof = log_failure(algebra)
+        template, leaves = forms.local_automorphism[0], log_leaves_template
+    else:
+        raise InputError(f"unknown bridge direction {direction!r}")
+    if failure is None:
+        return BridgeReport(ok=True, algebra=algebra.name, direction=direction,
+                            detail=proof)
+    return BridgeReport(
+        ok=False, algebra=algebra.name, direction=direction, detail=failure,
+        sample=_sample(template, lambda m: leaves(algebra, m)),
+    )

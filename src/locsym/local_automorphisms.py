@@ -351,10 +351,11 @@ def pattern_residual(algebra: Algebra, rows) -> NumericPatternCheck:
     readings = [
         t.read(e, Poly.evaluate_numeric) for t in pattern.templates
     ]
+    # an entry that a template reads a parameter from deviates by nothing
     k = min(
         range(len(readings)),
         key=lambda k: max(
-            (abs(readings[k][1][pos]) for pos in differ), default=0.0
+            (abs(readings[k][1].get(pos, 0.0)) for pos in differ), default=0.0
         ),
     )
     params, deviations = readings[k]

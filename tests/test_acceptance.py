@@ -7,11 +7,17 @@ CLI subcommand.
 """
 
 import json
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import locsym
 from locsym import StratificationError, acceptance, local_automorphisms, templates
 from locsym.acceptance import CRITERIA, builtin_spaces, run_suite
 from locsym.cli import main
@@ -32,6 +38,9 @@ TITLES = [
 ]
 
 ACCEPTANCE_SEED = 0
+
+# The directory that holds the imported package, for a child interpreter.
+SRC_DIR = str(Path(locsym.__file__).resolve().parent.parent)
 
 # the arguments of every LocDer solve the battery fixture makes
 SOLVES = []
@@ -107,26 +116,40 @@ def test_criterion_7_proves_both_halves_without_sampling(suite):
     assert "sampled" not in detail
 
 
-@pytest.mark.parametrize("seed", (1, 2, 3, 4, 97, 351, 498, 953))
-def test_the_battery_passes_at_other_seeds(seed):
-    # the benchmark runs seeds seed, seed + 1, ...; a sampled claim that
-    # fails at one of them must not hide behind seed 0 (criterion 9 once
-    # failed at 351, 498 and 953 on float cancellation)
-    result = run_suite(seed=seed)
-    assert result.lines()[-1] == f"11/11 criteria passed (seed {seed})", result.lines()
+@pytest.mark.parametrize("seed", (1, 2, 3, 4, 97, 351, 498, 953, 2 ** 64 - 1))
+def test_the_battery_passes_at_other_seeds(suite, seed):
+    # Every criterion is a proof or a pinned check, so the seed only labels
+    # the report: the benchmark's seeds seed, seed + 1, ... all see the
+    # battery of seed 0 (criterion 9 once failed at 351, 498 and 953 on
+    # float cancellation, when it sampled).
+    assert dict(run_suite(seed=seed).to_dict(), seed=None) == dict(
+        suite.to_dict(), seed=None)
 
 
-def test_cheap_criteria_are_seed_deterministic(spaces):
-    # determinism spot check on the fast criteria; the full battery is
-    # exercised once above, and the CLI seeds route through the same path
-    for criterion in (CRITERIA[1], CRITERIA[8], CRITERIA[9]):
-        first = criterion(spaces, 42)
-        second = criterion(spaces, 42)
-        assert first.to_dict() == second.to_dict()
+def test_a_passing_battery_draws_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a passing battery sampled")
+
+    # every draw of every Random instance goes through one of these two
+    monkeypatch.setattr(random.Random, "random", forbidden)
+    monkeypatch.setattr(random.Random, "getrandbits", forbidden)
+    assert run_suite(seed=0).ok
+
+
+def test_a_passing_battery_leaves_numpy_unloaded():
+    # only the float kernels need numpy, and a passing battery calls none
+    code = ("import sys; from locsym.acceptance import run_suite; "
+            "assert run_suite(0).ok; print('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC_DIR, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_a_crashed_criterion_keeps_its_title(monkeypatch, spaces):
-    def crash(spaces, seed):
+    def crash(spaces):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(acceptance, "CRITERIA", (crash,) * len(CRITERIA))
@@ -136,7 +159,7 @@ def test_a_crashed_criterion_keeps_its_title(monkeypatch, spaces):
     assert crashed[0].detail == "raised RuntimeError: boom"
     # the crashed titles are the ones the criteria report when they run
     for index in (1, 8, 9):
-        assert crashed[index].title == CRITERIA[index](spaces, 0).title
+        assert crashed[index].title == CRITERIA[index](spaces).title
 
 
 def test_a_failed_solve_fails_every_criterion(monkeypatch):
@@ -162,7 +185,7 @@ def test_a_changed_locder_template_fails_criterion_3(monkeypatch, spaces):
     monkeypatch.setitem(templates._CLOSED_FORMS, pi3.structure, replace(
         forms, local_derivation=replace(forms.local_derivation,
                                         entries=tuple(map(tuple, rows)))))
-    result = acceptance.criterion_3(spaces, 0)
+    result = acceptance.criterion_3(spaces)
     assert not result.passed
     assert result.detail == "LocDer(pi3) differs from its closed-form template"
 

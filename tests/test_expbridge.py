@@ -2,9 +2,9 @@
 
 The entry-series coefficients are frozen against their defining
 recurrences and proved equal to their closed forms at every order; the
-float closed forms are checked against the truncated series.  The exp
-direction of the bridge is a proof, and faults injected into the
-templates it reads make it fail with a sample that replays.
+float closed forms are checked against the truncated series.  Both
+directions of the bridge are proofs, and faults injected into the
+templates they read make them fail with a sample that replays.
 """
 
 import cmath
@@ -144,7 +144,7 @@ def test_every_series_equals_its_closed_form_at_every_order():
 def test_a_changed_chain_fails_the_series_proof(monkeypatch, change, failure):
     monkeypatch.setitem(CHAINS, "mu31", CHAINS["mu31"]._replace(**change))
     assert series_failure("mu31") == failure
-    result = acceptance.criterion_9({}, 0)
+    result = acceptance.criterion_9({})
     assert not result.passed
     assert result.detail == f"mu31: {failure}"
 
@@ -343,12 +343,11 @@ def test_symbolic_exp_refuses_what_it_cannot_write():
 
 
 def test_bridge_exp_small_battery():
-    # the exp direction is a proof: no trials, no residual, no seed
+    # the exp direction is a proof: it carries no sample
     for name in ("pi2", "pi3"):
-        report = bridge_check(builtin(name), "exp", trials=20, seed=11)
+        report = bridge_check(builtin(name), "exp")
         assert report.ok, report.detail
-        assert (report.trials, report.max_residual, report.sample) == (None, None, None)
-        assert report == bridge_check(builtin(name), "exp")
+        assert report.sample is None
         assert "exp(T) reads in the + template with no deviation" in report.detail
     pi3 = bridge_check(builtin("pi3"), "exp").detail
     assert pi3.startswith("the LocDer template T is lower-triangular in the order "
@@ -357,9 +356,38 @@ def test_bridge_exp_small_battery():
 
 
 def test_bridge_log_small_battery():
-    report = bridge_check(builtin("pi3"), "log", trials=20, seed=12)
-    assert report.ok, report.detail
-    assert report.max_residual < 1e-8
+    # the log direction is a proof over R on both builtins
+    for name in ("pi2", "pi3"):
+        report = bridge_check(builtin(name), "log")
+        assert report.ok and report.sample is None, report.detail
+        assert report.detail.startswith(
+            "over R, exp is a bijection from the real LocDer template T onto the "
+            "real members of the + template with positive diagonal: ")
+    pi2, pi3 = (bridge_check(builtin(name), "log").detail for name in ("pi2", "pi3"))
+    # pi2's b41 and b52 sit on the diagonal, so the diagonal step reads them
+    assert "the + template reads b11, b22, b33, b41, b52 off its diagonal" in pi2
+    assert "e^d ranges over every positive diagonal" in pi2
+    assert ("e^d ranges over the positive diagonals with D2 = D1^2, D3 = D1^3, "
+            "D4 = D1, D5 = D1^2") in pi3
+    assert "exp(T)'s entries at b21, b32, b34, b51, b54, b31 are" in pi3
+    with pytest.raises(InputError, match="unknown bridge direction"):
+        bridge_check(builtin("pi3"), "sideways")
+
+
+def test_a_log_sample_of_a_positive_member_does_not_reproduce():
+    # exp of a LocDer member is a + member with positive diagonal whose
+    # float logarithm reads back in the LocDer template
+    for name in ("pi2", "pi3"):
+        algebra = builtin(name)
+        forms = templates.closed_forms(algebra)
+        rng = random.Random(3)
+        nabla = forms.local_derivation.instantiate_numeric(
+            {p: rng.uniform(-1.0, 1.0) for p in forms.local_derivation.params})
+        member = matrix_exp(nabla)
+        assert not expbridge.log_leaves_template(algebra, member)
+        # a positive diagonal is required: -member is off the + branch (pi3)
+        # or has a negative diagonal (pi2), so it is no sample either
+        assert not expbridge.log_leaves_template(algebra, [[-v for v in row] for row in member])
 
 
 # -- faults injected into the templates the exp proof reads -----------------------------
@@ -407,10 +435,12 @@ def test_an_injected_fault_fails_criterion_8_and_replays(
     forms = templates.closed_forms(algebra)
     monkeypatch.setitem(templates._CLOSED_FORMS, algebra.structure,
                         replace(forms, **{field: change(forms)}))
-    result = acceptance.criterion_8({"pi2": loc2, "pi3": loc3}, 0)
+    result = acceptance.criterion_8({"pi2": loc2, "pi3": loc3})
     assert not result.passed
-    # on pi3 the sampled log direction fails too: it inverts the pattern
-    assert result.detail.split("; ")[0] == f"exp bridge({name}): {detail}"
+    # the log direction rests on the exp direction, so it fails next
+    assert result.detail.split("; ")[:2] == [
+        f"exp bridge({name}): {detail}",
+        f"log bridge({name}): the exp direction is not proved: {detail}"]
     assert main(["bridge", "--algebra", name, "--format", "structured"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["detail"] == detail

@@ -437,23 +437,23 @@ def test_cli_structured_log_needs_pi3(tmp_path, capsys):
 
 
 def test_cli_bridge(capsys):
-    assert run_cli("bridge", "--algebra", "pi3", "--direction", "log",
-                   "--trials", "10", "--seed", "4") == 0
-    assert capsys.readouterr().out.startswith("bridge log (pi3, 10 trials): True\n")
-    # the exp direction is a proof: --trials and --seed change nothing
+    # both directions are proofs on both builtins; log used to exist on pi3 only
+    for name in ("pi2", "pi3"):
+        assert run_cli("bridge", "--algebra", name, "--direction", "log") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"bridge log ({name}, proved exactly): True"
+        assert lines[1].startswith("proof: over R, exp is a bijection from the real "
+                                   "LocDer template T onto the real members")
     assert run_cli("bridge", "--algebra", "pi2", "--direction", "exp",
-                   "--trials", "10", "--format", "structured") == 0
+                   "--format", "structured") == 0
     payload = json.loads(capsys.readouterr().out)
-    assert "trials" not in payload and "max_residual" not in payload
+    assert set(payload) == {"schema", "command", "ok", "exit_code", "algebra",
+                            "direction", "detail"}
     assert payload["detail"].startswith("the LocDer template T is lower-triangular")
     assert run_cli("bridge", "--algebra", "pi3", "--seed", "7") == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "bridge exp (pi3, proved exactly): True"
     assert lines[1].endswith("its (3,3) deviation being 2*E_b11^3")
-
-
-# locaut witness walks the orbit solve and draws nothing, so it takes no count
-SAMPLING_COMMANDS = (("bridge",),)
 
 
 def leaf_commands(parser, path=()):
@@ -477,27 +477,21 @@ def leaf_commands(parser, path=()):
 def test_cli_trials_is_a_flag_of_the_sampling_commands_only(
     command, required, capsys
 ):
-    argv = [*command, *required, "--trials", "5"]
-    if command in SAMPLING_COMMANDS:
-        assert _build_parser().parse_args(argv).trials == 5
-    else:
-        assert run_cli(*argv) == 2
-        assert "unrecognized arguments: --trials" in capsys.readouterr().err
+    # no command samples any more, so every one refuses a trial count
+    assert run_cli(*command, *required, "--trials", "5") == 2
+    assert "unrecognized arguments: --trials" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["-3", "0"])
-@pytest.mark.parametrize("command", [*SAMPLING_COMMANDS, ("aut", "family-verify"),
+@pytest.mark.parametrize("command", [("bridge",), ("aut", "family-verify"),
                                      ("locaut", "verify"), ("locaut", "witness")],
                          ids=" ".join)
 def test_cli_trials_must_be_positive(command, trials, capsys):
-    # aut family-verify, locaut verify and locaut witness decide exactly and
-    # take no count at all, so a non-positive one is refused there as an
-    # unknown flag.
+    # these commands decide exactly and take no count at all, so a
+    # non-positive one is refused as an unknown flag
     required = dict(leaf_commands(_build_parser()))[command]
     assert run_cli(*command, *required, "--algebra", "pi3", "--trials", trials) == 2
-    expected = ("not a positive integer" if command in SAMPLING_COMMANDS
-                else "unrecognized arguments: --trials")
-    assert expected in capsys.readouterr().err
+    assert "unrecognized arguments: --trials" in capsys.readouterr().err
 
 
 def test_cli_locder_check_pins_the_refuting_point(tmp_path, capsys):
@@ -659,12 +653,10 @@ def test_import_leaves_numpy_unloaded():
 
 
 def test_script_env_seed_matches_flag():
-    # the log direction samples, so its report depends on the seed
-    via_flag = run_script("bridge", "--algebra", "pi3", "--direction", "log",
-                          "--trials", "5", "--seed", "21",
-                          "--format", "structured")
-    via_env = run_script("bridge", "--algebra", "pi3", "--direction", "log",
-                         "--trials", "5", "--format", "structured",
+    # the suite report is the one that carries its seed
+    via_flag = run_script("suite", "--seed", "21", "--format", "structured")
+    via_env = run_script("suite", "--format", "structured",
                          env={"LOCSYM_SEED": "21"})
     assert via_flag.returncode == via_env.returncode == 0
+    assert json.loads(via_flag.stdout)["seed"] == 21
     assert via_flag.stdout == via_env.stdout

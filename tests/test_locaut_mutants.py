@@ -6,9 +6,10 @@ must name the orbit-solve leaf where it fails and carry a member and a
 point that locaut_feasible_at refutes.  Each shrinking mutant leaves out
 some local automorphisms; the reverse proof must name the leaf of the
 relation split where it fails and carry a local automorphism (a member of
-the builtin pattern) that the mutant misses.  Every failing path
-(criterion 7, the suite command, locaut verify) emits a counterexample
-that replays.
+the builtin pattern) that the mutant misses.  The two mutants that free
+a zero entry still hold exp(LocDer), but fail the bridge's log proof.
+Every failing path (criterion 7, the suite command, locaut verify,
+bridge) emits a counterexample that replays.
 """
 
 import json
@@ -21,6 +22,7 @@ import pytest
 from locsym import (
     Matrix,
     acceptance,
+    bridge_check,
     builtin,
     local_automorphisms,
     locaut_feasible_at,
@@ -88,6 +90,27 @@ def test_every_enlarging_mutant_fails_the_forward_proof(mutate, tmp_path, capsys
     assert replays(tmp_path, {
         "kind": "locaut_witness", "algebra": algebra.name,
         "matrix": operator_to_payload(member), "point": [str(v) for v in point]})
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["pi3-zero-41-dropped", "pi2-zero-42-dropped"])
+def test_a_freed_zero_passes_the_exp_proof_and_fails_the_log_proof(
+    mutate, tmp_path, capsys, name
+):
+    # exp(T) is 0 at the freed entry, so it still reads in the mutant with no
+    # deviation; but exp reaches no member whose freed entry is nonzero
+    algebra = mutate(name)
+    _, (i, j), free, _ = MUTANTS[name]
+    assert bridge_check(algebra, "exp").ok
+    report = bridge_check(algebra, "log")
+    assert not report.ok
+    assert report.detail == (f"the + template's parameter {free} at ({i},{j}) "
+                             "is free in only one of T and the + template")
+    assert main(["bridge", "--direction", "log", "--algebra", algebra.name,
+                 "--format", "structured"]) == 1
+    sample = json.loads(capsys.readouterr().out)["counterexample"]
+    assert (sample["kind"], sample["direction"]) == ("bridge_sample", "log")
+    assert replays(tmp_path, sample)
     capsys.readouterr()
 
 
@@ -161,7 +184,7 @@ def test_a_solve_that_drops_a_stratum_fails_the_forward_proof(monkeypatch, pat2)
 
 def test_criterion_7_fails_on_a_freed_b55(mutate):
     mutate("pi2-b55-freed")
-    result = acceptance.criterion_7(acceptance.builtin_spaces(), 0)
+    result = acceptance.criterion_7(acceptance.builtin_spaces())
     assert not result.passed
     assert result.detail.startswith(
         "verify_pattern(pi2): the + template on the leaf "
