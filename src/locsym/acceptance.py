@@ -17,7 +17,7 @@ from .algebra import (
     power_filtration,
 )
 from .derivations import bracket_closed, is_derivation
-from .expbridge import CHAINS, SERIES_NAMES, bridge_check, series_failure
+from .expbridge import CHAINS, SERIES_NAMES, bridge_check, exp_failure, series_failure
 from .geometry import geometry_report
 from .inference import infer_shape, validate_prediction
 from .linalg import Matrix
@@ -278,8 +278,10 @@ def criterion_8(spaces: Spaces) -> CriterionResult:
     """Exponential bridge: both directions proved exactly."""
     problems, proofs = [], []
     for name in BOTH:
+        algebra = spaces[name].algebra
+        reading = exp_failure(algebra)
         for direction in ("exp", "log"):
-            report = bridge_check(spaces[name].algebra, direction)
+            report = bridge_check(algebra, direction, reading)
             proofs.append(f"{name} {direction}: {report.detail}")
             if not report.ok:
                 problems.append(f"{direction} bridge({name}): {report.detail}")

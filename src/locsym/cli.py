@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .acceptance import CRITERIA, builtin_spaces, run_suite
 from .algebra import (
@@ -101,7 +100,7 @@ def _format_complex_lines(rows) -> list[str]:
 
 
 def _vector_payload(x) -> list[str]:
-    return [format_rational(Fraction(v)) for v in x]
+    return [format_rational(v) for v in x]
 
 
 def _require_rational(m) -> Matrix:

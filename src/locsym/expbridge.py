@@ -567,8 +567,9 @@ def _sample(template: MatrixTemplate, leaves):
     return None
 
 
-def exp_failure(algebra: Algebra) -> tuple[str | None, str]:
-    """(why exp(LocDer) leaves the LocAut pattern, or None; the proof).
+def exp_failure(algebra: Algebra) -> tuple[str | None, str, SymbolicExp | None]:
+    """(why exp(LocDer) leaves the LocAut pattern, or None; the proof;
+    exp(T) when proved, the reading log_failure starts from).
 
     exp(T) of the LocDer template T (symbolic_exp) is read in the + branch
     template: every deviation must be 0 and every open condition a unit
@@ -587,17 +588,17 @@ def exp_failure(algebra: Algebra) -> tuple[str | None, str]:
     try:
         exp = symbolic_exp(closed_forms(algebra).local_derivation)
     except UnsupportedError as exc:
-        return f"exp(T) of the LocDer template is not written exactly: {exc}", ""
+        return f"exp(T) of the LocDer template is not written exactly: {exc}", "", None
     first, *others = pattern.templates
     params, relations = first.read(exp.rows, _at)
     for (i, j), deviation in relations.items():
         if deviation.num:
             return (f"exp(T) leaves the + template at ({i + 1},{j + 1}): "
-                    f"its deviation is {deviation}"), ""
+                    f"its deviation is {deviation}"), "", None
     for condition in first.nonzero:
         if _unit_monomial(_at(condition, params), exp.atoms) is None:
             return (f"the open condition {condition} of the + template is no "
-                    "unit times a monomial in the atoms on exp(T)"), ""
+                    "unit times a monomial in the atoms on exp(T)"), "", None
     excluded = []
     for branch, template in zip(pattern.branches[1:], others):
         _, deviations = template.read(exp.rows, _at)
@@ -606,7 +607,7 @@ def exp_failure(algebra: Algebra) -> tuple[str | None, str]:
             if (m := _unit_monomial(d, exp.atoms)) is not None), None)
         if witness is None:
             return (f"exp(T) is not excluded from the {branch} template: none of "
-                    "its deviations is a unit times a monomial in the atoms"), ""
+                    "its deviations is a unit times a monomial in the atoms"), "", None
         (i, j), monomial = witness
         excluded.append(f"the {branch} branch is excluded, its ({i + 1},{j + 1}) "
                         f"deviation being {monomial}")
@@ -617,13 +618,13 @@ def exp_failure(algebra: Algebra) -> tuple[str | None, str]:
              f"{len(relations)} relation entries, and every open condition "
              f"({', '.join(map(str, first.nonzero))}) is a unit times a "
              f"monomial in {atoms}")
-    return None, "; ".join([proof, *excluded])
+    return None, "; ".join([proof, *excluded]), exp
 
 
-def log_failure(algebra: Algebra) -> tuple[str | None, str]:
+def log_failure(algebra: Algebra, reading=None) -> tuple[str | None, str]:
     """(why exp is no bijection over R from the real LocDer template T onto
     the real members of the + template P with positive diagonal, or None;
-    the proof).
+    the proof).  reading is exp_failure(algebra), computed if not given.
 
     exp(T(v)) = P(p(v)), p(v) read off exp(T) (exp_failure).  Diagonal:
     T's is d = M w, M an injective integer matrix, so w -> e^{Mw} maps R^r
@@ -636,12 +637,11 @@ def log_failure(algebra: Algebra) -> tuple[str | None, str]:
     the u.  So w, then the u in order, are unique and reach every real
     value.  Over C the claim fails: e^d = e^{d + 2 pi i}.
     """
-    failure, _ = exp_failure(algebra)
+    failure, _, exp = reading or exp_failure(algebra)
     if failure is not None:
         return f"the exp direction is not proved: {failure}", ""
     forms = closed_forms(algebra)
     t, plus = forms.local_derivation, forms.local_automorphism[0]
-    exp = symbolic_exp(t)
     params, _ = plus.read(exp.rows, _at)
     names = list(exp.atoms.values())
     d = [t.entries[i][i] for i in range(t.dim)]
@@ -704,8 +704,9 @@ def log_failure(algebra: Algebra) -> tuple[str | None, str]:
         "parameter times exp[d_i, d_j] > 0 plus terms in the earlier ones")
 
 
-def bridge_check(algebra: Algebra, direction: str) -> BridgeReport:
-    """One direction of the bridge, proved by exp_failure or log_failure.
+def bridge_check(algebra: Algebra, direction: str, reading=None) -> BridgeReport:
+    """One direction of the bridge, proved by exp_failure or log_failure
+    (reading as in log_failure).
 
     A failure carries a float sample from a fixed search of the LocDer
     template (exp_leaves_pattern) or of the + template
@@ -714,10 +715,10 @@ def bridge_check(algebra: Algebra, direction: str) -> BridgeReport:
     """
     forms = closed_forms(algebra)
     if direction == "exp":
-        failure, proof = exp_failure(algebra)
+        failure, proof, _ = reading or exp_failure(algebra)
         template, leaves = forms.local_derivation, exp_leaves_pattern
     elif direction == "log":
-        failure, proof = log_failure(algebra)
+        failure, proof = log_failure(algebra, reading)
         template, leaves = forms.local_automorphism[0], log_leaves_template
     else:
         raise InputError(f"unknown bridge direction {direction!r}")

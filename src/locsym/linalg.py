@@ -2,7 +2,8 @@
 
 Everything here is exact.  Matrix and vector entries are canonical
 exact scalars (rationals.exact: int when integral, else Fraction), so
-products of integral data run on Python ints.  Rank comes from
+products of integral data run on Python ints; rref and nullspace still
+turn every row into Fractions.  Rank comes from
 fraction-free (Bareiss) elimination on integer-scaled rows so that
 intermediate values stay integral, and subspaces are stored by their
 reduced row echelon basis, which is a canonical representative and makes

@@ -23,7 +23,6 @@ too), confirmed by pointwise_membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import Algebra
 from .derivations import DerivationSpace, derivation_algebra, is_derivation
@@ -70,7 +69,7 @@ def leaf_relations(solve: OrbitSolve) -> tuple[Poly, ...]:
 
 def pointwise_membership(
     ders: DerivationSpace, nabla: Matrix, x
-) -> tuple[Fraction, ...] | None:
+) -> Vector | None:
     """Coefficients c with (sum c_i D_i)(x) = nabla(x), or None."""
     x = vector(x)
     columns = [d.apply(x) for d in ders.basis]

@@ -12,6 +12,10 @@ canonical form (rationals.exact: an int when integral, else a Fraction),
 so integral polynomials run on machine ints; coefficients are divided
 with rationals.quotient, since int / int is a float.  A float or complex
 coefficient raises TypeError rather than entering as a binary rational.
+Only the public constructor Poly(...) checks its input.  Results of
+closed operations (+, -, *, subs, group_by, ...) are built by _closed,
+which trusts it: sums and products of ints and Fractions are ints and
+Fractions, so it only drops zeros and turns integral Fractions to ints.
 A monomial is a tuple of (variable, exponent) pairs sorted by variable
 name with all exponents >= 1; the empty tuple is the constant monomial.
 Instances are immutable and hashable.
@@ -28,7 +32,7 @@ import re
 from fractions import Fraction
 
 from .errors import StratificationError
-from .rationals import exact, quotient
+from .rationals import exact, format_rational, quotient
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -66,7 +70,6 @@ class Poly:
             if coeff:
                 clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -83,7 +86,7 @@ class Poly:
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({((name, 1),): 1})
+        return _closed({((name, 1),): 1})
 
     # -- basic queries ------------------------------------------------
 
@@ -103,11 +106,7 @@ class Poly:
         return self.terms.get(_ONE, 0)
 
     def variables(self) -> tuple[str, ...]:
-        seen = set()
-        for mono in self.terms:
-            for var, _ in mono:
-                seen.add(var)
-        return tuple(sorted(seen))
+        return tuple(sorted({var for mono in self.terms for var, _ in mono}))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -115,26 +114,22 @@ class Poly:
         return max(_mono_degree(m) for m in self.terms)
 
     def degree_in(self, var: str) -> int:
-        best = 0
-        for mono in self.terms:
-            best = max(best, dict(mono).get(var, 0))
-        return best
+        return max((dict(mono).get(var, 0) for mono in self.terms), default=0)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not Poly and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             terms[mono] = terms.get(mono, 0) + coeff
-        return Poly(terms)
+        return _closed(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _closed({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = _coerce(other)
@@ -143,18 +138,23 @@ class Poly:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return -self + other  # NotImplemented for a float or complex
 
     def __mul__(self, other) -> "Poly":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not Poly and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) == 1 and _ONE in a:
+            a, b = b, a
+        if len(b) == 1 and _ONE in b:  # a constant factor scales
+            k = b[_ONE]
+            return _closed({m: c * k for m, c in a.items()})
         terms: dict[Monomial, int | Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 mono = _mono_mul(m1, m2)
                 terms[mono] = terms.get(mono, 0) + c1 * c2
-        return Poly(terms)
+        return _closed(terms)
 
     __rmul__ = __mul__
 
@@ -177,11 +177,11 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash(frozenset(self.terms.items()))
-            )
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:  # set on first use
+            object.__setattr__(self, "_hash", hash(frozenset(self.terms.items())))
+            return self._hash
 
     # -- evaluation and substitution -----------------------------------
 
@@ -212,16 +212,18 @@ class Poly:
 
     def subs(self, mapping) -> "Poly":
         """Substitute variables by polynomials (or scalars)."""
-        replace = {v: _coerce(p) for v, p in mapping.items()}
+        powers = {}  # each var^exp of the mapping, built once
         result: dict[Monomial, int | Fraction] = {}
         for mono, coeff in self.terms.items():
-            term = Poly({tuple((v, e) for v, e in mono if v not in replace): coeff})
-            for var, exp in mono:
-                if var in replace:
-                    term = term * replace[var] ** exp
+            term = _closed({tuple(t for t in mono if t[0] not in mapping): coeff})
+            for t in mono:
+                if t[0] in mapping:
+                    if t not in powers:
+                        powers[t] = _coerce(mapping[t[0]]) ** t[1]
+                    term = term * powers[t]
             for m, c in term.terms.items():
                 result[m] = result.get(m, 0) + c
-        return Poly(result)
+        return _closed(result)
 
     # -- structure helpers ---------------------------------------------
 
@@ -245,22 +247,22 @@ class Poly:
             u = present[0][0]
             reduced = tuple((v, e) for v, e in mono if v != u)
             coeffs[u][reduced] = coeff
-        return {u: Poly(t) for u, t in coeffs.items()}, Poly(rest)
+        return {u: _closed(t) for u, t in coeffs.items()}, _closed(rest)
 
     def coeff_split(self, var: str) -> tuple["Poly", "Poly"]:
         """For degree_in(var) == 1 write self = A*var + B with A, B var-free."""
-        if self.degree_in(var) != 1:
+        parts = self.by_degree(var)
+        if max(parts, default=0) != 1:
             raise ValueError(f"{self} is not linear in {var}")
-        a: dict[Monomial, int | Fraction] = {}
-        b: dict[Monomial, int | Fraction] = {}
+        return parts[1], parts.get(0, _ZERO)
+
+    def by_degree(self, var: str) -> dict[int, "Poly"]:
+        """{k: p_k} with self the sum of p_k * var^k, each p_k free of var."""
+        parts: dict[int, dict[Monomial, int | Fraction]] = {}
         for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            if exps.get(var, 0):
-                reduced = tuple((v, e) for v, e in mono if v != var)
-                a[reduced] = coeff
-            else:
-                b[mono] = coeff
-        return Poly(a), Poly(b)
+            k = dict(mono).get(var, 0)
+            parts.setdefault(k, {})[tuple(t for t in mono if t[0] != var)] = coeff
+        return {k: _closed(t) for k, t in parts.items()}
 
     def group_by(self, variables) -> dict[Monomial, "Poly"]:
         """Group terms by their monomial part in the given variables.
@@ -275,7 +277,7 @@ class Poly:
             key = tuple((v, e) for v, e in mono if v in chosen)
             other = tuple((v, e) for v, e in mono if v not in chosen)
             groups.setdefault(key, {})[other] = coeff
-        return {key: Poly(t) for key, t in groups.items()}
+        return {key: _closed(t) for key, t in groups.items()}
 
     def content_primitive(self) -> tuple[int | Fraction, "Poly"]:
         """Split into content * primitive with integer coprime coefficients.
@@ -293,7 +295,7 @@ class Poly:
         lead = max(self.terms, key=lambda m: _mono_key(m, order))
         if self.terms[lead] < 0:
             content = -content
-        return content, Poly({m: quotient(c, content) for m, c in self.terms.items()})
+        return content, _closed({m: quotient(c, content) for m, c in self.terms.items()})
 
     # -- division and factor extraction ---------------------------------
 
@@ -310,14 +312,14 @@ class Poly:
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_constant():
-            inv = quotient(1, divisor.constant_value())
-            return Poly({m: c * inv for m, c in self.terms.items()})
+            return self * quotient(1, divisor.constant_value())
         for var in divisor.variables():
-            k, lead = _leading_in(divisor, var)
-            if lead.is_constant():
-                inv, result, remainder = quotient(1, lead.constant_value()), Poly.zero(), self
+            parts = divisor.by_degree(var)
+            k = max(parts)
+            if parts[k].is_constant():
+                inv, result, remainder = quotient(1, parts[k].constant_value()), Poly.zero(), self
                 while remainder and (n := remainder.degree_in(var)) >= k:
-                    step = _leading_in(remainder, var)[1] * inv * Poly.var(var) ** (n - k)
+                    step = remainder.by_degree(var)[n] * inv * Poly.var(var) ** (n - k)
                     result, remainder = result + step, remainder - step * divisor
                 return None if remainder else result
         order = tuple(sorted(set(self.variables()) | set(divisor.variables())))
@@ -329,20 +331,13 @@ class Poly:
         while not remainder.is_zero():
             rlead = max(remainder.terms, key=lambda m: _mono_key(m, order))
             rexps = dict(rlead)
-            qexps = {}
-            for var, exp in dexps.items():
-                have = rexps.get(var, 0)
-                if have < exp:
-                    return None
-                qexps[var] = have - exp
-            for var, exp in rexps.items():
-                if var not in dexps:
-                    qexps[var] = exp
-            qmono = tuple(sorted((v, e) for v, e in qexps.items() if e > 0))
+            if any(rexps.get(v, 0) < e for v, e in dexps.items()):
+                return None
+            qmono = tuple((v, e - dexps.get(v, 0)) for v, e in rlead if e > dexps.get(v, 0))
             qcoeff = quotient(remainder.terms[rlead], dcoeff)
             result[qmono] = result.get(qmono, 0) + qcoeff
-            remainder = remainder - Poly({qmono: qcoeff}) * divisor
-        return Poly(result)
+            remainder = remainder - _closed({qmono: qcoeff}) * divisor
+        return _closed(result)
 
     def __floordiv__(self, divisor) -> "Poly":
         """Exact division, as Bareiss elimination needs; a remainder raises."""
@@ -362,7 +357,7 @@ class Poly:
         if root_c is None or any(e % 2 for _, e in lead):
             return None
         root_mono = tuple((v, e // 2) for v, e in lead)
-        s = Poly({root_mono: root_c})
+        s = _closed({root_mono: root_c})
         # Newton-style term recovery: peel the leading term of the defect.
         for _ in range(2 * len(self.terms) ** 2 + 4):
             defect = self - s * s
@@ -370,8 +365,8 @@ class Poly:
                 return s
             dlead = max(defect.terms, key=lambda m: _mono_key(m, order))
             # candidate = defect_lead / (2 * s_lead)
-            cand = Poly({dlead: defect.terms[dlead]}).div_exact(
-                Poly({root_mono: 2 * root_c})
+            cand = _closed({dlead: defect.terms[dlead]}).div_exact(
+                _closed({root_mono: 2 * root_c})
             )
             if cand is None or cand.is_zero():
                 return None
@@ -393,11 +388,11 @@ class Poly:
             )
             mag = abs(coeff)
             if not body:
-                text = _frac_str(mag)
+                text = format_rational(mag)
             elif mag == 1:
                 text = body
             else:
-                text = f"{_frac_str(mag)}*{body}"
+                text = f"{format_rational(mag)}*{body}"
             if not pieces:
                 pieces.append(text if coeff > 0 else f"-{text}")
             else:
@@ -408,6 +403,15 @@ class Poly:
         return f"poly({str(self)!r})"
 
 
+def _closed(terms: dict[Monomial, int | Fraction]) -> Poly:
+    """The Poly of the terms of a closed operation, unchecked (see above)."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "terms", {
+        m: c if type(c) is int or c.denominator != 1 else c.numerator
+        for m, c in terms.items() if c})
+    return p
+
+
 _ZERO = Poly({})
 
 
@@ -415,20 +419,8 @@ def _coerce(value) -> Poly:
     if isinstance(value, Poly):
         return value
     if isinstance(value, (int, Fraction)):
-        return Poly.const(value)
+        return _closed({_ONE: value})
     return NotImplemented
-
-
-def _leading_in(p: Poly, var: str) -> tuple[int, Poly]:
-    """(k, c) with p = c * var^k + lower powers of var, c free of var and
-    k >= 1 the degree of p in var."""
-    k = p.degree_in(var)
-    return k, Poly({tuple(t for t in mono if t != (var, k)): c
-                    for mono, c in p.terms.items() if (var, k) in mono})
-
-
-def _frac_str(f: int | Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _fraction_sqrt(f: int | Fraction) -> int | Fraction | None:
@@ -573,12 +565,9 @@ def linear_factors(p: Poly) -> tuple[int | Fraction, list[Poly]]:
     factors: list[Poly] = []
     # Pull out single-variable monomial content first.
     for var in p.variables():
-        shift = min(dict(m).get(var, 0) for m in p.terms)
-        for _ in range(shift):
-            q = p.div_exact(Poly.var(var))
-            assert q is not None
-            factors.append(Poly.var(var))
-            p = q
+        if shift := min(dict(m).get(var, 0) for m in p.terms):
+            factors += [Poly.var(var)] * shift
+            p = p.div_exact(Poly.var(var) ** shift)
     content, p = p.content_primitive()
     while p.total_degree() > 1:
         step = _peel_linear(p)
@@ -615,20 +604,8 @@ def _peel_linear(p: Poly) -> tuple[Poly, Poly] | None:
     for var in p.variables():
         if p.degree_in(var) != 2:
             continue
-        a = Poly.zero()
-        b = Poly.zero()
-        c = Poly.zero()
-        for mono, coeff in p.terms.items():
-            exps = dict(mono)
-            exp = exps.get(var, 0)
-            rest = tuple((v, e) for v, e in mono if v != var)
-            piece = Poly({rest: coeff})
-            if exp == 2:
-                a = a + piece
-            elif exp == 1:
-                b = b + piece
-            else:
-                c = c + piece
+        parts = p.by_degree(var)
+        a, b, c = (parts.get(k, _ZERO) for k in (2, 1, 0))
         disc = b * b - 4 * a * c
         root = disc.sqrt_exact()
         if root is None:

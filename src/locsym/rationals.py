@@ -1,9 +1,10 @@
 """Exact rational scalars: canonical form, parsing, formatting, sampling.
 
 Exact scalars have one canonical form, produced by `exact`: a Python int
-when the value is integral and a fractions.Fraction otherwise.  Matrices
-and vectors hold their entries in this form, so integral data runs on
-machine integers and only true fractions pay for Fraction arithmetic.
+when the value is integral and a fractions.Fraction otherwise.  Matrices,
+vectors and polynomials hold their entries in this form, so integral
+data runs on machine integers and only true fractions pay for Fraction
+arithmetic; linalg's rref and nullspace still work on Fractions.
 Divide exact scalars with `quotient`: int / int is a float, and
 `quotient` keeps an exact int quotient an int.
 
@@ -53,10 +54,7 @@ def parse_rational(text: str | int) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def random_nonzero_int(rng: random.Random, bound: int = SAMPLE_BOUND) -> int:

@@ -166,7 +166,7 @@ def relation_factors(p: Poly) -> tuple[Poly, ...]:
     else:
         return (*factors, p)
     for v in p.variables():
-        parts = _by_degree(p, v)
+        parts = p.by_degree(v)
         if max(parts) == 2 and parts[2].is_constant():
             a, b, c = parts[2], parts.get(1, Poly.zero()), parts.get(0, Poly.zero())
             if (root := (b * b - 4 * a * c).sqrt_exact()) is not None:
@@ -403,14 +403,9 @@ def _names(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
 
-def _by_degree(p: Poly, u: str) -> dict[int, Poly]:
-    """{k: p_k} with p the sum of p_k * u^k."""
-    return {dict(mono).get(u, 0): part for mono, part in p.group_by((u,)).items()}
-
-
 def _substitute(p: Poly, u: str, value: Poly, c: Poly) -> Poly:
     """c^k p at u = value / c, k the degree of p in u."""
-    parts = _by_degree(p, u)
+    parts = p.by_degree(u)
     return sum((part * value ** k * c ** (max(parts) - k) for k, part in parts.items()),
                Poly.zero())
 
@@ -419,7 +414,7 @@ def _reduce(p: Poly, roots) -> Poly:
     """p times powers of the coeffs, with each unknown^power replaced by
     value until p has degree below power in every root unknown."""
     for r in roots:
-        while (parts := _by_degree(p, r.unknown)) and max(parts) >= r.power:
+        while (parts := p.by_degree(r.unknown)) and max(parts) >= r.power:
             t = Poly.var(r.unknown)
             p = sum((part * (r.value * t ** (k - r.power) if k >= r.power
                              else r.coeff * t ** k) for k, part in parts.items()),
@@ -673,7 +668,7 @@ class _Solver:
         for i, e in enumerate(eqs):
             for u in (u for u in self.unknowns if e.degree_in(u)):
                 m = e.degree_in(u)
-                c = _by_degree(e, u)[m]
+                c = e.by_degree(u)[m]
                 rest = e - c * Poly.var(u) ** m
                 (mono, cxy), *more = c.group_by(self.unknowns).items()
                 if more or any(v not in self.torus for v, _ in mono) or (

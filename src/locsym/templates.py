@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 
 from .algebra import Algebra, builtin
 from .errors import InputError, UnsupportedError
@@ -112,10 +111,7 @@ class MatrixTemplate:
                         raise UnsupportedError(
                             "affine templates have no parameter span"
                         )
-                    coeff = lin[param]
-                    vec.append(
-                        coeff.constant_value() if not coeff.is_zero() else Fraction(0)
-                    )
+                    vec.append(lin[param].constant_value())
             vectors.append(tuple(vec))
         return Subspace(self.dim * self.dim, vectors)
 

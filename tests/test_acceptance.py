@@ -6,6 +6,7 @@ names the violated claim directly.  The same battery backs the `suite`
 CLI subcommand.
 """
 
+import fractions
 import json
 import os
 import random
@@ -13,12 +14,21 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import locsym
-from locsym import StratificationError, acceptance, local_automorphisms, templates
+from locsym import (
+    StratificationError,
+    acceptance,
+    linalg,
+    local_automorphisms,
+    poly as poly_module,
+    rationals,
+    templates,
+)
 from locsym.acceptance import CRITERIA, builtin_spaces, run_suite
 from locsym.cli import main
 from locsym.poly import poly
@@ -124,6 +134,40 @@ def test_the_battery_passes_at_other_seeds(suite, seed):
     # float cancellation, when it sampled).
     assert dict(run_suite(seed=seed).to_dict(), seed=None) == dict(
         suite.to_dict(), seed=None)
+
+
+# Work of the exact kernel in one warm seed-0 battery, as recorded in
+# CHANGES.md: Polys built by the checked public constructor, and Fractions
+# constructed by linalg code (directly or through rationals).
+CHECKED_POLYS = 1421
+LINALG_FRACTIONS = 38309
+
+
+def test_a_battery_builds_few_checked_polys_and_linalg_fractions(monkeypatch):
+    # a count, not a clock: a kernel that builds more Fractions or
+    # re-checks its own results fails here on any machine
+    assert run_suite(seed=0).ok  # the counted battery runs warm
+    counts = Counter()
+    init = poly_module.Poly.__init__
+    new = Fraction.__new__
+    passed = {fractions.__file__, rationals.__file__}
+
+    def checked(self, *args, **kwargs):
+        counts["poly"] += 1
+        init(self, *args, **kwargs)
+
+    def constructed(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename in passed:
+            frame = frame.f_back
+        counts["linalg"] += frame.f_code.co_filename == linalg.__file__
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(poly_module.Poly, "__init__", checked)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(constructed))
+    assert run_suite(seed=0).ok
+    assert counts["poly"] <= CHECKED_POLYS
+    assert counts["linalg"] <= LINALG_FRACTIONS
 
 
 def test_a_passing_battery_draws_nothing(monkeypatch):

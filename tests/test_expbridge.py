@@ -374,6 +374,17 @@ def test_bridge_log_small_battery():
         bridge_check(builtin("pi3"), "sideways")
 
 
+def test_criterion_8_reads_exp_once_per_builtin(monkeypatch):
+    # the log proof starts from the exp direction's reading of exp(T)
+    calls = []
+    read = expbridge.symbolic_exp
+    monkeypatch.setattr(expbridge, "symbolic_exp", lambda t: calls.append(t) or read(t))
+    assert acceptance.criterion_8(acceptance.builtin_spaces()).passed
+    assert len(calls) == 2
+    # alone, the log direction still proves the exp direction first
+    assert bridge_check(builtin("pi2"), "log").ok and len(calls) == 3
+
+
 def test_a_log_sample_of_a_positive_member_does_not_reproduce():
     # exp of a LocDer member is a + member with positive diagonal whose
     # float logarithm reads back in the LocDer template

@@ -128,6 +128,31 @@ def test_rref_matches_sympy(rows):
     assert list(basis) == nonzero
 
 
+sparse = st.one_of(st.just(0), st.just(0),
+                   st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+sparse_rect = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda s: st.lists(st.lists(sparse, min_size=s[1], max_size=s[1]),
+                       min_size=s[0], max_size=s[0])
+)
+
+
+def from_sympy(v) -> Fraction:
+    return Fraction(int(v.p), int(v.q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rect)
+def test_rref_and_nullspace_match_sympy_on_sparse_rationals(rows):
+    basis, pivots = rref(rows)
+    sm, spivots = sympy.Matrix(rows).rref()
+    assert pivots == tuple(spivots)
+    assert [list(r) for r in basis] == [
+        list(map(from_sympy, sm.row(i))) for i in range(len(pivots))]
+    kernel = nullspace(rows)
+    assert [list(v) for v in kernel] == [
+        list(map(from_sympy, v)) for v in sympy.Matrix(rows).nullspace()]
+
+
 @settings(max_examples=40, deadline=None)
 @given(rect)
 def test_nullspace_matches_sympy(rows):

@@ -4,6 +4,7 @@ sympy serves as an independent oracle for arithmetic; hypothesis drives
 the ring-axiom property tests over randomly built polynomials.
 """
 
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -179,6 +180,16 @@ def test_an_inexact_coefficient_is_refused(coeff):
     assert Poly.const(3).constant_value() == 3
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv, operator.floordiv, operator.pow],
+                         ids=lambda op: op.__name__)
+@pytest.mark.parametrize("left", [1.5, 0.0, 2j, complex(1, 0)], ids=repr)
+def test_a_float_or_complex_left_operand_is_refused(op, left):
+    # 1.5 - p once recursed without bound in Poly.__rsub__
+    with pytest.raises(TypeError):
+        op(left, poly("x + 1"))
+
+
 def test_degree_and_variables():
     p = poly("x^2*y - z")
     assert p.total_degree() == 3
@@ -276,6 +287,28 @@ def test_every_operation_keeps_coefficients_canonical(a, b, k, f, g, c):
         assert all(map(canonical, p.terms.values())), p.terms
         assert poly(str(p)) == p
     assert canonical(a.evaluate({"x": 2, "y": Fraction(1, 3), "z": -1}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_polys(), raw_polys(), st.integers(0, 3), COEFFS)
+def test_closed_operations_return_canonical_nonzero_terms(a, b, k, c):
+    """Results of closed operations skip the public constructor's checks,
+    so each must come out with only nonzero coefficients, each an int or
+    a Fraction with denominator > 1 (cancellations and Fraction products
+    such as 3/2 * 2/3 included)."""
+    linear = a.subs({"x": 0}) * Poly.var("x") + b.subs({"x": 0})
+    results = [a + b, a - b, a - a, a + c, c - a, a * b, a * c, c * a, -a,
+               a ** k, a.subs({"x": b, "y": c}), a.subs({"z": Fraction(1, 3)}),
+               *a.group_by(["x", "z"]).values()]
+    if b:
+        results.append((a * b).div_exact(b))
+        results.append(a.div_exact(b) or Poly.zero())
+    if c:
+        results.append(a.div_exact(c))
+    if linear.degree_in("x") == 1:
+        results.extend(linear.coeff_split("x"))
+    for p in results:
+        assert all(v != 0 and canonical(v) for v in p.terms.values()), p.terms
 
 
 def test_linear_factors():
