@@ -12,6 +12,11 @@ nilpotency index 4, and characteristic sequence (3, 2), where the
 characteristic sequence is the lexicographically maximal tuple of Jordan
 block sizes of a left multiplication operator L_x over x outside the
 square of the algebra.
+
+Every product is read off the structure constants by Algebra.multiply,
+on exact, float, complex or Poly entries, and multiplicativity_defects
+is the one reading of phi(xy) = phi(x) phi(y): exact for is_automorphism,
+complex for the float residual, symbolic for the automorphism families.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from typing import Mapping
 from .errors import InputError
 from .linalg import Matrix, Subspace, Vector, integer_rank, load_json, vector
 from .poly import Poly
-from .rationals import format_rational, parse_rational
+from .rationals import exact, format_rational, parse_rational
 
 BUILTIN_TABLES = {
     "pi2": [
@@ -77,19 +82,26 @@ class Algebra:
     def product_of_basis(self, i: int, j: int) -> Vector:
         return self.table.get((i, j), (0,) * self.dim)
 
-    def multiply(self, x, y) -> Vector:
-        """Bilinear extension of the basis products."""
-        x, y = vector(x), vector(y)
+    def multiply(self, x, y) -> tuple:
+        """Bilinear extension of the basis products, summed over `terms`.
+
+        Entries may be exact (the result is canonical, rationals.exact),
+        float, complex or Poly; a coordinate no term reaches is x[0] * 0,
+        a zero of the entries' type.
+        """
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError("vector length does not match algebra dimension")
-        out = [0] * self.dim
+        out = [x[0] * 0 if x else 0] * self.dim
         for i, j, k, c in self.terms:
-            left = x[i]
-            if left:
-                right = y[j]
-                if right:
+            if left := x[i]:
+                if right := y[j]:
                     out[k] += left * right * c
-        return vector(out)
+        return tuple(exact(v) if type(v) is Fraction else v for v in out)
+
+    def check_shape(self, rows) -> None:
+        """Refuse an operator whose rows do not form an n x n matrix."""
+        if len(rows) != self.dim or any(len(row) != self.dim for row in rows):
+            raise InputError("operator shape does not match the algebra")
 
 
 def _freeze_table(dim, raw) -> Mapping[tuple[int, int], Vector]:
@@ -242,13 +254,8 @@ def power_filtration(algebra: Algebra) -> PowerFiltration:
 
 def left_mult_operator(algebra: Algebra, x) -> Matrix:
     """Matrix of y -> x*y in the defining basis (columns are x*e_j)."""
-    x = vector(x)
-    n = algebra.dim
-    cols = []
-    for j in range(n):
-        e_j = tuple(1 if t == j else 0 for t in range(n))
-        cols.append(algebra.multiply(x, e_j))
-    return Matrix(cols).transpose()
+    x, n = vector(x), algebra.dim
+    return Matrix([algebra.multiply(x, e) for e in Matrix.identity(n).rows]).transpose()
 
 
 def characteristic_sequence(algebra: Algebra) -> tuple[int, ...]:
@@ -267,9 +274,8 @@ def characteristic_sequence(algebra: Algebra) -> tuple[int, ...]:
         raise InputError("characteristic sequence requires a nilpotent algebra")
     n = algebra.dim
     scale = math.lcm(*(c.denominator for *_, c in algebra.terms))
-    op = [[Poly.zero()] * n for _ in range(n)]
-    for i, j, k, c in algebra.terms:
-        op[k][j] += Poly.var(f"x{i + 1}") * (c * scale)
+    x = [Poly.var(f"x{i + 1}") * scale for i in range(n)]
+    op = list(zip(*(algebra.multiply(x, e) for e in Matrix.identity(n).rows)))
     ranks, power = [n], op
     while ranks[-1]:  # L_x is nilpotent, as A is
         ranks.append(integer_rank([list(row) for row in power]))
@@ -286,39 +292,32 @@ def characteristic_sequence(algebra: Algebra) -> tuple[int, ...]:
     return tuple(sorted(sizes, reverse=True))
 
 
+def multiplicativity_defects(algebra: Algebra, rows):
+    """(i, j, phi(e_i) phi(e_j) - phi(e_i e_j)) for every basis pair, 0-based.
+
+    The one reading of phi(xy) = phi(x) phi(y) off the structure
+    constants: phi is given by its rows (its columns are the phi(e_i)),
+    with entries of any type Algebra.multiply takes, and pairs come with
+    i outer and j inner.  The shape is checked once, before the first pair.
+    """
+    algebra.check_shape(rows)
+    images = list(zip(*rows))
+    n = algebra.dim
+    for i in range(n):
+        for j in range(n):
+            defect = algebra.multiply(images[i], images[j])
+            for k, c in enumerate(algebra.table.get((i, j), ())):
+                if c:
+                    defect = tuple(d - v * c for d, v in zip(defect, images[k]))
+            yield i, j, defect
+
+
 def multiplicativity_residual(algebra: Algebra, phi) -> float:
     """Max float deviation of phi from being multiplicative on basis pairs.
 
     phi is a numeric matrix given as a nested sequence of complex/float
-    entries; used by the exponential bridge to test images of exp.
+    entries; its defects are read as complex numbers.
     """
-    n = algebra.dim
     rows = [[complex(v) for v in row] for row in phi]
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise InputError("operator shape does not match the algebra")
-    cols = list(zip(*rows))
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            prod = algebra.product_of_basis(i, j)
-            image_of_product = [
-                sum(rows[r][k] * complex(prod[k]) for k in range(n))
-                for r in range(n)
-            ]
-            lhs = _numeric_multiply(algebra, cols[i], cols[j])
-            worst = max(
-                worst,
-                max(abs(a - b) for a, b in zip(lhs, image_of_product)),
-            )
-    return worst
-
-
-def _numeric_multiply(algebra: Algebra, x, y):
-    out = [0j] * algebra.dim
-    for (i, j), coeffs in algebra.table.items():
-        scale = x[i] * y[j]
-        if scale:
-            for k, c in enumerate(coeffs):
-                if c:
-                    out[k] += scale * complex(c)
-    return out
+    return max(abs(d) for *_, defect in multiplicativity_defects(algebra, rows)
+               for d in defect)

@@ -4,7 +4,10 @@ For the builtin algebras the full automorphism group is a closed
 parameterized family: a matrix template whose instantiations at any
 parameters satisfying the open (nonvanishing) conditions are exactly the
 automorphisms.  verify_family proves both directions by polynomial
-identities: the reverse one splits the multiplicativity equations of a
+identities.  Its multiplicativity equations are the
+algebra.multiplicativity_defects of a Poly grid, the defects that
+is_automorphism reads off an exact matrix, and Algebra.multiply builds
+the generic map.  The reverse direction splits the equations of a
 generic map with the splitter that LocAut's relations use
 (stratify.split_zero_set) and reads its leaves with the same reader
 (stratify.reading_failure).  group_closure_report proves the group laws
@@ -15,10 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 
-from .algebra import Algebra, power_filtration
-from .errors import InputError, UnsupportedError
+from .algebra import Algebra, multiplicativity_defects, power_filtration
+from .errors import UnsupportedError
 from .linalg import Matrix, Subspace, is_invertible
 from .poly import Poly, unit_times_powers
 from .stratify import coverage_failure, reading_failure, split_zero_set
@@ -37,35 +39,13 @@ def multiplicativity_failure(
 ) -> tuple[int, int] | None:
     """First basis pair (i, j), 0-based, where phi is not multiplicative.
 
-    The failure is phi(e_i e_j) != phi(e_i) phi(e_j); pairs are scanned
-    with i outer and j inner.  None means phi is multiplicative
+    The failure is phi(e_i e_j) != phi(e_i) phi(e_j), the first nonzero
+    algebra.multiplicativity_defects.  None means phi is multiplicative
     (invertibility is not checked here).
     """
-    n = algebra.dim
-    if phi.shape != (n, n):
-        raise InputError("operator shape does not match the algebra")
-    terms = algebra.terms
-    images = list(zip(*phi.rows))  # images[i] = phi(e_i), read once
-    zero = [0] * n
-    image_of_product = {}  # (i, j) -> phi(e_i e_j), for nonzero products
-    for i, j, k, c in terms:
-        image = image_of_product.setdefault((i, j), [0] * n)
-        for r, v in enumerate(images[k]):
-            image[r] += c * v
-    for i in range(n):
-        u = images[i]
-        for j in range(n):
-            v = images[j]
-            product = [0] * n  # phi(e_i) phi(e_j), summed over the terms
-            for p, q, k, c in terms:
-                left = u[p]
-                if left:
-                    right = v[q]
-                    if right:
-                        product[k] += left * right * c
-            if product != image_of_product.get((i, j), zero):
-                return i, j
-    return None
+    return next((
+        (i, j) for i, j, defect in multiplicativity_defects(algebra, phi.rows)
+        if any(defect)), None)
 
 
 def is_automorphism(algebra: Algebra, phi: Matrix) -> bool:
@@ -107,21 +87,10 @@ class FamilyReport:
     detail: str
 
 
-def _product(algebra: Algebra, x, y) -> list[Poly]:
-    """x y for vectors of polynomials."""
-    out = [Poly.zero()] * algebra.dim
-    for p, q, k, c in algebra.terms:
-        out[k] = out[k] + x[p] * y[q] * c
-    return out
-
-
 def _defects(algebra: Algebra, grid) -> list[Poly]:
     """Nonzero coordinates of T(e_i) T(e_j) - T(e_i e_j) on all basis pairs."""
-    cols, n = list(zip(*grid)), algebra.dim
-    return [d for i in range(n) for j in range(n) for d in map(
-        sub, _product(algebra, cols[i], cols[j]),
-        [sum((e * c for e, c in zip(row, algebra.product_of_basis(i, j))
-              if c), Poly.zero()) for row in grid]) if not d.is_zero()]
+    return [d for *_, defect in multiplicativity_defects(algebra, grid)
+            for d in defect if d]
 
 
 def _generic_images(algebra: Algebra) -> tuple[list[str], list[list[Poly]]]:
@@ -147,7 +116,7 @@ def _generic_images(algebra: Algebra) -> tuple[list[str], list[list[Poly]]]:
                                    "every basis vector as a one-term product")
         i, j, k, c = steps[0]
         images[k] = [v * (1 / Fraction(c)) for v in
-                     _product(algebra, images[i], images[j])]
+                     algebra.multiply(images[i], images[j])]
     return generators, [list(row) for row in zip(*(images[k] for k in range(n)))]
 
 

@@ -131,6 +131,12 @@ def _pair_counterexample(args, kind: str, op: Matrix, pair) -> dict:
     )
 
 
+def _attach(payload: dict, lines: list[str], counterexample: dict) -> None:
+    """Put a counterexample in the structured payload and the text lines."""
+    payload["counterexample"] = counterexample
+    lines.append("counterexample: " + json.dumps(counterexample))
+
+
 def _automorphism_counterexample(args, algebra, phi: Matrix) -> dict | None:
     """Why phi is no automorphism, as a replayable counterexample, or None."""
     if (pair := multiplicativity_failure(algebra, phi)) is not None:
@@ -271,8 +277,7 @@ def _cmd_algebra_check(args) -> tuple[int, dict, list[str]]:
         payload["characteristic_sequence"] = list(sequence)
         lines.append(f"characteristic sequence: {sequence}")
     if counterexample:
-        payload["counterexample"] = counterexample
-        lines.append("counterexample: " + json.dumps(counterexample))
+        _attach(payload, lines, counterexample)
         return 1, payload, lines
     return 0, payload, lines
 
@@ -305,11 +310,10 @@ def _cmd_der_check(args) -> tuple[int, dict, list[str]]:
     lines = [f"is_derivation: {ok}"]
     if not ok:
         counterexample = _pair_counterexample(args, "leibniz_pair", op, pair)
-        payload["counterexample"] = counterexample
         lines.append(
             f"Leibniz fails at basis pair {tuple(counterexample['pair'])}"
         )
-        lines.append("counterexample: " + json.dumps(counterexample))
+        _attach(payload, lines, counterexample)
         return 1, payload, lines
     return 0, payload, lines
 
@@ -345,9 +349,8 @@ def _cmd_locder_check(args) -> tuple[int, dict, list[str]]:
         counterexample = _counterexample(
             args, "pointwise", matrix=operator_to_payload(op), point=point
         )
-        payload["counterexample"] = counterexample
         lines.append(f"no derivation matches at point ({', '.join(point)})")
-        lines.append("counterexample: " + json.dumps(counterexample))
+        _attach(payload, lines, counterexample)
         return 1, payload, lines
     return 0, payload, lines
 
@@ -381,8 +384,7 @@ def _cmd_aut_check(args) -> tuple[int, dict, list[str]]:
         payload = {"algebra": algebra.name, "is_automorphism": ok}
         lines = [f"is_automorphism: {ok}"]
         if not ok:
-            payload["counterexample"] = counterexample
-            lines.append("counterexample: " + json.dumps(counterexample))
+            _attach(payload, lines, counterexample)
             return 1, payload, lines
         return 0, payload, lines
     residual = multiplicativity_residual(algebra, phi)
@@ -419,8 +421,7 @@ def _cmd_aut_family_verify(args) -> tuple[int, dict, list[str]]:
             # a member that is no automorphism, else an escaped automorphism
             counterexample = _automorphism_counterexample(args, algebra, phi) or (
                 _counterexample(args, "family_escape", matrix=operator_to_payload(phi)))
-            payload["counterexample"] = counterexample
-            lines.append("counterexample: " + json.dumps(counterexample))
+            _attach(payload, lines, counterexample)
         lines.append(f"detail: {bad.detail}")
         return 1, payload, lines
     return 0, payload, lines
@@ -445,11 +446,8 @@ def _cmd_locaut_check(args) -> tuple[int, dict, list[str]]:
             f"(branch {check.branch}, tol {args.tol:g})"
         ]
         if not ok:
-            counterexample = _counterexample(
-                args, "pattern_residual", matrix=operator_to_payload(b, "complex")
-            )
-            payload["counterexample"] = counterexample
-            lines.append("counterexample: " + json.dumps(counterexample))
+            _attach(payload, lines, _counterexample(
+                args, "pattern_residual", matrix=operator_to_payload(b, "complex")))
             return 1, payload, lines
         return 0, payload, lines
     check = pattern_check(pattern, b)
@@ -482,8 +480,7 @@ def _cmd_locaut_check(args) -> tuple[int, dict, list[str]]:
             lines.append(
                 f"infeasible at point ({', '.join(_vector_payload(point))})"
             )
-        payload["counterexample"] = counterexample
-        lines.append("counterexample: " + json.dumps(counterexample))
+        _attach(payload, lines, counterexample)
         return 1, payload, lines
     return 0, payload, lines
 
@@ -512,8 +509,7 @@ def _cmd_locaut_verify(args) -> tuple[int, dict, list[str]]:
                 counterexample = _counterexample(
                     args, "pattern_member", matrix=operator_to_payload(matrix)
                 )
-            payload["counterexample"] = counterexample
-            lines.append("counterexample: " + json.dumps(counterexample))
+            _attach(payload, lines, counterexample)
         lines.append(f"detail: {report.detail}")
         return 1, payload, lines
     return 0, payload, lines
@@ -532,16 +528,12 @@ def _cmd_locaut_witness(args) -> tuple[int, dict, list[str]]:
         args, "locaut_witness", matrix=operator_to_payload(b),
         point=_vector_payload(point),
     )
-    payload = {
-        "algebra": algebra.name,
-        "witness": _vector_payload(point),
-        "counterexample": counterexample,
-    }
+    payload = {"algebra": algebra.name, "witness": _vector_payload(point)}
     lines = [
         f"witness point ({', '.join(_vector_payload(point))}): "
         "no automorphism matches the matrix there",
-        "counterexample: " + json.dumps(counterexample),
     ]
+    _attach(payload, lines, counterexample)
     return 1, payload, lines
 
 
@@ -608,12 +600,9 @@ def _cmd_bridge(args) -> tuple[int, dict, list[str]]:
     lines = [f"bridge {args.direction} ({algebra.name}, proved exactly): {report.ok}"]
     if not report.ok:
         if report.sample is not None:
-            counterexample = _counterexample(
+            _attach(payload, lines, _counterexample(
                 args, "bridge_sample", direction=args.direction,
-                matrix=operator_to_payload(report.sample, "complex"),
-            )
-            payload["counterexample"] = counterexample
-            lines.append("counterexample: " + json.dumps(counterexample))
+                matrix=operator_to_payload(report.sample, "complex")))
         lines.append(f"detail: {report.detail}")
         return 1, payload, lines
     lines.append(f"proof: {report.detail}")
@@ -644,13 +633,10 @@ def _cmd_infer(args) -> tuple[int, dict, list[str]]:
         f"validated against the computed space: {report.ok}",
     ]
     if not report.ok:
-        counterexample = _counterexample(
-            args, "inference_violation", violations=list(report.violations)
-        )
-        payload["counterexample"] = counterexample
         for violation in report.violations:
             lines.append(f"violation: {violation}")
-        lines.append("counterexample: " + json.dumps(counterexample))
+        _attach(payload, lines, _counterexample(
+            args, "inference_violation", violations=list(report.violations)))
         return 1, payload, lines
     return 0, payload, lines
 
@@ -674,13 +660,11 @@ def _cmd_suite(args) -> tuple[int, dict, list[str]]:
     payload = result.to_dict()
     lines = result.lines()
     if not result.ok:
-        counterexample = {
+        _attach(payload, lines, {
             "kind": "criterion",
             "numbers": [r.number for r in result.results if not r.passed],
             "seed": args.seed,
-        }
-        payload["counterexample"] = counterexample
-        lines.append("counterexample: " + json.dumps(counterexample))
+        })
         return 1, payload, lines
     return 0, payload, lines
 

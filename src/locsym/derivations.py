@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .errors import InputError, InternalCheckError
+from .errors import InternalCheckError
 from .linalg import Matrix, Subspace, nullspace
 
 
@@ -22,9 +22,8 @@ def leibniz_failure(algebra: Algebra, op: Matrix) -> tuple[int, int] | None:
     Pairs are scanned with i outer and j inner; None means op is a
     derivation.
     """
+    algebra.check_shape(op.rows)
     n = algebra.dim
-    if op.shape != (n, n):
-        raise InputError("operator shape does not match algebra dimension")
     basis = [tuple(1 if t == s else 0 for t in range(n)) for s in range(n)]
     images = [op.apply(e) for e in basis]
     for i in range(n):
@@ -44,6 +43,12 @@ def is_derivation(algebra: Algebra, op: Matrix) -> bool:
 
 @dataclass(frozen=True)
 class DerivationSpace:
+    """A space of operators on the algebra, spanned by `basis`.
+
+    Der is one; LocalDerivationSpace extends it with the solve it was
+    read from.
+    """
+
     algebra: Algebra
     basis: tuple[Matrix, ...]
 
@@ -56,6 +61,7 @@ class DerivationSpace:
         return Subspace(n * n, [m.vec() for m in self.basis])
 
     def contains(self, op: Matrix) -> bool:
+        self.algebra.check_shape(op.rows)
         return self.span().contains(op.vec())
 
 

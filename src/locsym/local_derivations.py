@@ -80,23 +80,10 @@ def pointwise_membership(
 
 
 @dataclass(frozen=True)
-class LocalDerivationSpace:
-    algebra: Algebra
-    basis: tuple[Matrix, ...]
+class LocalDerivationSpace(DerivationSpace):
     solve: OrbitSolve  # the solve of the Der template
     derivations: DerivationSpace  # the Der the space was solved from
     provenance = "exact"  # the only way a space is computed
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def span(self) -> Subspace:
-        n = self.algebra.dim
-        return Subspace(n * n, [m.vec() for m in self.basis])
-
-    def contains(self, op: Matrix) -> bool:
-        return self.span().contains(op.vec())
 
 
 def local_derivation_space(

@@ -159,7 +159,9 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         result, base = None, self
         while exponent:
@@ -308,7 +310,8 @@ class Poly:
         so the divisor divides exactly when the remainder is 0.  Otherwise
         the leading terms are divided one at a time in graded lex order.
         """
-        divisor = _coerce(divisor)
+        if (divisor := _coerce(divisor)) is NotImplemented:
+            raise TypeError("a polynomial divides only by a Poly, int or Fraction")
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_constant():

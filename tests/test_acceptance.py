@@ -30,6 +30,7 @@ from locsym import (
     templates,
 )
 from locsym.acceptance import CRITERIA, builtin_spaces, run_suite
+from locsym.algebra import Algebra
 from locsym.cli import main
 from locsym.poly import poly
 
@@ -232,6 +233,36 @@ def test_a_changed_locder_template_fails_criterion_3(monkeypatch, spaces):
     result = acceptance.criterion_3(spaces)
     assert not result.passed
     assert result.detail == "LocDer(pi3) differs from its closed-form template"
+
+
+def test_a_non_associative_table_fails_criterion_1(spaces):
+    # pi2 without e2 e1 = e3: Algebra.multiply reads (e1 e1) e1 = 0 but
+    # e1 (e1 e1) = e3, while the filtration (5,3,1,0), nilindex 4 and
+    # characteristic sequence (3,2) stay as they are
+    pi2 = spaces["pi2"].algebra
+    table = {key: row for key, row in pi2.table.items() if key != (1, 0)}
+    broken = replace(spaces["pi2"], algebra=Algebra(name="pi2", dim=5, table=table))
+    result = acceptance.criterion_1({**spaces, "pi2": broken})
+    assert not result.passed
+    assert result.line() == (
+        "FAIL  criterion  1  structure diagnostics: pi2 is not associative")
+
+
+def test_a_non_multiplicative_aut_template_fails_criterion_6(
+    monkeypatch, spaces, mutant
+):
+    # pi2's automorphism template with (5,2) = a11*a41: its multiplicativity
+    # defects do not vanish, so a member is no automorphism
+    pi2 = spaces["pi2"].algebra
+    template = mutant("pi2", "pi2", {(5, 2): "a11*a41"}).template
+    monkeypatch.setitem(templates._CLOSED_FORMS, pi2.structure, replace(
+        templates.closed_forms(pi2), automorphism=template))
+    result = acceptance.criterion_6(spaces)
+    assert not result.passed
+    assert result.line() == (
+        "FAIL  criterion  6  automorphism families: verify_family(pi2): a member "
+        "of the family is no automorphism; group closure(pi2): a product of "
+        "members of templates 1 and 1 is in none")
 
 
 def test_a_passing_criterion_file_does_not_reproduce(tmp_path, capsys):

@@ -31,7 +31,7 @@ from locsym import (
 import locsym.algebra
 import locsym.local_derivations
 import locsym.stratify
-from locsym.algebra import Algebra
+from locsym.algebra import Algebra, multiplicativity_defects
 from sympy.polys.matrices import DomainMatrix
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -99,6 +99,39 @@ def test_multiply_is_bilinear(x, y, z, c):
         c * p + q for p, q in zip(a.multiply(xs, ys), a.multiply(xs, zs))
     )
     assert lhs == rhs
+    # Fraction inputs give canonical results: ints here, never Fraction(1, 1)
+    for v in lhs + a.multiply(xs, ys) + a.multiply(xs, zs):
+        assert type(v) is int or v.denominator > 1, repr(v)
+
+
+def halves():
+    """pi2 with the rational constants e1 e4 = e5/2 and e4 e4 = -3/4 e5."""
+    table = dict(builtin("pi2").table)
+    table[0, 3] = (0, 0, 0, 0, Fraction(1, 2))
+    table[3, 3] = (0, 0, 0, 0, Fraction(-3, 4))
+    return Algebra(name="halves", dim=5, table=table)
+
+
+# dyadic rationals k/4: their sums and products here are exact in floats
+dyadics = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["pi2", "pi3", "halves"]),
+       st.lists(dyadics, min_size=25, max_size=25))
+def test_multiplicativity_defects_agree_across_entry_types(name, values):
+    algebra = halves() if name == "halves" else builtin(name)
+    grid = locsym.local_derivations.generic_operator(5)
+    point = dict(zip(locsym.local_derivations.output_symbols(5), values))
+    member = [[e.evaluate(point) for e in row] for row in grid]
+    exact = [(i, j, list(d)) for i, j, d in multiplicativity_defects(algebra, member)]
+    assert len(exact) == 25
+    symbolic = [(i, j, [e.evaluate(point) for e in d])
+                for i, j, d in multiplicativity_defects(algebra, grid)]
+    assert symbolic == exact
+    numeric = [[complex(v) for v in row] for row in member]
+    assert [(i, j, list(d)) for i, j, d in multiplicativity_defects(algebra, numeric)] == [
+        (i, j, [complex(v) for v in d]) for i, j, d in exact]
 
 
 @settings(max_examples=30, deadline=None)

@@ -292,18 +292,29 @@ def test_cli_replay_refuses_a_file_that_is_not_json(tmp_path, capsys):
     assert "is not JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, text", [
-    (("algebra", "check", "--algebra"), "{not json"),
-    (("der", "check", "--algebra", "pi2", "--matrix"), "{not json"),
+TWO_BY_TWO = '{"dim": 2, "backend": "rational", "entries": [["1", "0"], ["0", "1"]]}'
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (("algebra", "check", "--algebra"), "{not json", "is not JSON"),
+    (("der", "check", "--algebra", "pi2", "--matrix"), "{not json", "is not JSON"),
     (("der", "check", "--algebra", "pi2", "--matrix"),
-     '{"dim": 5, "backend": "rational", "entries": 5}'),
-], ids=["algebra-not-json", "matrix-not-json", "matrix-int-entries"])
-def test_cli_refuses_a_malformed_input_file(tmp_path, capsys, command, text):
+     '{"dim": 5, "backend": "rational", "entries": 5}',
+     "operator entries do not form a 5x5 grid"),
+    # the LocDer space names the operator's shape, as Der's check does
+    (("locder", "check", "--algebra", "pi2", "--matrix"), TWO_BY_TWO,
+     "operator shape does not match the algebra"),
+    (("der", "check", "--algebra", "pi2", "--matrix"), TWO_BY_TWO,
+     "operator shape does not match the algebra"),
+], ids=["algebra-not-json", "matrix-not-json", "matrix-int-entries",
+        "locder-matrix-2x2", "der-matrix-2x2"])
+def test_cli_refuses_a_malformed_input_file(tmp_path, capsys, command, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert run_cli(*command, str(path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: "), err
+    assert message in err
     assert "Traceback" not in err
 
 

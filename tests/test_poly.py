@@ -180,14 +180,31 @@ def test_an_inexact_coefficient_is_refused(coeff):
     assert Poly.const(3).constant_value() == 3
 
 
-@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
-                                operator.truediv, operator.floordiv, operator.pow],
-                         ids=lambda op: op.__name__)
-@pytest.mark.parametrize("left", [1.5, 0.0, 2j, complex(1, 0)], ids=repr)
-def test_a_float_or_complex_left_operand_is_refused(op, left):
-    # 1.5 - p once recursed without bound in Poly.__rsub__
+BINARY = [operator.add, operator.sub, operator.mul, operator.truediv,
+          operator.floordiv, operator.pow]
+
+
+def _on_the_right(op):
+    def swapped(scalar, p):
+        return op(p, scalar)
+    swapped.__name__ = f"right_{op.__name__}"
+    return swapped
+
+
+def right_div_exact(scalar, p):
+    return p.div_exact(scalar)
+
+
+@pytest.mark.parametrize(
+    "op", BINARY + [*map(_on_the_right, BINARY), right_div_exact],
+    ids=lambda op: op.__name__)
+@pytest.mark.parametrize("scalar", [1.5, 0.0, 2j, complex(1, 0)], ids=repr)
+def test_a_float_or_complex_left_operand_is_refused(op, scalar):
+    # on the left and, through right_*, on the right: 1.5 - p once recursed
+    # without bound in Poly.__rsub__, and p // 1.5 once ended in an
+    # AttributeError inside div_exact
     with pytest.raises(TypeError):
-        op(left, poly("x + 1"))
+        op(scalar, poly("x + 1"))
 
 
 def test_degree_and_variables():
