@@ -174,7 +174,7 @@ def criterion_4(spaces: Spaces) -> CriterionResult:
     for name in BOTH:
         locders = spaces[name]
         algebra = locders.algebra
-        leaves.append(f"{name}: {len(locders.solve.leaves)}")
+        leaves.append(f"{name}: {locders.proof_leaves}")
         witness = strict_inclusion_witness(algebra, locders.derivations, locders)
         if witness is None:
             problems.append(f"no strict inclusion witness for {name}")

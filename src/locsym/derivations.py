@@ -45,8 +45,8 @@ def is_derivation(algebra: Algebra, op: Matrix) -> bool:
 class DerivationSpace:
     """A space of operators on the algebra, spanned by `basis`.
 
-    Der is one; LocalDerivationSpace extends it with the solve it was
-    read from.
+    Der is one; LocalDerivationSpace extends it with the Der it was
+    solved from.
     """
 
     algebra: Algebra

@@ -1,13 +1,12 @@
 """Exact rational linear algebra on small dense matrices.
 
 Everything here is exact.  Matrix and vector entries are canonical
-exact scalars (rationals.exact: int when integral, else Fraction), so
-products of integral data run on Python ints; rref and nullspace still
-turn every row into Fractions.  Rank comes from
-fraction-free (Bareiss) elimination on integer-scaled rows so that
-intermediate values stay integral, and subspaces are stored by their
-reduced row echelon basis, which is a canonical representative and makes
-equality testing trivial.
+exact scalars (rationals.exact: int when integral, else Fraction), as
+are the eliminations' rows, so integral data runs on Python ints.  Rank
+comes from fraction-free (Bareiss) elimination on integer-scaled rows
+so that intermediate values stay integral, and subspaces are stored by
+their reduced row echelon basis, which is a canonical representative and
+makes equality testing trivial.
 
 Matrices are immutable; indices are 0-based throughout the code (the
 1-based labels like b11 in variable names refer to row 1, column 1 of
@@ -22,7 +21,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .rationals import exact, format_rational, parse_rational
+from .rationals import exact, format_rational, parse_rational, quotient
 
 Vector = tuple[int | Fraction, ...]
 
@@ -202,25 +201,26 @@ def integer_rank(rows: list[list[int]]) -> int:
 
 def rref(rows: Sequence[Sequence]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(map(Fraction, row)) for row in rows]
+    work = [list(map(exact, row)) for row in rows]
     if not work:
         return (), ()
     ncols = len(work[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = next(
-            (i for i in range(r, len(work)) if work[i][c] != 0), None
-        )
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        row = work[r]
+        if (pivot := row[c]) != 1:
+            row = work[r] = [quotient(v, pivot) if v else 0 for v in row]
+        # the rows from r on are zero left of c, so the pivot row is too
+        support = [(j, row[j]) for j in range(c, ncols) if row[j]]
+        for i, other in enumerate(work):
+            if i != r and (factor := other[c]):
+                for j, v in support:
+                    other[j] = exact(other[j] - factor * v)
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -239,8 +239,8 @@ def nullspace(m: Matrix | Sequence[Sequence]) -> tuple[Vector, ...]:
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        vec = [0] * ncols
+        vec[f] = 1
         for row, p in zip(reduced, pivots):
             vec[p] = -row[f]
         basis.append(tuple(vec))
@@ -258,7 +258,7 @@ def solve(m: Matrix, rhs: Sequence) -> Vector | None:
         raise InputError("right-hand side length does not match row count")
     augmented = [list(row) + [b] for row, b in zip(m.rows, rhs)]
     reduced, pivots = rref(augmented)
-    solution = [Fraction(0)] * ncols
+    solution = [0] * ncols
     for row, p in zip(reduced, pivots):
         if p == ncols:
             return None
@@ -308,15 +308,16 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vec: Sequence) -> bool:
-        vec = list(map(Fraction, vec))
+        vec = list(map(exact, vec))
         if len(vec) != self.ambient:
             raise InputError("vector does not match ambient dimension")
         for row in self.basis:
-            pivot = next(i for i, v in enumerate(row) if v == 1)
-            if vec[pivot] != 0:
-                factor = vec[pivot]
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        return all(v == 0 for v in vec)
+            pivot = next(i for i, v in enumerate(row) if v)
+            if factor := vec[pivot]:
+                for j in range(pivot, self.ambient):
+                    if row[j]:
+                        vec[j] = exact(vec[j] - factor * row[j])
+        return not any(vec)
 
     def __eq__(self, other):
         return (
@@ -354,11 +355,13 @@ def operator_to_payload(m, backend: str = "rational") -> dict:
 def operator_from_payload(payload):
     """Inverse of operator_to_payload; Matrix or complex nested list."""
     try:
-        dim = int(payload["dim"])
+        dim = payload["dim"]
         backend = payload["backend"]
         entries = payload["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed operator payload: {exc}") from exc
+    if type(dim) is not int:
+        raise InputError(f"operator dim must be an integer, not {dim!r}")
     if not isinstance(entries, list) or len(entries) != dim or any(
         not isinstance(row, list) or len(row) != dim for row in entries
     ):
@@ -370,12 +373,16 @@ def operator_from_payload(payload):
             raise InputError(str(exc)) from exc
     if backend == "complex":
         try:
-            return [
+            rows = [
                 [complex(float(re), float(im)) for re, im in row]
                 for row in entries
             ]
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad complex entry: {exc}") from exc
+        for v in (v for row in rows for v in row):
+            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+                raise InputError(f"bad complex entry: {v} is not finite")
+        return rows
     raise InputError(f"unknown backend {backend!r}")
 
 

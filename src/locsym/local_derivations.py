@@ -5,20 +5,21 @@ nabla is a local derivation when for every x there is a derivation D_x
 plain exact linear solve.  The space of all local derivations is exact:
 B x = D x for some D in Der is T(a) x = y at y = B x for the Der
 template T (parameters a_k, entries sum a_k D_k over the computed Der
-basis), so local_derivation_space solves that template once
-(stratify.solve_parametric) and reads the space off its leaves.  On each
-leaf, B is local iff every leaf condition E(x, B x) vanishes identically
-in the leaf's free x, which is linear in B; the space is the nullspace
-of those x-coefficients.  This is complete because the leaves partition
+basis), so local_derivation_space solves that template once (der_solve)
+and reads the space off its leaves.  On each leaf, B is local iff every
+leaf condition E(x, B x) vanishes identically in the leaf's free x,
+which is linear in B; the space is the nullspace of those
+x-coefficients.  This is complete because the leaves partition
 x-space, which the recorded tree proves (stratify.coverage_failure), and
 the space is proved local on every leaf by back-substituting the leaf's
 pivots at y = B x for its symbolic member B (stratify.member_failure).
 A pivot the solver cannot split into degree-1 factors is refused with a
 StratificationError (an UnsupportedError) that names it; there is no
-approximate answer.  An operator outside the space gets a deterministic
-refuting point from the first leaf condition it breaks
-(OrbitSolve.refuting_point, the walk that refutes local automorphisms
-too), confirmed by pointwise_membership.
+approximate answer.  A space keeps its basis, Der and leaf count, not
+the solve.  An operator outside the space gets a deterministic refuting
+point from the first leaf condition it breaks, der_solve rebuilding the
+solve (OrbitSolve.refuting_point, the walk that refutes local
+automorphisms too), confirmed by pointwise_membership.
 """
 from __future__ import annotations
 
@@ -81,9 +82,19 @@ def pointwise_membership(
 
 @dataclass(frozen=True)
 class LocalDerivationSpace(DerivationSpace):
-    solve: OrbitSolve  # the solve of the Der template
     derivations: DerivationSpace  # the Der the space was solved from
+    proof_leaves: int  # the leaves of the Der solve it was proved on
     provenance = "exact"  # the only way a space is computed
+
+
+def der_solve(ders: DerivationSpace) -> OrbitSolve:
+    """The solve of the Der template T(a) x = y, built anew on each call."""
+    try:
+        return solve_parametric(span_template(ders.algebra.dim, ders.basis, "a"))
+    except StratificationError as exc:
+        # Drop the traceback: it would pin every frame of the solver's
+        # recursion for as long as the caller keeps the error.
+        raise exc.with_traceback(None)
 
 
 def local_derivation_space(
@@ -99,19 +110,14 @@ def local_derivation_space(
     split into degree-1 factors, or grows too deep.
     """
     ders = derivation_algebra(algebra)
-    try:
-        solve = solve_parametric(span_template(algebra.dim, ders.basis, "a"))
-    except StratificationError as exc:
-        # Drop the traceback: it would pin every frame of the solver's
-        # recursion for as long as the caller keeps the error.
-        raise exc.with_traceback(None)
+    solve = der_solve(ders)
     result = LocalDerivationSpace(
         algebra=algebra,
         basis=_solution_basis(solve),
-        solve=solve,
         derivations=ders,
+        proof_leaves=len(solve.leaves),
     )
-    _prove(result)
+    _prove(result, solve)
     return result
 
 
@@ -133,13 +139,13 @@ def refuting_point(space: LocalDerivationSpace, op: Matrix) -> Vector:
     (OrbitSolve.refuting_point), from the first leaf condition that op
     breaks; it is checked again by pointwise_membership.
     """
-    x = space.solve.refuting_point(op.rows)
+    x = der_solve(space.derivations).refuting_point(op.rows)
     if x is None or pointwise_membership(space.derivations, op, x) is not None:
         raise InternalCheckError("no leaf refutes the operator pointwise")
     return vector(x)
 
 
-def _prove(space: LocalDerivationSpace) -> None:
+def _prove(space: LocalDerivationSpace, solve: OrbitSolve) -> None:
     """Der lies in the space, and the space is local on every leaf.
 
     The coverage walk proves that the leaves partition x-space
@@ -147,7 +153,6 @@ def _prove(space: LocalDerivationSpace) -> None:
     member of the space's span template matched by a derivation on each
     leaf, so every member is local at every point.
     """
-    solve = space.solve
     if (failure := coverage_failure(solve.root)) is not None:
         raise InternalCheckError(f"Der solve coverage: {failure}")
     span = space.span()

@@ -2,11 +2,11 @@
 
 Exact scalars have one canonical form, produced by `exact`: a Python int
 when the value is integral and a fractions.Fraction otherwise.  Matrices,
-vectors and polynomials hold their entries in this form, so integral
-data runs on machine integers and only true fractions pay for Fraction
-arithmetic; linalg's rref and nullspace still work on Fractions.
-Divide exact scalars with `quotient`: int / int is a float, and
-`quotient` keeps an exact int quotient an int.
+vectors, polynomials and linalg's eliminations hold their entries in
+this form, so integral data runs on machine integers and only true
+fractions pay for Fraction arithmetic.  Divide exact scalars with
+`quotient`: int / int is a float, and `quotient` keeps an exact int
+quotient an int.
 
 Serialized rationals are "p" or "p/q" strings so that round trips are
 lossless.  A random rational draws numerator and denominator uniformly

@@ -141,7 +141,7 @@ def test_the_battery_passes_at_other_seeds(suite, seed):
 # CHANGES.md: Polys built by the checked public constructor, and Fractions
 # constructed by linalg code (directly or through rationals).
 CHECKED_POLYS = 1421
-LINALG_FRACTIONS = 38309
+LINALG_FRACTIONS = 1901
 
 
 def test_a_battery_builds_few_checked_polys_and_linalg_fractions(monkeypatch):

@@ -295,6 +295,16 @@ def test_cli_replay_refuses_a_file_that_is_not_json(tmp_path, capsys):
 TWO_BY_TWO = '{"dim": 2, "backend": "rational", "entries": [["1", "0"], ["0", "1"]]}'
 
 
+def operator_text(dim, backend, entries):
+    return json.dumps({"dim": dim, "backend": backend, "entries": entries})
+
+
+IDENTITY_5 = [["1" if i == j else "0" for j in range(5)] for i in range(5)]
+# the identity on C^5 with a NaN in its (1,1) entry
+NAN_5 = [[["nan" if i == j == 0 else str(int(i == j)), "0"] for j in range(5)]
+         for i in range(5)]
+
+
 @pytest.mark.parametrize("command, text, message", [
     (("algebra", "check", "--algebra"), "{not json", "is not JSON"),
     (("der", "check", "--algebra", "pi2", "--matrix"), "{not json", "is not JSON"),
@@ -306,8 +316,18 @@ TWO_BY_TWO = '{"dim": 2, "backend": "rational", "entries": [["1", "0"], ["0", "1
      "operator shape does not match the algebra"),
     (("der", "check", "--algebra", "pi2", "--matrix"), TWO_BY_TWO,
      "operator shape does not match the algebra"),
+    # int() would read 5.9 as 5 and true as 1
+    (("der", "check", "--algebra", "pi2", "--matrix"),
+     operator_text(5.9, "rational", IDENTITY_5),
+     "operator dim must be an integer, not 5.9"),
+    (("der", "check", "--algebra", "pi2", "--matrix"),
+     operator_text(True, "rational", [["1"]]),
+     "operator dim must be an integer, not True"),
+    (("aut", "check", "--algebra", "pi2", "--matrix"),
+     operator_text(5, "complex", NAN_5), "bad complex entry: (nan+0j) is not finite"),
 ], ids=["algebra-not-json", "matrix-not-json", "matrix-int-entries",
-        "locder-matrix-2x2", "der-matrix-2x2"])
+        "locder-matrix-2x2", "der-matrix-2x2", "matrix-float-dim",
+        "matrix-bool-dim", "complex-nan-entry"])
 def test_cli_refuses_a_malformed_input_file(tmp_path, capsys, command, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -140,6 +140,12 @@ def from_sympy(v) -> Fraction:
     return Fraction(int(v.p), int(v.q))
 
 
+def canonical(vectors) -> bool:
+    """Every entry an int, or a Fraction that is not integral."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+               for vec in vectors for v in vec)
+
+
 @settings(max_examples=60, deadline=None)
 @given(sparse_rect)
 def test_rref_and_nullspace_match_sympy_on_sparse_rationals(rows):
@@ -151,6 +157,26 @@ def test_rref_and_nullspace_match_sympy_on_sparse_rationals(rows):
     kernel = nullspace(rows)
     assert [list(v) for v in kernel] == [
         list(map(from_sympy, v)) for v in sympy.Matrix(rows).nullspace()]
+    m = Matrix(rows)
+    rhs = m.apply([1] * m.shape[1])
+    solution = solve(m, rhs)
+    assert m.apply(solution) == rhs
+    space = Subspace(m.shape[1], rows)
+    assert canonical(basis) and canonical(kernel) and canonical([solution])
+    assert canonical(space.basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rect, st.data())
+def test_subspace_contains_matches_sympy_rank(rows, data):
+    ncols = len(rows[0])
+    coeffs = data.draw(st.lists(sparse, min_size=len(rows), max_size=len(rows)))
+    combination = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+    other = data.draw(st.lists(sparse, min_size=ncols, max_size=ncols))
+    space, rank_of = Subspace(ncols, rows), sympy.Matrix(rows).rank()
+    assert space.contains(combination)
+    for vec in (combination, other):
+        assert space.contains(vec) == (sympy.Matrix([*rows, vec]).rank() == rank_of)
 
 
 @settings(max_examples=40, deadline=None)

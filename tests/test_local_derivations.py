@@ -1,7 +1,9 @@
 """Local derivations: exact spaces, entry relations, strict inclusion."""
 
+import gc
 import random
 import traceback
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,10 +21,10 @@ from locsym import (
 )
 from locsym.cli import _verify_counterexample
 from locsym.linalg import operator_to_payload
-from locsym.local_derivations import output_symbols, refuting_point
+from locsym.local_derivations import der_solve, output_symbols, refuting_point
 from locsym.poly import Poly, linear_factors, poly
 from locsym.rationals import format_rational
-from locsym.stratify import grid_point, member_image
+from locsym.stratify import OrbitSolve, Split, StratumCase, grid_point, member_image
 from locsym.templates import LOCAL_DERIVATION_FORM_PI2, LOCAL_DERIVATION_FORM_PI3
 
 
@@ -107,7 +109,7 @@ def test_output_symbols_are_distinct_in_every_dimension():
 def test_every_leaf_constraint_is_refuted_from_its_own_leaf(
     name, count, loc2, loc3
 ):
-    solve = {"pi2": loc2, "pi3": loc3}[name].solve
+    solve = der_solve({"pi2": loc2, "pi3": loc3}[name].derivations)
     symbols = output_symbols(5)
     generic = [[poly(s) for s in symbols[5 * i:5 * i + 5]] for i in range(5)]
     refuted = 0
@@ -142,6 +144,37 @@ def test_refuting_point_is_deterministic_and_draws_nothing(loc2, monkeypatch):
     assert refuting_point(loc2, e_matrix(0, 1)) == (0, 1, 0, 1, 0)
     with pytest.raises(InternalCheckError):
         refuting_point(loc2, loc2.basis[0])
+
+
+@pytest.mark.parametrize("name, leaves, point", [
+    ("pi2", 10, (0, 1, 0, 1, 0)), ("pi3", 7, (1, 1, 0, 1, 0))])
+def test_der_solve_rebuilds_the_proved_tree(name, leaves, point, loc2, loc3):
+    space = {"pi2": loc2, "pi3": loc3}[name]
+    assert space.proof_leaves == leaves
+    assert len(der_solve(space.derivations).leaves) == leaves
+    assert refuting_point(space, e_matrix(0, 1)) == point
+
+
+def reachable(root):
+    """The objects reachable from root through instance data; classes,
+    modules and functions are not walked into."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) not in seen and not isinstance(
+                    ref, (type, types.ModuleType, types.FunctionType)):
+                seen.add(id(ref))
+                stack.append(ref)
+                yield ref
+
+
+def test_a_space_keeps_no_proof_tree(loc2, loc3):
+    # a space keeps its basis, its Der and a leaf count: the solve it was
+    # proved on is rebuilt by der_solve when a refutation needs it
+    for space in (loc2, loc3):
+        kept = [type(o) for o in reachable(space)]
+        assert Matrix in kept
+        assert not [t for t in kept if issubclass(t, (OrbitSolve, StratumCase, Split, Poly))]
 
 
 # -- strict inclusion ---------------------------------------------------------------

@@ -22,6 +22,7 @@ from locsym import (
     solve_parametric,
 )
 from locsym import automorphisms, local_derivations, stratify, verify_family
+from locsym.local_derivations import der_solve
 from locsym.poly import Poly, poly, solve_linear, unit_times_powers
 from locsym.stratify import (
     Split,
@@ -144,7 +145,7 @@ def test_the_relation_splits_have_a_leaf_per_branch(relation_trees):
 # -- the coverage walk --------------------------------------------------------------
 
 def der_solves(loc2, loc3, adapted_spaces):
-    return [s.solve for s in (loc2, loc3, *adapted_spaces)]
+    return [der_solve(s.derivations) for s in (loc2, loc3, *adapted_spaces)]
 
 
 def test_every_tree_covers_its_space(loc2, loc3, adapted_spaces, aut_trees,
@@ -205,7 +206,7 @@ def test_every_mutated_tree_fails_the_coverage_walk(loc2, loc3, adapted_spaces,
 def test_a_tree_without_a_leaf_is_refused(monkeypatch, pi2, loc2):
     # some pi2 leaf, dropped, gives a space of the wrong dimension, which
     # every remaining leaf's proof accepts
-    solve, dims = loc2.solve, set()
+    solve, dims = der_solve(loc2.derivations), set()
     for path, node in nodes(solve.root):
         if isinstance(node, StratumCase):
             dropped = dataclasses.replace(solve, root=edit(solve.root, path, lambda n: None))
@@ -255,14 +256,15 @@ def span(space):
 
 def test_builtin_spaces_are_certified(loc2, loc3):
     for space in (loc2, loc3):
-        assert proved(space.solve, span(space))
+        assert proved(der_solve(space.derivations), span(space))
 
 
 def test_adapted_copies_are_certified(adapted_spaces):
     assert [space.dim for space in adapted_spaces] == [11, 7]
-    assert [len(space.solve.leaves) for space in adapted_spaces] == [11, 8]
-    for space in adapted_spaces:
-        assert proved(space.solve, span(space))
+    solves = [der_solve(space.derivations) for space in adapted_spaces]
+    assert [len(solve.leaves) for solve in solves] == [11, 8]
+    for space, solve in zip(adapted_spaces, solves):
+        assert proved(solve, span(space))
 
 
 def mutated_leaves(solve):
@@ -285,9 +287,10 @@ def mutated_leaves(solve):
 def test_every_mutated_leaf_fails_the_certificate(loc2, loc3, adapted_spaces):
     dropped = set()
     for space in (loc2, loc3, *adapted_spaces):
-        for kind, mutant in mutated_leaves(space.solve):
+        solve = der_solve(space.derivations)
+        for kind, mutant in mutated_leaves(solve):
             dropped.add(kind)
-            failure = member_failure(space.solve, mutant, span(space))
+            failure = member_failure(solve, mutant, span(space))
             assert failure is not None, (kind, mutant.name)
     assert dropped == {"substitution term", "substitution entry", "pivot"}
 
@@ -298,11 +301,12 @@ def test_every_dropped_inequation_fails_the_pivot_unit_check(loc2, loc3):
     # child f_1 = 0), and dropping one of those leaves a true statement
     count = 0
     for space in (loc2, loc3):
-        for leaf in space.solve.leaves:
+        solve = der_solve(space.derivations)
+        for leaf in solve.leaves:
             for k in range(len(leaf.inequations)):
                 mutant = dataclasses.replace(
                     leaf, inequations=leaf.inequations[:k] + leaf.inequations[k + 1:])
-                failure = member_failure(space.solve, mutant, span(space))
+                failure = member_failure(solve, mutant, span(space))
                 assert failure is not None and failure.startswith("the pivot on "), (
                     leaf.name, k)
                 assert failure.endswith(" is not a unit times powers")
@@ -313,4 +317,4 @@ def test_every_dropped_inequation_fails_the_pivot_unit_check(loc2, loc3):
 def test_a_non_member_fails_the_certificate(loc2):
     e12 = constant(*[["1" if (i, j) == (0, 1) else "0" for j in range(5)]
                      for i in range(5)])
-    assert not proved(loc2.solve, e12)
+    assert not proved(der_solve(loc2.derivations), e12)
