@@ -29,7 +29,7 @@ from operator import mul
 from typing import Mapping
 
 from .errors import InputError
-from .linalg import Matrix, Subspace, Vector, integer_rank, load_json, vector
+from .linalg import Matrix, Subspace, Vector, integer_rank, json_int, load_json, vector
 from .poly import Poly
 from .rationals import exact, format_rational, parse_rational
 
@@ -131,11 +131,11 @@ def load_algebra(path: str) -> Algebra:
     payload = load_json(path)
     try:
         name = str(payload["name"])
-        dim = int(payload["dim"])
-        products = payload["products"]
+        dim = json_int(payload["dim"], "algebra dim")
         raw = [
-            (int(p["i"]), int(p["j"]), int(p["k"]), parse_rational(p["c"]))
-            for p in products
+            (*(json_int(p[key], f"structure constant {key}") for key in "ijk"),
+             parse_rational(p["c"]))
+            for p in payload["products"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed algebra file {path}: {exc}") from exc

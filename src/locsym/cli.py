@@ -841,10 +841,8 @@ def main(argv=None) -> int:
     try:
         _resolve_seed(args)
         code, payload, lines = args.handler(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        _emit(args, code, payload, lines)
+    except (InputError, OSError) as exc:  # a missing file, a directory, ...
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except UnsupportedError as exc:
@@ -856,7 +854,6 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
-    _emit(args, code, payload, lines)
     return code
 
 

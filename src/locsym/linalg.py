@@ -360,8 +360,7 @@ def operator_from_payload(payload):
         entries = payload["entries"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed operator payload: {exc}") from exc
-    if type(dim) is not int:
-        raise InputError(f"operator dim must be an integer, not {dim!r}")
+    json_int(dim, "operator dim")
     if not isinstance(entries, list) or len(entries) != dim or any(
         not isinstance(row, list) or len(row) != dim for row in entries
     ):
@@ -391,6 +390,13 @@ def save_operator(path: str, m, backend: str = "rational") -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
+
+
+def json_int(value, what: str) -> int:
+    """A JSON int; int() would read 2.9, "2" and true as integers."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 def load_json(path: str):

@@ -304,18 +304,33 @@ class Poly:
     def div_exact(self, divisor: "Poly") -> "Poly | None":
         """Exact multivariate division; None when the remainder is nonzero.
 
-        When the divisor's leading coefficient in some variable v is a
-        constant, this is long division in v over the other variables,
-        one step per degree: the division with remainder is unique there,
-        so the divisor divides exactly when the remainder is 0.  Otherwise
-        the leading terms are divided one at a time in graded lex order.
+        A one-term divisor c*m (a constant when m = ()) divides exactly
+        when m divides every monomial: the quotient subtracts m's
+        exponents and divides each coefficient by c.  Else, when the
+        divisor's leading coefficient in some variable v is a constant,
+        this is long division in v over the other variables, one step per
+        degree: the division with remainder is unique there, so the
+        divisor divides exactly when the remainder is 0.  Otherwise the
+        leading terms are divided one at a time in graded lex order.
         """
         if (divisor := _coerce(divisor)) is NotImplemented:
             raise TypeError("a polynomial divides only by a Poly, int or Fraction")
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if divisor.is_constant():
-            return self * quotient(1, divisor.constant_value())
+        if len(divisor.terms) == 1:
+            ((dmono, dcoeff),) = divisor.terms.items()
+            result = {}
+            for mono, coeff in self.terms.items():
+                exps = dict(mono)
+                for var, e in dmono:
+                    if (left := exps.get(var, 0) - e) < 0:
+                        return None
+                    if left:
+                        exps[var] = left
+                    else:
+                        del exps[var]
+                result[tuple(exps.items())] = quotient(coeff, dcoeff)
+            return _closed(result)
         for var in divisor.variables():
             parts = divisor.by_degree(var)
             k = max(parts)

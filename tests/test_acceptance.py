@@ -142,6 +142,10 @@ def test_the_battery_passes_at_other_seeds(suite, seed):
 # constructed by linalg code (directly or through rationals).
 CHECKED_POLYS = 1421
 LINALG_FRACTIONS = 1901
+# Poly.by_degree calls in the same battery: long division reads the
+# divisor and each step's remainder by degree, and a one-term divisor
+# (1,583 of the battery's 1,812 divisions) does not divide that way
+BY_DEGREE_CALLS = 836
 
 
 def test_a_battery_builds_few_checked_polys_and_linalg_fractions(monkeypatch):
@@ -169,6 +173,22 @@ def test_a_battery_builds_few_checked_polys_and_linalg_fractions(monkeypatch):
     assert run_suite(seed=0).ok
     assert counts["poly"] <= CHECKED_POLYS
     assert counts["linalg"] <= LINALG_FRACTIONS
+
+
+def test_a_battery_divides_by_one_term_without_long_division(monkeypatch):
+    # a count, not a clock: one-term divisors sent back through long
+    # division read about four times as many polynomials by degree
+    assert run_suite(seed=0).ok
+    calls = Counter()
+    by_degree = poly_module.Poly.by_degree
+
+    def counted(self, var):
+        calls["by_degree"] += 1
+        return by_degree(self, var)
+
+    monkeypatch.setattr(poly_module.Poly, "by_degree", counted)
+    assert run_suite(seed=0).ok
+    assert calls["by_degree"] <= BY_DEGREE_CALLS
 
 
 def test_a_passing_battery_draws_nothing(monkeypatch):
@@ -233,6 +253,44 @@ def test_a_changed_locder_template_fails_criterion_3(monkeypatch, spaces):
     result = acceptance.criterion_3(spaces)
     assert not result.passed
     assert result.detail == "LocDer(pi3) differs from its closed-form template"
+
+
+def test_a_dropped_der_basis_vector_fails_criterion_2(spaces):
+    # pi2's Der without its first basis vector: 6 dimensions, and a span
+    # that no longer equals the closed form's
+    ders = spaces["pi2"].derivations
+    short = replace(ders, basis=ders.basis[1:])
+    result = acceptance.criterion_2({**spaces, "pi2": replace(spaces["pi2"],
+                                                              derivations=short)})
+    assert not result.passed
+    assert result.line() == (
+        "FAIL  criterion  2  derivation spaces: dim Der(pi2) = 6, expected 7; "
+        "Der(pi2) differs from its closed-form template")
+
+
+def test_a_changed_der_template_fails_criterion_2(monkeypatch, spaces):
+    # pi3's Der form with (3,2) = a21 instead of 2*a21: the dimension
+    # stays 6, but the solved Der is not the form's span
+    pi3 = spaces["pi3"].algebra
+    forms = templates.closed_forms(pi3)
+    rows = [list(row) for row in forms.derivation.entries]
+    rows[2][1] = poly("a21")
+    monkeypatch.setitem(templates._CLOSED_FORMS, pi3.structure, replace(
+        forms, derivation=replace(forms.derivation, entries=tuple(map(tuple, rows)))))
+    result = acceptance.criterion_2(spaces)
+    assert not result.passed
+    assert result.detail == "Der(pi3) differs from its closed-form template"
+
+
+def test_a_space_that_is_not_bracket_closed_fails_criterion_5(spaces):
+    # [E12, E21] = E11 - E22 lies outside the span of E12 and E21
+    def unit(i, j):
+        return linalg.Matrix([[int((r, c) == (i, j)) for c in range(5)] for r in range(5)])
+
+    broken = replace(spaces["pi2"], basis=(unit(0, 1), unit(1, 0)))
+    result = acceptance.criterion_5({**spaces, "pi2": broken})
+    assert not result.passed
+    assert result.line() == "FAIL  criterion  5  Lie closure: bracket left LocDer(pi2)"
 
 
 def test_a_non_associative_table_fails_criterion_1(spaces):

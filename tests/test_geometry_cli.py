@@ -299,6 +299,11 @@ def operator_text(dim, backend, entries):
     return json.dumps({"dim": dim, "backend": backend, "entries": entries})
 
 
+def algebra_text(dim, i, j):
+    return json.dumps({"name": "a", "dim": dim,
+                       "products": [{"i": i, "j": j, "k": 2, "c": "1"}]})
+
+
 IDENTITY_5 = [["1" if i == j else "0" for j in range(5)] for i in range(5)]
 # the identity on C^5 with a NaN in its (1,1) entry
 NAN_5 = [[["nan" if i == j == 0 else str(int(i == j)), "0"] for j in range(5)]
@@ -325,9 +330,19 @@ NAN_5 = [[["nan" if i == j == 0 else str(int(i == j)), "0"] for j in range(5)]
      "operator dim must be an integer, not True"),
     (("aut", "check", "--algebra", "pi2", "--matrix"),
      operator_text(5, "complex", NAN_5), "bad complex entry: (nan+0j) is not finite"),
+    # nor may an algebra file's dim or structure constant indices
+    (("algebra", "check", "--algebra"), algebra_text(2.9, 1, 1),
+     "algebra dim must be an integer, not 2.9"),
+    (("algebra", "check", "--algebra"), algebra_text("2", 1, 1),
+     "algebra dim must be an integer, not '2'"),
+    (("algebra", "check", "--algebra"), algebra_text(2, 1.7, 1),
+     "structure constant i must be an integer, not 1.7"),
+    (("algebra", "check", "--algebra"), algebra_text(2, 1, True),
+     "structure constant j must be an integer, not True"),
 ], ids=["algebra-not-json", "matrix-not-json", "matrix-int-entries",
         "locder-matrix-2x2", "der-matrix-2x2", "matrix-float-dim",
-        "matrix-bool-dim", "complex-nan-entry"])
+        "matrix-bool-dim", "complex-nan-entry", "algebra-float-dim",
+        "algebra-string-dim", "algebra-float-index", "algebra-bool-index"])
 def test_cli_refuses_a_malformed_input_file(tmp_path, capsys, command, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -336,6 +351,20 @@ def test_cli_refuses_a_malformed_input_file(tmp_path, capsys, command, text, mes
     assert err.startswith("input error: "), err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ("der", "check", "--algebra", "pi2", "--matrix"),
+    ("algebra", "check", "--algebra"),
+    ("verify-counterexample",),
+    ("suite", "--out"),
+], ids=["der-matrix", "algebra", "replay", "suite-out"])
+def test_cli_refuses_a_directory_path(tmp_path, command):
+    # an OSError on any path is bad input (exit 2), not a failing verdict (1)
+    proc = run_script(*command, str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("name", ["pi2", "pi3"])

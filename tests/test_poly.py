@@ -239,6 +239,32 @@ def test_div_exact():
     num = poly("x^2 - y^2")
     assert num.div_exact(poly("x - y")) == poly("x + y")
     assert num.div_exact(poly("x + 1")) is None
+    # a one-term divisor subtracts its exponents from every term
+    assert poly("2*x^2*y + 3*x*y^2").div_exact(poly("4*x*y")) == poly("1/2*x + 3/4*y")
+    assert poly("2*x^2*y + 3*y").div_exact(poly("4*x*y")) is None
+
+
+@st.composite
+def one_terms(draw):
+    """c*m for a monomial m of degree 0-3 and a nonzero coefficient c."""
+    mono = tuple(sorted(Counter(draw(st.lists(st.sampled_from("xyz"), max_size=3))).items()))
+    return Poly({mono: draw(COEFFS.filter(bool))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_polys(), raw_polys(), one_terms(), one_terms())
+def test_div_exact_by_one_term_agrees_with_sympy(a, b, divisor, stray):
+    # b*c*m / c*m is b; otherwise the quotient is exact or None exactly
+    # when sympy's remainder is 0, also when one stray term is not
+    # divisible by m; every quotient has canonical coefficients
+    assert (b * divisor).div_exact(divisor) == b
+    for p in (a, a * divisor, a * divisor + stray, stray):
+        quot, rem = sympy.div(to_sympy(p), to_sympy(divisor), X, Y, Z)
+        result = p.div_exact(divisor)
+        assert (result is None) == (rem != 0)
+        if result is not None:
+            assert to_sympy(result) == sympy.expand(quot)
+            assert all(canonical(v) for v in result.terms.values()), result.terms
 
 
 @settings(max_examples=80, deadline=None)
@@ -349,6 +375,13 @@ def primitive(p: Poly) -> Poly:
     return p.content_primitive()[1]
 
 
+def times_powers(unit, powers, other) -> Poly:
+    p = Poly.const(unit)
+    for f, k in powers:
+        p = p * f ** k
+    return p if other is None else p * other
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.sampled_from(IRREDUCIBLE), max_size=4, unique=True),
        st.lists(st.tuples(st.sampled_from(IRREDUCIBLE), st.integers(1, 3)), max_size=4),
@@ -356,11 +389,30 @@ def primitive(p: Poly) -> Poly:
 def test_unit_times_powers_agrees_with_factor_list(allowed, powers, other, unit):
     # p = unit * prod f^k (* other): a unit times powers of allowed iff
     # every irreducible factor sympy finds is one of allowed, up to a unit
-    p = Poly.const(unit)
-    for f, k in powers:
-        p = p * f ** k
-    if other is not None:
-        p = p * other
+    p = times_powers(unit, powers, other)
+    _, factors = sympy.factor_list(to_sympy(p))
+    readings = {primitive(poly(str(g).replace("**", "^"))) for g, _ in factors}
+    expected = bool(p) and readings <= {primitive(f) for f in allowed}
+    assert unit_times_powers(p, allowed) == expected
+
+
+# one-term factors, as the solver's parameters and root symbols are, with
+# coefficients that the division must take out
+ONE_TERM = (poly("x"), poly("-2*y"), poly("1/3*z"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([ONE_TERM, ONE_TERM + IRREDUCIBLE[3:]]), st.data(),
+       st.one_of(st.none(), polys()), COEFFS)
+def test_unit_times_powers_by_one_term_factors_agrees_with_factor_list(
+    pool, data, other, unit
+):
+    # the same reading when the allowed factors are all one-term, or a mix
+    # of one-term and longer factors (the divisions take both paths)
+    allowed = data.draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+    powers = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)),
+                                max_size=4))
+    p = times_powers(unit, powers, other)
     _, factors = sympy.factor_list(to_sympy(p))
     readings = {primitive(poly(str(g).replace("**", "^"))) for g, _ in factors}
     expected = bool(p) and readings <= {primitive(f) for f in allowed}
