@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success or property holds, 1 property violated (with a
-machine-checkable counterexample embedded in the report), 2 input or
-usage error, 3 unsupported construction or numeric obstruction.
+machine-checkable counterexample embedded in the report whenever the
+check names one), 2 input or usage error, 3 unsupported construction or
+numeric obstruction.  Every counterexample kind, its fields and its
+replay are one entry of the table _COUNTEREXAMPLES.
 
 Structured output is a single JSON object with a stable schema tag;
 reports are deterministic for a fixed seed.  The environment variable
@@ -111,7 +113,7 @@ def _require_rational(m) -> Matrix:
     return m
 
 
-# -- counterexample construction and re-verification --------------------------
+# -- counterexamples: one table of kinds, their fields and their replays ------
 
 
 def _algebra_spec(args) -> str:
@@ -120,8 +122,19 @@ def _algebra_spec(args) -> str:
 
 
 def _counterexample(args, kind: str, **fields) -> dict:
-    """A counterexample naming the algebra as given, so that it replays."""
-    return {"kind": kind, "algebra": _algebra_spec(args), **fields}
+    """A counterexample of a kind in the table, with exactly its fields.
+
+    One that names an algebra names it as given, so that it replays.
+    """
+    if kind not in _COUNTEREXAMPLES:
+        raise InternalCheckError(f"no replay for a {kind!r} counterexample")
+    expected = _COUNTEREXAMPLES[kind][0]
+    if "algebra" in expected:
+        fields = {"algebra": _algebra_spec(args), **fields}
+    if set(fields) != set(expected):
+        raise InternalCheckError(
+            f"a {kind} counterexample carries {expected}, not {tuple(fields)}")
+    return {"kind": kind, **fields}
 
 
 def _pair_counterexample(args, kind: str, op: Matrix, pair) -> dict:
@@ -131,19 +144,21 @@ def _pair_counterexample(args, kind: str, op: Matrix, pair) -> dict:
     )
 
 
-def _attach(payload: dict, lines: list[str], counterexample: dict) -> None:
-    """Put a counterexample in the structured payload and the text lines."""
-    payload["counterexample"] = counterexample
-    lines.append("counterexample: " + json.dumps(counterexample))
-
-
 def _automorphism_counterexample(args, algebra, phi: Matrix) -> dict | None:
     """Why phi is no automorphism, as a replayable counterexample, or None."""
     if (pair := multiplicativity_failure(algebra, phi)) is not None:
         return _pair_counterexample(args, "multiplicativity_pair", phi, pair)
     if not is_invertible(phi):
-        return {"kind": "not_invertible", "matrix": operator_to_payload(phi)}
+        return _counterexample(args, "not_invertible", matrix=operator_to_payload(phi))
     return None
+
+
+def _locaut_counterexample(args, matrix: Matrix, point) -> dict:
+    """A matrix that no automorphism matches at a point, else one off the pattern."""
+    if point is None:
+        return _counterexample(args, "pattern_member", matrix=operator_to_payload(matrix))
+    return _counterexample(args, "locaut_witness", matrix=operator_to_payload(matrix),
+                           point=_vector_payload(point))
 
 
 def _field(obj: dict, name: str, what: str, ok=lambda raw: True, parse=None):
@@ -160,108 +175,137 @@ def _field(obj: dict, name: str, what: str, ok=lambda raw: True, parse=None):
         raise InputError(f"{obj['kind']} {name} must be {what}: {exc}") from exc
 
 
-_KINDS = (
-    "associativity_triple", "leibniz_pair", "multiplicativity_pair",
-    "not_invertible", "pointwise", "span_membership", "locaut_witness",
-    "pattern_member", "pattern_residual", "family_escape", "bridge_sample",
-    "inference_violation", "criterion",
-)
+def _rational_matrix(obj: dict) -> Matrix:
+    return _field(obj, "matrix", "a rational operator", parse=lambda raw:
+                  _require_rational(operator_from_payload(raw)))
 
 
-def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
-    """Re-run an emitted counterexample; True when it still violates."""
-    kind = obj.get("kind")
-    if kind not in _KINDS:
-        raise InputError(f"unknown counterexample kind {kind!r}")
-    if kind == "criterion":
-        count = len(CRITERIA)
-        numbers = _field(obj, "numbers", f"a list of ints in 1..{count}",
-                         lambda raw: isinstance(raw, list) and all(
-                             type(v) is int and 0 < v <= count for v in raw))
-        # the seed only labels the battery, but a replay still checks it
-        _field({"seed": 0, **obj}, "seed", "an unsigned 64-bit int",
-               lambda raw: type(raw) is int and 0 <= raw < 2 ** 64)
-        spaces = builtin_spaces()
-        failed = [k for k in numbers if not CRITERIA[k - 1](spaces).passed]
-        return bool(failed), f"criteria still failing: {failed}"
-    if kind in ("pattern_residual", "bridge_sample"):
-        op = _field(obj, "matrix", "an operator", parse=operator_from_payload)
-    elif kind not in ("associativity_triple", "inference_violation"):
-        op = _field(obj, "matrix", "a rational operator", parse=lambda raw:
-                    _require_rational(operator_from_payload(raw)))
-    if kind == "not_invertible":
-        return not is_invertible(op), "the matrix is singular"
-    algebra = get_algebra(_field(obj, "algebra", "a builtin name or file path",
-                                 lambda raw: isinstance(raw, str)))
+def _float_matrix(obj: dict):
+    """The matrix as rows of numbers, from a payload of either backend."""
+    op = _field(obj, "matrix", "an operator", parse=operator_from_payload)
+    return op.rows if isinstance(op, Matrix) else op
+
+
+def _point(obj: dict, n: int) -> tuple:
+    return _field(obj, "point", f"a list of {n} rationals",
+                  lambda raw: isinstance(raw, list) and len(raw) == n,
+                  lambda raw: tuple(parse_rational(v) for v in raw))
+
+
+def _replay_criterion(obj: dict, algebra, op, tol: float) -> tuple[bool, str]:
+    count = len(CRITERIA)
+    numbers = _field(obj, "numbers", f"a list of ints in 1..{count}",
+                     lambda raw: isinstance(raw, list) and all(
+                         type(v) is int and 0 < v <= count for v in raw))
+    # the seed only labels the battery, but a replay still checks it
+    _field({"seed": 0, **obj}, "seed", "an unsigned 64-bit int",
+           lambda raw: type(raw) is int and 0 <= raw < 2 ** 64)
+    spaces = builtin_spaces()
+    failed = [k for k in numbers if not CRITERIA[k - 1](spaces).passed]
+    return bool(failed), f"criteria still failing: {failed}"
+
+
+def _replay_triple(obj: dict, algebra, op, tol: float) -> tuple[bool, str]:
     n = algebra.dim
-    if kind == "associativity_triple":
-        triple = _field(obj, "triple", f"three ints in 1..{n}",
-                        lambda raw: isinstance(raw, list) and len(raw) == 3
-                        and all(type(v) is int and 0 < v <= n for v in raw))
-        return (
-            associativity_failure(algebra) == tuple(t - 1 for t in triple),
-            "associativity fails first at the recorded triple",
-        )
-    if kind == "leibniz_pair":
-        return leibniz_failure(algebra, op) is not None, "the Leibniz identity fails"
-    if kind == "multiplicativity_pair":
-        failed = multiplicativity_failure(algebra, op) is not None
-        return failed or not is_invertible(op), "multiplicativity fails"
-    if kind in ("pointwise", "locaut_witness"):
-        x = _field(obj, "point", f"a list of {n} rationals",
-                   lambda raw: isinstance(raw, list) and len(raw) == n,
-                   lambda raw: tuple(parse_rational(v) for v in raw))
-        if kind == "locaut_witness":
-            report = locaut_feasible_at(algebra, op, x)
-            return not report.feasible, "no automorphism matches at the point"
-        return (
-            pointwise_membership(derivation_algebra(algebra), op, x) is None,
-            "no derivation matches the operator at the recorded point",
-        )
-    if kind == "span_membership":
-        space = _field(obj, "space", "der or locder",
-                       lambda raw: raw in ("der", "locder"))
-        solve = derivation_algebra if space == "der" else local_derivation_space
-        return not solve(algebra).contains(op), "the operator is outside the space"
-    if kind == "pattern_member":
-        check = pattern_check(locaut_pattern(algebra), op)
-        return not check.ok, "the matrix violates the pattern"
-    if kind == "pattern_residual":
-        check = pattern_residual(algebra, op)
-        return check.residual > tol, "the numeric pattern residual exceeds tol"
-    if kind == "family_escape":
-        family = automorphism_family(algebra)
-        escaped = is_automorphism(algebra, op) and family.match(op) is None
-        return escaped, "an automorphism escapes the family template"
-    if kind == "bridge_sample":
-        if _field(obj, "direction", "exp or log",
-                  lambda raw: raw in ("exp", "log")) == "exp":
-            return exp_leaves_pattern(algebra, op), "the exponential leaves the pattern"
-        return (log_leaves_template(algebra, op),
-                "the logarithm of a positive + member leaves the LocDer template")
+    triple = _field(obj, "triple", f"three ints in 1..{n}",
+                    lambda raw: isinstance(raw, list) and len(raw) == 3
+                    and all(type(v) is int and 0 < v <= n for v in raw))
+    return (associativity_failure(algebra) == tuple(t - 1 for t in triple),
+            "associativity fails first at the recorded triple")
+
+
+def _replay_pointwise(obj: dict, algebra, op, tol: float) -> tuple[bool, str]:
+    x = _point(obj, algebra.dim)
+    return (pointwise_membership(derivation_algebra(algebra), op, x) is None,
+            "no derivation matches the operator at the recorded point")
+
+
+def _replay_family_escape(obj: dict, algebra, op, tol: float) -> tuple[bool, str]:
+    family = automorphism_family(algebra)
+    escaped = is_automorphism(algebra, op) and family.match(op) is None
+    return escaped, "an automorphism escapes the family template"
+
+
+def _replay_bridge_sample(obj: dict, algebra, rows, tol: float) -> tuple[bool, str]:
+    if _field(obj, "direction", "exp or log",
+              lambda raw: raw in ("exp", "log")) == "exp":
+        return exp_leaves_pattern(algebra, rows), "the exponential leaves the pattern"
+    return (log_leaves_template(algebra, rows),
+            "the logarithm of a positive + member leaves the LocDer template")
+
+
+def _replay_inference(obj: dict, algebra, op, tol: float) -> tuple[bool, str]:
     prediction = infer_shape(closed_forms(algebra).derivation)
     report = validate_prediction(prediction, local_derivation_space(algebra))
     return not report.ok, "the shape prediction fails validation"
 
 
+# kind: (the fields it carries besides "kind", the reader of its matrix, and
+# its replay).  A replay gets the matrix, read first, and the algebra, read
+# next, and reads any other field itself; it returns whether the violation
+# still occurs and what it checked.
+_COUNTEREXAMPLES = {
+    "criterion": (("numbers", "seed"), None, _replay_criterion),
+    "associativity_triple": (("algebra", "triple"), None, _replay_triple),
+    "leibniz_pair": (
+        ("algebra", "matrix", "pair"), _rational_matrix, lambda obj, algebra, op, tol: (
+            leibniz_failure(algebra, op) is not None, "the Leibniz identity fails")),
+    "multiplicativity_pair": (
+        ("algebra", "matrix", "pair"), _rational_matrix, lambda obj, algebra, op, tol: (
+            multiplicativity_failure(algebra, op) is not None or not is_invertible(op),
+            "multiplicativity fails")),
+    "not_invertible": (("matrix",), _rational_matrix, lambda obj, algebra, op, tol: (
+        not is_invertible(op), "the matrix is singular")),
+    "pointwise": (("algebra", "matrix", "point"), _rational_matrix, _replay_pointwise),
+    "locaut_witness": (
+        ("algebra", "matrix", "point"), _rational_matrix, lambda obj, algebra, op, tol: (
+            not locaut_feasible_at(algebra, op, _point(obj, algebra.dim)).feasible,
+            "no automorphism matches at the point")),
+    "pattern_member": (("algebra", "matrix"), _rational_matrix, lambda obj, algebra, op, tol: (
+        not pattern_check(locaut_pattern(algebra), op).ok, "the matrix violates the pattern")),
+    "pattern_residual": (("algebra", "matrix"), _float_matrix, lambda obj, algebra, rows, tol: (
+        pattern_residual(algebra, rows).residual > tol,
+        "the numeric pattern residual exceeds tol")),
+    "multiplicativity_residual": (
+        ("algebra", "matrix"), _float_matrix, lambda obj, algebra, rows, tol: (
+            multiplicativity_residual(algebra, rows) > tol,
+            "the numeric multiplicativity residual exceeds tol")),
+    "family_escape": (("algebra", "matrix"), _rational_matrix, _replay_family_escape),
+    "bridge_sample": (("algebra", "direction", "matrix"), _float_matrix, _replay_bridge_sample),
+    "inference_violation": (("algebra", "violations"), None, _replay_inference),
+}
+
+
+def _verify_counterexample(obj: dict, tol: float) -> tuple[bool, str]:
+    """Re-run an emitted counterexample; True when it still violates."""
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _COUNTEREXAMPLES:
+        raise InputError(f"unknown counterexample kind {kind!r}")
+    fields, read_matrix, replay = _COUNTEREXAMPLES[kind]
+    op = read_matrix(obj) if read_matrix else None
+    algebra = None
+    if "algebra" in fields:
+        algebra = get_algebra(_field(obj, "algebra", "a builtin name or file path",
+                                     lambda raw: isinstance(raw, str)))
+    return replay(obj, algebra, op, tol)
+
+
 # -- command handlers ---------------------------------------------------------
+#
+# Each returns (ok, payload, text lines, counterexample or None); main maps
+# ok to the exit code and attaches the counterexample.
+
+_Verdict = tuple[bool, dict, list[str], dict | None]
 
 
-def _cmd_algebra_check(args) -> tuple[int, dict, list[str]]:
+def _cmd_algebra_check(args) -> _Verdict:
     algebra = get_algebra(_algebra_spec(args))
-    problems = []
-    counterexample = None
     triple = associativity_failure(algebra)
-    if triple is not None:
-        counterexample = _counterexample(
-            args, "associativity_triple", triple=[t + 1 for t in triple]
-        )
-        problems.append("not associative")
     filtration = power_filtration(algebra)
     payload = {
         "algebra": algebra.name,
         "dim": algebra.dim,
-        "associative": not problems,
+        "associative": triple is None,
         "filtration_dims": list(filtration.dims),
         "nilpotent": filtration.nilpotent,
         "nilindex": filtration.nilindex,
@@ -276,10 +320,10 @@ def _cmd_algebra_check(args) -> tuple[int, dict, list[str]]:
         sequence = characteristic_sequence(algebra)
         payload["characteristic_sequence"] = list(sequence)
         lines.append(f"characteristic sequence: {sequence}")
-    if counterexample:
-        _attach(payload, lines, counterexample)
-        return 1, payload, lines
-    return 0, payload, lines
+    if triple is None:
+        return True, payload, lines, None
+    return False, payload, lines, _counterexample(
+        args, "associativity_triple", triple=[t + 1 for t in triple])
 
 
 def _der_space(args):
@@ -287,7 +331,7 @@ def _der_space(args):
     return algebra, derivation_algebra(algebra)
 
 
-def _cmd_der_basis(args) -> tuple[int, dict, list[str]]:
+def _cmd_der_basis(args) -> _Verdict:
     algebra, ders = _der_space(args)
     payload = {
         "algebra": algebra.name,
@@ -298,27 +342,24 @@ def _cmd_der_basis(args) -> tuple[int, dict, list[str]]:
     for idx, op in enumerate(ders.basis, 1):
         lines.append(f"basis operator {idx}:")
         lines.extend(_format_matrix_lines(op))
-    return 0, payload, lines
+    return True, payload, lines, None
 
 
-def _cmd_der_check(args) -> tuple[int, dict, list[str]]:
+def _cmd_der_check(args) -> _Verdict:
     algebra = get_algebra(args.algebra)
     op = _require_rational(load_operator(args.matrix))
     pair = leibniz_failure(algebra, op)
     ok = pair is None
     payload = {"algebra": algebra.name, "is_derivation": ok}
     lines = [f"is_derivation: {ok}"]
-    if not ok:
-        counterexample = _pair_counterexample(args, "leibniz_pair", op, pair)
-        lines.append(
-            f"Leibniz fails at basis pair {tuple(counterexample['pair'])}"
-        )
-        _attach(payload, lines, counterexample)
-        return 1, payload, lines
-    return 0, payload, lines
+    if ok:
+        return True, payload, lines, None
+    counterexample = _pair_counterexample(args, "leibniz_pair", op, pair)
+    lines.append(f"Leibniz fails at basis pair {tuple(counterexample['pair'])}")
+    return False, payload, lines, counterexample
 
 
-def _cmd_locder_basis(args) -> tuple[int, dict, list[str]]:
+def _cmd_locder_basis(args) -> _Verdict:
     algebra = get_algebra(args.algebra)
     space = local_derivation_space(algebra)
     payload = {
@@ -334,35 +375,32 @@ def _cmd_locder_basis(args) -> tuple[int, dict, list[str]]:
     for idx, op in enumerate(space.basis, 1):
         lines.append(f"basis operator {idx}:")
         lines.extend(_format_matrix_lines(op))
-    return 0, payload, lines
+    return True, payload, lines, None
 
 
-def _cmd_locder_check(args) -> tuple[int, dict, list[str]]:
+def _cmd_locder_check(args) -> _Verdict:
     algebra = get_algebra(args.algebra)
     op = _require_rational(load_operator(args.matrix))
     space = local_derivation_space(algebra)
     ok = space.contains(op)
     payload = {"algebra": algebra.name, "is_local_derivation": ok}
     lines = [f"is_local_derivation: {ok}"]
-    if not ok:
-        point = _vector_payload(refuting_point(space, op))
-        counterexample = _counterexample(
-            args, "pointwise", matrix=operator_to_payload(op), point=point
-        )
-        lines.append(f"no derivation matches at point ({', '.join(point)})")
-        _attach(payload, lines, counterexample)
-        return 1, payload, lines
-    return 0, payload, lines
+    if ok:
+        return True, payload, lines, None
+    point = _vector_payload(refuting_point(space, op))
+    lines.append(f"no derivation matches at point ({', '.join(point)})")
+    return False, payload, lines, _counterexample(
+        args, "pointwise", matrix=operator_to_payload(op), point=point)
 
 
-def _cmd_locder_witness(args) -> tuple[int, dict, list[str]]:
+def _cmd_locder_witness(args) -> _Verdict:
     algebra = get_algebra(args.algebra)
     witness = strict_inclusion_witness(algebra)
     if witness is None:
         payload = {"algebra": algebra.name, "witness": None}
-        return 0, payload, [
+        return True, payload, [
             "no witness: every local derivation is a derivation"
-        ]
+        ], None
     payload = {
         "algebra": algebra.name,
         "witness": operator_to_payload(witness),
@@ -372,21 +410,17 @@ def _cmd_locder_witness(args) -> tuple[int, dict, list[str]]:
         "(local derivation, not a derivation):"
     ]
     lines.extend(_format_matrix_lines(witness))
-    return 0, payload, lines
+    return True, payload, lines, None
 
 
-def _cmd_aut_check(args) -> tuple[int, dict, list[str]]:
+def _cmd_aut_check(args) -> _Verdict:
     algebra = get_algebra(args.algebra)
     phi = load_operator(args.matrix)
     if isinstance(phi, Matrix):
         counterexample = _automorphism_counterexample(args, algebra, phi)
         ok = counterexample is None
         payload = {"algebra": algebra.name, "is_automorphism": ok}
-        lines = [f"is_automorphism: {ok}"]
-        if not ok:
-            _attach(payload, lines, counterexample)
-            return 1, payload, lines
-        return 0, payload, lines
+        return ok, payload, [f"is_automorphism: {ok}"], counterexample
     residual = multiplicativity_residual(algebra, phi)
     ok = residual <= args.tol
     payload = {
@@ -396,38 +430,39 @@ def _cmd_aut_check(args) -> tuple[int, dict, list[str]]:
         "ok": ok,
     }
     lines = [f"multiplicativity residual: {residual:.3e} (tol {args.tol:g})"]
-    return (0 if ok else 1), payload, lines
+    if ok:
+        return True, payload, lines, None
+    return False, payload, lines, _counterexample(
+        args, "multiplicativity_residual", matrix=operator_to_payload(phi, "complex"))
 
 
-def _cmd_aut_family_verify(args) -> tuple[int, dict, list[str]]:
+def _cmd_aut_family_verify(args) -> _Verdict:
     algebra = get_algebra(args.algebra)
     family = automorphism_family(algebra)
     report = verify_family(family)
     closure = group_closure_report(family)
-    ok = report.ok and closure.ok
+    bad = closure if report.ok else report
     payload = {
         "algebra": algebra.name,
         "family_ok": report.ok,
         "closure_ok": closure.ok,
-        "detail": report.detail if not report.ok else closure.detail,
+        "detail": bad.detail,
     }
     lines = [
         f"family proof: {report.ok}",
         f"group/inverse closure: {closure.ok}",
     ]
-    if not ok:
-        bad = report if not report.ok else closure
-        if (phi := bad.counterexample) is not None:
-            # a member that is no automorphism, else an escaped automorphism
-            counterexample = _automorphism_counterexample(args, algebra, phi) or (
-                _counterexample(args, "family_escape", matrix=operator_to_payload(phi)))
-            _attach(payload, lines, counterexample)
-        lines.append(f"detail: {bad.detail}")
-        return 1, payload, lines
-    return 0, payload, lines
+    if bad.ok:
+        return True, payload, lines, None
+    lines.append(f"detail: {bad.detail}")
+    if (phi := bad.counterexample) is None:
+        return False, payload, lines, None
+    # a member that is no automorphism, else an escaped automorphism
+    return False, payload, lines, _automorphism_counterexample(args, algebra, phi) or (
+        _counterexample(args, "family_escape", matrix=operator_to_payload(phi)))
 
 
-def _cmd_locaut_check(args) -> tuple[int, dict, list[str]]:
+def _cmd_locaut_check(args) -> _Verdict:
     algebra = get_algebra(args.algebra)
     b = load_operator(args.matrix)
     pattern = locaut_pattern(algebra)
@@ -445,11 +480,10 @@ def _cmd_locaut_check(args) -> tuple[int, dict, list[str]]:
             f"pattern residual: {check.residual:.3e} "
             f"(branch {check.branch}, tol {args.tol:g})"
         ]
-        if not ok:
-            _attach(payload, lines, _counterexample(
-                args, "pattern_residual", matrix=operator_to_payload(b, "complex")))
-            return 1, payload, lines
-        return 0, payload, lines
+        if ok:
+            return True, payload, lines, None
+        return False, payload, lines, _counterexample(
+            args, "pattern_residual", matrix=operator_to_payload(b, "complex"))
     check = pattern_check(pattern, b)
     payload = {
         "algebra": algebra.name,
@@ -465,27 +499,17 @@ def _cmd_locaut_check(args) -> tuple[int, dict, list[str]]:
         lines.append(
             "matrix lies on the pattern boundary (open conditions vanish)"
         )
-    if not check.ok:
-        for failure in check.failures:
-            lines.append(f"violated: {failure}")
-        counterexample = _counterexample(
-            args, "pattern_member", matrix=operator_to_payload(b)
-        )
-        point = find_witness(algebra, b)
-        if point is not None:
-            counterexample = _counterexample(
-                args, "locaut_witness", matrix=operator_to_payload(b),
-                point=_vector_payload(point),
-            )
-            lines.append(
-                f"infeasible at point ({', '.join(_vector_payload(point))})"
-            )
-        _attach(payload, lines, counterexample)
-        return 1, payload, lines
-    return 0, payload, lines
+    if check.ok:
+        return True, payload, lines, None
+    for failure in check.failures:
+        lines.append(f"violated: {failure}")
+    point = find_witness(algebra, b)
+    if point is not None:
+        lines.append(f"infeasible at point ({', '.join(_vector_payload(point))})")
+    return False, payload, lines, _locaut_counterexample(args, b, point)
 
 
-def _cmd_locaut_verify(args) -> tuple[int, dict, list[str]]:
+def _cmd_locaut_verify(args) -> _Verdict:
     algebra = get_algebra(args.algebra)
     report = verify_pattern(locaut_pattern(algebra))
     payload = {
@@ -497,47 +521,32 @@ def _cmd_locaut_verify(args) -> tuple[int, dict, list[str]]:
     lines = [f"pattern verification: {report.ok}", f"forward proof: {report.forward}"]
     if report.reverse is not None:
         lines.append(f"reverse proof: {report.reverse}")
-    if not report.ok:
-        if report.counterexample is not None:
-            matrix, point = report.counterexample
-            if point is not None:
-                counterexample = _counterexample(
-                    args, "locaut_witness", matrix=operator_to_payload(matrix),
-                    point=_vector_payload(point),
-                )
-            else:
-                counterexample = _counterexample(
-                    args, "pattern_member", matrix=operator_to_payload(matrix)
-                )
-            _attach(payload, lines, counterexample)
-        lines.append(f"detail: {report.detail}")
-        return 1, payload, lines
-    return 0, payload, lines
+    if report.ok:
+        return True, payload, lines, None
+    lines.append(f"detail: {report.detail}")
+    if report.counterexample is None:
+        return False, payload, lines, None
+    return False, payload, lines, _locaut_counterexample(args, *report.counterexample)
 
 
-def _cmd_locaut_witness(args) -> tuple[int, dict, list[str]]:
+def _cmd_locaut_witness(args) -> _Verdict:
     algebra = get_algebra(args.algebra)
     b = _require_rational(load_operator(args.matrix))
     point = find_witness(algebra, b)
     if point is None:
         payload = {"algebra": algebra.name, "witness": None}
-        return 0, payload, [
+        return True, payload, [
             "a local automorphism: no point refutes the matrix"
-        ]
-    counterexample = _counterexample(
-        args, "locaut_witness", matrix=operator_to_payload(b),
-        point=_vector_payload(point),
-    )
+        ], None
     payload = {"algebra": algebra.name, "witness": _vector_payload(point)}
     lines = [
         f"witness point ({', '.join(_vector_payload(point))}): "
         "no automorphism matches the matrix there",
     ]
-    _attach(payload, lines, counterexample)
-    return 1, payload, lines
+    return False, payload, lines, _locaut_counterexample(args, b, point)
 
 
-def _cmd_exp(args) -> tuple[int, dict, list[str]]:
+def _cmd_exp(args) -> _Verdict:
     m = load_operator(args.matrix)
     image = matrix_exp(m)
     payload = {"exp": operator_to_payload(image, "complex")}
@@ -546,10 +555,10 @@ def _cmd_exp(args) -> tuple[int, dict, list[str]]:
     if args.out:
         save_operator(args.out, image, "complex")
         lines.append(f"saved to {args.out}")
-    return 0, payload, lines
+    return True, payload, lines, None
 
 
-def _cmd_log(args) -> tuple[int, dict, list[str]]:
+def _cmd_log(args) -> _Verdict:
     m = load_operator(args.matrix)
     method = args.method
     result = None
@@ -589,27 +598,27 @@ def _cmd_log(args) -> tuple[int, dict, list[str]]:
     if args.out:
         save_operator(args.out, result, "complex")
         lines.append(f"saved to {args.out}")
-    return 0, payload, lines
+    return True, payload, lines, None
 
 
-def _cmd_bridge(args) -> tuple[int, dict, list[str]]:
+def _cmd_bridge(args) -> _Verdict:
     algebra = get_algebra(args.algebra)
     report = bridge_check(algebra, args.direction)
     payload = {"algebra": algebra.name, "direction": args.direction,
                "ok": report.ok, "detail": report.detail}
     lines = [f"bridge {args.direction} ({algebra.name}, proved exactly): {report.ok}"]
-    if not report.ok:
-        if report.sample is not None:
-            _attach(payload, lines, _counterexample(
-                args, "bridge_sample", direction=args.direction,
-                matrix=operator_to_payload(report.sample, "complex")))
-        lines.append(f"detail: {report.detail}")
-        return 1, payload, lines
-    lines.append(f"proof: {report.detail}")
-    return 0, payload, lines
+    if report.ok:
+        lines.append(f"proof: {report.detail}")
+        return True, payload, lines, None
+    lines.append(f"detail: {report.detail}")
+    if report.sample is None:
+        return False, payload, lines, None
+    return False, payload, lines, _counterexample(
+        args, "bridge_sample", direction=args.direction,
+        matrix=operator_to_payload(report.sample, "complex"))
 
 
-def _cmd_infer(args) -> tuple[int, dict, list[str]]:
+def _cmd_infer(args) -> _Verdict:
     algebra = get_algebra(args.algebra)
     prediction = infer_shape(closed_forms(algebra).derivation)
     space = local_derivation_space(algebra)
@@ -632,16 +641,15 @@ def _cmd_infer(args) -> tuple[int, dict, list[str]]:
         f"  undetermined pairs: {len(prediction.undetermined)}",
         f"validated against the computed space: {report.ok}",
     ]
-    if not report.ok:
-        for violation in report.violations:
-            lines.append(f"violation: {violation}")
-        _attach(payload, lines, _counterexample(
-            args, "inference_violation", violations=list(report.violations)))
-        return 1, payload, lines
-    return 0, payload, lines
+    if report.ok:
+        return True, payload, lines, None
+    for violation in report.violations:
+        lines.append(f"violation: {violation}")
+    return False, payload, lines, _counterexample(
+        args, "inference_violation", violations=list(report.violations))
 
 
-def _cmd_report_geometry(args) -> tuple[int, dict, list[str]]:
+def _cmd_report_geometry(args) -> _Verdict:
     algebra = get_algebra(args.algebra)
     report = geometry_report(algebra)
     payload = report.to_dict()
@@ -652,24 +660,19 @@ def _cmd_report_geometry(args) -> tuple[int, dict, list[str]]:
         f"  Lie group: {report.lie_group}",
         f"  rationale: {report.rationale}",
     ]
-    return 0, payload, lines
+    return True, payload, lines, None
 
 
-def _cmd_suite(args) -> tuple[int, dict, list[str]]:
+def _cmd_suite(args) -> _Verdict:
     result = run_suite(seed=args.seed)
-    payload = result.to_dict()
-    lines = result.lines()
-    if not result.ok:
-        _attach(payload, lines, {
-            "kind": "criterion",
-            "numbers": [r.number for r in result.results if not r.passed],
-            "seed": args.seed,
-        })
-        return 1, payload, lines
-    return 0, payload, lines
+    if result.ok:
+        return True, result.to_dict(), result.lines(), None
+    return False, result.to_dict(), result.lines(), _counterexample(
+        args, "criterion", numbers=[r.number for r in result.results if not r.passed],
+        seed=args.seed)
 
 
-def _cmd_verify_counterexample(args) -> tuple[int, dict, list[str]]:
+def _cmd_verify_counterexample(args) -> _Verdict:
     raw = load_json(args.file)
     obj = raw.get("counterexample", raw) if isinstance(raw, dict) else raw
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -681,11 +684,11 @@ def _cmd_verify_counterexample(args) -> tuple[int, dict, list[str]]:
         "description": description,
     }
     if reproduced:
-        return 0, payload, [f"counterexample reproduced: {description}"]
-    return 1, payload, [
+        return True, payload, [f"counterexample reproduced: {description}"], None
+    return False, payload, [
         "counterexample did NOT reproduce: the recorded violation no "
         "longer occurs"
-    ]
+    ], None
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -840,7 +843,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _resolve_seed(args)
-        code, payload, lines = args.handler(args)
+        ok, payload, lines, counterexample = args.handler(args)
+        if counterexample is not None:
+            payload["counterexample"] = counterexample
+            lines.append("counterexample: " + json.dumps(counterexample))
+        code = 0 if ok else 1
         _emit(args, code, payload, lines)
     except (InputError, OSError) as exc:  # a missing file, a directory, ...
         print(f"input error: {exc}", file=sys.stderr)

@@ -323,6 +323,35 @@ def test_a_non_multiplicative_aut_template_fails_criterion_6(
         "members of templates 1 and 1 is in none")
 
 
+def test_a_space_without_a_local_derivation_beyond_der_fails_criterion_4(spaces):
+    # pi2's LocDer cut down to its Der: no local derivation is left that
+    # is not a derivation, so the strict inclusion has no witness
+    locders = spaces["pi2"]
+    result = acceptance.criterion_4({**spaces, "pi2": replace(
+        locders, basis=locders.derivations.basis)})
+    assert not result.passed
+    assert result.line() == (
+        "FAIL  criterion  4  strict inclusions: no strict inclusion witness for pi2")
+
+
+def test_the_wrong_algebra_fails_criterion_10(spaces):
+    # pi2's space filed under pi3: the geometry read is pi2's (11, 1, True)
+    result = acceptance.criterion_10({**spaces, "pi3": spaces["pi2"]})
+    assert not result.passed
+    assert result.detail == "pi3 geometry (11, 1, True)"
+
+
+def test_a_space_with_an_unforced_zero_fails_criterion_11(spaces):
+    # E12 added to pi2's LocDer basis: rule 0 predicts b12 = 0, which the
+    # enlarged space refutes
+    locders = spaces["pi2"]
+    e12 = linalg.Matrix([[int((r, c) == (0, 1)) for c in range(5)] for r in range(5)])
+    result = acceptance.criterion_11({**spaces, "pi2": replace(
+        locders, basis=locders.basis + (e12,))})
+    assert not result.passed
+    assert result.detail == "pi2: b12 is not forced zero on the space"
+
+
 def test_a_passing_criterion_file_does_not_reproduce(tmp_path, capsys):
     path = tmp_path / "criterion.json"
     path.write_text(json.dumps({"kind": "criterion", "numbers": [2, 9], "seed": 0}))

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,14 +21,20 @@ from locsym import (
     Matrix,
     UnsupportedError,
     branch_disjointness,
+    builtin,
     geometry_report,
     locaut_pattern,
+    save_algebra,
     save_operator,
     zero_algebra,
 )
+import locsym.cli as cli
+from locsym.algebra import Algebra
 from locsym.cli import _build_parser, main
+from locsym.errors import InternalCheckError
 from locsym.linalg import operator_to_payload
-from locsym.templates import LOCAL_AUTOMORPHISM_FORM_PI3_PLUS
+from locsym.poly import poly
+from locsym.templates import _CLOSED_FORMS, LOCAL_AUTOMORPHISM_FORM_PI3_PLUS, closed_forms
 
 DIAG_BUMP = [[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 1, 0, 0],
              [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
@@ -119,12 +126,16 @@ def test_cli_der_check_accepts_and_rejects(tmp_path, capsys):
 
 def test_cli_aut_check_counterexamples_replay(tmp_path, capsys):
     cases = (
-        (2 * Matrix.identity(5), {"kind": "multiplicativity_pair", "pair": [1, 1]}),
-        (Matrix.zeros(5, 5), {"kind": "not_invertible"}),
+        (2 * Matrix.identity(5), "rational",
+         {"kind": "multiplicativity_pair", "pair": [1, 1]}),
+        (Matrix.zeros(5, 5), "rational", {"kind": "not_invertible"}),
+        # the float check of 2I on C^5
+        ([[complex(2 * (i == j)) for j in range(5)] for i in range(5)], "complex",
+         {"kind": "multiplicativity_residual", "algebra": "pi2"}),
     )
-    for k, (phi, expected) in enumerate(cases):
+    for k, (phi, backend, expected) in enumerate(cases):
         operator, report = str(tmp_path / f"op{k}.json"), str(tmp_path / f"r{k}.json")
-        save_operator(operator, phi)
+        save_operator(operator, phi, backend)
         assert run_cli("aut", "check", "--algebra", "pi2", "--matrix", operator,
                        "--format", "structured", "--out", report) == 1
         with open(report, encoding="utf-8") as fh:
@@ -268,7 +279,6 @@ MALFORMED_REPLAYS = [
     ({"kind": "criterion", "numbers": [1], "seed": "x"}, "seed"),
     ({"kind": "locaut_witness", "algebra": "pi3", "matrix": BUMP,
       "point": ["x", 0, 0, 0, 0]}, "point"),
-    ({"kind": "span_membership", "algebra": "pi2", "matrix": BUMP}, "space"),
     ({"kind": "bridge_sample", "algebra": "pi3", "matrix": BUMP}, "direction"),
     ({"kind": "associativity_triple", "algebra": "pi2", "triple": 5}, "triple"),
     ({"kind": "leibniz_pair", "matrix": BUMP}, "algebra"),
@@ -283,6 +293,32 @@ def test_cli_replay_refuses_malformed_fields(tmp_path, capsys, obj, field):
     assert run_cli("verify-counterexample", str(path)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {obj['kind']} {field} must be "), err
+
+
+@pytest.mark.parametrize("kind", [["x"], {"k": 1}, None, 5, "span_membership"], ids=str)
+def test_cli_replay_refuses_an_unknown_kind(tmp_path, capsys, kind):
+    # a kind that is no string is no key of the table either, not a TypeError
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps({"kind": kind}))
+    assert run_cli("verify-counterexample", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: unknown counterexample kind {kind!r}\n", err
+
+
+@pytest.mark.parametrize("obj, code", [
+    ({"kind": "pattern_residual", "algebra": "pi3", "matrix": BUMP}, 0),
+    ({"kind": "multiplicativity_residual", "algebra": "pi3", "matrix": BUMP}, 0),
+    ({"kind": "multiplicativity_residual", "algebra": "pi3",
+      "matrix": operator_to_payload(Matrix.identity(5))}, 1),
+    ({"kind": "bridge_sample", "algebra": "pi3", "direction": "log",
+      "matrix": operator_to_payload(Matrix.identity(5))}, 1),
+], ids=lambda v: v["kind"] if isinstance(v, dict) else str(v))
+def test_cli_replays_a_float_kind_from_a_rational_matrix(tmp_path, capsys, obj, code):
+    # the float checks read a rational payload as its rows of numbers
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("verify-counterexample", str(path)) == code
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_replay_refuses_a_file_that_is_not_json(tmp_path, capsys):
@@ -637,6 +673,135 @@ def test_cli_pattern_residual_is_emitted_and_replayed(tmp_path, capsys):
     path.write_text(json.dumps(on))
     assert run_cli("verify-counterexample", str(path)) == 1
     assert "did NOT reproduce" in capsys.readouterr().out
+
+
+# -- every kind of counterexample is emitted by main and replays -----------------
+
+def operator_file(tmp_path, rows, backend="rational"):
+    path = str(tmp_path / "operator.json")
+    save_operator(path, Matrix(rows) if backend == "rational" else rows, backend)
+    return path
+
+
+def edit_form(monkeypatch, name, field, position, text):
+    """Patch one entry of the Der or LocDer closed-form template of a builtin."""
+    algebra = builtin(name)
+    forms = closed_forms(algebra)
+    template = getattr(forms, field)
+    rows = [list(row) for row in template.entries]
+    rows[position[0] - 1][position[1] - 1] = poly(text)
+    monkeypatch.setitem(_CLOSED_FORMS, algebra.structure, replace(forms, **{
+        field: replace(template, entries=tuple(map(tuple, rows)))}))
+
+
+def broken_algebra(tmp_path):
+    # e1 e1 = e2, e1 e2 = e3, e2 e1 = 0: (e1 e1) e1 = 0 but e1 (e1 e1) = e3
+    path = str(tmp_path / "broken.json")
+    save_algebra(path, Algebra(name="broken", dim=3,
+                               table={(0, 0): (0, 1, 0), (0, 1): (0, 0, 1)}))
+    return path
+
+
+def suite_with_a_changed_der(tmp, patch, mutant):
+    # pi3's Der form with (3,2) = 0 fails criteria 2 and 11
+    edit_form(patch, "pi3", "derivation", (3, 2), "0")
+    return ("suite",)
+
+
+def infer_with_a_changed_der(tmp, patch, mutant):
+    # rule 0 then predicts b32 = 0, which the computed LocDer refutes
+    edit_form(patch, "pi3", "derivation", (3, 2), "0")
+    return ("infer", "--algebra", "pi3")
+
+
+def verify_a_pattern_with_b21_open(tmp, patch, mutant):
+    # pi2's pattern with b21 != 0 misses the local automorphism I
+    pi2 = builtin("pi2")
+    forms = closed_forms(pi2)
+    first = forms.local_automorphism[0]
+    patch.setitem(_CLOSED_FORMS, pi2.structure, replace(
+        forms, local_automorphism=(replace(first, nonzero=first.nonzero + (poly("b21"),)),)))
+    return ("locaut", "verify", "--algebra", "pi2")
+
+
+def verify_a_family_that_misses_an_automorphism(tmp, patch, mutant):
+    family = mutant("pi2", "pi2", nonzero=("a11", "a11+a41", "a21"))
+    patch.setattr(cli, "automorphism_family", lambda _: family)
+    return ("aut", "family-verify", "--algebra", "pi2")
+
+
+def bridge_a_changed_locder(tmp, patch, mutant):
+    # pi3's LocDer form with b22 = 3 b11: exp(T) leaves the + template
+    edit_form(patch, "pi3", "local_derivation", (2, 2), "3*b11")
+    return ("bridge", "--algebra", "pi3")
+
+
+E12 = [[0, 1, 0, 0, 0]] + [[0] * 5] * 4
+TWO = [[2 * (i == j) for j in range(5)] for i in range(5)]
+# kind: a failing call of main that emits it, from (tmp_path, monkeypatch, mutant)
+EMITTERS = {
+    "criterion": suite_with_a_changed_der,
+    "associativity_triple": lambda tmp, patch, mutant: (
+        "algebra", "check", "--algebra", broken_algebra(tmp)),
+    "leibniz_pair": lambda tmp, patch, mutant: (
+        "der", "check", "--algebra", "pi2", "--matrix", operator_file(tmp, E12)),
+    "multiplicativity_pair": lambda tmp, patch, mutant: (
+        "aut", "check", "--algebra", "pi2", "--matrix", operator_file(tmp, TWO)),
+    "not_invertible": lambda tmp, patch, mutant: (
+        "aut", "check", "--algebra", "pi2", "--matrix", operator_file(tmp, [[0] * 5] * 5)),
+    "pointwise": lambda tmp, patch, mutant: (
+        "locder", "check", "--algebra", "pi2", "--matrix", operator_file(tmp, E12)),
+    "locaut_witness": lambda tmp, patch, mutant: (
+        "locaut", "witness", "--algebra", "pi3", "--matrix", operator_file(tmp, DIAG_BUMP)),
+    "pattern_member": verify_a_pattern_with_b21_open,
+    "pattern_residual": lambda tmp, patch, mutant: (
+        "locaut", "check", "--algebra", "pi3", "--matrix",
+        operator_file(tmp, [[complex(v) for v in row] for row in DIAG_BUMP], "complex")),
+    "multiplicativity_residual": lambda tmp, patch, mutant: (
+        "aut", "check", "--algebra", "pi3", "--matrix",
+        operator_file(tmp, [[complex(v) for v in row] for row in TWO], "complex")),
+    "family_escape": verify_a_family_that_misses_an_automorphism,
+    "bridge_sample": bridge_a_changed_locder,
+    "inference_violation": infer_with_a_changed_der,
+}
+
+
+def test_every_emitter_emits_a_kind_of_the_table():
+    assert set(EMITTERS) == set(cli._COUNTEREXAMPLES)
+
+
+@pytest.mark.parametrize("kind", list(cli._COUNTEREXAMPLES))
+def test_every_kind_of_the_table_is_emitted_and_replays(
+    tmp_path, monkeypatch, capsys, mutant, kind
+):
+    argv = EMITTERS[kind](tmp_path, monkeypatch, mutant)
+    report = str(tmp_path / "report.json")
+    assert run_cli(*argv, "--format", "structured", "--out", report) == 1
+    with open(report, encoding="utf-8") as fh:
+        counterexample = json.load(fh)["counterexample"]
+    assert counterexample["kind"] == kind
+    assert run_cli("verify-counterexample", report) == 0
+    capsys.readouterr()
+    # the text report ends in the same counterexample
+    assert run_cli(*argv) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert json.loads(last.removeprefix("counterexample: ")) == counterexample
+
+
+def test_the_cli_emits_only_what_the_table_replays():
+    args = argparse.Namespace(algebra="pi2")
+    matrix = operator_to_payload(Matrix.identity(5))
+    assert cli._counterexample(args, "not_invertible", matrix=matrix) == {
+        "kind": "not_invertible", "matrix": matrix}
+    assert cli._counterexample(args, "pattern_member", matrix=matrix) == {
+        "kind": "pattern_member", "algebra": "pi2", "matrix": matrix}
+    with pytest.raises(InternalCheckError, match="no replay for a 'span_membership'"):
+        cli._counterexample(args, "span_membership", matrix=matrix, space="der")
+    for kind, fields in [("pointwise", {"matrix": matrix}),
+                         ("not_invertible", {"matrix": matrix, "algebra": "pi2"}),
+                         ("criterion", {"numbers": [1], "seed": 0, "extra": 1})]:
+        with pytest.raises(InternalCheckError, match=f"a {kind} counterexample carries"):
+            cli._counterexample(args, kind, **fields)
 
 
 def test_cli_structured_reports_are_deterministic(capsys):
